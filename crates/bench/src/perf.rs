@@ -592,13 +592,15 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
             let mut stair_stream_out: Vec<f64> = Vec::new();
             let stair = StaircaseMechanism::new(0.7).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "StaircaseMechanism", n, k, |r| {
-                stair.measure_split_streaming_with_scratch_into(
-                    answers.values().iter().copied(),
-                    n,
-                    &mut derive_stream(seed, r),
-                    &mut stair_stream_scratch,
-                    &mut stair_stream_out,
-                );
+                stair
+                    .measure_split_streaming_with_scratch_into(
+                        answers.values().iter().copied(),
+                        n,
+                        &mut derive_stream(seed, r),
+                        &mut stair_stream_scratch,
+                        &mut stair_stream_out,
+                    )
+                    .expect("validated workload");
                 black_box(&stair_stream_out);
             });
 

@@ -435,8 +435,7 @@ impl Mechanism for StaircaseMechanism {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.measure_core(req.values(), provider, out.measurements_mut());
-        Ok(())
+        self.measure_core(req.values(), provider, out.measurements_mut())
     }
 }
 

@@ -78,6 +78,11 @@ impl StaircaseMechanism {
 
     /// The noise distribution used per coordinate when the budget is split
     /// over `k` queries (optimal `γ*` split).
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidEpsilon`] when the per-query budget `ε/k`
+    /// admits no staircase in `f64`: so small that `e^{-ε/k}` rounds to 1
+    /// (a long batch at a small `ε`), or so large that it rounds to 0.
     pub fn noise_for_batch(&self, k: usize) -> Result<Staircase, MechanismError> {
         let per_query = self.epsilon / k.max(1) as f64;
         Staircase::optimal(per_query, self.sensitivity)
@@ -85,61 +90,62 @@ impl StaircaseMechanism {
     }
 
     /// Per-coordinate noise variance under [`measure_split`](Self::measure_split).
-    #[allow(clippy::expect_used)]
-    pub fn split_variance(&self, k: usize) -> f64 {
-        self.noise_for_batch(k)
-            // lint:allow(panic-freedom): parameters were validated at construction; the batch distribution cannot fail
-            .expect("validated at construction")
-            .variance()
+    ///
+    /// # Errors
+    /// As [`noise_for_batch`](Self::noise_for_batch).
+    pub fn split_variance(&self, k: usize) -> Result<f64, MechanismError> {
+        Ok(self.noise_for_batch(k)?.variance())
     }
 
     /// The single copy of the measurement loop (materialized shape):
     /// construct the batch's noise distribution once, then one staircase
     /// draw per answer in index order through the provider's batch shape.
-    #[allow(clippy::expect_used)]
+    /// A batch whose budget admits no distribution fails before any draw.
     pub(crate) fn measure_core<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
         out: &mut Vec<f64>,
-    ) {
+    ) -> Result<(), MechanismError> {
+        let noise = self.noise_for_batch(answers.len())?;
         provider.begin();
-        let noise = self
-            .noise_for_batch(answers.len())
-            // lint:allow(panic-freedom): parameters were validated at construction; the batch distribution cannot fail
-            .expect("validated at construction");
         provider.staircase_fill_offset(answers, &noise, out);
+        Ok(())
     }
 
     /// The measurement loop over a lazy answer stream. `count` is the
     /// sequential-composition divisor (the batch size a materialized call
     /// reads off `answers.len()`, which a stream cannot supply up front).
-    #[allow(clippy::expect_used)]
     fn measure_streaming_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         answers: I,
         count: usize,
         provider: &mut P,
         out: &mut Vec<f64>,
-    ) {
+    ) -> Result<(), MechanismError> {
+        let noise = self.noise_for_batch(count)?;
         provider.begin();
-        let noise = self
-            .noise_for_batch(count)
-            // lint:allow(panic-freedom): parameters were validated at construction; the batch distribution cannot fail
-            .expect("validated at construction");
         out.clear();
         out.extend(
             answers
                 .into_iter()
                 .map(|a| a + provider.staircase_next(&noise)),
         );
+        Ok(())
     }
 
     /// Sequential-composition measurement: splits the budget evenly over
     /// the answers (the staircase counterpart of
     /// [`crate::laplace_mech::LaplaceMechanism::measure_split`]). The dyn
     /// reference path.
-    pub fn measure_split(&self, answers: &[f64], rng: &mut StdRng) -> Vec<f64> {
+    ///
+    /// # Errors
+    /// As [`noise_for_batch`](Self::noise_for_batch), for `k = answers.len()`.
+    pub fn measure_split(
+        &self,
+        answers: &[f64],
+        rng: &mut StdRng,
+    ) -> Result<Vec<f64>, MechanismError> {
         let mut source = SamplingSource::new(rng);
         self.measure_split_with_source(answers, &mut source)
     }
@@ -148,14 +154,17 @@ impl StaircaseMechanism {
     /// source (the alignment-style dyn path: one
     /// [`NoiseSource::staircase`] call — and one distribution
     /// reconstruction — per draw).
+    ///
+    /// # Errors
+    /// As [`measure_split`](Self::measure_split).
     pub fn measure_split_with_source(
         &self,
         answers: &[f64],
         source: &mut dyn NoiseSource,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, MechanismError> {
         let mut out = Vec::new();
-        self.measure_core(answers, &mut SourceDraws::new(source), &mut out);
-        out
+        self.measure_core(answers, &mut SourceDraws::new(source), &mut out)?;
+        Ok(out)
     }
 
     /// Batched fast path of [`measure_split`](Self::measure_split): the
@@ -163,28 +172,34 @@ impl StaircaseMechanism {
     /// constructed once per batch and the four uniforms per draw are served
     /// from the scratch's blocked raw-uniform tape. Bit-identical to
     /// [`measure_split`](Self::measure_split) on the same RNG stream.
+    ///
+    /// # Errors
+    /// As [`measure_split`](Self::measure_split).
     pub fn measure_split_with_scratch<R: Rng + ?Sized>(
         &self,
         answers: &[f64],
         rng: &mut R,
         scratch: &mut SvtScratch,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, MechanismError> {
         let mut out = Vec::new();
-        self.measure_split_with_scratch_into(answers, rng, scratch, &mut out);
-        out
+        self.measure_split_with_scratch_into(answers, rng, scratch, &mut out)?;
+        Ok(out)
     }
 
     /// Allocation-free twin of
     /// [`measure_split_with_scratch`](Self::measure_split_with_scratch):
     /// writes into `out`, reusing its buffer across runs.
+    ///
+    /// # Errors
+    /// As [`measure_split`](Self::measure_split).
     pub fn measure_split_with_scratch_into<R: Rng + ?Sized>(
         &self,
         answers: &[f64],
         rng: &mut R,
         scratch: &mut SvtScratch,
         out: &mut Vec<f64>,
-    ) {
-        self.measure_core(answers, &mut ScratchDraws::new(scratch, rng), out);
+    ) -> Result<(), MechanismError> {
+        self.measure_core(answers, &mut ScratchDraws::new(scratch, rng), out)
     }
 
     /// Intra-run parallel path of [`measure_split`](Self::measure_split):
@@ -194,58 +209,73 @@ impl StaircaseMechanism {
     /// staircase fill split across the provider's threads, bit-identical
     /// for any thread count. The run is keyed by the provider's `run_seed`,
     /// a *different stream* from the single-RNG paths.
+    ///
+    /// # Errors
+    /// As [`measure_split`](Self::measure_split).
     pub fn measure_split_par<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, MechanismError> {
         let mut out = Vec::new();
-        self.measure_split_par_into(answers, provider, &mut out);
-        out
+        self.measure_split_par_into(answers, provider, &mut out)?;
+        Ok(out)
     }
 
     /// Allocation-free twin of
     /// [`measure_split_par`](Self::measure_split_par).
+    ///
+    /// # Errors
+    /// As [`measure_split`](Self::measure_split).
     pub fn measure_split_par_into<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
         out: &mut Vec<f64>,
-    ) {
-        self.measure_core(answers, provider, out);
+    ) -> Result<(), MechanismError> {
+        self.measure_core(answers, provider, out)
     }
 
     /// Streaming twin of [`measure_split`](Self::measure_split): measures a
     /// lazy answer stream without materializing it, splitting the budget by
     /// the caller-supplied `count`. Bit-identical to the materialized path
     /// on the same RNG stream when the stream yields `count` answers.
+    ///
+    /// # Errors
+    /// As [`noise_for_batch`](Self::noise_for_batch), for `k = count`.
     pub fn measure_split_streaming<I: IntoIterator<Item = f64>>(
         &self,
         answers: I,
         count: usize,
         rng: &mut StdRng,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, MechanismError> {
         let mut source = SamplingSource::new(rng);
         let mut out = Vec::new();
-        self.measure_streaming_core(answers, count, &mut SourceDraws::new(&mut source), &mut out);
-        out
+        self.measure_streaming_core(answers, count, &mut SourceDraws::new(&mut source), &mut out)?;
+        Ok(out)
     }
 
     /// Streaming + scratch: lazy answers, tape-served noise.
+    ///
+    /// # Errors
+    /// As [`measure_split_streaming`](Self::measure_split_streaming).
     pub fn measure_split_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         answers: I,
         count: usize,
         rng: &mut R,
         scratch: &mut SvtScratch,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, MechanismError> {
         let mut out = Vec::new();
-        self.measure_split_streaming_with_scratch_into(answers, count, rng, scratch, &mut out);
-        out
+        self.measure_split_streaming_with_scratch_into(answers, count, rng, scratch, &mut out)?;
+        Ok(out)
     }
 
     /// Allocation-free twin of
     /// [`measure_split_streaming_with_scratch`](Self::measure_split_streaming_with_scratch).
+    ///
+    /// # Errors
+    /// As [`measure_split_streaming`](Self::measure_split_streaming).
     pub fn measure_split_streaming_with_scratch_into<
         R: Rng + ?Sized,
         I: IntoIterator<Item = f64>,
@@ -256,8 +286,8 @@ impl StaircaseMechanism {
         rng: &mut R,
         scratch: &mut SvtScratch,
         out: &mut Vec<f64>,
-    ) {
-        self.measure_streaming_core(answers, count, &mut ScratchDraws::new(scratch, rng), out);
+    ) -> Result<(), MechanismError> {
+        self.measure_streaming_core(answers, count, &mut ScratchDraws::new(scratch, rng), out)
     }
 }
 
@@ -283,11 +313,11 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let mut err = RunningMoments::new();
         for _ in 0..100_000 {
-            let out = m.measure_split(&[50.0, 60.0], &mut rng);
+            let out = m.measure_split(&[50.0, 60.0], &mut rng).unwrap();
             err.push(out[0] - 50.0);
         }
         assert!(err.mean().abs() < 0.05, "bias {}", err.mean());
-        let expect = m.split_variance(2);
+        let expect = m.split_variance(2).unwrap();
         assert!((err.variance() - expect).abs() / expect < 0.05);
     }
 
@@ -296,7 +326,10 @@ mod tests {
         // Geng-Viswanath: staircase variance < Laplace variance, with the
         // advantage growing with ε.
         for (eps, k) in [(4.0, 1usize), (8.0, 2)] {
-            let stair = StaircaseMechanism::new(eps).unwrap().split_variance(k);
+            let stair = StaircaseMechanism::new(eps)
+                .unwrap()
+                .split_variance(k)
+                .unwrap();
             let lap = LaplaceMechanism::new(eps).unwrap().split_variance(k);
             assert!(
                 stair < lap,
@@ -308,9 +341,46 @@ mod tests {
     #[test]
     fn close_to_laplace_at_low_epsilon() {
         // As ε → 0 the two mechanisms' variances converge (ratio → 1).
-        let stair = StaircaseMechanism::new(0.05).unwrap().split_variance(1);
+        let stair = StaircaseMechanism::new(0.05)
+            .unwrap()
+            .split_variance(1)
+            .unwrap();
         let lap = LaplaceMechanism::new(0.05).unwrap().split_variance(1);
         let ratio = stair / lap;
         assert!((0.9..=1.01).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn a_batch_whose_budget_rounds_away_is_a_typed_error() {
+        // e^{-ε/n} rounds to 1 once ε/n falls below ~1.1e-16, and to 0 once
+        // it passes ~745: no staircase exists at either end, and every path
+        // says so instead of panicking.
+        let tiny = StaircaseMechanism::new(1e-12).unwrap();
+        let answers = vec![1.0; 20_000];
+        let per_query = 1e-12 / 20_000.0;
+        let invalid = MechanismError::InvalidEpsilon { value: per_query };
+        assert_eq!(tiny.noise_for_batch(answers.len()), Err(invalid.clone()));
+        assert_eq!(tiny.split_variance(answers.len()), Err(invalid.clone()));
+        let mut rng = rng_from_seed(4);
+        assert_eq!(tiny.measure_split(&answers, &mut rng), Err(invalid.clone()));
+        let mut scratch = SvtScratch::new();
+        let mut out = vec![7.0];
+        assert_eq!(
+            tiny.measure_split_with_scratch_into(&answers, &mut rng, &mut scratch, &mut out),
+            Err(invalid.clone())
+        );
+        assert_eq!(out, [7.0], "a rejected batch writes nothing");
+        assert_eq!(
+            tiny.measure_split_streaming(answers.iter().copied(), answers.len(), &mut rng),
+            Err(invalid)
+        );
+        // A short batch at the same ε is fine.
+        assert!(tiny.measure_split(&[1.0], &mut rng).is_ok());
+
+        let huge = StaircaseMechanism::new(1e4).unwrap();
+        assert!(matches!(
+            huge.split_variance(1),
+            Err(MechanismError::InvalidEpsilon { .. })
+        ));
     }
 }

@@ -81,7 +81,7 @@ fn call_reference_matches_run_entry_points() {
                         .unwrap(),
                 ),
                 AnyMechanism::Staircase(m) => MechanismOutput::Measurements(
-                    m.measure_split(&vals, &mut derive_stream(seed, 0)),
+                    m.measure_split(&vals, &mut derive_stream(seed, 0)).unwrap(),
                 ),
                 AnyMechanism::SparseVectorWithGap(m) => {
                     MechanismOutput::SparseVector(m.run(&answers, &mut derive_stream(seed, 0)))
@@ -142,7 +142,7 @@ fn call_batched_matches_with_scratch_entry_points() {
                         .unwrap(),
                 ),
                 AnyMechanism::Staircase(m) => MechanismOutput::Measurements(
-                    m.measure_split_with_scratch(&vals, rng, &mut svt),
+                    m.measure_split_with_scratch(&vals, rng, &mut svt).unwrap(),
                 ),
                 AnyMechanism::SparseVectorWithGap(m) => {
                     MechanismOutput::SparseVector(m.run_with_scratch(&answers, rng, &mut svt))

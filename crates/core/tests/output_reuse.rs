@@ -296,17 +296,16 @@ fn staircase_measure_into_is_bit_identical_and_reuses_the_buffer() {
     let mut out: Vec<f64> = Vec::new();
     let mut steady_capacity = 0;
     for run in 0..100u64 {
-        let expect = m.measure_split_with_scratch(
-            answers.values(),
-            &mut derive_stream(29, run),
-            &mut scratch,
-        );
+        let expect = m
+            .measure_split_with_scratch(answers.values(), &mut derive_stream(29, run), &mut scratch)
+            .unwrap();
         m.measure_split_with_scratch_into(
             answers.values(),
             &mut derive_stream(29, run),
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         assert_eq!(expect, out, "run {run}");
 
         m.measure_split_streaming_with_scratch_into(
@@ -315,7 +314,8 @@ fn staircase_measure_into_is_bit_identical_and_reuses_the_buffer() {
             &mut derive_stream(29, run),
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         assert_eq!(expect, out, "streaming run {run}");
         if run == 0 {
             steady_capacity = out.capacity();

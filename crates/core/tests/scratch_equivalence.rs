@@ -519,30 +519,34 @@ fn staircase_measurement_all_four_paths_are_bit_identical() {
     let answers = workload(9, 300);
     let mut scratch = SvtScratch::new();
     for run in 0..200u64 {
-        let expect = m.measure_split(answers.values(), &mut derive_stream(53, run));
-        let got = m.measure_split_with_scratch(
-            answers.values(),
-            &mut derive_stream(53, run),
-            &mut scratch,
-        );
+        let expect = m
+            .measure_split(answers.values(), &mut derive_stream(53, run))
+            .unwrap();
+        let got = m
+            .measure_split_with_scratch(answers.values(), &mut derive_stream(53, run), &mut scratch)
+            .unwrap();
         assert_eq!(expect.len(), got.len());
         for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "run {run} slot {i} (scratch)");
         }
-        let streaming = m.measure_split_streaming(
-            answers.values().iter().copied(),
-            answers.len(),
-            &mut derive_stream(53, run),
-        );
+        let streaming = m
+            .measure_split_streaming(
+                answers.values().iter().copied(),
+                answers.len(),
+                &mut derive_stream(53, run),
+            )
+            .unwrap();
         for (i, (a, b)) in expect.iter().zip(&streaming).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "run {run} slot {i} (streaming)");
         }
-        let stream_scratch = m.measure_split_streaming_with_scratch(
-            answers.values().iter().copied(),
-            answers.len(),
-            &mut derive_stream(53, run),
-            &mut scratch,
-        );
+        let stream_scratch = m
+            .measure_split_streaming_with_scratch(
+                answers.values().iter().copied(),
+                answers.len(),
+                &mut derive_stream(53, run),
+                &mut scratch,
+            )
+            .unwrap();
         for (i, (a, b)) in expect.iter().zip(&stream_scratch).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -667,6 +671,7 @@ proptest! {
                 &mut derive_stream(seed, 8),
                 &mut svt_scratch)
         );
+        prop_assert!(stair_expect.is_ok());
 
         // Finite-precision variants on the integer projection of the same
         // workload (counting semantics keep the lattice at γ = 1).

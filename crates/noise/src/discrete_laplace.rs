@@ -25,6 +25,7 @@ use crate::error::NoiseError;
 use crate::geometric::Geometric;
 use crate::traits::DiscreteDistribution;
 use rand::Rng;
+use std::hint::select_unpredictable;
 
 /// Discrete Laplace distribution over `{kγ : k ∈ ℤ}` with decay `α = e^{-εγ}`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,33 +94,35 @@ impl DiscreteLaplace {
     /// interval `[F(k-1), F(k))` (of mass exactly `pmf(k)`) maps to `k`:
     /// `u ≥ F(-1)` solves `1 - α^{k+1}/(1+α) ≥ u` over `k ≥ 0`, the
     /// negative tail solves `α^{-k}/(1+α) ≥ u`.
+    ///
+    /// An exact kernel: the side is a branch-free select (`P(k < 0)` nears
+    /// one half at small `εγ`, so a branch on it would mispredict up to
+    /// half the time), both sides share one `ln`, and `ceil`/`floor` are an
+    /// `i64` truncation plus one compare (the baseline x86-64 target has no
+    /// rounding instruction, so `f64::ceil`/`f64::floor` are out-of-line
+    /// calls there). Every `u` maps to the index of the float formula
+    /// `max(ceil(l) - 1.0, 0)` (upper side) or `min(-floor(l), -1)` (lower
+    /// side), `l` the quotient below, at every `α` including the paper's
+    /// `γ ≈ 2⁻⁵²` regime.
     #[inline]
     pub fn index_from_uniform(&self, u: f64) -> i64 {
-        let inv_ln_alpha = self.geometric.inv_ln_alpha();
-        if u >= self.neg_cdf {
-            // α^{k+1} ≤ (1-u)(1+α)  ⟺  k ≥ ln((1-u)(1+α))/ln(α) - 1.
-            let l = ((1.0 - u) * self.one_plus_alpha)
-                .max(f64::MIN_POSITIVE)
-                .ln()
-                * inv_ln_alpha;
-            let k = l.ceil() - 1.0;
-            // Clamp boundary rounding (and non-finite pathologies) into the
-            // branch's support, mirroring the geometric sampler's guard.
-            if k.is_finite() && k > 0.0 {
-                k as i64
-            } else {
-                0
-            }
-        } else {
-            // α^{-k} ≥ u(1+α)  ⟺  k ≥ -ln(u(1+α))/ln(α).
-            let l = (u * self.one_plus_alpha).max(f64::MIN_POSITIVE).ln() * inv_ln_alpha;
-            let k = (-l).ceil();
-            if k.is_finite() && k < -1.0 {
-                k as i64
-            } else {
-                -1
-            }
-        }
+        let upper = u >= self.neg_cdf;
+        // Upper: α^{k+1} ≤ (1-u)(1+α)  ⟺  k ≥ ln((1-u)(1+α))/ln(α) - 1.
+        // Lower: α^{-k} ≥ u(1+α)       ⟺  k ≥ -ln(u(1+α))/ln(α).
+        let mass = select_unpredictable(upper, 1.0 - u, u) * self.one_plus_alpha;
+        let l = mass.max(f64::MIN_POSITIVE).ln() * self.geometric.inv_ln_alpha();
+        // Clamping into each side's support commutes with the rounding:
+        // max(ceil(l) - 1, 0) = ceil(m - 1) and min(-floor(l), -1) = -floor(m)
+        // for m = max(l, 1). `m - 1.0` is exact below 2⁵³ and, above it,
+        // rounds exactly as the float formula's `ceil(l) - 1.0` does (there
+        // `ceil(l) = l`). The quotient is below 2⁶³ (`mass` is clamped to at
+        // least `f64::MIN_POSITIVE` and `|1/ln(α)| ≤ 2⁵³`), so truncating the
+        // non-negative `x` is `floor`, and one compare gives `ceil`.
+        let m = l.max(1.0);
+        let x = select_unpredictable(upper, m - 1.0, m);
+        let floor = x as i64;
+        let ceil = floor + i64::from(x > floor as f64);
+        select_unpredictable(upper, ceil, -floor)
     }
 
     /// Value twin of [`index_from_uniform`](Self::index_from_uniform):

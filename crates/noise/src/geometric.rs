@@ -98,14 +98,22 @@ impl Geometric {
     /// block-filled uniforms.
     #[inline]
     pub fn index_from_uniform(&self, u: f64) -> u64 {
-        // 1-u in (0, 1]; ln(1-u) in (-inf, 0]; product of negatives >= 0.
-        let g = ((1.0 - u).max(f64::MIN_POSITIVE).ln() * self.inv_ln_alpha).floor();
-        // Guard against pathological rounding for alpha very close to 1.
-        if g.is_finite() && g >= 0.0 {
-            g as u64
-        } else {
-            0
-        }
+        self.layer_from_uniform(u) as u64
+    }
+
+    /// `index_from_uniform(u) as f64`: the layer index as the staircase
+    /// sampler consumes it.
+    ///
+    /// An exact kernel: `floor(ln(1-u) / ln(α))` clamped at zero, with the
+    /// clamp first so that `floor` is an `i64` truncation (the baseline
+    /// x86-64 target has no rounding instruction, so `f64::floor` is an
+    /// out-of-line call there). The truncation is exact for every input:
+    /// `1-u` is clamped to at least `f64::MIN_POSITIVE`, so `-ln(1-u)` is
+    /// at most 708.4, and `|1/ln(α)| ≤ 2⁵³` for `α < 1`, so the quotient
+    /// stays below `2⁶³`; from `2⁵²` up it is already an integer.
+    #[inline]
+    pub fn layer_from_uniform(&self, u: f64) -> f64 {
+        ((1.0 - u).max(f64::MIN_POSITIVE).ln() * self.inv_ln_alpha).max(0.0) as i64 as f64
     }
 }
 

@@ -21,6 +21,7 @@ use crate::error::{require_open_unit, require_positive, NoiseError};
 use crate::geometric::Geometric;
 use crate::traits::ContinuousDistribution;
 use rand::Rng;
+use std::hint::select_unpredictable;
 
 /// Staircase distribution with privacy parameter `ε`, sensitivity `Δ`, and
 /// stair-split parameter `γ ∈ (0, 1)`.
@@ -32,6 +33,10 @@ pub struct Staircase {
     /// Decay per stair, `b = e^{-ε}`.
     b: f64,
     geometric: Geometric,
+    /// `P(B = 0)`, hoisted out of the sampler (a division per draw).
+    inner_probability: f64,
+    /// `1 - γ`, the outer side's width.
+    one_minus_gamma: f64,
 }
 
 impl Staircase {
@@ -47,6 +52,8 @@ impl Staircase {
             gamma,
             b,
             geometric: Geometric::new(b)?,
+            inner_probability: gamma / (gamma + (1.0 - gamma) * b),
+            one_minus_gamma: 1.0 - gamma,
         })
     }
 
@@ -80,7 +87,7 @@ impl Staircase {
     /// Probability that a sample falls on the inner (cheaper) side of a stair,
     /// `P(B = 0) = γ / (γ + (1-γ)e^{-ε})`.
     pub fn inner_side_probability(&self) -> f64 {
-        self.gamma / (self.gamma + (1.0 - self.gamma) * self.b)
+        self.inner_probability
     }
 
     /// The sampler as a pure transform of four uniforms `u ∈ [0, 1)` —
@@ -95,17 +102,19 @@ impl Staircase {
     /// ([`crate::BlockBuffer::next_staircase`]), which is what lets the
     /// staircase measurement mechanism share one buffered stream with the
     /// Laplace/Gumbel/discrete families.
+    ///
+    /// An exact kernel: one `ln` (the layer, through
+    /// [`Geometric::layer_from_uniform`]) and no data-dependent branch. The
+    /// sign is a fair coin and the side a biased one, so both are selects;
+    /// both sides' positions are computed and the side picks one.
     #[inline]
     pub fn sample_from_uniforms(&self, u: [f64; Self::URANDS]) -> f64 {
-        let sign = if u[0] < 0.5 { 1.0 } else { -1.0 };
-        let g = self.geometric.index_from_uniform(u[1]) as f64;
-        let inner = u[3] < self.inner_side_probability();
-        let magnitude = if inner {
-            (g + self.gamma * u[2]) * self.delta
-        } else {
-            (g + self.gamma + (1.0 - self.gamma) * u[2]) * self.delta
-        };
-        sign * magnitude
+        let sign = select_unpredictable(u[0] < 0.5, 1.0, -1.0);
+        let g = self.geometric.layer_from_uniform(u[1]);
+        let inner = g + self.gamma * u[2];
+        let outer = g + self.gamma + self.one_minus_gamma * u[2];
+        let position = select_unpredictable(u[3] < self.inner_probability, inner, outer);
+        sign * (position * self.delta)
     }
 
     /// Uniform draws one staircase sample consumes (the Geng–Viswanath

@@ -5,10 +5,13 @@
 //! * an evicted session's unspent budget is released exactly once;
 //! * per-tenant responses are independent of how requests from different
 //!   tenants interleave (the sequential reference check);
+//! * a call the mechanism cannot serve is a typed rejection whose debit is
+//!   refunded in full;
 //! * the serve-bench digest is bit-identical for 1 vs 4 worker threads.
 
 use free_gap_core::noisy_max::NoisyTopKWithGap;
 use free_gap_core::sparse_vector::SparseVectorWithGap;
+use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_serve::server::RejectReason;
 use free_gap_serve::{
     BudgetLedger, MechanismRequest, MechanismResponse, QueryServer, RequestBody, ServeBenchConfig,
@@ -269,6 +272,41 @@ fn budget_rejections_are_typed_and_leave_state_unchanged() {
         server.handle(&stray, &mut scratch),
         MechanismResponse::Rejected(RejectReason::UnknownTenant)
     );
+}
+
+/// A staircase call whose per-query budget rounds away (`e^{-ε/n}` is 1.0
+/// in `f64` for ε = 1e-12 over 20,000 queries) is a typed invalid-request
+/// rejection with the debit refunded — not a panic that takes the worker
+/// down and keeps the tenant's ε.
+#[test]
+fn an_unrepresentable_staircase_batch_is_rejected_and_refunded() {
+    let server = QueryServer::new(5);
+    server.register_tenant(0, 1.0).unwrap();
+    let mech = StaircaseMechanism::new(1e-12).unwrap();
+    let mut scratch = WorkerScratch::new();
+    let call = |queries: Vec<f64>| MechanismRequest {
+        tenant: 0,
+        body: RequestBody::Call {
+            mechanism: mech.into(),
+            queries,
+        },
+    };
+    let response = server.handle(&call(vec![1.0; 20_000]), &mut scratch);
+    assert_eq!(
+        response,
+        MechanismResponse::Rejected(RejectReason::Invalid(
+            free_gap_core::MechanismError::InvalidEpsilon {
+                value: 1e-12 / 20_000.0
+            }
+        ))
+    );
+    assert_eq!(server.remaining(0), Some(1.0));
+    assert_eq!(server.spent(0), Some(0.0));
+    // The tenant and the worker keep serving: a short batch at the same ε
+    // is answered and debited.
+    let response = server.handle(&call(vec![1.0; 4]), &mut scratch);
+    assert!(matches!(response, MechanismResponse::Output(_)));
+    assert_eq!(server.spent(0), Some(1e-12));
 }
 
 /// The acceptance pin: a fixed-seed serve-bench run is bit-reproducible

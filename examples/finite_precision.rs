@@ -64,7 +64,8 @@ fn main() {
             for (m, t) in lap.run(&truths, &mut rng).iter().zip(&truths) {
                 lap_sse += (m - t) * (m - t);
             }
-            for (m, t) in stair.measure_split(&truths, &mut rng).iter().zip(&truths) {
+            let measured = stair.measure_split(&truths, &mut rng).unwrap();
+            for (m, t) in measured.iter().zip(&truths) {
                 stair_sse += (m - t) * (m - t);
             }
         }
