@@ -9,6 +9,7 @@
 //! side information a real attacker would not have.
 
 use free_gap_core::answers::QueryAnswers;
+use free_gap_core::draw::ScratchDraws;
 use free_gap_core::scratch::SvtScratch;
 use free_gap_core::sparse_vector::broken::{
     BudgetMisallocationSvt, NoQueryNoiseSvt, NoisyValueOutput, NoisyValueSvt, UnboundedCountSvt,
@@ -142,7 +143,11 @@ macro_rules! sv_target {
                 scratch: &mut SvtScratch,
                 out: &mut Observation,
             ) {
-                self.run_with_scratch_into(answers, rng, scratch, &mut out.sv);
+                self.run_into(
+            answers.values().iter().copied(),
+            &mut ScratchDraws::new(scratch, rng),
+            &mut out.sv,
+        );
                 out.take_sv();
             }
         }
@@ -205,7 +210,11 @@ impl AttackTarget for AdaptiveSparseVector {
         scratch: &mut SvtScratch,
         out: &mut Observation,
     ) {
-        self.run_with_scratch_into(answers, rng, scratch, &mut out.adaptive);
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut ScratchDraws::new(scratch, rng),
+            &mut out.adaptive,
+        );
         out.take_adaptive();
     }
 }
@@ -234,7 +243,11 @@ impl AttackTarget for NoisyValueSvt {
         scratch: &mut SvtScratch,
         out: &mut Observation,
     ) {
-        self.run_with_scratch_into(answers, rng, scratch, &mut out.nv);
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut ScratchDraws::new(scratch, rng),
+            &mut out.nv,
+        );
         out.take_nv();
     }
 }

@@ -17,9 +17,12 @@ use crate::runner::{mean_and_stderr, parallel_runs, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
+use free_gap_core::draw::ScratchDraws;
 use free_gap_core::metrics::{mse_improvement_percent, selection_quality};
 use free_gap_core::pipelines::{topk_select_measure_with_split_scratch, PipelineScratch};
-use free_gap_core::sparse_vector::{AdaptiveSparseVector, Branch, MultiBranchAdaptiveSparseVector};
+use free_gap_core::sparse_vector::{
+    AdaptiveSparseVector, AdaptiveSvOutput, Branch, MultiBranchAdaptiveSparseVector,
+};
 use free_gap_core::QueryAnswers;
 use free_gap_data::Dataset;
 use free_gap_noise::rng::rng_from_seed;
@@ -76,7 +79,9 @@ fn sweep_adaptive_svt(
         free_gap_core::scratch::SvtScratch::new,
         |_, rng, scratch| {
             let mech = build(threshold);
-            let out = mech.run_with_scratch(&answers, rng, scratch);
+            let mut out = AdaptiveSvOutput::default();
+            let queries = answers.values().iter().copied();
+            mech.run_into(queries, &mut ScratchDraws::new(scratch, rng), &mut out);
             let q = selection_quality(&out.above_indices(), &truth);
             let answered = out.answered() as f64;
             let top_share = if out.answered() == 0 {

@@ -20,8 +20,11 @@ use crate::runner::{mean_and_stderr, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
+use free_gap_core::draw::ScratchDraws;
 use free_gap_core::metrics::selection_quality;
-use free_gap_core::sparse_vector::{AdaptiveSparseVector, Branch, ClassicSparseVector};
+use free_gap_core::sparse_vector::{
+    AdaptiveSparseVector, AdaptiveSvOutput, Branch, ClassicSparseVector, SvOutput,
+};
 use free_gap_data::Dataset;
 use free_gap_noise::rng::rng_from_seed;
 use rand::Rng;
@@ -92,11 +95,18 @@ pub fn run(config: &ExperimentConfig, dataset: Dataset, k_values: &[usize]) -> T
                 // stream) — results stay independent of worker chunking.
                 let mut svt_rng = rng_from_seed(rng.gen::<u64>());
                 let mut adaptive_rng = rng_from_seed(rng.gen::<u64>());
-                let s = svt.run_with_scratch(&workload.answers, &mut svt_rng, svt_scratch);
-                let a = adaptive.run_with_scratch(
-                    &workload.answers,
-                    &mut adaptive_rng,
-                    adaptive_scratch,
+                let queries = || workload.answers.values().iter().copied();
+                let mut s = SvOutput::default();
+                svt.run_into(
+                    queries(),
+                    &mut ScratchDraws::new(svt_scratch, &mut svt_rng),
+                    &mut s,
+                );
+                let mut a = AdaptiveSvOutput::default();
+                adaptive.run_into(
+                    queries(),
+                    &mut ScratchDraws::new(adaptive_scratch, &mut adaptive_rng),
+                    &mut a,
                 );
                 let sq = selection_quality(&s.above_indices(), &truth);
                 let aq = selection_quality(&a.above_indices(), &truth);

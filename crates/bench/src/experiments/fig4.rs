@@ -12,7 +12,8 @@ use crate::runner::{mean_and_stderr, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
-use free_gap_core::sparse_vector::AdaptiveSparseVector;
+use free_gap_core::draw::ScratchDraws;
+use free_gap_core::sparse_vector::{AdaptiveSparseVector, AdaptiveSvOutput};
 use free_gap_data::Dataset;
 
 /// Runs Figure 4 for the given datasets over `k_values`.
@@ -37,9 +38,10 @@ pub fn run(config: &ExperimentConfig, datasets: &[Dataset], k_values: &[usize]) 
                     let mech = AdaptiveSparseVector::new(k, config.epsilon, threshold, true)
                         .expect("validated parameters")
                         .with_answer_limit(k);
-                    mech.run_with_scratch(&workload.answers, rng, scratch)
-                        .remaining_fraction()
-                        * 100.0
+                    let mut out = AdaptiveSvOutput::default();
+                    let queries = workload.answers.values().iter().copied();
+                    mech.run_into(queries, &mut ScratchDraws::new(scratch, rng), &mut out);
+                    out.remaining_fraction() * 100.0
                 },
             );
             let (mean, se) = mean_and_stderr(&fractions);

@@ -20,9 +20,9 @@
 //! parallelized over threads with per-run derived RNG streams
 //! ([`runner::parallel_runs`]) so results are independent of thread count,
 //! and each worker thread reuses one set of scratch buffers across its whole
-//! chunk ([`runner::parallel_runs_with_state`] + the `run_with_scratch`
-//! fast paths of `free-gap-core`), keeping the Monte-Carlo inner loops
-//! allocation-free.
+//! chunk ([`runner::parallel_runs_with_state`] + the `run_into` entries of
+//! `free-gap-core` through its scratch providers), keeping the Monte-Carlo
+//! noise draws batched.
 //!
 //! ## Performance tracking
 //!

@@ -6,9 +6,9 @@
 //! | path | meaning |
 //! |------|---------|
 //! | `dyn` | the allocating `run` path — `dyn NoiseSource` dispatch, fresh buffers per run (the "before") |
-//! | `scratch` | `run_with_scratch` — batched noise, reused buffers, monomorphic `StdRng` |
-//! | `scratch_fast` | `run_with_scratch` driven by [`FastRng`](free_gap_noise::rng::FastRng) (Xoshiro) — the Monte-Carlo fast path |
-//! | `streaming` | `run_streaming_with_scratch` (and the baselines' streaming entries) — the lazy-iterator serving path (all mechanisms except the Noisy-Top-K family, which needs the whole vector by definition) |
+//! | `scratch` | [`AnyMechanism::call_batched`] — batched noise, reused buffers, monomorphic `StdRng` |
+//! | `scratch_fast` | [`AnyMechanism::call_batched`] driven by [`FastRng`](free_gap_noise::rng::FastRng) (Xoshiro) — the Monte-Carlo fast path |
+//! | `streaming` | the mechanism's lazy `_into` entry over a query iterator — the streaming serving path (all mechanisms except the Noisy-Top-K family, which needs the whole vector by definition) |
 //! | `par` | [`AnyMechanism::call_par`] — the intra-run parallel path: per-block sub-stream noise fill plus the per-chunk selection reduce, threads clamped to `min(available_parallelism, 4)` (the Top-K family, the exponential race and the staircase measurement; the SVT family's threshold loop is inherently sequential) |
 //!
 //! All paths execute the *same mechanism*: `scratch` and `streaming` are
@@ -85,7 +85,7 @@ use crate::table::Table;
 use free_gap_core::api::{
     AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
 };
-use free_gap_core::draw::ParallelDraws;
+use free_gap_core::draw::{ParallelDraws, RngDraws, ScratchDraws};
 use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
 use free_gap_core::scratch::{SvtScratch, TopKScratch};
@@ -500,60 +500,43 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
             }
 
             // Streaming cells: the lazy-iterator serving path, timed on the
-            // mechanisms' own streaming entry points.
-            let mut svt_gap_stream_scratch = SvtScratch::new();
-            let mut classic_svt_stream_scratch = SvtScratch::new();
-            let mut adaptive_stream_scratch = SvtScratch::new();
-            let mut multi_branch_stream_scratch = SvtScratch::new();
-            let mut disc_svt_stream_scratch = SvtScratch::new();
-            let mut sv_stream_out = SvOutput { above: Vec::new() };
-            let mut adaptive_stream_out = AdaptiveSvOutput {
-                outcomes: Vec::new(),
-                spent: 0.0,
-                epsilon: 0.0,
-            };
-            let mut multi_stream_out = MultiBranchSvOutput {
-                outcomes: Vec::new(),
-                spent: 0.0,
-                epsilon: 0.0,
-            };
-
+            // mechanisms' own `_into` entries pulling from an iterator over
+            // the workload, through the provider each fast path uses.
+            let queries = || answers.values().iter().copied();
+            let mut sv_out = SvOutput::default();
+            let mut svt_gap_scratch = SvtScratch::new();
             let svt_gap =
                 SparseVectorWithGap::new(k, 0.7, threshold, true).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "SparseVectorWithGap", n, k, |r| {
-                svt_gap.run_streaming_with_scratch_into(
-                    answers.values().iter().copied(),
-                    &mut derive_stream(seed, r),
-                    &mut svt_gap_stream_scratch,
-                    &mut sv_stream_out,
-                );
-                black_box(&sv_stream_out);
+                let mut rng = derive_stream(seed, r);
+                let mut provider = ScratchDraws::new(&mut svt_gap_scratch, &mut rng);
+                svt_gap.run_into(queries(), &mut provider, &mut sv_out);
+                black_box(&sv_out);
             });
 
+            let mut classic_svt_scratch = SvtScratch::new();
             let classic_svt =
                 ClassicSparseVector::new(k, 0.7, threshold, true).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "ClassicSparseVector", n, k, |r| {
-                classic_svt.run_streaming_with_scratch_into(
-                    answers.values().iter().copied(),
-                    &mut derive_stream(seed, r),
-                    &mut classic_svt_stream_scratch,
-                    &mut sv_stream_out,
-                );
-                black_box(&sv_stream_out);
+                let mut rng = derive_stream(seed, r);
+                let mut provider = ScratchDraws::new(&mut classic_svt_scratch, &mut rng);
+                classic_svt.run_into(queries(), &mut provider, &mut sv_out);
+                black_box(&sv_out);
             });
 
+            let mut adaptive_scratch = SvtScratch::new();
+            let mut adaptive_out = AdaptiveSvOutput::default();
             let adaptive =
                 AdaptiveSparseVector::new(k, 0.7, threshold, true).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "AdaptiveSparseVector", n, k, |r| {
-                adaptive.run_streaming_with_scratch_into(
-                    answers.values().iter().copied(),
-                    &mut derive_stream(seed, r),
-                    &mut adaptive_stream_scratch,
-                    &mut adaptive_stream_out,
-                );
-                black_box(&adaptive_stream_out);
+                let mut rng = derive_stream(seed, r);
+                let mut provider = ScratchDraws::new(&mut adaptive_scratch, &mut rng);
+                adaptive.run_into(queries(), &mut provider, &mut adaptive_out);
+                black_box(&adaptive_out);
             });
 
+            let mut multi_scratch = SvtScratch::new();
+            let mut multi_out = MultiBranchSvOutput::default();
             let multi = MultiBranchAdaptiveSparseVector::new(k, 0.7, threshold, true, 3)
                 .expect("valid parameters");
             bench_streaming_cell(
@@ -563,47 +546,42 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
                 n,
                 k,
                 |r| {
-                    multi.run_streaming_with_scratch_into(
-                        answers.values().iter().copied(),
-                        &mut derive_stream(seed, r),
-                        &mut multi_branch_stream_scratch,
-                        &mut multi_stream_out,
-                    );
-                    black_box(&multi_stream_out);
+                    let mut rng = derive_stream(seed, r);
+                    let mut provider = ScratchDraws::new(&mut multi_scratch, &mut rng);
+                    multi.run_into(queries(), &mut provider, &mut multi_out);
+                    black_box(&multi_out);
                 },
             );
 
-            let mut expo_stream_scratch = TopKScratch::new();
-            let mut expo_stream_out: Vec<usize> = Vec::new();
+            let mut expo_scratch = TopKScratch::new();
+            let mut expo_out: Vec<usize> = Vec::new();
             let expo = ExponentialMechanism::new(0.7, true).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "ExponentialMechanism", n, k, |r| {
-                expo.run_top_k_streaming_with_scratch_into(
-                    answers.values().iter().copied(),
+                let mut rng = derive_stream(seed, r);
+                expo.run_top_k_into(
+                    queries(),
                     k,
-                    &mut derive_stream(seed, r),
-                    &mut expo_stream_scratch,
-                    &mut expo_stream_out,
+                    &mut RngDraws::new(&mut rng),
+                    &mut expo_scratch,
+                    &mut expo_out,
                 )
                 .expect("validated workload");
-                black_box(&expo_stream_out);
+                black_box(&expo_out);
             });
 
-            let mut stair_stream_scratch = SvtScratch::new();
-            let mut stair_stream_out: Vec<f64> = Vec::new();
+            let mut stair_scratch = SvtScratch::new();
+            let mut stair_out: Vec<f64> = Vec::new();
             let stair = StaircaseMechanism::new(0.7).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "StaircaseMechanism", n, k, |r| {
+                let mut rng = derive_stream(seed, r);
+                let mut provider = ScratchDraws::new(&mut stair_scratch, &mut rng);
                 stair
-                    .measure_split_streaming_with_scratch_into(
-                        answers.values().iter().copied(),
-                        n,
-                        &mut derive_stream(seed, r),
-                        &mut stair_stream_scratch,
-                        &mut stair_stream_out,
-                    )
+                    .measure_split_into(queries(), n, &mut provider, &mut stair_out)
                     .expect("validated workload");
-                black_box(&stair_stream_out);
+                black_box(&stair_out);
             });
 
+            let mut disc_svt_scratch = SvtScratch::new();
             let disc_svt = DiscreteSparseVectorWithGap::new(k, 0.7, int_threshold, true)
                 .expect("valid parameters");
             bench_streaming_cell(
@@ -613,13 +591,14 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
                 n,
                 k,
                 |r| {
-                    disc_svt.run_streaming_with_scratch_into(
+                    let mut rng = derive_stream(seed, r);
+                    let mut provider = ScratchDraws::new(&mut disc_svt_scratch, &mut rng);
+                    disc_svt.run_into(
                         int_answers.values().iter().copied(),
-                        &mut derive_stream(seed, r),
-                        &mut disc_svt_stream_scratch,
-                        &mut sv_stream_out,
+                        &mut provider,
+                        &mut sv_out,
                     );
-                    black_box(&sv_stream_out);
+                    black_box(&sv_out);
                 },
             );
         }

@@ -24,6 +24,25 @@ pub(crate) fn require_min_len(values: &[f64], need: usize) -> Result<(), Mechani
     }
 }
 
+/// Validates that every answer is finite. Selection over a NaN or an
+/// infinity is undefined (a NaN fails every `>=` of the Top-K scan, an
+/// infinite winner releases a NaN gap), so the selection mechanisms reject
+/// such a workload before drawing any noise.
+pub(crate) fn require_finite(values: &[f64]) -> Result<(), MechanismError> {
+    // A branch-free pass vectorizes, unlike an early-exit scan; the
+    // offender is located only when there is one.
+    if values.iter().fold(true, |finite, v| finite & v.is_finite()) {
+        return Ok(());
+    }
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(MechanismError::NonFiniteUtility {
+            index,
+            value: values[index],
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A vector of sensitivity-1 query answers, tagged with monotonicity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryAnswers {

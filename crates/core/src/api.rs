@@ -1,11 +1,11 @@
 //! The unified mechanism-call surface: one request/response shape over
 //! every selection and measurement mechanism in the grid.
 //!
-//! Historically each mechanism exposed its own entry-point family
-//! (`run`, `run_with_scratch[_into]`, `run_streaming…`), and every caller
-//! that wanted to treat mechanisms uniformly — the benchmark grid, the
-//! serving layer — hand-rolled a dispatch table of closures. This module
-//! folds that dispatch into the type system:
+//! Each mechanism exposes an allocating reference entry (`run`,
+//! `run_top_k`, `measure_split`) and one provider-taking `_into` entry;
+//! callers that treat mechanisms uniformly — the benchmark grid, the
+//! serving layer — would otherwise hand-roll a dispatch table of closures.
+//! This module folds that dispatch into the type system:
 //!
 //! * [`Mechanism`] — the one-call trait: a query slice in, a
 //!   [`MechanismOutput`] out, noise through any [`DrawProvider`].
@@ -21,10 +21,10 @@
 //! buffers, and `&self` receivers (the mechanisms are `Copy` parameter
 //! packs) cannot own them. Threading one [`TopKScratch`] through the call
 //! keeps the trait allocation-free across requests — the same pattern the
-//! `*_with_scratch_into` entry points already use — while the SVT family's
-//! noise tape rides inside the provider ([`ScratchDraws`]) instead. The
-//! old entry points remain and stay bit-identical: `call` goes through the
-//! very same `run_core` bodies (`tests/api_surface.rs` pins this).
+//! Top-K `run_into` entries use — while the SVT family's noise tape rides
+//! inside the provider ([`ScratchDraws`]) instead. `call` is a thin
+//! adapter: it coerces the output and forwards to the mechanism's one
+//! provider-taking `run_into` entry (`tests/api_surface.rs` pins this).
 
 use crate::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
 use crate::error::MechanismError;
@@ -102,12 +102,12 @@ pub enum MechanismOutput {
     Measurements(Vec<f64>),
 }
 
-/// Coerces `$self` to `$variant` (installing `$empty` only on a variant
-/// switch) and returns the inner value mutably.
+/// Coerces `$self` to `$variant` (installing an empty default payload
+/// only on a variant switch) and returns the inner value mutably.
 macro_rules! coerce_output {
-    ($self:ident, $variant:ident, $empty:expr) => {{
+    ($self:ident, $variant:ident) => {{
         if !matches!($self, Self::$variant(_)) {
-            *$self = Self::$variant($empty);
+            *$self = Self::$variant(Default::default());
         }
         match $self {
             Self::$variant(inner) => inner,
@@ -122,7 +122,7 @@ impl MechanismOutput {
     pub fn new_for(mechanism: &AnyMechanism) -> Self {
         match mechanism {
             AnyMechanism::NoisyTopKWithGap(_) | AnyMechanism::DiscreteNoisyTopKWithGap(_) => {
-                Self::TopK(TopKOutput { items: Vec::new() })
+                Self::TopK(TopKOutput::default())
             }
             AnyMechanism::ClassicNoisyTopK(_) | AnyMechanism::Exponential(_) => {
                 Self::Indices(Vec::new())
@@ -130,7 +130,7 @@ impl MechanismOutput {
             AnyMechanism::SparseVectorWithGap(_)
             | AnyMechanism::ClassicSparseVector(_)
             | AnyMechanism::DiscreteSparseVectorWithGap(_) => {
-                Self::SparseVector(SvOutput { above: Vec::new() })
+                Self::SparseVector(SvOutput::default())
             }
             AnyMechanism::AdaptiveSparseVector(m) => Self::Adaptive(AdaptiveSvOutput {
                 outcomes: Vec::new(),
@@ -151,48 +151,32 @@ impl MechanismOutput {
     /// Coerces to the [`TopK`](Self::TopK) variant, reusing buffers when
     /// the variant already matches.
     pub fn top_k_mut(&mut self) -> &mut TopKOutput {
-        coerce_output!(self, TopK, TopKOutput { items: Vec::new() })
+        coerce_output!(self, TopK)
     }
 
     /// Coerces to the [`Indices`](Self::Indices) variant.
     pub fn indices_mut(&mut self) -> &mut Vec<usize> {
-        coerce_output!(self, Indices, Vec::new())
+        coerce_output!(self, Indices)
     }
 
     /// Coerces to the [`SparseVector`](Self::SparseVector) variant.
     pub fn sparse_vector_mut(&mut self) -> &mut SvOutput {
-        coerce_output!(self, SparseVector, SvOutput { above: Vec::new() })
+        coerce_output!(self, SparseVector)
     }
 
     /// Coerces to the [`Adaptive`](Self::Adaptive) variant.
     pub fn adaptive_mut(&mut self) -> &mut AdaptiveSvOutput {
-        coerce_output!(
-            self,
-            Adaptive,
-            AdaptiveSvOutput {
-                outcomes: Vec::new(),
-                spent: 0.0,
-                epsilon: 0.0,
-            }
-        )
+        coerce_output!(self, Adaptive)
     }
 
     /// Coerces to the [`MultiBranch`](Self::MultiBranch) variant.
     pub fn multi_branch_mut(&mut self) -> &mut MultiBranchSvOutput {
-        coerce_output!(
-            self,
-            MultiBranch,
-            MultiBranchSvOutput {
-                outcomes: Vec::new(),
-                spent: 0.0,
-                epsilon: 0.0,
-            }
-        )
+        coerce_output!(self, MultiBranch)
     }
 
     /// Coerces to the [`Measurements`](Self::Measurements) variant.
     pub fn measurements_mut(&mut self) -> &mut Vec<f64> {
-        coerce_output!(self, Measurements, Vec::new())
+        coerce_output!(self, Measurements)
     }
 
     /// Order-sensitive 64-bit fingerprint of the output, seeded by `seed` —
@@ -311,7 +295,7 @@ impl Mechanism for NoisyTopKWithGap {
         scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(req.values(), provider, scratch, out.top_k_mut())
+        self.run_into(req.values(), provider, scratch, out.top_k_mut())
     }
 }
 
@@ -331,7 +315,7 @@ impl Mechanism for ClassicNoisyTopK {
         scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(req.values(), provider, scratch, out.indices_mut())
+        self.run_into(req.values(), provider, scratch, out.indices_mut())
     }
 }
 
@@ -351,7 +335,7 @@ impl Mechanism for DiscreteNoisyTopKWithGap {
         scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(req.values(), provider, scratch, out.top_k_mut())
+        self.run_into(req.values(), provider, scratch, out.top_k_mut())
     }
 }
 
@@ -405,17 +389,13 @@ impl Mechanism for ExponentialTopK {
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
         ExponentialMechanism::require_top_k_len(req.len(), self.k)?;
-        self.mech.race_core(
+        self.mech.run_top_k_into(
             req.values().iter().copied(),
             self.k,
             provider,
-            &mut scratch.noisy,
-            &mut scratch.top,
-        )?;
-        let indices = out.indices_mut();
-        indices.clear();
-        indices.extend_from_slice(&scratch.top);
-        Ok(())
+            scratch,
+            out.indices_mut(),
+        )
     }
 }
 
@@ -455,7 +435,11 @@ impl Mechanism for SparseVectorWithGap {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_values_core(req.values(), provider, out.sparse_vector_mut());
+        self.run_into(
+            req.values().iter().copied(),
+            provider,
+            out.sparse_vector_mut(),
+        );
         Ok(())
     }
 }
@@ -476,10 +460,9 @@ impl Mechanism for ClassicSparseVector {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(
+        self.run_into(
             req.values().iter().copied(),
             provider,
-            false,
             out.sparse_vector_mut(),
         );
         Ok(())
@@ -502,7 +485,7 @@ impl Mechanism for AdaptiveSparseVector {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(req.values().iter().copied(), provider, out.adaptive_mut());
+        self.run_into(req.values().iter().copied(), provider, out.adaptive_mut());
         Ok(())
     }
 }
@@ -523,7 +506,7 @@ impl Mechanism for MultiBranchAdaptiveSparseVector {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(
+        self.run_into(
             req.values().iter().copied(),
             provider,
             out.multi_branch_mut(),
@@ -548,7 +531,7 @@ impl Mechanism for DiscreteSparseVectorWithGap {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(
+        self.run_into(
             req.values().iter().copied(),
             provider,
             out.sparse_vector_mut(),
@@ -657,9 +640,7 @@ impl Mechanism for AnyMechanism {
 impl AnyMechanism {
     /// True for the mechanisms whose fast path draws noise off the blocked
     /// [`ScratchDraws`] tape (SVT family, staircase); the rest draw exact
-    /// through [`RngDraws`]. This mirrors the provider each mechanism's
-    /// historical `*_with_scratch` entry point chose, which is what keeps
-    /// [`call_batched`](Self::call_batched) bit-identical to them.
+    /// through [`RngDraws`].
     fn uses_tape(&self) -> bool {
         matches!(
             self,
@@ -673,10 +654,10 @@ impl AnyMechanism {
     }
 
     /// The batched fast path: [`Mechanism::call`] through each mechanism's
-    /// historical fast provider ([`RngDraws`] for the selection
-    /// mechanisms, the blocked [`ScratchDraws`] tape for SVT/staircase).
-    /// Bit-identical to the mechanism's own `*_with_scratch` entry point
-    /// on the same RNG stream.
+    /// fast provider ([`RngDraws`] for the selection mechanisms, the
+    /// blocked [`ScratchDraws`] tape for SVT/staircase). Bit-identical to
+    /// the mechanism's `_into` entry through that provider on the same RNG
+    /// stream.
     pub fn call_batched<R: Rng + ?Sized>(
         &self,
         req: &QuerySlice<'_>,

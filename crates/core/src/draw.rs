@@ -2,8 +2,9 @@
 //!
 //! Each mechanism in [`crate::noisy_max`] and [`crate::sparse_vector`] keeps
 //! **exactly one** copy of its decision/budget logic, written against the
-//! [`DrawProvider`] trait. The execution paths differ only in which provider
-//! the thin public entry points construct:
+//! [`DrawProvider`] trait, and that core is the mechanism's one public
+//! `*_into` entry. The execution paths differ only in which provider the
+//! caller passes in:
 //!
 //! ```text
 //!                mechanism core (one function, generic over P: DrawProvider)

@@ -9,37 +9,31 @@
 //!
 //! ## Execution paths
 //!
-//! The Gumbel race exists once, generic over the
-//! [`DrawProvider`] noise comes through: one standard-Gumbel draw per query
-//! in stream order, scores `qᵢ·t + Gᵢ` compared under the `f64` **total
-//! order** (ties to the smaller index). The entry points pick the provider
-//! and the selection strategy:
-//!
-//! * `run` / `run_top_k` — the dyn reference. `run_top_k` materializes all
-//!   `n` scores through [`SourceDraws`] and sorts them (the one-shot Gumbel
-//!   race as usually stated, `O(n log n)`);
-//! * `run_with_scratch` / `run_top_k_with_scratch[_into]` — the batched
-//!   fast path over [`TopKScratch`]: the race core streams scores through a
-//!   `k`-sized insertion buffer (`O(n·k)` with tiny constants, reused
-//!   buffers, monomorphic RNG). Output is **bit-identical** to the
-//!   reference sort on the same RNG stream — same draws, same total order —
-//!   asserted by `tests/scratch_equivalence.rs`;
-//! * `run_streaming` / `run_top_k_streaming[_with_scratch[_into]]` — the
-//!   same race over `impl IntoIterator<Item = f64>`: `O(k)` memory, the
-//!   query vector is never materialized. (Selection must see every query,
-//!   so unlike SVT the stream is always fully consumed.)
+//! The Gumbel race exists once, in
+//! [`run_top_k_into`](ExponentialMechanism::run_top_k_into), generic over
+//! the [`DrawProvider`] noise comes through and lazy over the query
+//! stream: one standard-Gumbel draw per query in stream order, scores
+//! `qᵢ·t + Gᵢ` kept in a `k`-sized insertion buffer under the `f64`
+//! **total order** (ties to the smaller index) — `O(n·k)` with tiny
+//! constants and `O(k)` memory, the query vector never materialized.
+//! (Selection must see every query, so unlike SVT the stream is always
+//! fully consumed.) `run` is its `k = 1` reference through [`SourceDraws`];
+//! `run_top_k` / `run_top_k_with_source` are the one-shot Gumbel race as
+//! usually stated, materializing all `n` scores and sorting them
+//! (`O(n log n)`). The race is **bit-identical** to the reference sort on
+//! the same RNG stream — same draws, same total order — asserted by
+//! `tests/scratch_equivalence.rs`.
 //!
 //! Workloads are validated up front: a NaN or infinite utility is a typed
 //! [`MechanismError::NonFiniteUtility`], never a sort panic or a silent
 //! mis-selection.
 
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{NoiseSource, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::cmp::Ordering;
 
 /// Exponential-mechanism selection over sensitivity-1 utility queries.
@@ -82,7 +76,7 @@ impl ExponentialMechanism {
     /// normalization — all-NaN "probabilities" used to come back silently.
     pub fn probabilities(&self, answers: &QueryAnswers) -> Result<Vec<f64>, MechanismError> {
         answers.require_len(1)?;
-        Self::require_finite(answers.values())?;
+        crate::answers::require_finite(answers.values())?;
         let t = self.exponent();
         let m = answers
             .values()
@@ -104,22 +98,6 @@ impl ExponentialMechanism {
         // total is at least 1 and the division cannot produce NaN.
         let total: f64 = weights.iter().sum();
         Ok(weights.into_iter().map(|w| w / total).collect())
-    }
-
-    /// Validates every utility is finite (the selection races and the
-    /// softmax are undefined otherwise).
-    fn require_finite(values: &[f64]) -> Result<(), MechanismError> {
-        for (index, &value) in values.iter().enumerate() {
-            if !value.is_finite() {
-                return Err(MechanismError::NonFiniteUtility { index, value });
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates the Top-K configuration against a materialized workload.
-    fn require_top_k(&self, answers: &QueryAnswers, k: usize) -> Result<(), MechanismError> {
-        Self::require_top_k_len(answers.len(), k)
     }
 
     /// Slice-level form of the Top-K validation, shared with the unified
@@ -150,35 +128,38 @@ impl ExponentialMechanism {
         Ok(q * t + provider.gumbel_next(1.0))
     }
 
-    /// The single copy of the Gumbel-max race, generic over the
-    /// [`DrawProvider`] noise comes through and lazy over the query stream:
-    /// one standard-Gumbel draw per query in stream order, maintaining the
-    /// `k` best `(score, index)` pairs in `scores`/`top` (descending under
-    /// the `f64` total order, ties to the smaller index — exactly the
-    /// reference sort's order). Returns the number of queries processed.
+    /// The single copy of the Gumbel-max race and its one provider-taking
+    /// entry: one standard-Gumbel draw per query in stream order,
+    /// maintaining the `k` best `(score, index)` pairs — scores in
+    /// `scratch`, indices in `out` (descending under the `f64` total
+    /// order, ties to the smaller index — exactly the reference sort's
+    /// order). Lazy over `queries`, `O(k)` memory. Through
+    /// [`RngDraws`](crate::draw::RngDraws) it is the batched fast path.
     ///
-    /// `O(k)` memory: this is both the batched fast path (`k`-sized
-    /// insertion buffer instead of an `n`-sized sort) and the streaming
-    /// path (the query vector is never materialized).
-    pub(crate) fn race_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
+    /// # Errors
+    /// [`MechanismError::NonFiniteUtility`] at the first NaN or infinite
+    /// utility, and [`MechanismError::NotEnoughQueries`] if the stream
+    /// yields fewer than `k` queries (checked at its end).
+    pub fn run_top_k_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         k: usize,
         provider: &mut P,
-        scores: &mut Vec<f64>,
-        top: &mut Vec<usize>,
-    ) -> Result<usize, MechanismError> {
+        scratch: &mut TopKScratch,
+        out: &mut Vec<usize>,
+    ) -> Result<(), MechanismError> {
         provider.begin();
         let t = self.exponent();
+        let scores = &mut scratch.noisy;
         scores.clear();
-        top.clear();
+        out.clear();
         // The buffer never holds more than min(k, processed) + 1 entries;
-        // cap the pre-reservation so a streaming caller's oversized `k`
-        // (validated only at end-of-stream) cannot trigger a huge
-        // allocation before the stream is drained.
+        // cap the pre-reservation so an oversized `k` (validated only at
+        // end-of-stream) cannot trigger a huge allocation before the
+        // stream is drained.
         let reserve = k.saturating_add(1).min(1024);
         scores.reserve(reserve);
-        top.reserve(reserve);
+        out.reserve(reserve);
         let mut processed = 0usize;
         for q in queries {
             let index = processed;
@@ -187,87 +168,41 @@ impl ExponentialMechanism {
             // One draw per query even when k = 0 (or the buffer is full and
             // the score loses): the race consumes the stream exactly like
             // the materializing reference.
-            if k == 0 || (top.len() == k && s.total_cmp(&scores[k - 1]) != Ordering::Greater) {
+            if k == 0 || (out.len() == k && s.total_cmp(&scores[k - 1]) != Ordering::Greater) {
                 continue;
             }
             let pos = scores.partition_point(|v| v.total_cmp(&s) != Ordering::Less);
             scores.insert(pos, s);
-            top.insert(pos, index);
-            if top.len() > k {
+            out.insert(pos, index);
+            if out.len() > k {
                 scores.pop();
-                top.pop();
+                out.pop();
             }
         }
-        Ok(processed)
-    }
-
-    /// Samples one index via the Gumbel-max trick (the dyn reference path,
-    /// through [`SourceDraws`]).
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> Result<usize, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Samples one index against an explicit noise source.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> Result<usize, MechanismError> {
-        answers.require_len(1)?;
-        let (mut scores, mut top) = (Vec::with_capacity(2), Vec::with_capacity(2));
-        self.race_core(
-            answers.values().iter().copied(),
-            1,
-            &mut SourceDraws::new(source),
-            &mut scores,
-            &mut top,
-        )?;
-        Ok(top[0])
-    }
-
-    /// Batched fast path of [`run`](Self::run): the race core through
-    /// [`RngDraws`] with [`TopKScratch`]'s reused buffers. Bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    // lint:allow(taxonomy): returns a single winner index — there is no output buffer an _into twin could reuse
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<usize, MechanismError> {
-        answers.require_len(1)?;
-        self.race_core(
-            answers.values().iter().copied(),
-            1,
-            &mut RngDraws::new(rng),
-            &mut scratch.noisy,
-            &mut scratch.top,
-        )?;
-        Ok(scratch.top[0])
-    }
-
-    /// Streaming twin of [`run`](Self::run): the argmax race over a lazy
-    /// query stream, `O(1)` memory, nothing materialized. Errors on an
-    /// empty stream.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> Result<usize, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let (mut scores, mut top) = (Vec::with_capacity(2), Vec::with_capacity(2));
-        let processed = self.race_core(
-            queries,
-            1,
-            &mut SourceDraws::new(&mut source),
-            &mut scores,
-            &mut top,
-        )?;
-        if processed == 0 {
-            return Err(MechanismError::NotEnoughQueries { got: 0, need: 1 });
+        if processed < k {
+            return Err(MechanismError::NotEnoughQueries {
+                got: processed,
+                need: k,
+            });
         }
-        Ok(top[0])
+        Ok(())
+    }
+
+    /// Samples one index via the Gumbel-max trick: the `k = 1` race
+    /// through [`SourceDraws`] (the allocating reference path).
+    ///
+    /// # Errors
+    /// As [`run_top_k_into`](Self::run_top_k_into) with `k = 1`.
+    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> Result<usize, MechanismError> {
+        let mut out = Vec::with_capacity(2);
+        self.run_top_k_into(
+            answers.values().iter().copied(),
+            1,
+            &mut SourceDraws::new(&mut SamplingSource::new(rng)),
+            &mut TopKScratch::new(),
+            &mut out,
+        )?;
+        Ok(out[0])
     }
 
     /// Samples `k` indices *with replacement-free sequential application*
@@ -278,27 +213,33 @@ impl ExponentialMechanism {
     /// This is the dyn reference path: all `n` scores are materialized
     /// through [`SourceDraws`] and sorted (one-shot Gumbel top-k is
     /// equivalent to sequential peeling with fresh noise each round — the
-    /// Gumbel race equivalence). The scratch/streaming entry points run the
-    /// same race through a `k`-sized insertion buffer instead; outputs are
-    /// bit-identical on the same RNG stream.
+    /// Gumbel race equivalence). [`run_top_k_into`](Self::run_top_k_into)
+    /// runs the same race through a `k`-sized insertion buffer instead;
+    /// outputs are bit-identical on the same RNG stream.
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidK`] if `k` exceeds the workload size, and
+    /// [`MechanismError::NonFiniteUtility`] at the first non-finite utility.
     pub fn run_top_k(
         &self,
         answers: &QueryAnswers,
         k: usize,
         rng: &mut StdRng,
     ) -> Result<Vec<usize>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_top_k_with_source(answers, k, &mut source)
+        self.run_top_k_with_source(answers, k, &mut SamplingSource::new(rng))
     }
 
     /// [`run_top_k`](Self::run_top_k) against an explicit noise source.
+    ///
+    /// # Errors
+    /// As [`run_top_k`](Self::run_top_k).
     pub fn run_top_k_with_source(
         &self,
         answers: &QueryAnswers,
         k: usize,
         source: &mut dyn NoiseSource,
     ) -> Result<Vec<usize>, MechanismError> {
-        self.require_top_k(answers, k)?;
+        Self::require_top_k_len(answers.len(), k)?;
         let mut provider = SourceDraws::new(source);
         provider.begin();
         let t = self.exponent();
@@ -307,90 +248,23 @@ impl ExponentialMechanism {
             scores.push((Self::score(t, i, q, &mut provider)?, i));
         }
         // Reference selection: total-order sort, descending score, ties to
-        // the smaller index — the exact order the race core's insertion
-        // buffer maintains (`scratch_equivalence` keeps the two honest).
+        // the smaller index — the exact order the race's insertion buffer
+        // maintains (`scratch_equivalence` keeps the two honest).
         scores.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         Ok(scores.into_iter().take(k).map(|(_, i)| i).collect())
     }
 
-    /// Batched fast path of [`run_top_k`](Self::run_top_k) over
-    /// [`TopKScratch`]: the race core through [`RngDraws`] — `k`-sized
-    /// insertion selection, reused buffers, monomorphic RNG, no sort.
-    /// Bit-identical to [`run_top_k`](Self::run_top_k) on the same RNG
-    /// stream.
-    pub fn run_top_k_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_top_k_with_scratch_into(answers, k, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_top_k_with_scratch`](Self::run_top_k_with_scratch): writes the
-    /// selected indices into `out`, reusing its buffer across runs.
-    pub fn run_top_k_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.require_top_k(answers, k)?;
-        self.race_core(
-            answers.values().iter().copied(),
-            k,
-            &mut RngDraws::new(rng),
-            &mut scratch.noisy,
-            &mut scratch.top,
-        )?;
-        out.clear();
-        out.extend_from_slice(&scratch.top);
-        Ok(())
-    }
-
-    /// Intra-run parallel path of [`run_top_k`](Self::run_top_k): all
+    /// Intra-run parallel form of the race behind
+    /// [`AnyMechanism::call_par`](crate::api::AnyMechanism::call_par): all
     /// utilities are validated up front, every score `qᵢ·t + Gumbelᵢ` is
     /// produced in one batched
     /// [`gumbel_fill_offset`](DrawProvider::gumbel_fill_offset) (split
     /// across a per-block provider's threads), and the race's insertion
     /// rule replays over the precomputed scores in index order — the exact
-    /// `f64`-total-order rule of `race_core`, so the
-    /// result is bit-identical for any thread count of the same provider
-    /// family. (Per-chunk reduce is deliberately *not* used here: the race
-    /// orders by `total_cmp`, not the Noisy-Max `>=` rule.)
-    pub fn run_top_k_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_top_k_par_with_scratch_into(answers, k, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_top_k_par_with_scratch`](Self::run_top_k_par_with_scratch).
-    pub fn run_top_k_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.race_par_core(answers.values(), k, provider, scratch, out)
-    }
-
-    /// Slice-level body of the batched parallel race, shared with the
-    /// unified [`crate::api`] call surface.
+    /// `f64`-total-order rule of [`run_top_k_into`](Self::run_top_k_into),
+    /// so the result is bit-identical for any thread count of the same
+    /// provider family. (Per-chunk reduce is deliberately *not* used here:
+    /// the race orders by `total_cmp`, not the Noisy-Max `>=` rule.)
     pub(crate) fn race_par_core<P: DrawProvider>(
         &self,
         values: &[f64],
@@ -400,7 +274,7 @@ impl ExponentialMechanism {
         out: &mut Vec<usize>,
     ) -> Result<(), MechanismError> {
         Self::require_top_k_len(values.len(), k)?;
-        Self::require_finite(values)?;
+        crate::answers::require_finite(values)?;
         provider.begin();
         let t = self.exponent();
         scratch.aux.clear();
@@ -408,8 +282,9 @@ impl ExponentialMechanism {
         provider.gumbel_fill_offset(&scratch.aux, 1.0, &mut scratch.noisy);
         // The race's insertion rule over the precomputed scores: `out`
         // holds the k best indices, descending under the total order, ties
-        // to the smaller index (identical to `race_core`, which compares
-        // against its parallel sorted-score buffer — same values either way).
+        // to the smaller index (identical to `run_top_k_into`, which
+        // compares against its parallel sorted-score buffer — same values
+        // either way).
         out.clear();
         out.reserve(k.saturating_add(1).min(1024));
         for i in 0..scratch.noisy.len() {
@@ -427,85 +302,35 @@ impl ExponentialMechanism {
         }
         Ok(())
     }
-
-    /// Streaming twin of [`run_top_k`](Self::run_top_k): the race over a
-    /// lazy query stream with `O(k)` memory. The workload-size check moves
-    /// to the end of the stream (a stream shorter than `k` is
-    /// [`MechanismError::NotEnoughQueries`]).
-    pub fn run_top_k_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        k: usize,
-        rng: &mut StdRng,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let (mut scores, mut top) = (Vec::new(), Vec::new());
-        let processed = self.race_core(
-            queries,
-            k,
-            &mut SourceDraws::new(&mut source),
-            &mut scores,
-            &mut top,
-        )?;
-        if processed < k {
-            return Err(MechanismError::NotEnoughQueries {
-                got: processed,
-                need: k,
-            });
-        }
-        Ok(top)
-    }
-
-    /// Streaming + scratch: the race over a lazy stream with
-    /// [`TopKScratch`]'s reused buffers and a monomorphic RNG.
-    pub fn run_top_k_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        k: usize,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_top_k_streaming_with_scratch_into(queries, k, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_top_k_streaming_with_scratch`](Self::run_top_k_streaming_with_scratch).
-    pub fn run_top_k_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        k: usize,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        let processed = self.race_core(
-            queries,
-            k,
-            &mut RngDraws::new(rng),
-            &mut scratch.noisy,
-            &mut scratch.top,
-        )?;
-        if processed < k {
-            return Err(MechanismError::NotEnoughQueries {
-                got: processed,
-                need: k,
-            });
-        }
-        out.clear();
-        out.extend_from_slice(&scratch.top);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::RngDraws;
     use free_gap_noise::rng::rng_from_seed;
 
     fn workload() -> QueryAnswers {
         QueryAnswers::counting(vec![5.0, 3.0, 1.0])
+    }
+
+    /// [`ExponentialMechanism::run_top_k_into`] through [`RngDraws`] on a
+    /// fresh output.
+    fn race(
+        m: &ExponentialMechanism,
+        queries: impl IntoIterator<Item = f64>,
+        k: usize,
+        seed: u64,
+    ) -> Result<Vec<usize>, MechanismError> {
+        let mut out = Vec::new();
+        m.run_top_k_into(
+            queries,
+            k,
+            &mut RngDraws::new(&mut rng_from_seed(seed)),
+            &mut TopKScratch::new(),
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     #[test]
@@ -587,7 +412,7 @@ mod tests {
             Err(MechanismError::NotEnoughQueries { got: 0, need: 1 })
         ));
         assert!(matches!(
-            m.run_streaming(std::iter::empty(), &mut rng_from_seed(1)),
+            race(&m, std::iter::empty(), 1, 1),
             Err(MechanismError::NotEnoughQueries { got: 0, need: 1 })
         ));
     }
@@ -595,18 +420,14 @@ mod tests {
     #[test]
     fn oversized_k_is_a_typed_error() {
         // Regression: used to be an `assert!` panic on the materialized
-        // path; the streaming path reports it at end-of-stream.
+        // path; the lazy race reports it at end-of-stream.
         let m = ExponentialMechanism::new(1.0, true).unwrap();
         assert!(matches!(
             m.run_top_k(&workload(), 4, &mut rng_from_seed(1)),
             Err(MechanismError::InvalidK { k: 4, .. })
         ));
         assert!(matches!(
-            m.run_top_k_streaming(
-                workload().values().iter().copied(),
-                4,
-                &mut rng_from_seed(1)
-            ),
+            race(&m, workload().values().iter().copied(), 4, 1),
             Err(MechanismError::NotEnoughQueries { got: 3, need: 4 })
         ));
     }
@@ -618,7 +439,6 @@ mod tests {
         // (mis-selecting index 0 regardless of the race).
         let m = ExponentialMechanism::new(1.0, true).unwrap();
         let bad = QueryAnswers::counting(vec![1.0, f64::NAN, 3.0]);
-        let mut scratch = TopKScratch::new();
         assert!(matches!(
             m.run(&bad, &mut rng_from_seed(2)),
             Err(MechanismError::NonFiniteUtility { index: 1, .. })
@@ -628,12 +448,11 @@ mod tests {
             Err(MechanismError::NonFiniteUtility { index: 1, .. })
         ));
         assert!(matches!(
-            m.run_top_k_with_scratch(&bad, 2, &mut rng_from_seed(2), &mut scratch),
+            race(&m, bad.values().iter().copied(), 2, 2),
             Err(MechanismError::NonFiniteUtility { index: 1, .. })
         ));
-        let inf = QueryAnswers::counting(vec![1.0, 2.0, f64::INFINITY]);
         assert!(matches!(
-            m.run_streaming(inf.values().iter().copied(), &mut rng_from_seed(2)),
+            race(&m, [1.0, 2.0, f64::INFINITY], 1, 2),
             Err(MechanismError::NonFiniteUtility { index: 2, .. })
         ));
     }

@@ -38,32 +38,41 @@
 //!
 //! Each mechanism's decision/budget logic exists in **exactly one**
 //! function, generic over the [`draw::DrawProvider`] it draws noise
-//! through; the public entry points only pick the provider:
+//! through, and that function is the mechanism's one provider-taking
+//! public entry, named `*_into` (`run_into`,
+//! [`exponential_mech::ExponentialMechanism::run_top_k_into`],
+//! [`staircase_mech::StaircaseMechanism::measure_split_into`]). It writes
+//! into a caller-owned output (build an empty one with `Default`; every
+//! field is overwritten) and the caller picks the execution path by
+//! picking the provider:
 //!
-//! * **`run` / `run_with_source`** — the [`draw::SourceDraws`] adapter over
-//!   `dyn NoiseSource`. This is the path the alignment checker interposes
-//!   on (recording and replaying tapes), and the reference semantics; it is
-//!   strictly draw-exact, so tapes stay draw-for-draw faithful.
-//! * **`run_with_scratch`** — [`draw::ScratchDraws`] (SVT family) or
-//!   [`draw::RngDraws`] (Top-K family): the batched fast path for
-//!   Monte-Carlo and high-traffic serving. Noise is drawn in batches via
-//!   [`free_gap_noise::ContinuousDistribution::fill_into`] (through the
-//!   chunked [`free_gap_noise::BlockBuffer`]), noisy-value buffers live in
-//!   a reusable [`scratch::TopKScratch`] / [`scratch::SvtScratch`], and
-//!   the RNG is a monomorphic generic (no virtual dispatch). Outputs are
-//!   **bit-for-bit identical** to `run` on the same RNG stream; the
-//!   scratch path may consume *more* of the stream (batch lookahead), so
-//!   derive a fresh [`free_gap_noise::rng::derive_stream`] per run. The
-//!   `*_into` variants additionally reuse a caller-owned output, making a
-//!   scratch run fully allocation-free.
-//! * **`run_streaming` / `run_streaming_with_scratch`** (SVT family only)
-//!   — the same cores consuming `impl IntoIterator<Item = f64>` *lazily*,
-//!   answering each query as it is pulled and halting the pull the moment
-//!   the mechanism stops (k-th `⊤`, answer limit, or exhausted adaptive
-//!   budget). Queries after the halt are **never observed** — the
-//!   privacy-relevant property of SVT's online form — and outputs are
-//!   bit-identical to the materialized paths on the same RNG stream and
-//!   query sequence.
+//! * **[`draw::SourceDraws`]** over `dyn NoiseSource` — the path the
+//!   alignment checker interposes on (recording and replaying tapes), and
+//!   the reference semantics of the allocating `run` / `run_top_k` /
+//!   `measure_split` entries; strictly draw-exact, so tapes stay
+//!   draw-for-draw faithful.
+//! * **[`draw::ScratchDraws`]** (SVT family, staircase) or
+//!   **[`draw::RngDraws`]** (Top-K family, exponential race) — the batched
+//!   fast path for Monte-Carlo and high-traffic serving. Noise is drawn in
+//!   batches via [`free_gap_noise::ContinuousDistribution::fill_into`]
+//!   (through the chunked [`free_gap_noise::BlockBuffer`]), noisy-value
+//!   buffers live in a reusable [`scratch::TopKScratch`] /
+//!   [`scratch::SvtScratch`], and the RNG is a monomorphic generic (no
+//!   virtual dispatch). Outputs are **bit-for-bit identical** to `run` on
+//!   the same RNG stream; the blocked tape may consume *more* of the stream
+//!   (batch lookahead), so derive a fresh
+//!   [`free_gap_noise::rng::derive_stream`] per run.
+//! * **[`draw::BlockSeqDraws`] / [`draw::ParallelDraws`]** — the per-block
+//!   sub-stream layout, bit-identical for every thread count (a different
+//!   stream from the single-RNG providers).
+//!
+//! The SVT family's and the baselines' `_into` entries consume
+//! `impl IntoIterator<Item = f64>` *lazily*, answering each query as it is
+//! pulled and halting the pull the moment the mechanism stops (k-th `⊤`,
+//! answer limit, or exhausted adaptive budget). Queries after the halt are
+//! **never observed** — the privacy-relevant property of SVT's online
+//! form. The Noisy-Top-K family takes `&[f64]`: selection needs the whole
+//! vector.
 //!
 //! See [`draw`] for the provider contract, [`scratch`] for the buffer
 //! discipline and an example, and [`pipelines::PipelineScratch`] for the
@@ -80,9 +89,9 @@
 //! [`api::AnyMechanism`] dispatch enum with the provider-choosing
 //! conveniences [`api::AnyMechanism::call_batched`] (fast path) and
 //! [`api::AnyMechanism::call_reference`] (dyn reference path). The
-//! per-mechanism entry points above remain the ergonomic surface; the
-//! unified one is what uniform callers — the benchmark grid and the
-//! `free-gap-serve` multi-tenant server — build on. The SVT family
+//! per-mechanism entries above are the typed surface; the unified one is
+//! what uniform callers — the benchmark grid and the `free-gap-serve`
+//! multi-tenant server — build on. The SVT family
 //! additionally exposes a *resumable* streaming form
 //! ([`sparse_vector::ClassicSparseVector::stream_open`] /
 //! [`sparse_vector::ClassicSparseVector::stream_feed`]) whose batched

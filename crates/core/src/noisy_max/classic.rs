@@ -9,12 +9,11 @@
 
 use super::top_k_scale;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Index-only Noisy Top-K (Dwork & Roth's Noisy Max generalized to `k`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,22 +55,26 @@ impl ClassicNoisyTopK {
         top_k_scale(self.k, self.epsilon, self.monotonic)
     }
 
-    /// The single copy of the index-only selection, generic over the
-    /// [`DrawProvider`] noise comes through (same draw pattern and selection
-    /// rule as the gap variant — Theorem 2's honest-comparison requirement).
-    /// Writes the selected indices into `out`, reusing its buffer.
+    /// The single copy of the index-only selection and its one
+    /// provider-taking entry (same draw pattern and selection rule as the
+    /// gap variant — Theorem 2's honest-comparison requirement; see
+    /// [`NoisyTopKWithGap::run_into`](super::NoisyTopKWithGap::run_into)
+    /// for the providers). Writes the selected indices into `out`, reusing
+    /// its buffer.
     ///
     /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries (kept identical to the gap variant so the two are
-    /// comparable on the same workloads).
-    pub(crate) fn run_core<P: DrawProvider>(
+    /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
+    /// infinite, and [`MechanismError::NotEnoughQueries`] if the workload
+    /// has fewer than `k + 1` queries (kept identical to the gap variant so
+    /// the two are comparable on the same workloads); both before any draw.
+    pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
         scratch: &mut TopKScratch,
         out: &mut Vec<usize>,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(answers)?;
         crate::answers::require_min_len(answers, self.k + 1)?;
         provider.begin();
         provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
@@ -79,19 +82,13 @@ impl ClassicNoisyTopK {
         Ok(())
     }
 
-    /// Runs the mechanism: indices of the `k` largest noisy answers,
-    /// descending (`run_core` through [`SourceDraws`]).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_source(
+    fn run_with_source(
         &self,
         answers: &QueryAnswers,
         source: &mut dyn NoiseSource,
     ) -> Result<Vec<usize>, MechanismError> {
         let mut out = Vec::new();
-        self.run_core(
+        self.run_into(
             answers.values(),
             &mut SourceDraws::new(source),
             &mut TopKScratch::new(),
@@ -100,88 +97,17 @@ impl ClassicNoisyTopK {
         Ok(out)
     }
 
-    /// Runs with a plain RNG.
+    /// Runs with a plain RNG: indices of the `k` largest noisy answers,
+    /// descending (the allocating reference path).
     ///
     /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
+    /// As [`run_into`](Self::run_into).
     pub fn run(
         &self,
         answers: &QueryAnswers,
         rng: &mut StdRng,
     ) -> Result<Vec<usize>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched, allocation-free fast path (see
-    /// [`NoisyTopKWithGap::run_with_scratch`](crate::noisy_max::NoisyTopKWithGap::run_with_scratch)
-    /// and [`crate::scratch`]). Output is bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes the selected indices into `out`, reusing its buffer.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), &mut RngDraws::new(rng), scratch, out)
-    }
-
-    /// Intra-run parallel path (see
-    /// [`NoisyTopKWithGap::run_par_with_scratch`](super::NoisyTopKWithGap::run_par_with_scratch)):
-    /// `run_core` through a per-block provider, fill and selection split
-    /// across its threads, bit-identical for any thread count.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_par_with_scratch_into(answers, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_par_with_scratch`](Self::run_par_with_scratch).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), provider, scratch, out)
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 
@@ -256,10 +182,12 @@ impl ClassicNoisyMax {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::RngDraws;
     use crate::noisy_max::NoisyTopKWithGap;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
-    use free_gap_noise::rng::rng_from_seed;
+    use free_gap_noise::rng::{fast_rng_from_seed, rng_from_seed};
+    use rand::RngCore;
 
     fn workload() -> QueryAnswers {
         QueryAnswers::counting(vec![50.0, 10.0, 45.0, 30.0, 2.0])
@@ -281,6 +209,33 @@ mod tests {
             let a = classic.run(&workload(), &mut rng_from_seed(seed)).unwrap();
             let b = with_gap.run(&workload(), &mut rng_from_seed(seed)).unwrap();
             assert_eq!(a, b.indices(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn non_finite_answer_is_rejected_before_any_draw() {
+        // A NaN used to reset the `>=` insertion scan, so only indices
+        // after it could win; now it is a typed error, raised before the
+        // provider draws anything.
+        let m = ClassicNoisyTopK::new(1, 1.0, true).unwrap();
+        for answers in [
+            [10.0, f64::NAN, 3.0, 2.0],
+            [10.0, f64::INFINITY, 3.0, f64::INFINITY],
+        ] {
+            let mut rng = fast_rng_from_seed(1);
+            let err = m
+                .run_into(
+                    &answers,
+                    &mut RngDraws::new(&mut rng),
+                    &mut TopKScratch::new(),
+                    &mut Vec::new(),
+                )
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                MechanismError::NonFiniteUtility { index: 1, .. }
+            ));
+            assert_eq!(rng.next_u64(), fast_rng_from_seed(1).next_u64());
         }
     }
 

@@ -17,14 +17,13 @@
 //!   because adjacent integer workloads differ by integers.
 
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::noisy_max::{TopKItem, TopKOutput};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use free_gap_noise::tie::union_tie_bound;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Noisy-Top-K-with-Gap over integer counts with discrete Laplace noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,20 +97,30 @@ impl DiscreteNoisyTopKWithGap {
         );
     }
 
-    /// The single copy of the discrete Top-K selection, generic over the
-    /// [`DrawProvider`] noise comes through: one discrete Laplace draw per
-    /// query (batched by the provider's
+    /// The single copy of the discrete Top-K selection and its one
+    /// provider-taking entry: one discrete Laplace draw per query (batched
+    /// by the provider's
     /// [`discrete_fill_offset`](DrawProvider::discrete_fill_offset), fused
     /// with the `+ q` offset so the `n`-sized buffer is written exactly
-    /// once), selection of the top `k + 1`, gap construction. Buffers live
-    /// in `scratch`; the output is written into `out`, reusing its buffer.
-    pub(crate) fn run_core<P: DrawProvider>(
+    /// once), selection of the top `k + 1`, gap construction. Ties among
+    /// noisy answers are broken by the smaller index; `delta(n)` bounds the
+    /// probability that a tie among the top `k + 1` occurred at all.
+    /// Buffers live in `scratch`; the output is written into `out`, reusing
+    /// its buffer. Providers as in
+    /// [`NoisyTopKWithGap::run_into`](crate::noisy_max::NoisyTopKWithGap::run_into).
+    ///
+    /// # Errors
+    /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
+    /// infinite, and [`MechanismError::NotEnoughQueries`] if the workload
+    /// has fewer than `k + 1` queries; both before any draw.
+    pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
         scratch: &mut TopKScratch,
         out: &mut TopKOutput,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(answers)?;
         crate::answers::require_min_len(answers, self.k + 1)?;
         self.validate_lattice(answers);
         provider.begin();
@@ -125,20 +134,13 @@ impl DiscreteNoisyTopKWithGap {
         Ok(())
     }
 
-    /// Runs the mechanism. Ties among noisy answers are broken by the
-    /// smaller index; `delta(n)` bounds the probability that a tie among
-    /// the top `k + 1` occurred at all.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_source(
+    fn run_with_source(
         &self,
         answers: &QueryAnswers,
         source: &mut dyn NoiseSource,
     ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_core(
+        let mut out = TopKOutput::default();
+        self.run_into(
             answers.values(),
             &mut SourceDraws::new(source),
             &mut TopKScratch::new(),
@@ -147,91 +149,16 @@ impl DiscreteNoisyTopKWithGap {
         Ok(out)
     }
 
-    /// Runs with a plain RNG.
+    /// Runs with a plain RNG: the allocating reference path.
     ///
     /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
+    /// As [`run_into`](Self::run_into).
     pub fn run(
         &self,
         answers: &QueryAnswers,
         rng: &mut StdRng,
     ) -> Result<TopKOutput, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched, allocation-free fast path: `run_core` through [`RngDraws`]
-    /// — the whole noisy vector is drawn in one
-    /// [`fill_values_into_offset`](free_gap_noise::DiscreteDistribution::fill_values_into_offset)
-    /// pass with the distribution's `exp`/`ln` normalization hoisted out of
-    /// the loop, buffers live in `scratch`, and the RNG is monomorphic (no
-    /// `dyn` dispatch). Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream; see [`crate::scratch`] for the contract.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its `items` buffer across runs.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut TopKOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), &mut RngDraws::new(rng), scratch, out)
-    }
-
-    /// Intra-run parallel path (see
-    /// [`NoisyTopKWithGap::run_par_with_scratch`](crate::noisy_max::NoisyTopKWithGap::run_par_with_scratch)):
-    /// `run_core` through a per-block provider, discrete fill and selection
-    /// split across its threads, bit-identical for any thread count.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_par_with_scratch_into(answers, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_par_with_scratch`](Self::run_par_with_scratch).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut TopKOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), provider, scratch, out)
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 
@@ -292,10 +219,12 @@ impl AlignedMechanism for DiscreteNoisyTopKWithGap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::RngDraws;
     use crate::noisy_max::NoisyTopKWithGap;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
-    use free_gap_noise::rng::rng_from_seed;
+    use free_gap_noise::rng::{fast_rng_from_seed, rng_from_seed};
+    use rand::RngCore;
 
     fn workload() -> QueryAnswers {
         QueryAnswers::counting(vec![100.0, 40.0, 95.0, 80.0, 3.0, 60.0])
@@ -373,6 +302,33 @@ mod tests {
             let max = check_alignment_many(&m, &d, &dp, 15, &mut rng)
                 .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
             assert!(max <= 0.8 + 1e-9, "cost {max}");
+        }
+    }
+
+    #[test]
+    fn non_finite_answer_is_rejected_before_any_draw() {
+        // A NaN used to come back as the winner with a NaN gap, and two
+        // infinite answers released `∞ - ∞`; both are now typed errors,
+        // raised before the provider draws anything.
+        let m = DiscreteNoisyTopKWithGap::new(1, 1.0, true).unwrap();
+        for answers in [
+            [10.0, f64::NAN, 3.0, 2.0],
+            [10.0, f64::INFINITY, 3.0, f64::INFINITY],
+        ] {
+            let mut rng = fast_rng_from_seed(1);
+            let err = m
+                .run_into(
+                    &answers,
+                    &mut RngDraws::new(&mut rng),
+                    &mut TopKScratch::new(),
+                    &mut TopKOutput::default(),
+                )
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                MechanismError::NonFiniteUtility { index: 1, .. }
+            ));
+            assert_eq!(rng.next_u64(), fast_rng_from_seed(1).next_u64());
         }
     }
 

@@ -14,12 +14,11 @@
 
 use super::top_k_scale;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// One selected query: its index and the noisy gap to the next-best noisy
 /// answer (`gᵢ = q̃_{jᵢ} - q̃_{jᵢ₊₁}` in the paper's notation).
@@ -32,7 +31,7 @@ pub struct TopKItem {
 }
 
 /// Output of [`NoisyTopKWithGap`]: `k` items in descending noisy order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopKOutput {
     /// Selected queries, best first.
     pub items: Vec<TopKItem>,
@@ -101,23 +100,30 @@ impl NoisyTopKWithGap {
         4.0 * self.scale() * self.scale()
     }
 
-    /// The single copy of Algorithm 1, generic over the [`DrawProvider`]
-    /// noise comes through: one `Lap(scale)` draw per query (batched by the
-    /// provider's [`fill_offset`](DrawProvider::fill_offset), fused with the
-    /// `+ q` offset so the `n`-sized buffer is written exactly once),
-    /// selection of the top `k + 1`, gap construction. Buffers live in
-    /// `scratch`; the output is written into `out`, reusing its buffer.
+    /// The single copy of Algorithm 1 and its one provider-taking entry:
+    /// one `Lap(scale)` draw per query through `provider` (batched by its
+    /// [`fill_offset`](DrawProvider::fill_offset), fused with the `+ q`
+    /// offset so the `n`-sized buffer is written exactly once), selection
+    /// of the top `k + 1`, gap construction. Buffers live in `scratch`; the
+    /// output is written into `out`, reusing its buffer. The provider picks
+    /// the execution path: [`SourceDraws`] is the reference [`run`](Self::run)
+    /// uses, [`RngDraws`](crate::draw::RngDraws) the batched fast path, and
+    /// [`ParallelDraws`](crate::draw::ParallelDraws) splits the fill and the
+    /// selection across threads (a different, per-block stream).
     ///
     /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries (the `k`-th gap needs a runner-up).
-    pub(crate) fn run_core<P: DrawProvider>(
+    /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
+    /// infinite, and [`MechanismError::NotEnoughQueries`] if the workload
+    /// has fewer than `k + 1` queries (the `k`-th gap needs a runner-up);
+    /// both before any draw.
+    pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
         scratch: &mut TopKScratch,
         out: &mut TopKOutput,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(answers)?;
         crate::answers::require_min_len(answers, self.k + 1)?;
         provider.begin();
         provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
@@ -130,19 +136,13 @@ impl NoisyTopKWithGap {
         Ok(())
     }
 
-    /// Runs the mechanism against a noise source
-    /// (`run_core` through the [`SourceDraws`] adapter).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_source(
+    fn run_with_source(
         &self,
         answers: &QueryAnswers,
         source: &mut dyn NoiseSource,
     ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_core(
+        let mut out = TopKOutput::default();
+        self.run_into(
             answers.values(),
             &mut SourceDraws::new(source),
             &mut TopKScratch::new(),
@@ -151,105 +151,16 @@ impl NoisyTopKWithGap {
         Ok(out)
     }
 
-    /// Runs with a plain RNG (production path, no recording).
+    /// Runs with a plain RNG: the allocating reference path.
     ///
     /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
+    /// As [`run_into`](Self::run_into).
     pub fn run(
         &self,
         answers: &QueryAnswers,
         rng: &mut StdRng,
     ) -> Result<TopKOutput, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched, allocation-free fast path: `run_core`
-    /// through [`RngDraws`] — noise is drawn in one
-    /// [`fill_into_offset`](free_gap_noise::ContinuousDistribution::fill_into_offset)
-    /// pass into `scratch`'s reused buffers and the RNG is monomorphic (no
-    /// `dyn` dispatch). Output is bit-identical to [`run`](Self::run) on the
-    /// same RNG stream; see [`crate::scratch`] for the contract.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries, like [`run_with_source`](Self::run_with_source).
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its `items` buffer across runs.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut TopKOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), &mut RngDraws::new(rng), scratch, out)
-    }
-
-    /// Intra-run parallel path: `run_core` through a per-block provider —
-    /// [`ParallelDraws`](crate::draw::ParallelDraws) to split the noise fill
-    /// and Top-K selection across threads, or its sequential reference
-    /// [`BlockSeqDraws`](crate::draw::BlockSeqDraws), which is bit-identical
-    /// for any thread count. Note the run is keyed by the provider's
-    /// `run_seed`, a *different stream* from the single-RNG paths.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_par_with_scratch_into(answers, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_par_with_scratch`](Self::run_par_with_scratch).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut TopKOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), provider, scratch, out)
-    }
-
-    /// Gap-releasing selection through an arbitrary [`DrawProvider`] — the
-    /// hook the select-then-measure pipeline core drives.
-    pub(crate) fn run_provider<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_core(answers.values(), provider, scratch, &mut out)?;
-        Ok(out)
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 
@@ -356,11 +267,13 @@ impl NoisyMaxWithGap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::RngDraws;
     use free_gap_alignment::checker::{check_alignment, check_alignment_many};
     use free_gap_alignment::{AdjacencyModel, Perturbation};
-    use free_gap_noise::rng::rng_from_seed;
+    use free_gap_noise::rng::{fast_rng_from_seed, rng_from_seed};
     use free_gap_noise::stats::RunningMoments;
     use proptest::prelude::*;
+    use rand::RngCore;
 
     fn workload() -> QueryAnswers {
         QueryAnswers::counting(vec![100.0, 40.0, 95.0, 80.0, 3.0, 60.0])
@@ -403,15 +316,42 @@ mod tests {
             err,
             crate::error::MechanismError::NotEnoughQueries { need: 6, got: 5 }
         ));
-        // The scratch fast path fails identically.
-        let m2 = NoisyTopKWithGap::new(5, 1.0, true).unwrap();
-        assert!(m2
-            .run_with_scratch(
-                &QueryAnswers::counting(vec![1.0; 5]),
-                &mut rng_from_seed(1),
+        // The batched fast path fails identically.
+        assert!(m
+            .run_into(
+                &[1.0; 5],
+                &mut RngDraws::new(&mut rng_from_seed(1)),
                 &mut TopKScratch::new(),
+                &mut TopKOutput::default(),
             )
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_answer_is_rejected_before_any_draw() {
+        // A NaN used to fail every `>=` of the insertion scan and an
+        // infinite winner released a NaN gap; both are now typed errors,
+        // raised before the provider draws anything.
+        let m = NoisyTopKWithGap::new(1, 1.0, true).unwrap();
+        for answers in [
+            [10.0, f64::NAN, 3.0, 2.0],
+            [10.0, f64::INFINITY, 3.0, f64::INFINITY],
+        ] {
+            let mut rng = fast_rng_from_seed(1);
+            let err = m
+                .run_into(
+                    &answers,
+                    &mut RngDraws::new(&mut rng),
+                    &mut TopKScratch::new(),
+                    &mut TopKOutput::default(),
+                )
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                MechanismError::NonFiniteUtility { index: 1, .. }
+            ));
+            assert_eq!(rng.next_u64(), fast_rng_from_seed(1).next_u64());
+        }
     }
 
     #[test]

@@ -23,11 +23,11 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
 use crate::error::MechanismError;
 use crate::laplace_mech::LaplaceMechanism;
-use crate::noisy_max::NoisyTopKWithGap;
+use crate::noisy_max::{NoisyTopKWithGap, TopKOutput};
 use crate::postprocess::blue::{blue_estimates, BlueInput};
 use crate::postprocess::weighted::{combine_gap_with_measurement, topk_lambda_for_even_split};
 use crate::scratch::{SvtScratch, TopKScratch};
-use crate::sparse_vector::SparseVectorWithGap;
+use crate::sparse_vector::{SparseVectorWithGap, SvOutput};
 use crate::staircase_mech::StaircaseMechanism;
 use free_gap_alignment::SamplingSource;
 use free_gap_noise::ContinuousDistribution;
@@ -92,7 +92,8 @@ fn topk_select_measure_core<P: DrawProvider>(
     let selector = NoisyTopKWithGap::new(k, f * epsilon, answers.monotonic())?;
     let measurer = LaplaceMechanism::new((1.0 - f) * epsilon)?;
 
-    let selection = selector.run_provider(answers, provider, scratch)?;
+    let mut selection = TopKOutput::default();
+    selector.run_into(answers.values(), provider, scratch, &mut selection)?;
     let indices = selection.indices();
     let truths: Vec<f64> = indices.iter().map(|&i| answers.values()[i]).collect();
 
@@ -212,7 +213,8 @@ fn topk_select_measure_staircase_core<P: DrawProvider>(
     let selector = NoisyTopKWithGap::new(k, half, answers.monotonic())?;
     let measurer = StaircaseMechanism::new(half)?;
 
-    let selection = selector.run_provider(answers, provider, scratch)?;
+    let mut selection = TopKOutput::default();
+    selector.run_into(answers.values(), provider, scratch, &mut selection)?;
     let indices = selection.indices();
     let truths: Vec<f64> = indices.iter().map(|&i| answers.values()[i]).collect();
 
@@ -319,7 +321,8 @@ fn svt_select_measure_core<P: DrawProvider>(
     let selector = SparseVectorWithGap::new(k, half, threshold, answers.monotonic())?;
     let measurer = LaplaceMechanism::new(half)?;
 
-    let selection = selector.run_provider(answers, provider);
+    let mut selection = SvOutput::default();
+    selector.run_into(answers.values().iter().copied(), provider, &mut selection);
     let pairs = selection.gaps();
     let indices: Vec<usize> = pairs.iter().map(|(i, _)| *i).collect();
     let gaps: Vec<f64> = pairs.iter().map(|(_, g)| *g).collect();

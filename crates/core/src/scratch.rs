@@ -7,10 +7,11 @@
 //! Monte-Carlo loops that execute the same mechanism tens of thousands of
 //! times on workloads with up to ~100k queries (§7 of the paper).
 //!
-//! The `run_with_scratch` entry points take one of the scratch types below
-//! and a plain [`rand::Rng`]; they feed the mechanism's single
-//! [`DrawProvider`](crate::draw::DrawProvider)-generic core through
-//! [`ScratchDraws`](crate::draw::ScratchDraws), so that:
+//! Each mechanism's `_into` entry takes a [`DrawProvider`](crate::draw::DrawProvider);
+//! the fast paths use the scratch types below — [`TopKScratch`] beside
+//! [`RngDraws`](crate::draw::RngDraws) for the Top-K family, an
+//! [`SvtScratch`] inside [`ScratchDraws`](crate::draw::ScratchDraws) for the
+//! SVT family and staircase — so that:
 //!
 //! * noise is drawn **in batches** via
 //!   [`ContinuousDistribution::fill_into`](free_gap_noise::ContinuousDistribution::fill_into),
@@ -20,15 +21,15 @@
 //!   inlines — no `dyn` dispatch anywhere.
 //!
 //! Outputs are guaranteed **bit-for-bit identical** to the corresponding
-//! allocating path run against the same RNG stream (asserted by the
-//! `scratch_equivalence` test-suite). The SVT mechanisms' streaming entry
-//! points (`run_streaming_with_scratch`) share the same scratch: lookahead
-//! applies to *noise* only — query answers are pulled strictly on demand
-//! and never buffered ahead of the mechanism's halting point.
+//! allocating reference path run against the same RNG stream (asserted by
+//! the `scratch_equivalence` test-suite). The SVT entries consume their
+//! queries lazily: lookahead applies to *noise* only — query answers are
+//! pulled strictly on demand and never buffered ahead of the mechanism's
+//! halting point.
 //!
 //! ## Stream discipline
 //!
-//! An [`SvtScratch`] entry point buffers lookahead from the stream it is
+//! An [`SvtScratch`] provider buffers lookahead from the stream it is
 //! given, and *how much* depends on the scratch's consumption history (the
 //! prediction that sizes its batches). Outputs are unaffected — they depend
 //! only on the draws actually served — but the stream's final position is
@@ -47,17 +48,18 @@
 //! bit-identical end-to-end.
 //!
 //! ```
-//! use free_gap_core::answers::QueryAnswers;
-//! use free_gap_core::noisy_max::NoisyTopKWithGap;
+//! use free_gap_core::draw::RngDraws;
+//! use free_gap_core::noisy_max::{NoisyTopKWithGap, TopKOutput};
 //! use free_gap_core::scratch::TopKScratch;
 //! use free_gap_noise::rng::derive_stream;
 //!
-//! let answers = QueryAnswers::counting(vec![120.0, 40.0, 97.0, 80.0, 3.0]);
+//! let answers = [120.0, 40.0, 97.0, 80.0, 3.0];
 //! let mech = NoisyTopKWithGap::new(3, 1.0, true).unwrap();
 //! let mut scratch = TopKScratch::new();
+//! let mut out = TopKOutput::default();
 //! for run in 0..100 {
-//!     let out = mech
-//!         .run_with_scratch(&answers, &mut derive_stream(7, run), &mut scratch)
+//!     let mut rng = derive_stream(7, run);
+//!     mech.run_into(&answers, &mut RngDraws::new(&mut rng), &mut scratch, &mut out)
 //!         .unwrap();
 //!     assert_eq!(out.items.len(), 3);
 //! }

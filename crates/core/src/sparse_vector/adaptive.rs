@@ -25,12 +25,10 @@
 
 use super::{optimal_threshold_share, AdaptiveOutcome, AdaptiveSvOutput, Branch};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
-use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Adaptive-Sparse-Vector-with-Gap (Algorithm 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,19 +150,10 @@ impl AdaptiveSparseVector {
         self.sigma_multiplier * std::f64::consts::SQRT_2 * self.top_scale()
     }
 
-    /// The effective answer cap shared by every execution path
-    /// (`usize::MAX` when no limit is configured). One definition — the
-    /// dyn, scratch and streaming paths all stop via `answered <
-    /// answer_cap()`, so the limit semantics cannot silently drift between
-    /// them.
-    fn answer_cap(&self) -> usize {
-        self.answer_limit.unwrap_or(usize::MAX)
-    }
-
-    /// The single copy of Algorithm 2's branch and budget logic, generic
-    /// over the [`DrawProvider`] noise comes through; every execution path
-    /// (dyn, scratch, streaming, and their combinations) is this one
-    /// function behind a thin provider-picking entry point.
+    /// The single copy of Algorithm 2's branch and budget logic and its
+    /// one provider-taking entry, writing into `out` (every field
+    /// overwritten, buffers reused). Providers and bit-identity as in
+    /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
     ///
     /// Consumes `queries` lazily: the next answer is pulled only while the
     /// adaptive budget still covers a worst-case (`ε₁`) answer and the
@@ -176,7 +165,7 @@ impl AdaptiveSparseVector {
     /// draw-exact providers never sample noise for a query that does not
     /// exist. Draw order (ξᵢ then ηᵢ, query by query) is identical on every
     /// provider.
-    pub(crate) fn run_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
@@ -186,7 +175,7 @@ impl AdaptiveSparseVector {
         let eps2 = self.epsilon2();
         let sigma = self.sigma();
         let scales = [self.top_scale(), self.middle_scale()];
-        let cap = self.answer_cap();
+        let cap = self.answer_limit.unwrap_or(usize::MAX);
         // Line 16's stopping product, identical on every path.
         let budget_cap = self.epsilon * (1.0 + 1e-12);
         provider.begin();
@@ -257,105 +246,23 @@ impl AdaptiveSparseVector {
         out.epsilon = self.epsilon;
     }
 
-    /// Empty output shell for the core to fill.
-    fn empty_output(&self) -> AdaptiveSvOutput {
-        AdaptiveSvOutput {
-            outcomes: Vec::new(),
-            spent: 0.0,
-            epsilon: self.epsilon,
-        }
-    }
-
-    /// Streaming run against a noise source: `run_core`
-    /// through the [`SourceDraws`] adapter.
-    pub fn run_streaming_with_source<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        source: &mut dyn NoiseSource,
-    ) -> AdaptiveSvOutput {
-        let mut out = self.empty_output();
-        self.run_core(queries, &mut SourceDraws::new(source), &mut out);
-        out
-    }
-
-    /// Runs the mechanism against a noise source.
-    pub fn run_with_source(
+    fn run_with_source(
         &self,
         answers: &QueryAnswers,
         source: &mut dyn NoiseSource,
     ) -> AdaptiveSvOutput {
-        self.run_streaming_with_source(answers.values().iter().copied(), source)
+        let mut out = AdaptiveSvOutput::default();
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut SourceDraws::new(source),
+            &mut out,
+        );
+        out
     }
 
-    /// Runs with a plain RNG.
+    /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> AdaptiveSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Streaming twin of [`run`](Self::run); same laziness contract as
-    /// [`run_streaming_with_source`](Self::run_streaming_with_source).
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> AdaptiveSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_streaming_with_source(queries, &mut source)
-    }
-
-    /// Streaming, batched, monomorphic fast path:
-    /// `run_core` through [`ScratchDraws`]; see
-    /// [`crate::scratch`]. Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream and query sequence. The scratch buffers *noise*
-    /// ahead of the stream, never query answers: no query is pulled after
-    /// the mechanism halts.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> AdaptiveSvOutput {
-        let mut out = self.empty_output();
-        self.run_streaming_with_scratch_into(queries, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut AdaptiveSvOutput,
-    ) {
-        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
-    }
-
-    /// Batched, monomorphic fast path; see [`crate::scratch`]. Output is
-    /// bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> AdaptiveSvOutput {
-        let mut out = self.empty_output();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut AdaptiveSvOutput,
-    ) {
-        self.run_streaming_with_scratch_into(answers.values().iter().copied(), rng, scratch, out);
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 

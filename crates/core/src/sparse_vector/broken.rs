@@ -48,21 +48,20 @@
 //!
 //! Every variant runs through the same [`DrawProvider`] substrate as the
 //! correct mechanisms: `run` is the draw-exact dyn path (the alignment
-//! checker interposes here) and `run_with_scratch[_into]` is the batched
-//! fast path over [`SvtScratch`], bit-identical on the same RNG stream —
-//! which is what lets the `free-gap-attack` Monte-Carlo harness hammer the
-//! zoo at full scratch-path speed with deterministic derived sub-streams.
+//! checker interposes here) and `run_into` takes any provider — through
+//! [`ScratchDraws`](crate::draw::ScratchDraws) it is the batched fast path,
+//! bit-identical on the same RNG stream — which is what lets the
+//! `free-gap-attack` Monte-Carlo harness hammer the zoo at full speed with
+//! deterministic derived sub-streams.
 
-// lint:allow-file(taxonomy): the zoo's scratch paths are attack targets, deliberately broken — they
-// must never join the equivalence suite or the bench grid as if they were serving mechanisms.
+// lint:allow-file(taxonomy): the zoo's `run_into` entries are attack targets, deliberately broken —
+// they must never join the equivalence suite or the bench grid as if they were serving mechanisms.
 use super::SvOutput;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
-use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Lyu Alg. 3 (Roth): SVT that releases `qᵢ + νᵢ` for `⊤` answers,
 /// claiming the same ε as plain SVT. **Not ε-DP.**
@@ -103,13 +102,13 @@ impl NoisyValueSvt {
         self.threshold
     }
 
-    /// The single copy of the decision loop, generic over the provider —
-    /// same budget split and noise as a correct monotone SVT, but the
-    /// released value re-exposes `νᵢ` without the noisy threshold folded
-    /// in: that is the flaw.
-    fn run_core<P: DrawProvider>(
+    /// The single copy of the decision loop and its one provider-taking
+    /// entry — same budget split and noise as a correct monotone SVT, but
+    /// the released value re-exposes `νᵢ` without the noisy threshold
+    /// folded in: that is the flaw.
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers,
+        queries: I,
         provider: &mut P,
         out: &mut NoisyValueOutput,
     ) {
@@ -119,11 +118,10 @@ impl NoisyValueSvt {
         let noisy_threshold = self.threshold + provider.next(1.0 / eps1);
         let qscale = self.k as f64 / eps2;
         out.clear();
+        let mut queries = queries.into_iter();
         let mut answered = 0usize;
-        for &q in answers.values() {
-            if answered == self.k {
-                break;
-            }
+        while answered < self.k {
+            let Some(q) = queries.next() else { break };
             let noisy = q + provider.next(qscale);
             if noisy >= noisy_threshold {
                 out.push(Some(noisy));
@@ -136,8 +134,7 @@ impl NoisyValueSvt {
 
     /// Runs the mechanism.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> NoisyValueOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 
     fn run_with_source(
@@ -146,32 +143,12 @@ impl NoisyValueSvt {
         source: &mut dyn NoiseSource,
     ) -> NoisyValueOutput {
         let mut out = Vec::new();
-        self.run_core(answers, &mut SourceDraws::new(source), &mut out);
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut SourceDraws::new(source),
+            &mut out,
+        );
         out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> NoisyValueOutput {
-        let mut out = Vec::new();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut NoisyValueOutput,
-    ) {
-        self.run_core(answers, &mut ScratchDraws::new(scratch, rng), out);
     }
 }
 
@@ -266,9 +243,10 @@ impl UnscaledNoiseSvt {
         eps1 + self.k as f64 * eps2
     }
 
-    fn run_core<P: DrawProvider>(
+    /// The decision loop and its one provider-taking entry.
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers,
+        queries: I,
         provider: &mut P,
         out: &mut SvOutput,
     ) {
@@ -279,11 +257,10 @@ impl UnscaledNoiseSvt {
         // The bug: scale 2/ε₂ no matter how many answers the run will emit.
         let qscale = 2.0 / eps2;
         out.above.clear();
+        let mut queries = queries.into_iter();
         let mut answered = 0usize;
-        for &q in answers.values() {
-            if answered == self.k {
-                break;
-            }
+        while answered < self.k {
+            let Some(q) = queries.next() else { break };
             let noisy = q + provider.next(qscale);
             if noisy >= noisy_threshold {
                 out.above.push(Some(0.0));
@@ -295,39 +272,18 @@ impl UnscaledNoiseSvt {
     }
 
     fn run_with_source(&self, answers: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(source), &mut out);
+        let mut out = SvOutput::default();
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut SourceDraws::new(source),
+            &mut out,
+        );
         out
     }
 
     /// Runs the mechanism.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_core(answers, &mut ScratchDraws::new(scratch, rng), out);
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 
@@ -395,16 +351,17 @@ impl NoQueryNoiseSvt {
         self.threshold
     }
 
-    fn run_core<P: DrawProvider>(
+    /// The decision loop and its one provider-taking entry.
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers,
+        queries: I,
         provider: &mut P,
         out: &mut SvOutput,
     ) {
         provider.begin();
         let noisy_threshold = self.threshold + provider.next(1.0 / self.claimed_epsilon);
         out.above.clear();
-        out.above.extend(answers.values().iter().map(|&q| {
+        out.above.extend(queries.into_iter().map(|q| {
             if q >= noisy_threshold {
                 Some(0.0)
             } else {
@@ -415,34 +372,13 @@ impl NoQueryNoiseSvt {
 
     /// Runs the mechanism.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(&mut source), &mut out);
+        let mut out = SvOutput::default();
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut SourceDraws::new(&mut SamplingSource::new(rng)),
+            &mut out,
+        );
         out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_core(answers, &mut ScratchDraws::new(scratch, rng), out);
     }
 }
 
@@ -489,9 +425,10 @@ impl BudgetMisallocationSvt {
         2.0 * self.claimed_epsilon
     }
 
-    fn run_core<P: DrawProvider>(
+    /// The decision loop and its one provider-taking entry.
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers,
+        queries: I,
         provider: &mut P,
         out: &mut SvOutput,
     ) {
@@ -501,11 +438,10 @@ impl BudgetMisallocationSvt {
         let noisy_threshold = self.threshold + provider.next(1.0 / self.claimed_epsilon);
         let qscale = self.k as f64 / self.claimed_epsilon;
         out.above.clear();
+        let mut queries = queries.into_iter();
         let mut answered = 0usize;
-        for &q in answers.values() {
-            if answered == self.k {
-                break;
-            }
+        while answered < self.k {
+            let Some(q) = queries.next() else { break };
             let noisy = q + provider.next(qscale);
             if noisy >= noisy_threshold {
                 out.above.push(Some(0.0));
@@ -518,34 +454,13 @@ impl BudgetMisallocationSvt {
 
     /// Runs the mechanism.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(&mut source), &mut out);
+        let mut out = SvOutput::default();
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut SourceDraws::new(&mut SamplingSource::new(rng)),
+            &mut out,
+        );
         out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_core(answers, &mut ScratchDraws::new(scratch, rng), out);
     }
 }
 
@@ -586,9 +501,10 @@ impl UnboundedCountSvt {
         0.5 * self.claimed_epsilon * (1.0 + tops as f64)
     }
 
-    fn run_core<P: DrawProvider>(
+    /// The decision loop and its one provider-taking entry.
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers,
+        queries: I,
         provider: &mut P,
         out: &mut SvOutput,
     ) {
@@ -600,7 +516,7 @@ impl UnboundedCountSvt {
         out.above.clear();
         // The bug: no `answered == k` stop — the loop runs to the end of
         // the workload no matter how many ⊤s it has already emitted.
-        for &q in answers.values() {
+        for q in queries {
             let noisy = q + provider.next(qscale);
             if noisy >= noisy_threshold {
                 out.above.push(Some(0.0));
@@ -612,40 +528,21 @@ impl UnboundedCountSvt {
 
     /// Runs the mechanism.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(&mut source), &mut out);
+        let mut out = SvOutput::default();
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut SourceDraws::new(&mut SamplingSource::new(rng)),
+            &mut out,
+        );
         out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_core(answers, &mut ScratchDraws::new(scratch, rng), out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::{RngDraws, ScratchDraws};
+    use crate::scratch::SvtScratch;
     use crate::sparse_vector::{ClassicSparseVector, SparseVectorWithGap};
     use free_gap_alignment::checker::check_alignment;
     use free_gap_alignment::empirical::empirical_epsilon;
@@ -664,53 +561,80 @@ mod tests {
 
     #[test]
     fn scratch_paths_are_bit_identical_to_run() {
-        // Every zoo variant's scratch fast path must replay the dyn path's
+        // Every zoo variant's blocked fast path must replay the dyn path's
         // exact outputs on the same RNG stream — the property the attack
         // harness's Monte-Carlo loops rely on.
         let answers = QueryAnswers::general(vec![10.5, 9.0, 10.0, 8.5, 11.0, 9.5, 10.2, 7.0]);
+        let q = || answers.values().iter().copied();
         let mut scratch = SvtScratch::new();
+        let mut sv = SvOutput::default();
+        let mut nv = NoisyValueOutput::new();
         for seed in 0..25u64 {
-            let nv = NoisyValueSvt::new(2, 0.8, 10.0).unwrap();
-            let a = nv.run(&answers, &mut rng_from_seed(seed));
-            let b = nv.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "NoisyValueSvt diverged at seed {seed}");
+            let nv_m = NoisyValueSvt::new(2, 0.8, 10.0).unwrap();
+            let mut rng = rng_from_seed(seed);
+            nv_m.run_into(q(), &mut ScratchDraws::new(&mut scratch, &mut rng), &mut nv);
+            let a = nv_m.run(&answers, &mut rng_from_seed(seed));
+            assert_eq!(a, nv, "NoisyValueSvt diverged at seed {seed}");
 
             let un = UnscaledNoiseSvt::new(3, 0.8, 10.0).unwrap();
+            let mut rng = rng_from_seed(seed);
+            un.run_into(q(), &mut ScratchDraws::new(&mut scratch, &mut rng), &mut sv);
             let a = un.run(&answers, &mut rng_from_seed(seed));
-            let b = un.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "UnscaledNoiseSvt diverged at seed {seed}");
+            assert_eq!(a, sv, "UnscaledNoiseSvt diverged at seed {seed}");
 
             let nq = NoQueryNoiseSvt::new(0.8, 10.0).unwrap();
+            let mut rng = rng_from_seed(seed);
+            nq.run_into(q(), &mut ScratchDraws::new(&mut scratch, &mut rng), &mut sv);
             let a = nq.run(&answers, &mut rng_from_seed(seed));
-            let b = nq.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "NoQueryNoiseSvt diverged at seed {seed}");
+            assert_eq!(a, sv, "NoQueryNoiseSvt diverged at seed {seed}");
 
             let bm = BudgetMisallocationSvt::new(2, 0.8, 10.0).unwrap();
+            let mut rng = rng_from_seed(seed);
+            bm.run_into(q(), &mut ScratchDraws::new(&mut scratch, &mut rng), &mut sv);
             let a = bm.run(&answers, &mut rng_from_seed(seed));
-            let b = bm.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "BudgetMisallocationSvt diverged at seed {seed}");
+            assert_eq!(a, sv, "BudgetMisallocationSvt diverged at seed {seed}");
 
             let ub = UnboundedCountSvt::new(0.8, 10.0).unwrap();
+            let mut rng = rng_from_seed(seed);
+            ub.run_into(q(), &mut ScratchDraws::new(&mut scratch, &mut rng), &mut sv);
             let a = ub.run(&answers, &mut rng_from_seed(seed));
-            let b = ub.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "UnboundedCountSvt diverged at seed {seed}");
+            assert_eq!(a, sv, "UnboundedCountSvt diverged at seed {seed}");
         }
     }
 
     #[test]
     fn into_variants_reuse_buffers() {
+        // One output buffer per shape serves every run, and the halting
+        // variants pull no query past their k-th ⊤.
         let answers = QueryAnswers::general(vec![10.0, 9.0, 11.0]);
         let mut scratch = SvtScratch::new();
-        let mut sv = SvOutput { above: Vec::new() };
-        let mut nv: NoisyValueOutput = Vec::new();
+        let mut sv = SvOutput::default();
+        let mut nv = NoisyValueOutput::new();
         for seed in 0..5u64 {
             let m = BudgetMisallocationSvt::new(2, 1.0, 10.0).unwrap();
-            m.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut sv);
+            let mut rng = rng_from_seed(seed);
+            m.run_into(
+                answers.values().iter().copied(),
+                &mut ScratchDraws::new(&mut scratch, &mut rng),
+                &mut sv,
+            );
             assert_eq!(sv, m.run(&answers, &mut rng_from_seed(seed)));
             let m = NoisyValueSvt::new(1, 1.0, 10.0).unwrap();
-            m.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut nv);
+            let mut rng = rng_from_seed(seed);
+            m.run_into(
+                answers.values().iter().copied(),
+                &mut ScratchDraws::new(&mut scratch, &mut rng),
+                &mut nv,
+            );
             assert_eq!(nv, m.run(&answers, &mut rng_from_seed(seed)));
         }
+        let m = NoisyValueSvt::new(2, 1.0, 0.0).unwrap();
+        let mut rng = rng_from_seed(0);
+        let endless = std::iter::repeat_n(1e9, 2).chain(std::iter::from_fn(|| -> Option<f64> {
+            panic!("query stream pulled after the k-th ⊤")
+        }));
+        m.run_into(endless, &mut RngDraws::new(&mut rng), &mut nv);
+        assert_eq!(nv.len(), 2);
     }
 
     #[test]

@@ -133,9 +133,9 @@ impl ClassicSparseVector {
     /// The single copy of the SVT decision loop, generic over the
     /// [`DrawProvider`] noise comes through. Shared by the classic and
     /// gap-releasing variants (`release_gaps` controls whether above answers
-    /// carry the noisy gap or a placeholder `0.0`), by the materialized and
-    /// streaming entry points, and by every execution path — the variants
-    /// cannot silently diverge (the Chen–Machanavajjhala hazard).
+    /// carry the noisy gap or a placeholder `0.0`) and by every execution
+    /// path — the variants cannot silently diverge (the
+    /// Chen–Machanavajjhala hazard).
     ///
     /// Writes into `out`, reusing its buffer; the stop condition is checked
     /// *before* pulling the next query, so once the k-th ⊤ is answered no
@@ -214,8 +214,8 @@ impl ClassicSparseVector {
     /// returned state one query at a time with
     /// [`stream_feed`](Self::stream_feed) — in any batching across any
     /// number of calls, the decisions are bit-identical to one
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch)
-    /// call over the concatenated stream on the same RNG, provided the
+    /// [`run_into`](Self::run_into) call through [`ScratchDraws`] over the
+    /// concatenated stream on the same RNG, provided the
     /// same `rng`/`scratch` pair keeps serving this stream until it halts
     /// (the scratch's buffered lookahead is part of the tape, so the pair
     /// must not be lent to another run in between).
@@ -243,15 +243,15 @@ impl ClassicSparseVector {
         self.stream_step_core(state, query, &mut ScratchDraws::new(scratch, rng), false)
     }
 
-    /// Materialized dyn-source entry: [`run_core`](Self::run_core) through
-    /// the [`SourceDraws`] adapter.
+    /// Dyn-source reference entry shared by the classic and gap variants:
+    /// [`run_core`](Self::run_core) through the [`SourceDraws`] adapter.
     pub(crate) fn run_impl(
         &self,
         answers: &QueryAnswers,
         source: &mut dyn NoiseSource,
         release_gaps: bool,
     ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
+        let mut out = SvOutput::default();
         self.run_core(
             answers.values().iter().copied(),
             &mut SourceDraws::new(source),
@@ -261,97 +261,29 @@ impl ClassicSparseVector {
         out
     }
 
-    /// Runs with a plain RNG.
+    /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_impl(answers, &mut source, false)
+        self.run_impl(answers, &mut SamplingSource::new(rng), false)
     }
 
-    /// Scratch-path entry shared by the classic and gap-releasing variants:
-    /// [`run_core`](Self::run_core) through [`ScratchDraws`] (blocked
-    /// unit-Laplace buffer, monomorphic RNG), writing into `out`.
-    pub(crate) fn run_scratch_core<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
+    /// The one provider-taking entry: the shared SVT decision loop without
+    /// gap release, writing into `out` and reusing its buffer. `queries`
+    /// is consumed lazily — pulling stops the moment the `k`-th `⊤` is
+    /// answered, so queries after the halt are never observed. The
+    /// provider picks the execution path: [`SourceDraws`] is the reference
+    /// [`run`](Self::run) uses, [`ScratchDraws`] the blocked fast path
+    /// (it buffers *noise* ahead of the stream, never query answers; see
+    /// [`crate::scratch`]), and the per-block providers of
+    /// [`crate::draw`] serve the threshold loop off their scalar tape.
+    /// Every single-stream provider is bit-identical to [`run`](Self::run)
+    /// on the same RNG stream and query sequence.
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        release_gaps: bool,
+        provider: &mut P,
         out: &mut SvOutput,
     ) {
-        self.run_core(
-            queries,
-            &mut ScratchDraws::new(scratch, rng),
-            release_gaps,
-            out,
-        );
-    }
-
-    /// Batched fast path without gap release; see [`crate::scratch`].
-    /// Output is bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_scratch_core(answers.values().iter().copied(), rng, scratch, false, out);
-    }
-
-    /// Streaming twin of [`run`](Self::run): consumes `queries` lazily,
-    /// answering each as it is pulled, and stops pulling the moment the
-    /// `k`-th `⊤` is answered — queries after the halt are never observed.
-    /// Output is bit-identical to [`run`](Self::run) on the same RNG stream
-    /// and the same query sequence.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(queries, &mut SourceDraws::new(&mut source), false, &mut out);
-        out
-    }
-
-    /// Streaming twin of [`run_with_scratch`](Self::run_with_scratch); same
-    /// laziness contract as [`run_streaming`](Self::run_streaming). The
-    /// scratch may buffer *noise* ahead of the stream (see
-    /// [`crate::scratch`]), but never query answers.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_scratch_core(queries, rng, scratch, false, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch).
-    pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_scratch_core(queries, rng, scratch, false, out);
+        self.run_core(queries, provider, false, out);
     }
 
     /// Builds the SVT alignment shared by the classic and gap variants:

@@ -14,12 +14,10 @@
 
 use super::{optimal_threshold_share, SvOutput};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
-use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Sparse-Vector-with-Gap over an integer lattice with discrete Laplace
 /// noise; pure ε-DP (see module docs).
@@ -100,9 +98,11 @@ impl DiscreteSparseVectorWithGap {
         );
     }
 
-    /// The single copy of the discrete SVT decision loop, generic over the
-    /// [`DrawProvider`] noise comes through, shared by the materialized and
-    /// streaming entry points. Query noise comes in whole blocks of
+    /// The single copy of the discrete SVT decision loop and its one
+    /// provider-taking entry; released gaps are exact lattice multiples.
+    /// Providers and bit-identity as in
+    /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
+    /// Query noise comes in whole blocks of
     /// arity-1 tuples
     /// ([`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples)):
     /// blocked providers serve a slab of geometric-tail draws per peek with
@@ -114,7 +114,7 @@ impl DiscreteSparseVectorWithGap {
     /// Consumes `queries` lazily, writing into `out`: the stop condition is
     /// checked *before* pulling the next query, so once the `k`-th `⊤` is
     /// answered no further query is ever observed.
-    pub(crate) fn run_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
@@ -172,15 +172,10 @@ impl DiscreteSparseVectorWithGap {
         }
     }
 
-    /// Runs the mechanism; released gaps are exact lattice multiples.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> SvOutput {
+    fn run_with_source(&self, answers: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
         self.validate_lattice(answers);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(
+        let mut out = SvOutput::default();
+        self.run_into(
             answers.values().iter().copied(),
             &mut SourceDraws::new(source),
             &mut out,
@@ -188,85 +183,9 @@ impl DiscreteSparseVectorWithGap {
         out
     }
 
-    /// Runs with a plain RNG.
+    /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched fast path: `run_core` through [`ScratchDraws`], so the
-    /// geometric-tail uniforms come in blocked refills and the per-rate
-    /// `exp`/`ln` normalization is cached in the scratch; see
-    /// [`crate::scratch`]. Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.validate_lattice(answers);
-        self.run_core(
-            answers.values().iter().copied(),
-            &mut ScratchDraws::new(scratch, rng),
-            out,
-        );
-    }
-
-    /// Streaming twin of [`run`](Self::run): consumes `queries` lazily and
-    /// stops pulling the moment the `k`-th `⊤` is answered — queries after
-    /// the halt are never observed. Output is bit-identical to
-    /// [`run`](Self::run) on the same RNG stream and query sequence.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(queries, &mut SourceDraws::new(&mut source), &mut out);
-        out
-    }
-
-    /// Streaming twin of [`run_with_scratch`](Self::run_with_scratch); same
-    /// laziness contract as [`run_streaming`](Self::run_streaming). The
-    /// scratch may buffer *noise* ahead of the stream (see
-    /// [`crate::scratch`]), but never query answers.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_streaming_with_scratch_into(queries, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch).
-    pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 

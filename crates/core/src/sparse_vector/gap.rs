@@ -9,7 +9,7 @@
 use super::classic::{ClassicSparseVector, SvtStreamState};
 use super::SvOutput;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
+use crate::draw::DrawProvider;
 use crate::error::MechanismError;
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
@@ -73,116 +73,23 @@ impl SparseVectorWithGap {
         2.0 * t * t + 2.0 * q * q
     }
 
-    /// Runs with a plain RNG.
+    /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.inner.run_impl(answers, &mut source, true)
-    }
-
-    /// Runs against an explicit noise source.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> SvOutput {
-        self.inner.run_impl(answers, source, true)
-    }
-
-    /// Gap-releasing selection through an arbitrary [`DrawProvider`] — the
-    /// hook the select-then-measure pipeline core drives, so the pipeline
-    /// logic also exists only once.
-    pub(crate) fn run_provider<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
         self.inner
-            .run_core(answers.values().iter().copied(), provider, true, &mut out);
-        out
+            .run_impl(answers, &mut SamplingSource::new(rng), true)
     }
 
-    /// Batched fast path with gap release; see [`crate::scratch`]. Output is
-    /// bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.inner
-            .run_scratch_core(answers.values().iter().copied(), rng, scratch, true, out);
-    }
-
-    /// Streaming twin of [`run`](Self::run): consumes `queries` lazily and
-    /// stops pulling the moment the `k`-th `⊤` is answered — queries after
-    /// the halt are never observed. Output is bit-identical to
-    /// [`run`](Self::run) on the same RNG stream and query sequence.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
+    /// The one provider-taking entry: the decision loop of
+    /// [`ClassicSparseVector`] with every `⊤` releasing its noisy gap,
+    /// writing into `out` and reusing its buffer. Laziness, providers and
+    /// bit-identity as in [`ClassicSparseVector::run_into`].
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
-        rng: &mut StdRng,
-    ) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.inner
-            .run_core(queries, &mut SourceDraws::new(&mut source), true, &mut out);
-        out
-    }
-
-    /// Streaming twin of [`run_with_scratch`](Self::run_with_scratch); same
-    /// laziness contract as [`run_streaming`](Self::run_streaming).
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.inner
-            .run_scratch_core(queries, rng, scratch, true, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch).
-    pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.inner
-            .run_scratch_core(queries, rng, scratch, true, out);
-    }
-
-    /// Gap-releasing selection over a plain answer slice through an
-    /// arbitrary [`DrawProvider`] — the unified-API hook
-    /// (`crate::api::Mechanism`) drives this so the decision loop still
-    /// exists only once, in [`ClassicSparseVector`].
-    pub(crate) fn run_values_core<P: DrawProvider>(
-        &self,
-        values: &[f64],
         provider: &mut P,
         out: &mut SvOutput,
     ) {
-        self.inner
-            .run_core(values.iter().copied(), provider, true, out);
+        self.inner.run_core(queries, provider, true, out);
     }
 
     /// Opens a resumable gap-releasing stream; contract as in

@@ -21,12 +21,10 @@
 
 use super::{optimal_threshold_share, Branch};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
-use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Per-query outcome of the multi-branch mechanism.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +50,7 @@ impl MultiBranchOutcome {
 }
 
 /// Output of [`MultiBranchAdaptiveSparseVector`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiBranchSvOutput {
     /// One outcome per processed query.
     pub outcomes: Vec<MultiBranchOutcome>,
@@ -189,9 +187,10 @@ impl MultiBranchAdaptiveSparseVector {
         }
     }
 
-    /// The single copy of the branch-ladder logic, generic over the
-    /// [`DrawProvider`] noise comes through; every execution path is this
-    /// one function behind a thin provider-picking entry point.
+    /// The single copy of the branch-ladder logic and its one
+    /// provider-taking entry, writing into `out` (every field overwritten,
+    /// buffers reused). Providers and bit-identity as in
+    /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
     ///
     /// Consumes `queries` lazily, pulling the next answer only while the
     /// remaining budget still covers a worst-case (`ε₁`) answer — queries
@@ -204,7 +203,7 @@ impl MultiBranchAdaptiveSparseVector {
     /// unconditionally (data-independent draw structure); the ladder scan
     /// stops at the first winning branch. Draw order (branch `0..m` per
     /// query, query by query) is identical on every provider.
-    pub(crate) fn run_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
@@ -275,104 +274,23 @@ impl MultiBranchAdaptiveSparseVector {
         out.epsilon = self.epsilon;
     }
 
-    /// Empty output shell for the core to fill.
-    fn empty_output(&self) -> MultiBranchSvOutput {
-        MultiBranchSvOutput {
-            outcomes: Vec::new(),
-            spent: 0.0,
-            epsilon: self.epsilon,
-        }
-    }
-
-    /// Streaming run against a noise source: `run_core`
-    /// through the [`SourceDraws`] adapter.
-    pub fn run_streaming_with_source<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        source: &mut dyn NoiseSource,
-    ) -> MultiBranchSvOutput {
-        let mut out = self.empty_output();
-        self.run_core(queries, &mut SourceDraws::new(source), &mut out);
-        out
-    }
-
-    /// Runs the mechanism against a noise source.
-    pub fn run_with_source(
+    fn run_with_source(
         &self,
         answers: &QueryAnswers,
         source: &mut dyn NoiseSource,
     ) -> MultiBranchSvOutput {
-        self.run_streaming_with_source(answers.values().iter().copied(), source)
+        let mut out = MultiBranchSvOutput::default();
+        self.run_into(
+            answers.values().iter().copied(),
+            &mut SourceDraws::new(source),
+            &mut out,
+        );
+        out
     }
 
-    /// Runs with a plain RNG.
+    /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> MultiBranchSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Streaming twin of [`run`](Self::run); same laziness contract as
-    /// [`run_streaming_with_source`](Self::run_streaming_with_source).
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> MultiBranchSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_streaming_with_source(queries, &mut source)
-    }
-
-    /// Streaming, batched, monomorphic fast path:
-    /// `run_core` through [`ScratchDraws`]; see
-    /// [`crate::scratch`]. Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream and query sequence. The scratch buffers *noise*
-    /// ahead of the stream, never query answers.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> MultiBranchSvOutput {
-        let mut out = self.empty_output();
-        self.run_streaming_with_scratch_into(queries, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut MultiBranchSvOutput,
-    ) {
-        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
-    }
-
-    /// Batched, monomorphic fast path; see [`crate::scratch`]. Output is
-    /// bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> MultiBranchSvOutput {
-        let mut out = self.empty_output();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut MultiBranchSvOutput,
-    ) {
-        self.run_streaming_with_scratch_into(answers.values().iter().copied(), rng, scratch, out);
+        self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 

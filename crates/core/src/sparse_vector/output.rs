@@ -34,7 +34,7 @@ impl AdaptiveOutcome {
 }
 
 /// Output of [`super::AdaptiveSparseVector`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdaptiveSvOutput {
     /// One outcome per *processed* query (the mechanism may stop early when
     /// the budget cannot cover another worst-case answer).
@@ -95,7 +95,7 @@ impl AdaptiveSvOutput {
 /// Output of the non-adaptive mechanisms ([`super::ClassicSparseVector`],
 /// [`super::SparseVectorWithGap`]): per-query decisions, where the gap is
 /// `Some` only for the gap-releasing variant's above answers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SvOutput {
     /// One decision per processed query: `Some(gap)`/`Some(0.0)` above
     /// (gap-releasing / classic), `None` below.

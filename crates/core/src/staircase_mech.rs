@@ -18,33 +18,32 @@
 
 //! ## Execution paths
 //!
-//! The measurement loop exists once, generic over the
-//! [`DrawProvider`] noise comes through (the
-//! [`staircase_fill_offset`](DrawProvider::staircase_fill_offset) /
-//! [`staircase_next`](DrawProvider::staircase_next) shapes, four uniforms
-//! per draw):
+//! The measurement loop exists once per input shape, generic over the
+//! [`DrawProvider`] noise comes through (four uniforms per draw):
 //!
-//! * `measure_split` — the dyn reference through [`SourceDraws`]: the
-//!   source reconstructs the staircase distribution per draw (an `exp` and
-//!   the stair-side normalization each time), the historical per-draw cost;
-//! * `measure_split_with_scratch[_into]` — the batched fast path through
-//!   [`ScratchDraws`]: the distribution is constructed once per batch, the
-//!   four uniforms per draw come off the shared raw-uniform tape in blocked
-//!   refills, and the output buffer is caller-owned;
-//! * `measure_split_streaming[_with_scratch[_into]]` — the same loop over
-//!   `impl IntoIterator<Item = f64>` with an explicit batch size (the
-//!   budget divisor, which a lazy stream cannot supply).
+//! * `measure_split` — the dyn reference over a slice, through
+//!   [`SourceDraws`]: the source reconstructs the staircase distribution
+//!   per draw (an `exp` and the stair-side normalization each time), the
+//!   historical per-draw cost;
+//! * [`measure_split_into`](StaircaseMechanism::measure_split_into) — the
+//!   one provider-taking entry, over `impl IntoIterator<Item = f64>` with
+//!   an explicit batch size (the budget divisor, which a lazy stream
+//!   cannot supply). Through [`ScratchDraws`](crate::draw::ScratchDraws)
+//!   the distribution is constructed once per batch and the uniforms come
+//!   off the shared raw-uniform tape in blocked refills, into a
+//!   caller-owned output.
 //!
-//! All paths are bit-identical on the same RNG stream
+//! The batched slice form behind
+//! [`Mechanism::call`](crate::api::Mechanism::call) fills the whole batch
+//! in one [`staircase_fill_offset`](DrawProvider::staircase_fill_offset).
+//! All three are bit-identical on the same RNG stream
 //! (`tests/scratch_equivalence.rs`).
 
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
-use crate::scratch::SvtScratch;
-use free_gap_alignment::{NoiseSource, SamplingSource};
+use free_gap_alignment::SamplingSource;
 use free_gap_noise::{ContinuousDistribution, Staircase};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Vector measurement with variance-optimal staircase noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,10 +96,12 @@ impl StaircaseMechanism {
         Ok(self.noise_for_batch(k)?.variance())
     }
 
-    /// The single copy of the measurement loop (materialized shape):
-    /// construct the batch's noise distribution once, then one staircase
-    /// draw per answer in index order through the provider's batch shape.
-    /// A batch whose budget admits no distribution fails before any draw.
+    /// The measurement loop over a slice (the shape
+    /// [`Mechanism::call`](crate::api::Mechanism::call) runs, which the
+    /// per-block providers fill in parallel): construct the batch's noise
+    /// distribution once, then one staircase draw per answer in index
+    /// order through the provider's batch shape. A batch whose budget
+    /// admits no distribution fails before any draw.
     pub(crate) fn measure_core<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -113,10 +114,18 @@ impl StaircaseMechanism {
         Ok(())
     }
 
-    /// The measurement loop over a lazy answer stream. `count` is the
-    /// sequential-composition divisor (the batch size a materialized call
-    /// reads off `answers.len()`, which a stream cannot supply up front).
-    fn measure_streaming_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
+    /// The measurement loop over a lazy answer stream, and the one
+    /// provider-taking entry: one staircase draw per answer, written into
+    /// `out` (reusing its buffer). `count` is the sequential-composition
+    /// divisor (the batch size a materialized call reads off
+    /// `answers.len()`); bit-identical to
+    /// [`measure_split`](Self::measure_split) on the same RNG stream when
+    /// the stream yields `count` answers. A batch whose budget admits no
+    /// distribution fails before any draw.
+    ///
+    /// # Errors
+    /// As [`noise_for_batch`](Self::noise_for_batch), for `k = count`.
+    pub fn measure_split_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         answers: I,
         count: usize,
@@ -137,7 +146,9 @@ impl StaircaseMechanism {
     /// Sequential-composition measurement: splits the budget evenly over
     /// the answers (the staircase counterpart of
     /// [`crate::laplace_mech::LaplaceMechanism::measure_split`]). The dyn
-    /// reference path.
+    /// reference path: one
+    /// [`NoiseSource::staircase`](free_gap_alignment::NoiseSource::staircase)
+    /// call — and one distribution reconstruction — per draw.
     ///
     /// # Errors
     /// As [`noise_for_batch`](Self::noise_for_batch), for `k = answers.len()`.
@@ -146,155 +157,22 @@ impl StaircaseMechanism {
         answers: &[f64],
         rng: &mut StdRng,
     ) -> Result<Vec<f64>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.measure_split_with_source(answers, &mut source)
-    }
-
-    /// [`measure_split`](Self::measure_split) against an explicit noise
-    /// source (the alignment-style dyn path: one
-    /// [`NoiseSource::staircase`] call — and one distribution
-    /// reconstruction — per draw).
-    ///
-    /// # Errors
-    /// As [`measure_split`](Self::measure_split).
-    pub fn measure_split_with_source(
-        &self,
-        answers: &[f64],
-        source: &mut dyn NoiseSource,
-    ) -> Result<Vec<f64>, MechanismError> {
         let mut out = Vec::new();
-        self.measure_core(answers, &mut SourceDraws::new(source), &mut out)?;
+        self.measure_core(
+            answers,
+            &mut SourceDraws::new(&mut SamplingSource::new(rng)),
+            &mut out,
+        )?;
         Ok(out)
-    }
-
-    /// Batched fast path of [`measure_split`](Self::measure_split): the
-    /// same loop through [`ScratchDraws`] — the staircase distribution is
-    /// constructed once per batch and the four uniforms per draw are served
-    /// from the scratch's blocked raw-uniform tape. Bit-identical to
-    /// [`measure_split`](Self::measure_split) on the same RNG stream.
-    ///
-    /// # Errors
-    /// As [`measure_split`](Self::measure_split).
-    pub fn measure_split_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &[f64],
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> Result<Vec<f64>, MechanismError> {
-        let mut out = Vec::new();
-        self.measure_split_with_scratch_into(answers, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`measure_split_with_scratch`](Self::measure_split_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    ///
-    /// # Errors
-    /// As [`measure_split`](Self::measure_split).
-    pub fn measure_split_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &[f64],
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), MechanismError> {
-        self.measure_core(answers, &mut ScratchDraws::new(scratch, rng), out)
-    }
-
-    /// Intra-run parallel path of [`measure_split`](Self::measure_split):
-    /// the same measurement loop through a per-block provider
-    /// ([`ParallelDraws`](crate::draw::ParallelDraws) or its sequential
-    /// reference [`BlockSeqDraws`](crate::draw::BlockSeqDraws)) — the batch
-    /// staircase fill split across the provider's threads, bit-identical
-    /// for any thread count. The run is keyed by the provider's `run_seed`,
-    /// a *different stream* from the single-RNG paths.
-    ///
-    /// # Errors
-    /// As [`measure_split`](Self::measure_split).
-    pub fn measure_split_par<P: DrawProvider>(
-        &self,
-        answers: &[f64],
-        provider: &mut P,
-    ) -> Result<Vec<f64>, MechanismError> {
-        let mut out = Vec::new();
-        self.measure_split_par_into(answers, provider, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`measure_split_par`](Self::measure_split_par).
-    ///
-    /// # Errors
-    /// As [`measure_split`](Self::measure_split).
-    pub fn measure_split_par_into<P: DrawProvider>(
-        &self,
-        answers: &[f64],
-        provider: &mut P,
-        out: &mut Vec<f64>,
-    ) -> Result<(), MechanismError> {
-        self.measure_core(answers, provider, out)
-    }
-
-    /// Streaming twin of [`measure_split`](Self::measure_split): measures a
-    /// lazy answer stream without materializing it, splitting the budget by
-    /// the caller-supplied `count`. Bit-identical to the materialized path
-    /// on the same RNG stream when the stream yields `count` answers.
-    ///
-    /// # Errors
-    /// As [`noise_for_batch`](Self::noise_for_batch), for `k = count`.
-    pub fn measure_split_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        answers: I,
-        count: usize,
-        rng: &mut StdRng,
-    ) -> Result<Vec<f64>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let mut out = Vec::new();
-        self.measure_streaming_core(answers, count, &mut SourceDraws::new(&mut source), &mut out)?;
-        Ok(out)
-    }
-
-    /// Streaming + scratch: lazy answers, tape-served noise.
-    ///
-    /// # Errors
-    /// As [`measure_split_streaming`](Self::measure_split_streaming).
-    pub fn measure_split_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        answers: I,
-        count: usize,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> Result<Vec<f64>, MechanismError> {
-        let mut out = Vec::new();
-        self.measure_split_streaming_with_scratch_into(answers, count, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`measure_split_streaming_with_scratch`](Self::measure_split_streaming_with_scratch).
-    ///
-    /// # Errors
-    /// As [`measure_split_streaming`](Self::measure_split_streaming).
-    pub fn measure_split_streaming_with_scratch_into<
-        R: Rng + ?Sized,
-        I: IntoIterator<Item = f64>,
-    >(
-        &self,
-        answers: I,
-        count: usize,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), MechanismError> {
-        self.measure_streaming_core(answers, count, &mut ScratchDraws::new(scratch, rng), out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::ScratchDraws;
     use crate::laplace_mech::LaplaceMechanism;
+    use crate::scratch::SvtScratch;
     use free_gap_noise::rng::rng_from_seed;
     use free_gap_noise::stats::RunningMoments;
 
@@ -366,14 +244,24 @@ mod tests {
         let mut scratch = SvtScratch::new();
         let mut out = vec![7.0];
         assert_eq!(
-            tiny.measure_split_with_scratch_into(&answers, &mut rng, &mut scratch, &mut out),
+            tiny.measure_split_into(
+                answers.iter().copied(),
+                answers.len(),
+                &mut ScratchDraws::new(&mut scratch, &mut rng),
+                &mut out
+            ),
             Err(invalid.clone())
         );
         assert_eq!(out, [7.0], "a rejected batch writes nothing");
         assert_eq!(
-            tiny.measure_split_streaming(answers.iter().copied(), answers.len(), &mut rng),
+            tiny.measure_core(
+                &answers,
+                &mut ScratchDraws::new(&mut scratch, &mut rng),
+                &mut out
+            ),
             Err(invalid)
         );
+        assert_eq!(out, [7.0], "a rejected batch writes nothing");
         // A short batch at the same ε is fine.
         assert!(tiny.measure_split(&[1.0], &mut rng).is_ok());
 

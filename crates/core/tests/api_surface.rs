@@ -1,17 +1,22 @@
-//! Pins the unified call surface (`free_gap_core::api`) to the historical
-//! per-mechanism entry points:
+//! Pins the unified call surface (`free_gap_core::api`) to the
+//! per-mechanism entries:
 //!
-//! * `call_reference` is bit-identical to each mechanism's dyn `run` path;
-//! * `call_batched` is bit-identical to each mechanism's `*_with_scratch`
-//!   fast path;
+//! * `call_reference` is bit-identical to each mechanism's allocating
+//!   reference entry (`run`, `run_top_k`, `measure_split`);
+//! * `call_batched` is bit-identical to each mechanism's `_into` entry
+//!   through the provider it picks (`RngDraws` for the selections, the
+//!   `ScratchDraws` tape for SVT and staircase);
 //! * the resumable streaming SVT (`stream_open`/`stream_feed`) is
-//!   bit-identical to a one-shot streaming run under any batching of the
+//!   bit-identical to a one-shot `run_into` under any batching of the
 //!   query feed.
 //!
-//! Together with `tests/scratch_equivalence.rs` (which pins the fast paths
-//! to the dyn paths) this makes the new API surface a pure re-packaging:
-//! no mechanism's served distribution changes.
+//! Together with `tests/scratch_equivalence.rs` (which pins the `_into`
+//! entries to the reference entries across providers) this makes the API
+//! surface a pure re-packaging: no mechanism's served distribution changes.
 
+mod common;
+
+use common::{bits, Race, Subject};
 use free_gap_core::answers::QueryAnswers;
 use free_gap_core::api::{
     AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
@@ -20,10 +25,10 @@ use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
 use free_gap_core::sparse_vector::{
     AdaptiveSparseVector, ClassicSparseVector, DiscreteSparseVectorWithGap,
-    MultiBranchAdaptiveSparseVector, SparseVectorWithGap,
+    MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
-use free_gap_core::{SvtScratch, TopKScratch};
+use free_gap_core::{RngDraws, ScratchDraws, SvtScratch, TopKScratch};
 use free_gap_noise::rng::{derive_fast_stream, derive_stream};
 
 fn values() -> Vec<f64> {
@@ -53,8 +58,8 @@ fn grid() -> Vec<AnyMechanism> {
 }
 
 /// `call_reference` goes through the same dyn `SourceDraws` path as each
-/// mechanism's `run`, so on the same `StdRng` stream the outputs must be
-/// bit-identical.
+/// mechanism's allocating reference entry, so on the same `StdRng` stream
+/// the outputs must be bit-identical.
 #[test]
 fn call_reference_matches_run_entry_points() {
     let vals = values();
@@ -104,13 +109,32 @@ fn call_reference_matches_run_entry_points() {
     }
 }
 
-/// `call_batched` picks each mechanism's historical fast provider, so on
-/// the same RNG stream it must be bit-identical to the mechanism's own
-/// `*_with_scratch` entry point.
+/// `_into` entry of `m` through the provider `call_batched` picks for it,
+/// on stream `(seed, 1)` of the fast generator.
+fn batched<M: Subject>(m: &M, vals: &[f64], seed: u64) -> M::Out {
+    let mut rng = derive_fast_stream(seed, 1);
+    let mut out = M::Out::default();
+    let (mut topk, mut svt) = (TopKScratch::new(), SvtScratch::new());
+    let queries = vals.iter().copied();
+    if M::TAPE {
+        m.entry(
+            queries,
+            &mut ScratchDraws::new(&mut svt, &mut rng),
+            &mut topk,
+            &mut out,
+        );
+    } else {
+        m.entry(queries, &mut RngDraws::new(&mut rng), &mut topk, &mut out);
+    }
+    out
+}
+
+/// `call_batched` picks each mechanism's fast provider, so on the same RNG
+/// stream it must be bit-identical to the mechanism's `_into` entry
+/// through that provider.
 #[test]
-fn call_batched_matches_with_scratch_entry_points() {
+fn call_batched_matches_into_entry_points() {
     let vals = values();
-    let answers = QueryAnswers::counting(vals.clone());
     let req = QuerySlice::new(&vals);
     for mech in grid() {
         let mut scratch = CallScratch::new();
@@ -123,44 +147,37 @@ fn call_batched_matches_with_scratch_entry_points() {
                 &mut out,
             )
             .unwrap();
-            let mut topk = TopKScratch::new();
-            let mut svt = SvtScratch::new();
-            let rng = &mut derive_fast_stream(seed, 1);
             let expect = match &mech {
-                AnyMechanism::NoisyTopKWithGap(m) => {
-                    MechanismOutput::TopK(m.run_with_scratch(&answers, rng, &mut topk).unwrap())
-                }
+                AnyMechanism::NoisyTopKWithGap(m) => MechanismOutput::TopK(batched(m, &vals, seed)),
                 AnyMechanism::ClassicNoisyTopK(m) => {
-                    MechanismOutput::Indices(m.run_with_scratch(&answers, rng, &mut topk).unwrap())
+                    MechanismOutput::Indices(batched(m, &vals, seed))
                 }
                 AnyMechanism::DiscreteNoisyTopKWithGap(m) => {
-                    MechanismOutput::TopK(m.run_with_scratch(&answers, rng, &mut topk).unwrap())
+                    MechanismOutput::TopK(batched(m, &vals, seed))
                 }
-                AnyMechanism::Exponential(m) => MechanismOutput::Indices(
-                    m.mechanism()
-                        .run_top_k_with_scratch(&answers, m.k(), rng, &mut topk)
-                        .unwrap(),
-                ),
-                AnyMechanism::Staircase(m) => MechanismOutput::Measurements(
-                    m.measure_split_with_scratch(&vals, rng, &mut svt).unwrap(),
-                ),
+                AnyMechanism::Exponential(m) => {
+                    MechanismOutput::Indices(batched(&Race(*m.mechanism(), m.k()), &vals, seed))
+                }
+                AnyMechanism::Staircase(m) => {
+                    MechanismOutput::Measurements(batched(m, &vals, seed))
+                }
                 AnyMechanism::SparseVectorWithGap(m) => {
-                    MechanismOutput::SparseVector(m.run_with_scratch(&answers, rng, &mut svt))
+                    MechanismOutput::SparseVector(batched(m, &vals, seed))
                 }
                 AnyMechanism::ClassicSparseVector(m) => {
-                    MechanismOutput::SparseVector(m.run_with_scratch(&answers, rng, &mut svt))
+                    MechanismOutput::SparseVector(batched(m, &vals, seed))
                 }
                 AnyMechanism::AdaptiveSparseVector(m) => {
-                    MechanismOutput::Adaptive(m.run_with_scratch(&answers, rng, &mut svt))
+                    MechanismOutput::Adaptive(batched(m, &vals, seed))
                 }
-                AnyMechanism::MultiBranchAdaptiveSparseVector(m) => MechanismOutput::MultiBranch(
-                    m.run_streaming_with_scratch(vals.iter().copied(), rng, &mut svt),
-                ),
+                AnyMechanism::MultiBranchAdaptiveSparseVector(m) => {
+                    MechanismOutput::MultiBranch(batched(m, &vals, seed))
+                }
                 AnyMechanism::DiscreteSparseVectorWithGap(m) => {
-                    MechanismOutput::SparseVector(m.run_with_scratch(&answers, rng, &mut svt))
+                    MechanismOutput::SparseVector(batched(m, &vals, seed))
                 }
             };
-            assert_eq!(out, expect, "{} seed {seed}", mech.name());
+            assert_eq!(bits(&out), bits(&expect), "{} seed {seed}", mech.name());
         }
     }
 }
@@ -191,8 +208,8 @@ fn names_and_costs_are_stable() {
 
 /// Feeding a streaming SVT run one query at a time (or in any other
 /// batching) through `stream_open`/`stream_feed` must reproduce the
-/// one-shot streaming run bit for bit — the property that lets a server
-/// hold a session open across requests.
+/// one-shot `run_into` through the same tape bit for bit — the property
+/// that lets a server hold a session open across requests.
 #[test]
 fn resumable_stream_matches_one_shot() {
     let queries = values();
@@ -207,22 +224,17 @@ fn resumable_stream_matches_one_shot() {
         &[3, 1, 4],
     ];
     for seed in 0..30u64 {
-        let one_shot_gap = {
-            let mut scratch = SvtScratch::new();
-            gap.run_streaming_with_scratch(
-                queries.iter().copied(),
-                &mut derive_fast_stream(seed, 2),
-                &mut scratch,
-            )
-        };
-        let one_shot_classic = {
-            let mut scratch = SvtScratch::new();
-            classic.run_streaming_with_scratch(
-                queries.iter().copied(),
-                &mut derive_fast_stream(seed, 2),
-                &mut scratch,
-            )
-        };
+        let (mut one_shot_gap, mut one_shot_classic) = (SvOutput::default(), SvOutput::default());
+        gap.run_into(
+            queries.iter().copied(),
+            &mut ScratchDraws::new(&mut SvtScratch::new(), &mut derive_fast_stream(seed, 2)),
+            &mut one_shot_gap,
+        );
+        classic.run_into(
+            queries.iter().copied(),
+            &mut ScratchDraws::new(&mut SvtScratch::new(), &mut derive_fast_stream(seed, 2)),
+            &mut one_shot_classic,
+        );
         for batching in batchings {
             assert_eq!(batching.iter().sum::<usize>(), queries.len());
             // Gap-releasing variant.

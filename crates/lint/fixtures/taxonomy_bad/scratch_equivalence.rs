@@ -2,7 +2,7 @@
 //! only — `BadMechanism` and `GhostMechanism` have no entry.
 
 #[test]
-fn unbenched_mechanism_scratch_matches_dyn() {
+fn unbenched_mechanism_providers_agree() {
     let mech = UnbenchedMechanism::new(1.0);
-    assert_paths_agree(&mech);
+    assert_providers_agree(&mech);
 }

@@ -1,38 +1,27 @@
 //! R4 power-check fixture tree — every way the taxonomy can go incomplete.
 
-/// Has a scratch fast path but no `_into` twin, and no equivalence entry:
-/// the bench grid lists it, yet nothing proves the fast path correct and
-/// the timed loops cannot drive it allocation-free.
+/// Has its provider-taking entry and a bench grid cell, but no equivalence
+/// entry: nothing proves it bit-identical to the reference.
 impl BadMechanism {
-    pub fn run_with_scratch<R: Rng + ?Sized>(
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> Vec<GapOutcome> {
-        run_core(answers, &mut ScratchDraws::new(scratch, rng))
+        queries: I,
+        provider: &mut P,
+        out: &mut Vec<GapOutcome>,
+    ) {
+        run_core(queries, provider, out)
     }
 }
 
-/// Complete pair and equivalence entry — but never declared in
-/// `MECHANISM_PATHS`, so bench-check cannot guard its cell.
+/// Entry and equivalence entry — but never declared in `MECHANISM_PATHS`,
+/// so bench-check cannot guard its cell.
 impl UnbenchedMechanism {
-    pub fn run_with_scratch<R: Rng + ?Sized>(
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> Vec<GapOutcome> {
-        run_core(answers, &mut ScratchDraws::new(scratch, rng))
-    }
-
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
+        queries: I,
+        provider: &mut P,
         out: &mut Vec<GapOutcome>,
     ) {
-        run_core_into(answers, &mut ScratchDraws::new(scratch, rng), out)
+        run_core(queries, provider, out)
     }
 }

@@ -2,5 +2,5 @@
 
 pub const MECHANISM_PATHS: [(&str, &[&str]); 2] = [
     ("GoodMechanism", &["dyn", "scratch"]),
-    ("ScalarMechanism", &["dyn", "scratch"]),
+    ("RaceMechanism", &["dyn", "scratch"]),
 ];

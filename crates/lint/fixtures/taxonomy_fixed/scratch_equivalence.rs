@@ -2,13 +2,13 @@
 //! has an entry.
 
 #[test]
-fn good_mechanism_scratch_matches_dyn() {
+fn good_mechanism_providers_agree() {
     let mech = GoodMechanism::new(1.0);
-    assert_paths_agree(&mech);
+    assert_providers_agree(&mech);
 }
 
 #[test]
-fn scalar_mechanism_scratch_matches_dyn() {
-    let mech = ScalarMechanism::new(1.0);
-    assert_winner_agrees(&mech);
+fn race_mechanism_matches_reference_sort() {
+    let mech = RaceMechanism::new(1.0);
+    assert_race_matches_sort(&mech);
 }

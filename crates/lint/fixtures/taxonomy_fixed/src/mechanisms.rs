@@ -1,38 +1,44 @@
 //! R4 power-check fixture tree — a complete taxonomy. Must lint clean.
 
-/// Full pair: scratch fast path + allocation-free `_into` twin, with an
-/// equivalence entry and a bench grid cell.
+/// One public provider-taking entry beside the allocating reference, with
+/// an equivalence entry and a bench grid cell.
 impl GoodMechanism {
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> Vec<GapOutcome> {
-        run_core(answers, &mut ScratchDraws::new(scratch, rng))
+    pub fn run(&self, answers: &QueryAnswers<'_>, rng: &mut StdRng) -> Vec<GapOutcome> {
+        let mut out = Vec::new();
+        self.run_into(answers.iter(), &mut SourceDraws::new(rng), &mut out);
+        out
     }
 
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
+        queries: I,
+        provider: &mut P,
         out: &mut Vec<GapOutcome>,
     ) {
-        run_core_into(answers, &mut ScratchDraws::new(scratch, rng), out)
+        run_core(queries, provider, out)
     }
 }
 
-impl ScalarMechanism {
-    /// Returns a single winner index — there is no output buffer to reuse,
-    /// so the `_into` twin is exempted rather than invented.
-    // lint:allow(taxonomy): scalar winner index; no buffer for an _into twin to reuse
-    pub fn run_with_scratch<R: Rng + ?Sized>(
+impl RaceMechanism {
+    /// The one entry may carry any `_into` name; crate-private helpers
+    /// (the parallel race behind the unified call surface) do not count.
+    pub fn run_top_k_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> usize {
-        select_core(answers, &mut ScratchDraws::new(scratch, rng))
+        queries: I,
+        k: usize,
+        provider: &mut P,
+        out: &mut Vec<usize>,
+    ) {
+        race_core(queries, k, provider, out)
+    }
+
+    pub(crate) fn race_par_into<P: DrawProvider>(
+        &self,
+        values: &[f64],
+        k: usize,
+        provider: &mut P,
+        out: &mut Vec<usize>,
+    ) {
+        race_par_core(values, k, provider, out)
     }
 }

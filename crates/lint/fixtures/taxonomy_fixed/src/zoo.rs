@@ -1,14 +1,24 @@
 //! Deliberately-broken variant zoo: attacked by the privacy-attack harness,
-//! never benched — exempt from the taxonomy as a whole file.
+//! never benched — exempt from the taxonomy as a whole file, fan-out
+//! included.
 // lint:allow-file(taxonomy): the zoo is an attack target, not a benched mechanism
 
 impl LeakyZooVariant {
-    pub fn run_with_scratch<R: Rng + ?Sized>(
+    pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> Vec<GapOutcome> {
-        run_leaky_core(answers, &mut ScratchDraws::new(scratch, rng))
+        queries: I,
+        provider: &mut P,
+        out: &mut Vec<GapOutcome>,
+    ) {
+        run_leaky_core(queries, provider, out)
+    }
+
+    pub fn run_leakier_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
+        &self,
+        queries: I,
+        provider: &mut P,
+        out: &mut Vec<GapOutcome>,
+    ) {
+        run_leakier_core(queries, provider, out)
     }
 }

@@ -16,7 +16,7 @@
 //! | `stream-discipline` (R1) | no raw RNG/`NoiseSource` draws inside provider-generic cores or the blocked `ScratchDraws` provider — randomness flows through [`DrawProvider`] methods only |
 //! | `endpoint-guard` (R2) | every `.ln()` in a uniform transform clamps its operand with `.max(f64::MIN_POSITIVE)` |
 //! | `panic-freedom` (R3) | no `unwrap`/`expect`/`panic!`/`assert!` in non-test mechanism code — typed `MechanismError` or a justified allow |
-//! | `taxonomy` (R4) | every `*_with_scratch` fast path has its `_into` twin, a `scratch_equivalence` entry, and a `MECHANISM_PATHS` bench cell (cross-file) |
+//! | `taxonomy` (R4) | every mechanism type has exactly one public provider-taking `*_into` entry, a `scratch_equivalence` entry, and a `MECHANISM_PATHS` bench cell (cross-file) |
 //! | `budget-balance` (R5) | every `try_debit` handles its failure with a typed rejection; a debited share reaches exactly one `release` on every error path (dataflow) |
 //! | `lock-discipline` (R6) | a live guard never crosses another `.lock()` or a mechanism `call_*`; lock results absorb poisoning via `PoisonError::into_inner` (dataflow) |
 //! | `par-purity` (R7) | parallel block-fill closures are pure functions of (run seed, block index, disjoint slab) — no captured `&mut`, thread identity, statics, or entropy (dataflow) |
@@ -61,7 +61,8 @@ pub enum Rule {
     EndpointGuard,
     /// R3 — non-test mechanism code never panics.
     PanicFreedom,
-    /// R4 — the scratch/`_into`/equivalence/bench taxonomy is complete.
+    /// R4 — one `_into` entry per mechanism, each with an equivalence
+    /// entry and a bench cell.
     Taxonomy,
     /// R5 — every `try_debit` is rejected-on-failure; debited shares reach
     /// exactly one `release` per path.
@@ -406,7 +407,7 @@ pub struct Fixture {
 /// (or concretely possible) bug verbatim — plus the corrected twin that
 /// must lint clean (so a rule can neither under- nor over-fire without
 /// failing the power checks).
-pub const FIXTURES: [Fixture; 26] = [
+pub const FIXTURES: [Fixture; 28] = [
     Fixture {
         path: "stream_discipline_bad.rs",
         rule: Rule::StreamDiscipline,
@@ -463,6 +464,18 @@ pub const FIXTURES: [Fixture; 26] = [
     },
     Fixture {
         path: "taxonomy_fixed",
+        rule: Rule::Taxonomy,
+        scope: FileScope::Core,
+        expect_flagged: false,
+    },
+    Fixture {
+        path: "taxonomy_fanout_bad",
+        rule: Rule::Taxonomy,
+        scope: FileScope::Core,
+        expect_flagged: true,
+    },
+    Fixture {
+        path: "taxonomy_fanout_fixed",
         rule: Rule::Taxonomy,
         scope: FileScope::Core,
         expect_flagged: false,

@@ -1,24 +1,27 @@
 //! R4 — taxonomy completeness, the cross-file structural rule.
 //!
-//! Every mechanism that exposes a `*_with_scratch` fast path must:
+//! Every mechanism has exactly one public provider-taking entry, its
+//! `*_into` function (`run_into`, `run_top_k_into`, `measure_split_into`):
+//! the one copy of its decision loop, with the caller passing in the noise
+//! provider. Each core type that exposes one must:
 //!
-//! 1. expose the allocation-free `*_with_scratch_into` twin (the bench grid
-//!    drives the `_into` paths, so a missing twin silently drops the
-//!    mechanism out of the timed loops),
+//! 1. expose **only one** — a second public `*_into` entry is the fan-out
+//!    of drifting copies this rule exists to stop from growing back (the
+//!    Chen–Machanavajjhala hazard: variants that drift apart lose their
+//!    privacy guarantee),
 //! 2. appear in the `scratch_equivalence` suite (otherwise nothing proves
-//!    the fast path bit-identical to the reference), and
+//!    the entry bit-identical to the reference across providers), and
 //! 3. appear in the bench `MECHANISM_PATHS` grid (otherwise `bench-check`
 //!    cannot notice the cell going missing).
 //!
 //! The reverse directions hold too: every `MECHANISM_PATHS` name must
-//! resolve to a type with a scratch path and an equivalence entry — a
+//! resolve to a type with an `_into` entry and an equivalence entry — a
 //! mechanism added to the grid without an equivalence test is exactly the
 //! gap this rule exists to close.
 //!
 //! Exemptions use the same allow syntax as the token rules:
-//! `// lint:allow(taxonomy): reason` on (or above) the `fn` line skips the
-//! twin check for that entry point (e.g. a scalar-returning winner index
-//! with no buffer to reuse), and a file-level
+//! `// lint:allow(taxonomy): reason` on (or above) the `fn` line takes
+//! that entry out of the inventory, and a file-level
 //! `// lint:allow-file(taxonomy): reason` skips a whole file (the broken
 //! zoo is attacked, not benched).
 
@@ -29,19 +32,19 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One `*_with_scratch*` entry point found in the core sources.
+/// One public `*_into` entry found in the core sources.
 #[derive(Debug)]
-struct ScratchFn {
+struct IntoFn {
+    name: String,
     file: PathBuf,
     line: u32,
-    allowed: bool,
 }
 
 /// Everything R4 extracts from the tree before cross-checking.
 #[derive(Debug, Default)]
 pub struct Inventory {
-    /// type name → method name → site.
-    types: BTreeMap<String, BTreeMap<String, ScratchFn>>,
+    /// type name → its public `*_into` entries, in source order.
+    types: BTreeMap<String, Vec<IntoFn>>,
     /// Identifiers appearing in the equivalence suite.
     equivalence_idents: Vec<String>,
     /// Mechanism names in `MECHANISM_PATHS`, with the literal's line.
@@ -49,8 +52,9 @@ pub struct Inventory {
 }
 
 impl Inventory {
-    /// Sorted list of mechanism type names exposing a scratch fast path —
-    /// the seed for the exhaustiveness test that pins today's taxonomy.
+    /// Sorted list of mechanism type names exposing a public `*_into`
+    /// entry — the seed for the exhaustiveness test that pins today's
+    /// taxonomy.
     pub fn mechanism_types(&self) -> Vec<String> {
         self.types.keys().cloned().collect()
     }
@@ -68,7 +72,7 @@ impl Inventory {
 pub fn inventory(core_src: &Path, equivalence: &Path, perf: &Path) -> io::Result<Inventory> {
     let mut inv = Inventory::default();
     for file in crate::rust_files(core_src)? {
-        collect_scratch_fns(&file, &mut inv)?;
+        collect_into_fns(&file, &mut inv)?;
     }
     let eq_src = std::fs::read_to_string(equivalence)?;
     inv.equivalence_idents = lex(&eq_src)
@@ -84,89 +88,82 @@ pub fn inventory(core_src: &Path, equivalence: &Path, perf: &Path) -> io::Result
 
 /// Runs the cross-checks over a collected inventory.
 pub fn check(inv: &Inventory, equivalence: &Path, perf: &Path, out: &mut Vec<Diagnostic>) {
+    let mut flag = |file: &Path, line: u32, message: String| {
+        out.push(Diagnostic {
+            file: file.to_path_buf(),
+            line,
+            rule: Rule::Taxonomy,
+            allow: crate::AllowState::None,
+            message,
+        });
+    };
     for (ty, fns) in &inv.types {
-        let mut anchor: Option<(&PathBuf, u32)> = None;
-        for (name, site) in fns {
-            anchor.get_or_insert((&site.file, site.line));
-            if name.ends_with("_with_scratch") && !site.allowed {
-                let twin = format!("{name}_into");
-                if !fns.contains_key(&twin) {
-                    out.push(Diagnostic {
-                        file: site.file.clone(),
-                        line: site.line,
-                        rule: Rule::Taxonomy,
-                        allow: crate::AllowState::None,
-                        message: format!(
-                            "`{ty}::{name}` has no `{twin}` twin: every scratch fast path \
-                             needs the out-parameter variant the bench grid drives \
-                             (allocation-free timed loops)"
-                        ),
-                    });
-                }
-            }
+        let Some(first) = fns.first() else { continue };
+        for extra in &fns[1..] {
+            flag(
+                &extra.file,
+                extra.line,
+                format!(
+                    "`{ty}::{}` is a second public provider-taking entry beside \
+                     `{ty}::{}`: each mechanism keeps one `_into` entry and callers \
+                     pass the provider (drifting copies lose the privacy proof)",
+                    extra.name, first.name
+                ),
+            );
         }
-        let (file, line) = anchor.map(|(f, l)| (f.clone(), l)).unwrap_or_default();
         if !inv.equivalence_idents.iter().any(|i| i == ty) {
-            out.push(Diagnostic {
-                file: file.clone(),
-                line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
-                    "`{ty}` exposes a scratch fast path but never appears in the \
-                     scratch_equivalence suite ({}): nothing proves the fast path \
-                     bit-identical to the reference",
+            flag(
+                &first.file,
+                first.line,
+                format!(
+                    "`{ty}` exposes `{}` but never appears in the scratch_equivalence \
+                     suite ({}): nothing proves it bit-identical to the reference",
+                    first.name,
                     equivalence.display()
                 ),
-            });
+            );
         }
         if !inv.grid.iter().any(|(n, _)| n == ty) {
-            out.push(Diagnostic {
-                file,
-                line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
-                    "`{ty}` exposes a scratch fast path but is missing from \
-                     MECHANISM_PATHS ({}): bench-check cannot guard cells that \
-                     were never declared",
+            flag(
+                &first.file,
+                first.line,
+                format!(
+                    "`{ty}` exposes `{}` but is missing from MECHANISM_PATHS ({}): \
+                     bench-check cannot guard cells that were never declared",
+                    first.name,
                     perf.display()
                 ),
-            });
+            );
         }
     }
     for (name, line) in &inv.grid {
         if !inv.types.contains_key(name) {
-            out.push(Diagnostic {
-                file: perf.to_path_buf(),
-                line: *line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
+            flag(
+                perf,
+                *line,
+                format!(
                     "MECHANISM_PATHS lists `{name}` but no type of that name exposes a \
-                     `*_with_scratch` entry point in the core sources"
+                     public `*_into` entry in the core sources"
                 ),
-            });
+            );
         }
         if !inv.equivalence_idents.iter().any(|i| i == name) {
-            out.push(Diagnostic {
-                file: perf.to_path_buf(),
-                line: *line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
+            flag(
+                perf,
+                *line,
+                format!(
                     "`{name}` is benched in MECHANISM_PATHS but has no \
                      scratch_equivalence entry ({}): a grid cell without an \
                      equivalence test can drift from the reference unnoticed",
                     equivalence.display()
                 ),
-            });
+            );
         }
     }
 }
 
-/// Collects `fn *_with_scratch*` names per impl type from one file.
-fn collect_scratch_fns(path: &Path, inv: &mut Inventory) -> io::Result<()> {
+/// Collects the public `fn *_into` entries per impl type from one file.
+fn collect_into_fns(path: &Path, inv: &mut Inventory) -> io::Result<()> {
     let src = std::fs::read_to_string(path)?;
     let lexed = lex(&src);
     let allows = allow::parse(&lexed.comments);
@@ -175,30 +172,26 @@ fn collect_scratch_fns(path: &Path, inv: &mut Inventory) -> io::Result<()> {
         return Ok(());
     }
     let toks = &lexed.tokens;
+    let is_ident = |k: usize, text: &str| toks[k].kind == TokenKind::Ident && toks[k].text == text;
     let mut i = 0usize;
     while i < toks.len() {
-        if toks[i].kind == TokenKind::Ident && toks[i].text == "impl" {
+        if is_ident(i, "impl") {
             if let Some((ty, body_start)) = parse_impl_header(toks, i + 1) {
                 let body_end = matching_brace(toks, body_start);
-                let mut j = body_start + 1;
-                while j + 1 < body_end {
-                    if toks[j].kind == TokenKind::Ident
-                        && toks[j].text == "fn"
+                for j in body_start + 1..body_end.saturating_sub(1) {
+                    // `pub fn name` only: `pub(crate) fn` ends in `)`.
+                    if is_ident(j - 1, "pub")
+                        && is_ident(j, "fn")
                         && toks[j + 1].kind == TokenKind::Ident
-                        && toks[j + 1].text.contains("_with_scratch")
+                        && toks[j + 1].text.ends_with("_into")
+                        && !allows.is_allowed(Rule::Taxonomy, toks[j].line)
                     {
-                        let name = toks[j + 1].text.clone();
-                        let line = toks[j].line;
-                        inv.types.entry(ty.clone()).or_default().insert(
-                            name,
-                            ScratchFn {
-                                file: path.to_path_buf(),
-                                line,
-                                allowed: allows.is_allowed(Rule::Taxonomy, line),
-                            },
-                        );
+                        inv.types.entry(ty.clone()).or_default().push(IntoFn {
+                            name: toks[j + 1].text.clone(),
+                            file: path.to_path_buf(),
+                            line: toks[j].line,
+                        });
                     }
-                    j += 1;
                 }
                 i = body_end;
                 continue;

@@ -212,8 +212,9 @@ fn real_tree_lints_clean_under_all_rules() {
 fn taxonomy_inventory_pins_todays_mechanism_list() {
     // Exhaustiveness seed: the exact set of benched mechanisms today. Adding
     // a mechanism to MECHANISM_PATHS updates this list — and R4 then forces
-    // the scratch_equivalence entry and the `_into` twin to exist before the
-    // tree lints clean again. Removing one must also be deliberate.
+    // the scratch_equivalence entry and the one `_into` entry to exist
+    // before the tree lints clean again. Removing one must also be
+    // deliberate.
     let layout = TreeLayout::at(&repo_root());
     let inv = taxonomy::inventory(&layout.core_src, &layout.equivalence, &layout.perf)
         .expect("inventory");
@@ -234,12 +235,40 @@ fn taxonomy_inventory_pins_todays_mechanism_list() {
         "MECHANISM_PATHS changed: update this seed AND make sure the \
          scratch_equivalence + _into taxonomy is complete for the new set"
     );
-    // Every benched mechanism's type must be in the scratch-fn inventory.
-    let types = inv.mechanism_types();
-    for m in inv.grid_mechanisms() {
-        assert!(
-            types.contains(&m),
-            "grid mechanism {m} has no *_with_scratch entry point"
-        );
+    // The `_into` inventory is exactly the grid: every benched mechanism
+    // has its entry, and no other core type exposes one.
+    assert_eq!(inv.mechanism_types(), inv.grid_mechanisms());
+}
+
+#[test]
+fn taxonomy_bad_trees_fire_each_case() {
+    // The power check above only sees "flagged or not"; pin which case
+    // fires where, so no single R4 check can go silent behind another.
+    let messages = |path: &str| -> Vec<String> {
+        let fixture = FIXTURES.iter().find(|f| f.path == path).unwrap();
+        let mut m: Vec<String> = lint_fixture(fixture)
+            .unwrap()
+            .into_iter()
+            .map(|d| d.message)
+            .collect();
+        m.sort();
+        m
+    };
+    let bad = messages("taxonomy_bad");
+    let expect = [
+        "MECHANISM_PATHS lists `GhostMechanism` but no type",
+        "`BadMechanism` exposes `run_into` but never appears",
+        "`BadMechanism` is benched in MECHANISM_PATHS but has no",
+        "`GhostMechanism` is benched in MECHANISM_PATHS but has no",
+        "`UnbenchedMechanism` exposes `run_into` but is missing",
+    ];
+    assert_eq!(bad.len(), expect.len(), "{bad:#?}");
+    for (got, want) in bad.iter().zip(expect) {
+        assert!(got.starts_with(want), "{got}");
     }
+    let fanout = messages("taxonomy_fanout_bad");
+    assert_eq!(fanout.len(), 1, "{fanout:#?}");
+    assert!(fanout[0].starts_with(
+        "`FannedOutMechanism::run_batched_into` is a second public provider-taking entry"
+    ));
 }

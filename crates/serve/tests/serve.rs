@@ -5,11 +5,13 @@
 //! * an evicted session's unspent budget is released exactly once;
 //! * per-tenant responses are independent of how requests from different
 //!   tenants interleave (the sequential reference check);
-//! * a call the mechanism cannot serve is a typed rejection whose debit is
+//! * a call the mechanism cannot serve (an unrepresentable staircase batch,
+//!   a non-finite Top-K answer) is a typed rejection whose debit is
 //!   refunded in full;
 //! * the serve-bench digest is bit-identical for 1 vs 4 worker threads.
 
-use free_gap_core::noisy_max::NoisyTopKWithGap;
+use free_gap_core::api::AnyMechanism;
+use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
 use free_gap_core::sparse_vector::SparseVectorWithGap;
 use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_serve::server::RejectReason;
@@ -307,6 +309,58 @@ fn an_unrepresentable_staircase_batch_is_rejected_and_refunded() {
     let response = server.handle(&call(vec![1.0; 4]), &mut scratch);
     assert!(matches!(response, MechanismResponse::Output(_)));
     assert_eq!(server.spent(0), Some(1e-12));
+}
+
+/// A NaN or infinite answer used to corrupt Noisy-Top-K selection (a NaN
+/// resets the `>=` scan; an infinite winner releases a NaN gap). Each Top-K
+/// mechanism now rejects such a request before drawing, and the server
+/// refunds the debit in full.
+#[test]
+fn a_non_finite_top_k_request_is_rejected_and_refunded() {
+    let server = QueryServer::new(5);
+    server.register_tenant(0, 1.0).unwrap();
+    let mut scratch = WorkerScratch::new();
+    let mechanisms: [AnyMechanism; 3] = [
+        NoisyTopKWithGap::new(1, 0.25, true).unwrap().into(),
+        ClassicNoisyTopK::new(1, 0.25, true).unwrap().into(),
+        DiscreteNoisyTopKWithGap::new(1, 0.25, true).unwrap().into(),
+    ];
+    for mechanism in mechanisms {
+        let call = |queries: Vec<f64>| MechanismRequest {
+            tenant: 0,
+            body: RequestBody::Call { mechanism, queries },
+        };
+        for queries in [
+            vec![10.0, f64::NAN, 3.0, 2.0],
+            vec![10.0, f64::INFINITY, 3.0, 2.0],
+        ] {
+            let response = server.handle(&call(queries), &mut scratch);
+            assert!(
+                matches!(
+                    response,
+                    MechanismResponse::Rejected(RejectReason::Invalid(
+                        free_gap_core::MechanismError::NonFiniteUtility { index: 1, .. }
+                    ))
+                ),
+                "{response:?}"
+            );
+            assert_eq!(server.spent(0), Some(0.0));
+        }
+    }
+    assert_eq!(server.remaining(0), Some(1.0));
+    // The tenant keeps serving: a finite request is answered and debited.
+    let response = server.handle(
+        &MechanismRequest {
+            tenant: 0,
+            body: RequestBody::Call {
+                mechanism: mechanisms[0],
+                queries: vec![10.0, 4.0, 3.0, 2.0],
+            },
+        },
+        &mut scratch,
+    );
+    assert!(matches!(response, MechanismResponse::Output(_)));
+    assert_eq!(server.spent(0), Some(0.25));
 }
 
 /// The acceptance pin: a fixed-seed serve-bench run is bit-reproducible

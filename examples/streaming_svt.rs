@@ -11,6 +11,7 @@
 //! Run with `cargo run --release --example streaming_svt`.
 
 use free_gap::prelude::*;
+use free_gap_alignment::SamplingSource;
 use free_gap_core::sparse_vector::AdaptiveOutcome;
 use free_gap_noise::rng::{derive_stream, splitmix64};
 use std::cell::Cell;
@@ -49,8 +50,13 @@ fn main() {
         // stop means this is a small prefix of the million-query stream.
         let pulled = Cell::new(0usize);
         let stream = shard_stream(shard, stream_len).inspect(|_| pulled.set(pulled.get() + 1));
-        let out =
-            svt.run_streaming_with_scratch(stream, &mut derive_stream(42, shard), &mut scratch);
+        let mut rng = derive_stream(42, shard);
+        let mut out = SvOutput::default();
+        svt.run_into(
+            stream,
+            &mut ScratchDraws::new(&mut scratch, &mut rng),
+            &mut out,
+        );
         println!(
             "shard {shard}: SparseVectorWithGap answered {:>2} tops, pulled {:>6} of {stream_len} queries ({:.3}% of the stream)",
             out.answered(),
@@ -60,7 +66,10 @@ fn main() {
 
         let pulled = Cell::new(0usize);
         let stream = shard_stream(shard, stream_len).inspect(|_| pulled.set(pulled.get() + 1));
-        let out = adaptive.run_streaming(stream, &mut derive_stream(1042, shard));
+        let mut rng = derive_stream(1042, shard);
+        let mut out = AdaptiveSvOutput::default();
+        let mut source = SamplingSource::new(&mut rng);
+        adaptive.run_into(stream, &mut SourceDraws::new(&mut source), &mut out);
         let top = out.answered_via(Branch::Top);
         let first_gap = out.outcomes.iter().find_map(|o| match o {
             AdaptiveOutcome::Above { gap, .. } => Some(*gap),

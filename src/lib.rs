@@ -60,6 +60,7 @@ pub mod prelude {
     pub use free_gap_alignment::{check_alignment, AlignedMechanism};
     pub use free_gap_core::answers::QueryAnswers;
     pub use free_gap_core::budget::PrivacyBudget;
+    pub use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
     pub use free_gap_core::exponential_mech::ExponentialMechanism;
     pub use free_gap_core::laplace_mech::LaplaceMechanism;
     pub use free_gap_core::metrics::{mse_improvement_percent, selection_quality};
@@ -78,8 +79,9 @@ pub mod prelude {
     };
     pub use free_gap_core::scratch::{SvtScratch, TopKScratch};
     pub use free_gap_core::sparse_vector::{
-        AdaptiveSparseVector, Branch, ClassicSparseVector, DiscreteSparseVectorWithGap,
-        MultiBranchAdaptiveSparseVector, SparseVectorWithGap,
+        AdaptiveSparseVector, AdaptiveSvOutput, Branch, ClassicSparseVector,
+        DiscreteSparseVectorWithGap, MultiBranchAdaptiveSparseVector, MultiBranchSvOutput,
+        SparseVectorWithGap, SvOutput,
     };
     pub use free_gap_core::staircase_mech::StaircaseMechanism;
     pub use free_gap_core::MechanismError;
