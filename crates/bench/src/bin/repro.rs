@@ -13,22 +13,12 @@
 //!   ablation-sigma     σ-multiplier sweep for Adaptive-SVT
 //!   ablation-split     selection/measurement budget-split sweep
 //!   ablation-branches  branch-count sweep for multi-branch Adaptive-SVT
-//!   bench              mechanism-throughput grid → BENCH_mechanisms.json
+//!   all                every experiment above, paper defaults
 //!   serve-bench        multi-tenant serving-layer load generator →
 //!                      BENCH_serve.json: p50/p95/p99 request latency,
 //!                      budget-rejection counts, idle-session evictions and
 //!                      the bit-reproducibility digest (fixed seed → same
 //!                      digest for any worker count)
-//!   bench-check        verify a written BENCH_mechanisms.json covers every
-//!                      mechanism × path × n × k cell (CI smoke gate);
-//!                      read-only — never re-times anything
-//!   bench-compare      perf-regression gate: compare a fresh --json grid
-//!                      against --baseline, failing when any cell's
-//!                      runs/sec drops more than --tolerance after
-//!                      normalizing out the machine-speed difference
-//!   bench-history F..  merge several bench JSON files (e.g. CI's uploaded
-//!                      /tmp/bench.json artifacts, oldest commit first)
-//!                      into a cell × artifact runs/sec trend table
 //!   lint               free-gap-lint: the eight static invariants
 //!                      (stream-discipline, endpoint-guard, panic-freedom,
 //!                      taxonomy, budget-balance, lock-discipline,
@@ -40,34 +30,19 @@
 //!                      claimed-ε vs empirical-ε-lower-bound board, and exit
 //!                      nonzero if any correct mechanism is flagged or any
 //!                      broken variant escapes detection
-//!   all                everything above except `bench`, paper defaults
 //!
 //! Options:
-//!   --runs N           Monte-Carlo runs per point (default: per experiment;
-//!                      for `bench`: fixed runs per cell instead of a time budget)
-//!   --budget F         `bench`: per-cell time budget in seconds (default 1.0;
-//!                      best of three windows). Mutually exclusive with --runs.
-//!                      CI's perf gate uses a reduced budget — fixed tiny run
-//!                      counts are too noisy to compare against the baseline
+//!   --runs N           Monte-Carlo runs per point (default: per experiment)
 //!   --scale F          dataset record-count fraction in (0, 1] (default 1.0)
 //!   --seed N           root RNG seed (default 20190412)
 //!   --eps F            total privacy budget ε (default 0.7)
 //!   --dataset NAME     bms-pos | kosarak | t40 (fig3/ablations; default bms-pos)
 //!   --csv              emit CSV instead of aligned tables
-//!   --json PATH        where `bench` writes its JSON / which file
-//!                      `bench-check`/`bench-compare` read (default
-//!                      BENCH_mechanisms.json); for `lint`: write the
+//!   --json PATH        `serve-bench`: where the report goes (default
+//!                      BENCH_serve.json); `lint`: write the
 //!                      machine-readable finding report (schema
 //!                      free-gap-lint/1, includes allow-suppressed
 //!                      findings) before the pass/fail verdict
-//!   --baseline PATH    committed baseline for `bench-compare`
-//!                      (default BENCH_mechanisms.json)
-//!   --tolerance F      allowed fractional throughput drop per cell for
-//!                      `bench-compare` (default 0.25)
-//!   --baseline-only    `bench-check`: check the committed baseline file
-//!                      only (rejects --json); used by CI's second
-//!                      invocation so the stale-baseline check is explicit
-//!                      and instant
 //!   --trials N         `attack`: estimate-phase Monte-Carlo trials per side
 //!                      (search phase scales along; default 300000)
 //!   --significance F   `attack`: significance α of the reported
@@ -103,7 +78,6 @@
 
 use free_gap_bench::experiments::fig1::Panel;
 use free_gap_bench::experiments::{self, epsilon_grid, k_grid};
-use free_gap_bench::perf;
 use free_gap_bench::table::{Cell, Table};
 use free_gap_bench::workloads::parse_dataset;
 use free_gap_bench::ExperimentConfig;
@@ -119,16 +93,8 @@ struct CliOptions {
     epsilon: f64,
     dataset: Dataset,
     csv: bool,
-    json: String,
-    budget: Option<f64>,
-    /// Whether `--json` was passed explicitly (`bench-check --baseline-only`
-    /// rejects it).
-    json_explicit: bool,
-    baseline: String,
-    baseline_explicit: bool,
-    tolerance: f64,
-    tolerance_explicit: bool,
-    baseline_only: bool,
+    /// `serve-bench`/`lint`: where the JSON report goes (`--json`).
+    json: Option<String>,
     /// `attack`: estimate-phase trials per side (`--trials`).
     attack_trials: Option<usize>,
     /// `attack`: significance α of the reported bounds (`--significance`).
@@ -148,33 +114,44 @@ struct CliOptions {
     lint_rule: Option<String>,
     /// `lint`: run the fixture power checks instead of the tree (`--fixtures`).
     fixtures: bool,
-    /// Which workload-shaping options were passed explicitly (the `bench`
-    /// command uses a fixed synthetic workload and rejects them).
+    /// Which workload-shaping options were passed explicitly (the commands
+    /// with fixed workloads reject them).
     workload_flags: Vec<&'static str>,
-    /// Positional file arguments (`bench-history` artifacts, in order).
-    files: Vec<String>,
 }
 
+/// Every command `repro` runs; anything else is a usage error.
+const COMMANDS: [&str; 15] = [
+    "datasets",
+    "fig1a",
+    "fig1b",
+    "fig2a",
+    "fig2b",
+    "fig3",
+    "fig4",
+    "ablation-theta",
+    "ablation-sigma",
+    "ablation-split",
+    "ablation-branches",
+    "all",
+    "serve-bench",
+    "lint",
+    "attack",
+];
+
 fn parse_args(args: &[String]) -> Result<CliOptions, String> {
+    let command = args.first().ok_or("missing command (try `repro all`)")?;
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command `{command}` (try `repro all`)"));
+    }
     let mut opts = CliOptions {
-        command: args
-            .first()
-            .cloned()
-            .ok_or("missing command (try `repro all`)")?,
+        command: command.clone(),
         runs: None,
         scale: 1.0,
         seed: 20190412,
         epsilon: 0.7,
         dataset: Dataset::BmsPos,
         csv: false,
-        json: "BENCH_mechanisms.json".to_string(),
-        budget: None,
-        json_explicit: false,
-        baseline: "BENCH_mechanisms.json".to_string(),
-        baseline_explicit: false,
-        tolerance: 0.25,
-        tolerance_explicit: false,
-        baseline_only: false,
+        json: None,
         attack_trials: None,
         significance: None,
         quick: false,
@@ -185,7 +162,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         lint_rule: None,
         fixtures: false,
         workload_flags: Vec::new(),
-        files: Vec::new(),
     };
     let mut i = 1;
     while i < args.len() {
@@ -227,33 +203,7 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 opts.workload_flags.push("--dataset");
             }
             "--csv" => opts.csv = true,
-            "--json" => {
-                opts.json = value("--json")?;
-                opts.json_explicit = true;
-            }
-            "--budget" => {
-                let budget: f64 = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
-                if !(budget.is_finite() && budget > 0.0) {
-                    return Err("--budget must be positive".into());
-                }
-                opts.budget = Some(budget);
-            }
-            "--baseline" => {
-                opts.baseline = value("--baseline")?;
-                opts.baseline_explicit = true;
-            }
-            "--tolerance" => {
-                opts.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                if !(opts.tolerance.is_finite() && (0.0..1.0).contains(&opts.tolerance)) {
-                    return Err("--tolerance must be in [0, 1)".into());
-                }
-                opts.tolerance_explicit = true;
-            }
-            "--baseline-only" => opts.baseline_only = true,
+            "--json" => opts.json = Some(value("--json")?),
             "--trials" => {
                 let trials: usize = value("--trials")?
                     .parse()
@@ -308,7 +258,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             }
             "--rule" => opts.lint_rule = Some(value("--rule")?),
             "--fixtures" => opts.fixtures = true,
-            other if !other.starts_with('-') => opts.files.push(other.to_string()),
             other => return Err(format!("unknown option `{other}`")),
         }
         i += 1;
@@ -342,31 +291,7 @@ fn emit(table: &Table, csv: bool) {
 fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
     // Reject flags that the selected command would silently ignore — a user
     // who names a file or knob must not get a success report for something
-    // else (same policy as `bench`'s workload-flag rejection below).
-    if opts.budget.is_some() && opts.command != "bench" {
-        return Err(format!(
-            "--budget only applies to `bench`, not `{}`",
-            opts.command
-        ));
-    }
-    if !opts.files.is_empty() && opts.command != "bench-history" {
-        return Err(format!(
-            "positional file arguments only apply to `bench-history`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.baseline_only && opts.command != "bench-check" {
-        return Err(format!(
-            "--baseline-only only applies to `bench-check`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.tolerance_explicit && opts.command != "bench-compare" {
-        return Err(format!(
-            "--tolerance only applies to `bench-compare`, not `{}`",
-            opts.command
-        ));
-    }
+    // else (same policy as the workload-flag rejections below).
     if opts.attack_trials.is_some() && opts.command != "attack" {
         return Err(format!(
             "--trials only applies to `attack`, not `{}`",
@@ -421,51 +346,13 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
             opts.command
         ));
     }
-    if opts.json_explicit
-        && !matches!(
-            opts.command.as_str(),
-            "bench" | "serve-bench" | "bench-check" | "bench-compare" | "lint"
-        )
-    {
+    if opts.json.is_some() && !matches!(opts.command.as_str(), "serve-bench" | "lint") {
         return Err(format!(
-            "--json only applies to `bench`, `serve-bench`, `bench-check`, `bench-compare`, and `lint`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.baseline_explicit
-        && opts.command != "bench-compare"
-        && !(opts.command == "bench-check" && opts.baseline_only)
-    {
-        return Err(format!(
-            "--baseline only applies to `bench-compare` (or `bench-check --baseline-only`), not `{}`",
+            "--json only applies to `serve-bench` and `lint`, not `{}`",
             opts.command
         ));
     }
     let tables = match opts.command.as_str() {
-        "bench" => {
-            // The throughput grid uses a fixed synthetic workload at ε = 0.7
-            // so recorded baselines stay comparable across PRs; reject
-            // options that would otherwise be silently ignored.
-            if let Some(flag) = opts.workload_flags.first() {
-                return Err(format!(
-                    "`bench` uses a fixed synthetic workload; {flag} is not supported (only --runs, --seed, --csv, --json apply)"
-                ));
-            }
-            if opts.runs.is_some() && opts.budget.is_some() {
-                return Err("--runs and --budget are mutually exclusive".into());
-            }
-            let defaults = perf::BenchConfig::default();
-            let bench_config = perf::BenchConfig {
-                seed: opts.seed,
-                runs: opts.runs,
-                budget_secs: opts.budget.unwrap_or(defaults.budget_secs),
-            };
-            let records = perf::run_grid(&bench_config);
-            std::fs::write(&opts.json, perf::to_json(opts.seed, &records))
-                .map_err(|e| format!("writing {}: {e}", opts.json))?;
-            eprintln!("wrote {}", opts.json);
-            vec![perf::to_table(&records)]
-        }
         "serve-bench" => {
             // The serving benchmark scripts its own tenants/workload;
             // reject options it would silently ignore.
@@ -493,14 +380,8 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
             cfg.par_threshold = opts.par_threshold;
             let report =
                 free_gap_serve::bench::run(&cfg).map_err(|e| format!("serve-bench: {e}"))?;
-            // serve-bench writes its own schema; default to its own file
-            // rather than clobbering BENCH_mechanisms.json.
-            let json_path = if opts.json_explicit {
-                opts.json.clone()
-            } else {
-                "BENCH_serve.json".to_string()
-            };
-            std::fs::write(&json_path, free_gap_serve::bench::to_json(&cfg, &report))
+            let json_path = opts.json.as_deref().unwrap_or("BENCH_serve.json");
+            std::fs::write(json_path, free_gap_serve::bench::to_json(&cfg, &report))
                 .map_err(|e| format!("writing {json_path}: {e}"))?;
             eprintln!("wrote {json_path}");
             let mut table = Table::new(
@@ -535,72 +416,6 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
                 report.requests_per_sec.into(),
             ]);
             vec![table]
-        }
-        "bench-check" => {
-            // Read-only: checks coverage of an already-written file, never
-            // re-times the grid. `--baseline-only` pins the invocation to
-            // the committed baseline so CI's stale-baseline check cannot be
-            // silently redirected at a scratch file.
-            if opts.baseline_only && opts.json_explicit {
-                return Err(
-                    "--baseline-only checks the committed baseline; drop --json".to_string()
-                );
-            }
-            let path = if opts.baseline_only {
-                &opts.baseline
-            } else {
-                &opts.json
-            };
-            let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let missing = perf::missing_cells(&json);
-            if !missing.is_empty() {
-                return Err(format!(
-                    "{path} has {} missing bench cell(s):\n  {}",
-                    missing.len(),
-                    missing.join("\n  ")
-                ));
-            }
-            eprintln!("{path}: all mechanism × path cells present");
-            Vec::new()
-        }
-        "bench-compare" => {
-            let fresh = std::fs::read_to_string(&opts.json)
-                .map_err(|e| format!("reading {}: {e}", opts.json))?;
-            let baseline = std::fs::read_to_string(&opts.baseline)
-                .map_err(|e| format!("reading {}: {e}", opts.baseline))?;
-            let report = perf::compare_against_baseline(&fresh, &baseline, opts.tolerance)?;
-            eprintln!(
-                "{} vs {}: {} cells, machine-speed factor {:.2}",
-                opts.json, opts.baseline, report.cells, report.speed_factor
-            );
-            if !report.regressions.is_empty() {
-                return Err(format!(
-                    "{} cell(s) regressed beyond {:.0}% tolerance:\n  {}",
-                    report.regressions.len(),
-                    opts.tolerance * 100.0,
-                    report.regressions.join("\n  ")
-                ));
-            }
-            eprintln!(
-                "no cell regressed beyond {:.0}% tolerance",
-                opts.tolerance * 100.0
-            );
-            Vec::new()
-        }
-        "bench-history" => {
-            // Aggregate uploaded bench artifacts (oldest commit first) into
-            // a cell × artifact trend table — the triage view behind a
-            // bench-compare failure.
-            if opts.files.is_empty() {
-                return Err("bench-history needs at least one bench JSON file argument".to_string());
-            }
-            let mut loaded = Vec::with_capacity(opts.files.len());
-            for path in &opts.files {
-                let json =
-                    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-                loaded.push((path.clone(), json));
-            }
-            vec![perf::bench_history(&loaded)?]
         }
         "attack" => {
             // The suite is a self-contained audit over fixed synthetic
@@ -701,7 +516,7 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
             if opts.runs.is_some() {
                 return Err("`lint` is a static check; --runs does not apply".to_string());
             }
-            if opts.fixtures && opts.json_explicit {
+            if opts.fixtures && opts.json.is_some() {
                 return Err(
                     "--json reports tree findings; it does not apply to `lint --fixtures`"
                         .to_string(),
@@ -765,13 +580,13 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
                 // pass/fail verdict only counts the active ones.
                 let report = free_gap_lint::lint_tree_report(&layout, &rules)
                     .map_err(|e| format!("linting: {e}"))?;
-                if opts.json_explicit {
+                if let Some(path) = &opts.json {
                     // Written before the verdict so CI still gets the artifact
                     // when the lint fails — that run is exactly the one whose
                     // report someone needs to read.
-                    std::fs::write(&opts.json, free_gap_lint::report_json(&rules, &report))
-                        .map_err(|e| format!("writing {}: {e}", opts.json))?;
-                    eprintln!("wrote {}", opts.json);
+                    std::fs::write(path, free_gap_lint::report_json(&rules, &report))
+                        .map_err(|e| format!("writing {path}: {e}"))?;
+                    eprintln!("wrote {path}");
                 }
                 let diagnostics: Vec<_> = report
                     .into_iter()
@@ -930,7 +745,10 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: repro <bench|serve-bench|bench-check|bench-compare|bench-history FILE..|attack|lint|datasets|fig1a|fig1b|fig2a|fig2b|fig3|fig4|ablation-theta|ablation-sigma|ablation-split|ablation-branches|all> [--runs N] [--scale F] [--seed N] [--eps F] [--dataset NAME] [--budget F] [--csv] [--json PATH] [--baseline PATH] [--tolerance F] [--baseline-only] [--trials N] [--significance F] [--quick] [--tenants N] [--duration F] [--qps F] [--par-threshold N] [--rule NAME] [--fixtures]");
+            eprintln!(
+                "usage: repro <{}> [--runs N] [--scale F] [--seed N] [--eps F] [--dataset NAME] [--csv] [--json PATH] [--trials N] [--significance F] [--quick] [--tenants N] [--duration F] [--qps F] [--par-threshold N] [--rule NAME] [--fixtures]",
+                COMMANDS.join("|")
+            );
             return ExitCode::FAILURE;
         }
     };
@@ -954,6 +772,20 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_commands_are_usage_errors() {
+        // Rejected while parsing, so `main` prints the usage line; a typo
+        // never reaches a command arm.
+        for command in ["bench", "fig5", ""] {
+            let err = parse_args(&args(&[command])).unwrap_err();
+            assert!(err.contains("unknown command"), "{command:?}: {err}");
+        }
+        assert!(parse_args(&[]).unwrap_err().contains("missing command"));
+        for command in COMMANDS {
+            assert!(parse_args(&args(&[command])).is_ok(), "{command}");
+        }
     }
 
     #[test]
@@ -990,7 +822,7 @@ mod tests {
         // command would silently ignore is an error, not a no-op.
         for flags in [
             vec!["fig1a", "--trials", "5000"],
-            vec!["bench", "--significance", "0.05"],
+            vec!["datasets", "--significance", "0.05"],
             vec!["all", "--quick"],
         ] {
             let opts = parse_args(&args(&flags)).unwrap();
@@ -1013,10 +845,6 @@ mod tests {
         let opts = parse_args(&args(&["attack", "--runs", "10"])).unwrap();
         let err = run_command(&opts).unwrap_err();
         assert!(err.contains("--trials, not --runs"), "{err}");
-        // --budget is still bench-only.
-        let opts = parse_args(&args(&["attack", "--budget", "1.0"])).unwrap();
-        let err = run_command(&opts).unwrap_err();
-        assert!(err.contains("--budget only applies to `bench`"), "{err}");
     }
 
     #[test]
@@ -1062,10 +890,10 @@ mod tests {
     fn serve_bench_options_are_rejected_on_other_commands() {
         for flags in [
             vec!["fig1a", "--tenants", "4"],
-            vec!["bench", "--duration", "1.0"],
+            vec!["datasets", "--duration", "1.0"],
             vec!["attack", "--qps", "100"],
             vec!["all", "--tenants", "2"],
-            vec!["bench", "--par-threshold", "64"],
+            vec!["lint", "--par-threshold", "64"],
         ] {
             let opts = parse_args(&args(&flags)).unwrap();
             let err = run_command(&opts).unwrap_err();
@@ -1094,16 +922,16 @@ mod tests {
         let opts = parse_args(&args(&["serve-bench", "--trials", "100"])).unwrap();
         let err = run_command(&opts).unwrap_err();
         assert!(err.contains("only applies to `attack`"), "{err}");
-        let opts = parse_args(&args(&["serve-bench", "--budget", "1.0"])).unwrap();
+        let opts = parse_args(&args(&["serve-bench", "--rule", "taxonomy"])).unwrap();
         let err = run_command(&opts).unwrap_err();
-        assert!(err.contains("only applies to `bench`"), "{err}");
+        assert!(err.contains("only applies to `lint`"), "{err}");
     }
 
     #[test]
     fn lint_options_are_rejected_on_other_commands() {
         for flags in [
             vec!["fig1a", "--rule", "panic-freedom"],
-            vec!["bench", "--rule", "taxonomy"],
+            vec!["fig4", "--rule", "taxonomy"],
             vec!["attack", "--fixtures"],
             vec!["all", "--fixtures"],
         ] {

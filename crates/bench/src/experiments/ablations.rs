@@ -17,9 +17,10 @@ use crate::runner::{mean_and_stderr, parallel_runs, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
-use free_gap_core::draw::ScratchDraws;
+use free_gap_core::draw::{RngDraws, ScratchDraws};
 use free_gap_core::metrics::{mse_improvement_percent, selection_quality};
-use free_gap_core::pipelines::{topk_select_measure_with_split_scratch, PipelineScratch};
+use free_gap_core::pipelines::topk_select_measure_into;
+use free_gap_core::scratch::TopKScratch;
 use free_gap_core::sparse_vector::{
     AdaptiveSparseVector, AdaptiveSvOutput, Branch, MultiBranchAdaptiveSparseVector,
 };
@@ -250,14 +251,14 @@ pub fn split_sweep(
         let samples = parallel_runs_with_state(
             config.runs,
             config.seed ^ (fi as u64) << 20,
-            PipelineScratch::new,
+            TopKScratch::new,
             |_, rng, scratch| {
-                let r = topk_select_measure_with_split_scratch(
+                let r = topk_select_measure_into(
                     &workload.answers,
                     k,
                     config.epsilon,
                     fraction,
-                    rng,
+                    &mut RngDraws::new(rng),
                     scratch,
                 )
                 .expect("validated parameters");

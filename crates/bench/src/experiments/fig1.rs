@@ -17,10 +17,10 @@ use crate::runner::parallel_runs_with_state;
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
+use free_gap_core::api::CallScratch;
+use free_gap_core::draw::{RngDraws, ScratchDraws};
 use free_gap_core::metrics::mse_improvement_percent;
-use free_gap_core::pipelines::{
-    svt_select_measure_scratch, topk_select_measure_scratch, PipelineScratch,
-};
+use free_gap_core::pipelines::{svt_select_measure_into, topk_select_measure_into};
 use free_gap_core::postprocess::{blue_variance_ratio, svt_error_ratio};
 use free_gap_data::Dataset;
 
@@ -64,17 +64,18 @@ pub fn run(config: &ExperimentConfig, panel: Panel, dataset: Dataset, k_values: 
         let samples = parallel_runs_with_state(
             config.runs,
             config.seed ^ (k as u64) << 32,
-            PipelineScratch::new,
+            CallScratch::new,
             |_, rng, scratch| {
                 let mut s = SseSample::default();
                 match panel {
                     Panel::TopK => {
-                        let r = topk_select_measure_scratch(
+                        let r = topk_select_measure_into(
                             &workload.answers,
                             k,
                             config.epsilon,
-                            rng,
-                            scratch,
+                            0.5,
+                            &mut RngDraws::new(rng),
+                            &mut scratch.topk,
                         )
                         .expect("workload sized for k");
                         for i in 0..k {
@@ -85,13 +86,12 @@ pub fn run(config: &ExperimentConfig, panel: Panel, dataset: Dataset, k_values: 
                     }
                     Panel::Svt => {
                         let t = workload.draw_threshold(k, rng);
-                        let r = svt_select_measure_scratch(
+                        let r = svt_select_measure_into(
                             &workload.answers,
                             k,
                             config.epsilon,
                             t,
-                            rng,
-                            scratch,
+                            &mut ScratchDraws::new(&mut scratch.svt, rng),
                         )
                         .expect("valid configuration");
                         for i in 0..r.indices.len() {

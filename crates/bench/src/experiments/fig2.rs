@@ -13,10 +13,10 @@ use crate::runner::parallel_runs_with_state;
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
+use free_gap_core::api::CallScratch;
+use free_gap_core::draw::{RngDraws, ScratchDraws};
 use free_gap_core::metrics::mse_improvement_percent;
-use free_gap_core::pipelines::{
-    svt_select_measure_scratch, topk_select_measure_scratch, PipelineScratch,
-};
+use free_gap_core::pipelines::{svt_select_measure_into, topk_select_measure_into};
 use free_gap_core::postprocess::{blue_variance_ratio, svt_error_ratio};
 use free_gap_data::Dataset;
 
@@ -46,12 +46,18 @@ pub fn run(
         let samples = parallel_runs_with_state(
             config.runs,
             config.seed ^ (ei as u64) << 40,
-            PipelineScratch::new,
+            CallScratch::new,
             |_, rng, scratch| match panel {
                 Panel::TopK => {
-                    let r =
-                        topk_select_measure_scratch(&workload.answers, k, epsilon, rng, scratch)
-                            .expect("workload sized for k");
+                    let r = topk_select_measure_into(
+                        &workload.answers,
+                        k,
+                        epsilon,
+                        0.5,
+                        &mut RngDraws::new(rng),
+                        &mut scratch.topk,
+                    )
+                    .expect("workload sized for k");
                     let mut imp = 0.0;
                     let mut base = 0.0;
                     for i in 0..k {
@@ -62,9 +68,14 @@ pub fn run(
                 }
                 Panel::Svt => {
                     let t = workload.draw_threshold(k, rng);
-                    let r =
-                        svt_select_measure_scratch(&workload.answers, k, epsilon, t, rng, scratch)
-                            .expect("valid configuration");
+                    let r = svt_select_measure_into(
+                        &workload.answers,
+                        k,
+                        epsilon,
+                        t,
+                        &mut ScratchDraws::new(&mut scratch.svt, rng),
+                    )
+                    .expect("valid configuration");
                     let mut imp = 0.0;
                     let mut base = 0.0;
                     for i in 0..r.indices.len() {

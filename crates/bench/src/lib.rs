@@ -13,7 +13,6 @@
 //! | `fig3` | Fig. 3: answers + precision/F-measure, SVT vs Adaptive | [`experiments::fig3`] |
 //! | `fig4` | Fig. 4: % remaining budget | [`experiments::fig4`] |
 //! | `ablation-*` | θ / σ / budget-split sweeps (not in the paper) | [`experiments::ablations`] |
-//! | `bench` | mechanism-throughput grid (not in the paper) | [`perf`] |
 //!
 //! Every experiment is a pure function of `(ExperimentConfig, parameters)`;
 //! the `repro` binary is a thin CLI over them. Monte-Carlo runs are
@@ -24,19 +23,13 @@
 //! `free-gap-core` through its scratch providers), keeping the Monte-Carlo
 //! noise draws batched.
 //!
-//! ## Performance tracking
-//!
-//! `repro bench` times every mechanism's allocating path against its batched
-//! scratch path (with both the deterministic `StdRng` and the Monte-Carlo
-//! `FastRng`) over an `n × k` grid and writes `BENCH_mechanisms.json`
-//! (schema documented in [`perf`]). The checked-in copy is the baseline for
-//! this machine class; regenerate on comparable hardware before comparing.
+//! Performance is measured elsewhere: the gated benchmark under
+//! `benchmark/` times every mechanism at the shapes of the §7 datasets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 pub mod runner;
 pub mod table;
 pub mod workloads;

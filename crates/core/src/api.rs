@@ -1,17 +1,16 @@
 //! The unified mechanism-call surface: one request/response shape over
-//! every selection and measurement mechanism in the grid.
+//! every selection and measurement mechanism.
 //!
 //! Each mechanism exposes an allocating reference entry (`run`,
 //! `run_top_k`, `measure_split`) and one provider-taking `_into` entry;
-//! callers that treat mechanisms uniformly — the benchmark grid, the
-//! serving layer — would otherwise hand-roll a dispatch table of closures.
+//! callers that treat mechanisms uniformly — the benchmark, the serving
+//! layer — would otherwise hand-roll a dispatch table of closures.
 //! This module folds that dispatch into the type system:
 //!
 //! * [`Mechanism`] — the one-call trait: a query slice in, a
 //!   [`MechanismOutput`] out, noise through any [`DrawProvider`].
-//! * [`AnyMechanism`] — a closed enum over the ten grid mechanisms
-//!   (`MECHANISM_PATHS` in the benchmark), dispatching [`Mechanism::call`]
-//!   plus the two provider-choosing conveniences
+//! * [`AnyMechanism`] — a closed enum over the ten mechanisms, dispatching
+//!   [`Mechanism::call`] plus the two provider-choosing conveniences
 //!   [`call_batched`](AnyMechanism::call_batched) (the fast path a server
 //!   worker drives) and [`call_reference`](AnyMechanism::call_reference)
 //!   (the dyn `NoiseSource` reference path).
@@ -80,7 +79,7 @@ impl<'a> QuerySlice<'a> {
 }
 
 /// The one response payload: a closed union of every mechanism output
-/// shape in the grid.
+/// shape.
 ///
 /// Callers keep one `MechanismOutput` alive across requests and let
 /// [`Mechanism::call`] coerce it: when the live variant already matches
@@ -256,11 +255,12 @@ impl MechanismOutput {
     }
 }
 
-/// The unified call surface: every grid mechanism answers a query slice
+/// The unified call surface: every mechanism answers a query slice
 /// through an arbitrary [`DrawProvider`] into a coercible
 /// [`MechanismOutput`].
 pub trait Mechanism {
-    /// Stable mechanism name (matches the benchmark grid's row names).
+    /// Stable mechanism name (the benchmark's per-mechanism rows and the
+    /// server's request scripts key on it).
     fn name(&self) -> &'static str;
 
     /// The privacy budget `ε` one call costs — what a serving ledger
@@ -415,7 +415,7 @@ impl Mechanism for StaircaseMechanism {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.measure_core(req.values(), provider, out.measurements_mut())
+        self.measure_split_into(req.values(), provider, out.measurements_mut())
     }
 }
 
@@ -542,7 +542,7 @@ impl Mechanism for DiscreteSparseVectorWithGap {
 
 /// Reusable per-worker buffers for [`AnyMechanism::call_batched`]: the
 /// selection scratch plus the SVT/staircase noise tape, so one worker
-/// serves the whole grid without per-request allocation.
+/// serves all ten mechanisms without per-request allocation.
 #[derive(Debug, Default, Clone)]
 pub struct CallScratch {
     /// Selection buffers (Top-K family, exponential mechanism).
@@ -558,8 +558,8 @@ impl CallScratch {
     }
 }
 
-/// Closed union of the ten grid mechanisms — the dispatch type behind the
-/// unified call surface (one variant per `MECHANISM_PATHS` row).
+/// Closed union of the ten mechanisms — the dispatch type behind the
+/// unified call surface (one variant per mechanism type).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnyMechanism {
     /// Algorithm 1: Noisy-Top-K-with-Gap.
@@ -703,8 +703,8 @@ impl AnyMechanism {
 
     /// The dyn reference path: [`Mechanism::call`] through
     /// [`SourceDraws`] over a [`SamplingSource`], allocating fresh
-    /// buffers per call — the historical per-draw-cost baseline the
-    /// benchmark grid measures the fast paths against.
+    /// buffers per call — the historical per-draw-cost baseline, and the
+    /// reference the benchmark checks the fast path's outputs against.
     pub fn call_reference(
         &self,
         req: &QuerySlice<'_>,
@@ -811,7 +811,7 @@ mod tests {
 
     #[test]
     fn call_par_is_bit_identical_across_thread_counts() {
-        // Every grid mechanism, a workload large enough to engage both the
+        // Every mechanism, a workload large enough to engage both the
         // parallel fill (> one block) and the parallel select reduce
         // (> PAR_SELECT_MIN), and a fresh same-seed provider per call: the
         // digest must not depend on the thread count.

@@ -45,15 +45,19 @@ pub enum MechanismError {
         /// Human-readable reason.
         reason: &'static str,
     },
-    /// A benchmark/serving configuration knob was degenerate (zero
-    /// tenants, a zero or non-finite duration cap, a non-positive QPS
-    /// target, …). Degenerate knobs used to be silently clamped or
-    /// filtered; typed rejection keeps a mistyped flag from quietly
-    /// producing an empty run.
-    InvalidBenchConfig {
-        /// Name of the rejected knob.
+    /// A named parameter that is not a privacy budget was out of range: a
+    /// lattice step `γ`, a sensitivity `Δ`, a margin multiplier, an
+    /// off-lattice threshold, a variance or BLUE's `λ`, a branch count, or
+    /// a serve-bench knob (zero tenants, a zero or non-finite duration
+    /// cap, a non-positive QPS target). Each is rejected by name, so the
+    /// message never blames ε for it.
+    InvalidParameter {
+        /// Name of the rejected parameter.
         name: &'static str,
-        /// Human-readable constraint.
+        /// The rejected value.
+        value: f64,
+        /// The constraint it broke, phrased to follow the name
+        /// ("must be positive and finite").
         requirement: &'static str,
     },
     /// A worker thread panicked mid-run. The run is aborted and the
@@ -106,8 +110,12 @@ impl fmt::Display for MechanismError {
             MechanismError::InvalidSplit { reason } => {
                 write!(f, "invalid budget split: {reason}")
             }
-            MechanismError::InvalidBenchConfig { name, requirement } => {
-                write!(f, "invalid benchmark config `{name}`: {requirement}")
+            MechanismError::InvalidParameter {
+                name,
+                value,
+                requirement,
+            } => {
+                write!(f, "parameter `{name}` {requirement}, got {value}")
             }
             MechanismError::WorkerPanicked { worker } => {
                 write!(f, "worker {worker} panicked; run aborted")
@@ -130,6 +138,20 @@ pub(crate) fn require_epsilon(value: f64) -> Result<f64, MechanismError> {
         Ok(value)
     } else {
         Err(MechanismError::InvalidEpsilon { value })
+    }
+}
+
+/// Validates a parameter that must be positive and finite (a lattice step,
+/// a sensitivity, a variance).
+pub(crate) fn require_positive(name: &'static str, value: f64) -> Result<f64, MechanismError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(MechanismError::InvalidParameter {
+            name,
+            value,
+            requirement: "must be positive and finite",
+        })
     }
 }
 
@@ -185,12 +207,88 @@ mod tests {
             value: f64::NAN,
         };
         assert!(e.to_string().contains("utility 3"));
-        let e = MechanismError::InvalidBenchConfig {
+        let e = MechanismError::InvalidParameter {
             name: "tenants",
+            value: 0.0,
             requirement: "must be at least 1",
         };
-        assert!(e.to_string().contains("tenants"));
+        assert_eq!(
+            e.to_string(),
+            "parameter `tenants` must be at least 1, got 0"
+        );
         let e = MechanismError::WorkerPanicked { worker: 2 };
         assert!(e.to_string().contains("worker 2"));
+    }
+
+    #[test]
+    fn non_epsilon_parameters_are_rejected_by_name() {
+        use crate::laplace_mech::LaplaceMechanism;
+        use crate::noisy_max::DiscreteNoisyTopKWithGap;
+        use crate::postprocess::{blue_estimates, combine_gap_with_measurement, BlueInput};
+        use crate::sparse_vector::{
+            AdaptiveSparseVector, DiscreteSparseVectorWithGap, MultiBranchAdaptiveSparseVector,
+        };
+        use crate::staircase_mech::StaircaseMechanism;
+
+        let adaptive = AdaptiveSparseVector::new(3, 1.0, 10.0, true).unwrap();
+        let blue = |lambda| BlueInput {
+            measurements: &[1.0, 2.0],
+            gaps: &[0.5],
+            lambda,
+        };
+        let cases: [(&str, Result<(), MechanismError>); 9] = [
+            (
+                "gamma",
+                DiscreteNoisyTopKWithGap::with_gamma(3, 1.0, true, 0.0).map(drop),
+            ),
+            (
+                "sensitivity",
+                LaplaceMechanism::new(1.0)
+                    .unwrap()
+                    .with_sensitivity(-1.0)
+                    .map(drop),
+            ),
+            (
+                "sensitivity",
+                StaircaseMechanism::new(1.0)
+                    .unwrap()
+                    .with_sensitivity(f64::NAN)
+                    .map(drop),
+            ),
+            (
+                "sigma_multiplier",
+                adaptive.with_sigma_multiplier(-2.0).map(drop),
+            ),
+            (
+                "threshold",
+                DiscreteSparseVectorWithGap::new(1, 1.0, 50.5, true).map(drop),
+            ),
+            (
+                "gap_variance",
+                combine_gap_with_measurement(1.0, 2.0, 0.0, 3.0, 1.0).map(drop),
+            ),
+            (
+                "measurement_variance",
+                combine_gap_with_measurement(1.0, 2.0, 1.0, 3.0, f64::INFINITY).map(drop),
+            ),
+            ("lambda", blue_estimates(&blue(0.0)).map(drop)),
+            (
+                "branches",
+                MultiBranchAdaptiveSparseVector::new(3, 1.0, 10.0, true, 17).map(drop),
+            ),
+        ];
+        for (name, result) in cases {
+            let err = result.unwrap_err();
+            assert!(
+                matches!(err, MechanismError::InvalidParameter { name: n, .. } if n == name),
+                "{name}: {err:?}"
+            );
+            let message = err.to_string();
+            assert!(message.contains(&format!("`{name}`")), "{message}");
+            assert!(
+                !message.contains('ε') && !message.contains("budget"),
+                "{message}"
+            );
+        }
     }
 }

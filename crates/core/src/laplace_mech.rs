@@ -7,7 +7,7 @@
 //! i.e. noise `Lap(kΔ/ε)`.
 
 use crate::answers::QueryAnswers;
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{require_epsilon, require_positive, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
 
@@ -31,10 +31,7 @@ impl LaplaceMechanism {
 
     /// Overrides the sensitivity (`Δ`) used for the noise scale.
     pub fn with_sensitivity(mut self, sensitivity: f64) -> Result<Self, MechanismError> {
-        if !(sensitivity.is_finite() && sensitivity > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: sensitivity });
-        }
-        self.sensitivity = sensitivity;
+        self.sensitivity = require_positive("sensitivity", sensitivity)?;
         Ok(self)
     }
 

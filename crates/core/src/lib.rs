@@ -66,31 +66,30 @@
 //!   sub-stream layout, bit-identical for every thread count (a different
 //!   stream from the single-RNG providers).
 //!
-//! The SVT family's and the baselines' `_into` entries consume
+//! The SVT family's and the exponential race's `_into` entries consume
 //! `impl IntoIterator<Item = f64>` *lazily*, answering each query as it is
 //! pulled and halting the pull the moment the mechanism stops (k-th `⊤`,
 //! answer limit, or exhausted adaptive budget). Queries after the halt are
 //! **never observed** — the privacy-relevant property of SVT's online
 //! form. The Noisy-Top-K family takes `&[f64]`: selection needs the whole
-//! vector.
+//! vector. So does the staircase measurement: its budget divisor is the
+//! batch size, which it reads off the slice.
 //!
 //! See [`draw`] for the provider contract, [`scratch`] for the buffer
-//! discipline and an example, and [`pipelines::PipelineScratch`] for the
-//! select-then-measure versions. The `repro bench` command in
-//! `free-gap-bench` tracks the speedup (≈1.1× like-for-like, ≈2× with the
-//! [`free_gap_noise::rng::FastRng`] Monte-Carlo generator) and
-//! `repro bench-compare` gates CI on the recorded trajectory.
+//! discipline and an example, and [`pipelines`] for the select-then-measure
+//! versions, which take a provider the same way. The gated benchmark under
+//! `benchmark/` times every mechanism's fast path per run.
 //!
 //! ## Unified call surface
 //!
-//! [`api`] packages every grid mechanism behind one request/response
+//! [`api`] packages every mechanism behind one request/response
 //! shape: the [`api::Mechanism`] trait (`QuerySlice` in,
 //! [`api::MechanismOutput`] out, noise through any provider) and the
 //! [`api::AnyMechanism`] dispatch enum with the provider-choosing
 //! conveniences [`api::AnyMechanism::call_batched`] (fast path) and
 //! [`api::AnyMechanism::call_reference`] (dyn reference path). The
 //! per-mechanism entries above are the typed surface; the unified one is
-//! what uniform callers — the benchmark grid and the `free-gap-serve`
+//! what uniform callers — the benchmark and the `free-gap-serve`
 //! multi-tenant server — build on. The SVT family
 //! additionally exposes a *resumable* streaming form
 //! ([`sparse_vector::ClassicSparseVector::stream_open`] /

@@ -18,7 +18,7 @@
 
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{require_epsilon, require_positive, MechanismError};
 use crate::noisy_max::{TopKItem, TopKOutput};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
@@ -54,9 +54,7 @@ impl DiscreteNoisyTopKWithGap {
                 requirement: "k must be at least 1",
             });
         }
-        if !(gamma.is_finite() && gamma > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: gamma });
-        }
+        let gamma = require_positive("gamma", gamma)?;
         Ok(Self {
             k,
             epsilon: require_epsilon(epsilon)?,

@@ -15,42 +15,26 @@
 //! MSE against the postprocessed estimates.
 //!
 //! Like the mechanisms themselves, each pipeline is **one core** generic
-//! over [`DrawProvider`] — the protocol wiring (budget split, measurement
-//! scale convention, the BLUE `λ` formula, inverse-variance weights) exists
-//! once, and the dyn/scratch entry points only pick the provider.
+//! over [`DrawProvider`], and that core is its public `_into` entry: the
+//! protocol wiring (budget split, measurement scale convention, the BLUE
+//! `λ` formula, inverse-variance weights) exists once, and the caller picks
+//! the execution path by picking the provider. Selection and measurement
+//! draw through the same provider in order, so every single-stream
+//! provider reproduces the allocating reference entry bit for bit.
 
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::MechanismError;
 use crate::laplace_mech::LaplaceMechanism;
 use crate::noisy_max::{NoisyTopKWithGap, TopKOutput};
 use crate::postprocess::blue::{blue_estimates, BlueInput};
 use crate::postprocess::weighted::{combine_gap_with_measurement, topk_lambda_for_even_split};
-use crate::scratch::{SvtScratch, TopKScratch};
+use crate::scratch::TopKScratch;
 use crate::sparse_vector::{SparseVectorWithGap, SvOutput};
 use crate::staircase_mech::StaircaseMechanism;
 use free_gap_alignment::SamplingSource;
 use free_gap_noise::ContinuousDistribution;
 use rand::rngs::StdRng;
-use rand::Rng;
-
-/// Reusable buffers for the select-then-measure pipelines' batched fast
-/// paths ([`topk_select_measure_scratch`], [`svt_select_measure_scratch`]).
-///
-/// One instance per Monte-Carlo worker thread; see [`crate::scratch`] for
-/// the equivalence contract.
-#[derive(Debug, Default, Clone)]
-pub struct PipelineScratch {
-    topk: TopKScratch,
-    svt: SvtScratch,
-}
-
-impl PipelineScratch {
-    /// Creates an empty scratch (buffers grow on first run).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// Result of the Top-K select-then-measure pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,10 +60,9 @@ pub struct TopKPipelineResult {
 /// `λ = 1`/`λ = 4` at `f = 1/2`.
 ///
 /// Selection and measurement draw through the *same* provider in order
-/// (`n` selection draws, then up to `k` measurement draws), so the dyn and
-/// scratch paths stay bit-identical on the same RNG stream — the Top-K
-/// draw count is data-independent.
-fn topk_select_measure_core<P: DrawProvider>(
+/// (`n` selection draws, then `k` measurement draws). The fast path is
+/// [`RngDraws`](crate::draw::RngDraws) with a reused [`TopKScratch`].
+pub fn topk_select_measure_into<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,
     epsilon: f64,
@@ -139,7 +122,7 @@ pub fn topk_select_measure(
 /// The §5.2 protocol with an adjustable budget split (`select_fraction` of
 /// `epsilon` goes to selection, the rest to measurement); used by the
 /// budget-split ablation (the paper fixes `f = 1/2`). See
-/// `topk_select_measure_core` for the λ adaptation.
+/// [`topk_select_measure_into`] for the λ adaptation.
 pub fn topk_select_measure_with_split(
     answers: &QueryAnswers,
     k: usize,
@@ -148,47 +131,13 @@ pub fn topk_select_measure_with_split(
     rng: &mut StdRng,
 ) -> Result<TopKPipelineResult, MechanismError> {
     let mut source = SamplingSource::new(rng);
-    topk_select_measure_core(
+    topk_select_measure_into(
         answers,
         k,
         epsilon,
         select_fraction,
         &mut SourceDraws::new(&mut source),
         &mut TopKScratch::new(),
-    )
-}
-
-/// Batched fast path of [`topk_select_measure`]: selection and measurement
-/// noise are drawn via the scratch buffers and a monomorphic RNG. The result
-/// is bit-identical to the allocating pipeline on the same RNG stream (both
-/// draw exactly `n + k` Laplace variates in the same order).
-pub fn topk_select_measure_scratch<R: Rng + ?Sized>(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    rng: &mut R,
-    scratch: &mut PipelineScratch,
-) -> Result<TopKPipelineResult, MechanismError> {
-    topk_select_measure_with_split_scratch(answers, k, epsilon, 0.5, rng, scratch)
-}
-
-/// Batched fast path of [`topk_select_measure_with_split`]; see
-/// [`topk_select_measure_scratch`].
-pub fn topk_select_measure_with_split_scratch<R: Rng + ?Sized>(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    select_fraction: f64,
-    rng: &mut R,
-    scratch: &mut PipelineScratch,
-) -> Result<TopKPipelineResult, MechanismError> {
-    topk_select_measure_core(
-        answers,
-        k,
-        epsilon,
-        select_fraction,
-        &mut RngDraws::new(rng),
-        &mut scratch.topk,
     )
 }
 
@@ -200,8 +149,9 @@ pub fn topk_select_measure_with_split_scratch<R: Rng + ?Sized>(
 /// provider's [`staircase_fill_offset`](DrawProvider::staircase_fill_offset)
 /// shape — four uniforms per measurement). BLUE is variance-weighted, so
 /// `λ` adapts to the actual ratio `Var(selection noise)/Var(staircase
-/// noise)` instead of the fixed Laplace-vs-Laplace constants.
-fn topk_select_measure_staircase_core<P: DrawProvider>(
+/// noise)` instead of the fixed Laplace-vs-Laplace constants. Draw counts
+/// are data-independent (`n` Laplace + `4k` staircase uniforms).
+pub fn topk_select_measure_staircase_into<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,
     epsilon: f64,
@@ -224,7 +174,7 @@ fn topk_select_measure_staircase_core<P: DrawProvider>(
 
     // BLUE's λ is the per-draw noise-variance ratio (selection vs
     // measurement); for Laplace-vs-Laplace it collapses to the
-    // `(c(1-f)/f)²` constants of `topk_select_measure_core`.
+    // `(c(1-f)/f)²` constants of `topk_select_measure_into`.
     let sel_scale = selector.scale();
     let lambda = 2.0 * sel_scale * sel_scale / noise.variance();
 
@@ -254,31 +204,12 @@ pub fn topk_select_measure_staircase(
     rng: &mut StdRng,
 ) -> Result<TopKPipelineResult, MechanismError> {
     let mut source = SamplingSource::new(rng);
-    topk_select_measure_staircase_core(
+    topk_select_measure_staircase_into(
         answers,
         k,
         epsilon,
         &mut SourceDraws::new(&mut source),
         &mut TopKScratch::new(),
-    )
-}
-
-/// Batched fast path of [`topk_select_measure_staircase`]. Draw counts are
-/// data-independent (`n` Laplace + `4k` staircase uniforms), so the result
-/// is bit-identical to the allocating pipeline on the same RNG stream.
-pub fn topk_select_measure_staircase_scratch<R: Rng + ?Sized>(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    rng: &mut R,
-    scratch: &mut PipelineScratch,
-) -> Result<TopKPipelineResult, MechanismError> {
-    topk_select_measure_staircase_core(
-        answers,
-        k,
-        epsilon,
-        &mut RngDraws::new(rng),
-        &mut scratch.topk,
     )
 }
 
@@ -303,19 +234,19 @@ pub struct SvtPipelineResult {
 /// answered — the analyst commits to the split before seeing the
 /// selection), inverse-variance combination.
 ///
-/// Unlike Top-K, SVT's draw count is data-dependent, so the *measurement*
-/// noise path is a parameter: the dyn entry measures through the same
-/// provider (sequential stream), while the scratch entry measures from a
-/// sub-stream derived before the over-drawing selection (stream
-/// discipline) — the provider is handed back to `measure` after the
-/// selection completes.
-fn svt_select_measure_core<P: DrawProvider>(
+/// SVT's draw count is data-dependent, and the measurements are drawn
+/// through the selection's provider right after it halts. The fast path is
+/// [`ScratchDraws`](crate::draw::ScratchDraws): its blocked tape may have
+/// pulled uniforms past the halting query, but it serves them to the
+/// measurement first, so the served sequence is still the sequential
+/// stream and the result is bit-identical to [`svt_select_measure`] on the
+/// same RNG stream.
+pub fn svt_select_measure_into<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,
     epsilon: f64,
     threshold: f64,
     provider: &mut P,
-    measure: impl FnOnce(&mut P, &[f64], f64) -> Vec<f64>,
 ) -> Result<SvtPipelineResult, MechanismError> {
     let half = epsilon / 2.0;
     let selector = SparseVectorWithGap::new(k, half, threshold, answers.monotonic())?;
@@ -329,7 +260,8 @@ fn svt_select_measure_core<P: DrawProvider>(
     let truths: Vec<f64> = indices.iter().map(|&i| answers.values()[i]).collect();
 
     let meas_scale = measurer.scale() * k as f64;
-    let measurements = measure(provider, &truths, meas_scale);
+    let mut measurements = Vec::new();
+    provider.fill_offset(&truths, meas_scale, &mut measurements);
 
     let gap_var = selector.gap_variance();
     let meas_var = 2.0 * meas_scale * meas_scale;
@@ -359,61 +291,20 @@ pub fn svt_select_measure(
     rng: &mut StdRng,
 ) -> Result<SvtPipelineResult, MechanismError> {
     let mut source = SamplingSource::new(rng);
-    let mut provider = SourceDraws::new(&mut source);
-    svt_select_measure_core(
+    svt_select_measure_into(
         answers,
         k,
         epsilon,
         threshold,
-        &mut provider,
-        |p, truths, scale| {
-            let mut out = Vec::new();
-            p.fill_offset(truths, scale, &mut out);
-            out
-        },
-    )
-}
-
-/// Batched fast path of [`svt_select_measure`]: the SVT selection draws
-/// from the scratch's chunked unit-noise buffer and the measurements are one
-/// batched `fill_into_offset` pass.
-///
-/// Unlike the Top-K pipeline, SVT's draw count is data-dependent, so the
-/// scratch path consumes the RNG stream differently from the sequential
-/// path (buffered chunks) — per-run outputs are equal in distribution, not
-/// bit-identical. The measurement stream is derived from `rng` *before* the
-/// selection so the selection's history-dependent lookahead cannot shift the
-/// measurements: outputs are a pure function of the stream handed in. Use a
-/// fresh derived stream per run, as with every scratch entry point.
-pub fn svt_select_measure_scratch<R: Rng + ?Sized>(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    threshold: f64,
-    rng: &mut R,
-    scratch: &mut PipelineScratch,
-) -> Result<SvtPipelineResult, MechanismError> {
-    // Sub-stream for measurement, split off before the over-drawing
-    // selection (see the stream discipline in [`crate::scratch`]).
-    let mut meas_rng = free_gap_noise::rng::rng_from_seed(rng.gen::<u64>());
-    let mut provider = ScratchDraws::new(&mut scratch.svt, rng);
-    svt_select_measure_core(
-        answers,
-        k,
-        epsilon,
-        threshold,
-        &mut provider,
-        move |_selection_provider, truths, scale| {
-            let mut out = Vec::new();
-            RngDraws::new(&mut meas_rng).fill_offset(truths, scale, &mut out);
-            out
-        },
+        &mut SourceDraws::new(&mut source),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::{RngDraws, ScratchDraws};
+    use crate::scratch::SvtScratch;
     use free_gap_noise::rng::rng_from_seed;
     use free_gap_noise::stats::RunningMoments;
 
@@ -482,18 +373,18 @@ mod tests {
 
     #[test]
     fn staircase_scratch_pipeline_is_bit_identical() {
-        // Data-independent draw counts: the scratch path reproduces the
+        // Data-independent draw counts: the fast path reproduces the
         // allocating staircase pipeline exactly.
-        let mut scratch = PipelineScratch::new();
+        let mut scratch = TopKScratch::new();
         for seed in 0..50 {
             let expect =
                 topk_select_measure_staircase(&workload(), 4, 1.0, &mut rng_from_seed(seed))
                     .unwrap();
-            let got = topk_select_measure_staircase_scratch(
+            let got = topk_select_measure_staircase_into(
                 &workload(),
                 4,
                 1.0,
-                &mut rng_from_seed(seed),
+                &mut RngDraws::new(&mut rng_from_seed(seed)),
                 &mut scratch,
             )
             .unwrap();
@@ -526,23 +417,27 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let small = QueryAnswers::counting(vec![1.0, 2.0]);
         assert!(topk_select_measure(&small, 2, 1.0, &mut rng).is_err());
-        let mut scratch = PipelineScratch::new();
-        assert!(topk_select_measure_scratch(&small, 2, 1.0, &mut rng, &mut scratch).is_err());
+        let mut provider = RngDraws::new(&mut rng);
+        let mut scratch = TopKScratch::new();
+        assert!(
+            topk_select_measure_into(&small, 2, 1.0, 0.5, &mut provider, &mut scratch).is_err()
+        );
     }
 
     #[test]
     fn topk_scratch_pipeline_is_bit_identical() {
         // The Top-K pipeline draws a data-independent number of variates, so
-        // the scratch path reproduces the allocating path exactly.
-        let mut scratch = PipelineScratch::new();
+        // the fast path reproduces the allocating path exactly.
+        let mut scratch = TopKScratch::new();
         for seed in 0..50 {
             let expect =
                 topk_select_measure(&workload(), 4, 1.0, &mut rng_from_seed(seed)).unwrap();
-            let got = topk_select_measure_scratch(
+            let got = topk_select_measure_into(
                 &workload(),
                 4,
                 1.0,
-                &mut rng_from_seed(seed),
+                0.5,
+                &mut RngDraws::new(&mut rng_from_seed(seed)),
                 &mut scratch,
             )
             .unwrap();
@@ -551,26 +446,29 @@ mod tests {
     }
 
     #[test]
-    fn svt_scratch_pipeline_matches_in_distribution() {
-        // SVT draw counts are data-dependent; assert the scratch pipeline
-        // reproduces the error-reduction statistics of the sequential one.
-        let k = 5;
-        let threshold = 300.0;
-        let mut rng = rng_from_seed(8);
-        let mut scratch = PipelineScratch::new();
-        let mut mse_comb = RunningMoments::new();
-        let mut mse_meas = RunningMoments::new();
-        for _ in 0..4_000 {
-            let r =
-                svt_select_measure_scratch(&workload(), k, 1.0, threshold, &mut rng, &mut scratch)
-                    .unwrap();
-            for i in 0..r.indices.len() {
-                mse_comb.push((r.combined[i] - r.truths[i]).powi(2));
-                mse_meas.push((r.measurements[i] - r.truths[i]).powi(2));
+    fn svt_scratch_pipeline_is_bit_identical() {
+        // SVT's draw count is data-dependent and the tape pulls ahead of the
+        // halting query, but it serves that lookahead to the measurement
+        // first: through one reused scratch, the fast path reproduces the
+        // allocating pipeline exactly, at thresholds that halt early, late
+        // and never.
+        let mut scratch = SvtScratch::new();
+        for threshold in [300.0, 450.0, 600.0] {
+            for seed in 0..200 {
+                let expect =
+                    svt_select_measure(&workload(), 5, 1.0, threshold, &mut rng_from_seed(seed))
+                        .unwrap();
+                let mut rng = rng_from_seed(seed);
+                let got = svt_select_measure_into(
+                    &workload(),
+                    5,
+                    1.0,
+                    threshold,
+                    &mut ScratchDraws::new(&mut scratch, &mut rng),
+                )
+                .unwrap();
+                assert_eq!(expect, got, "threshold {threshold} seed {seed}");
             }
         }
-        let ratio = mse_comb.mean() / mse_meas.mean();
-        let expect = crate::postprocess::weighted::svt_error_ratio(k, true);
-        assert!((ratio - expect).abs() < 0.05, "ratio {ratio} vs {expect}");
     }
 }

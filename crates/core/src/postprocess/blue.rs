@@ -19,7 +19,7 @@
 //! The module ships both the `O(k)` algorithm used in production and the
 //! explicit matrix form `β = (Xα + Yg)/((1+λ)k)` used to cross-check it.
 
-use crate::error::MechanismError;
+use crate::error::{require_positive, MechanismError};
 
 /// Inputs to the BLUE combiner.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,11 +43,7 @@ fn validate(input: &BlueInput<'_>) -> Result<usize, MechanismError> {
             need: k.saturating_sub(1),
         });
     }
-    if !(input.lambda.is_finite() && input.lambda > 0.0) {
-        return Err(MechanismError::InvalidEpsilon {
-            value: input.lambda,
-        });
-    }
+    require_positive("lambda", input.lambda)?;
     Ok(k)
 }
 

@@ -14,7 +14,7 @@
 //! `(1+∛(4k²))³ / ((1+∛(4k²))³ + k²)` → 80% (i.e. 20% improvement) as
 //! `k → ∞`; for monotone workloads `(1+∛(k²))³/((1+∛(k²))³+k²)` → 50%.
 
-use crate::error::MechanismError;
+use crate::error::{require_positive, MechanismError};
 
 /// Inverse-variance weighted mean of two independent unbiased estimates.
 ///
@@ -26,11 +26,8 @@ pub fn inverse_variance_combine(
     estimate_b: f64,
     variance_b: f64,
 ) -> Result<f64, MechanismError> {
-    for v in [variance_a, variance_b] {
-        if !(v.is_finite() && v > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: v });
-        }
-    }
+    require_positive("variance_a", variance_a)?;
+    require_positive("variance_b", variance_b)?;
     let wa = 1.0 / variance_a;
     let wb = 1.0 / variance_b;
     Ok((estimate_a * wa + estimate_b * wb) / (wa + wb))
@@ -53,9 +50,9 @@ pub fn combine_gap_with_measurement(
 ) -> Result<f64, MechanismError> {
     inverse_variance_combine(
         measurement,
-        measurement_variance,
+        require_positive("measurement_variance", measurement_variance)?,
         gap + threshold,
-        gap_variance,
+        require_positive("gap_variance", gap_variance)?,
     )
 }
 

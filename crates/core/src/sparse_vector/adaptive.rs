@@ -82,7 +82,11 @@ impl AdaptiveSparseVector {
     /// the top-branch noise (the paper fixes 2). Used by the σ ablation.
     pub fn with_sigma_multiplier(mut self, m: f64) -> Result<Self, MechanismError> {
         if !(m.is_finite() && m >= 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: m });
+            return Err(MechanismError::InvalidParameter {
+                name: "sigma_multiplier",
+                value: m,
+                requirement: "must be non-negative and finite",
+            });
         }
         self.sigma_multiplier = m;
         Ok(self)

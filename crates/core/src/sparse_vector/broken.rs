@@ -55,7 +55,7 @@
 //! deterministic derived sub-streams.
 
 // lint:allow-file(taxonomy): the zoo's `run_into` entries are attack targets, deliberately broken —
-// they must never join the equivalence suite or the bench grid as if they were serving mechanisms.
+// they must never join the equivalence suite as if they were serving mechanisms.
 use super::SvOutput;
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};

@@ -48,7 +48,11 @@ impl DiscreteSparseVectorWithGap {
         let gamma = 1.0;
         let t_steps = threshold / gamma;
         if (t_steps - t_steps.round()).abs() > 1e-9 {
-            return Err(MechanismError::InvalidEpsilon { value: threshold });
+            return Err(MechanismError::InvalidParameter {
+                name: "threshold",
+                value: threshold,
+                requirement: "must lie on the integer lattice (γ = 1)",
+            });
         }
         Ok(Self {
             k,

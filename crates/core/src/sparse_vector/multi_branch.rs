@@ -123,9 +123,10 @@ impl MultiBranchAdaptiveSparseVector {
             });
         }
         if branches == 0 || branches > Self::MAX_BRANCHES {
-            return Err(MechanismError::InvalidK {
-                k: branches,
-                requirement: "branch count must be in 1..=16",
+            return Err(MechanismError::InvalidParameter {
+                name: "branches",
+                value: branches as f64,
+                requirement: "must be in 1..=16",
             });
         }
         Ok(Self {

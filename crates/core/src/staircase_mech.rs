@@ -18,29 +18,26 @@
 
 //! ## Execution paths
 //!
-//! The measurement loop exists once per input shape, generic over the
-//! [`DrawProvider`] noise comes through (four uniforms per draw):
+//! The measurement loop exists once, generic over the [`DrawProvider`]
+//! noise comes through (four uniforms per draw):
+//! [`measure_split_into`](StaircaseMechanism::measure_split_into), the one
+//! provider-taking entry, which [`Mechanism::call`](crate::api::Mechanism::call)
+//! also runs. It takes a slice, because the batch size is the budget
+//! divisor: the entry reads it off the answers it measures, so a caller
+//! can never spend `ε/count` on more than `count` answers. The batch is
+//! one [`staircase_fill_offset`](DrawProvider::staircase_fill_offset):
+//! through [`ScratchDraws`](crate::draw::ScratchDraws) the distribution is
+//! constructed once per batch and the uniforms come off the shared
+//! raw-uniform tape in blocked refills, into a caller-owned output.
 //!
-//! * `measure_split` — the dyn reference over a slice, through
-//!   [`SourceDraws`]: the source reconstructs the staircase distribution
-//!   per draw (an `exp` and the stair-side normalization each time), the
-//!   historical per-draw cost;
-//! * [`measure_split_into`](StaircaseMechanism::measure_split_into) — the
-//!   one provider-taking entry, over `impl IntoIterator<Item = f64>` with
-//!   an explicit batch size (the budget divisor, which a lazy stream
-//!   cannot supply). Through [`ScratchDraws`](crate::draw::ScratchDraws)
-//!   the distribution is constructed once per batch and the uniforms come
-//!   off the shared raw-uniform tape in blocked refills, into a
-//!   caller-owned output.
-//!
-//! The batched slice form behind
-//! [`Mechanism::call`](crate::api::Mechanism::call) fills the whole batch
-//! in one [`staircase_fill_offset`](DrawProvider::staircase_fill_offset).
-//! All three are bit-identical on the same RNG stream
-//! (`tests/scratch_equivalence.rs`).
+//! `measure_split` is the dyn reference over the same loop, through
+//! [`SourceDraws`]: the source reconstructs the staircase distribution per
+//! draw (an `exp` and the stair-side normalization each time), the
+//! historical per-draw cost. The two are bit-identical on the same RNG
+//! stream (`tests/scratch_equivalence.rs`).
 
 use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{require_epsilon, require_positive, MechanismError};
 use free_gap_alignment::SamplingSource;
 use free_gap_noise::{ContinuousDistribution, Staircase};
 use rand::rngs::StdRng;
@@ -68,10 +65,7 @@ impl StaircaseMechanism {
 
     /// Overrides the sensitivity `Δ`.
     pub fn with_sensitivity(mut self, sensitivity: f64) -> Result<Self, MechanismError> {
-        if !(sensitivity.is_finite() && sensitivity > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: sensitivity });
-        }
-        self.sensitivity = sensitivity;
+        self.sensitivity = require_positive("sensitivity", sensitivity)?;
         Ok(self)
     }
 
@@ -96,13 +90,20 @@ impl StaircaseMechanism {
         Ok(self.noise_for_batch(k)?.variance())
     }
 
-    /// The measurement loop over a slice (the shape
-    /// [`Mechanism::call`](crate::api::Mechanism::call) runs, which the
-    /// per-block providers fill in parallel): construct the batch's noise
-    /// distribution once, then one staircase draw per answer in index
-    /// order through the provider's batch shape. A batch whose budget
-    /// admits no distribution fails before any draw.
-    pub(crate) fn measure_core<P: DrawProvider>(
+    /// The measurement loop, and the one provider-taking entry: the budget
+    /// split evenly over `answers` (the sequential-composition divisor is
+    /// `answers.len()`), the batch's noise distribution constructed once,
+    /// then one staircase draw per answer in index order through the
+    /// provider's batch shape, written into `out` (reusing its buffer).
+    /// Bit-identical to [`measure_split`](Self::measure_split) on the same
+    /// RNG stream through every single-stream provider; the per-block
+    /// providers fill the batch from their block streams. A batch whose
+    /// budget admits no distribution fails before any draw.
+    ///
+    /// # Errors
+    /// As [`noise_for_batch`](Self::noise_for_batch), for
+    /// `k = answers.len()`.
+    pub fn measure_split_into<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
@@ -111,35 +112,6 @@ impl StaircaseMechanism {
         let noise = self.noise_for_batch(answers.len())?;
         provider.begin();
         provider.staircase_fill_offset(answers, &noise, out);
-        Ok(())
-    }
-
-    /// The measurement loop over a lazy answer stream, and the one
-    /// provider-taking entry: one staircase draw per answer, written into
-    /// `out` (reusing its buffer). `count` is the sequential-composition
-    /// divisor (the batch size a materialized call reads off
-    /// `answers.len()`); bit-identical to
-    /// [`measure_split`](Self::measure_split) on the same RNG stream when
-    /// the stream yields `count` answers. A batch whose budget admits no
-    /// distribution fails before any draw.
-    ///
-    /// # Errors
-    /// As [`noise_for_batch`](Self::noise_for_batch), for `k = count`.
-    pub fn measure_split_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
-        &self,
-        answers: I,
-        count: usize,
-        provider: &mut P,
-        out: &mut Vec<f64>,
-    ) -> Result<(), MechanismError> {
-        let noise = self.noise_for_batch(count)?;
-        provider.begin();
-        out.clear();
-        out.extend(
-            answers
-                .into_iter()
-                .map(|a| a + provider.staircase_next(&noise)),
-        );
         Ok(())
     }
 
@@ -158,7 +130,7 @@ impl StaircaseMechanism {
         rng: &mut StdRng,
     ) -> Result<Vec<f64>, MechanismError> {
         let mut out = Vec::new();
-        self.measure_core(
+        self.measure_split_into(
             answers,
             &mut SourceDraws::new(&mut SamplingSource::new(rng)),
             &mut out,
@@ -245,16 +217,6 @@ mod tests {
         let mut out = vec![7.0];
         assert_eq!(
             tiny.measure_split_into(
-                answers.iter().copied(),
-                answers.len(),
-                &mut ScratchDraws::new(&mut scratch, &mut rng),
-                &mut out
-            ),
-            Err(invalid.clone())
-        );
-        assert_eq!(out, [7.0], "a rejected batch writes nothing");
-        assert_eq!(
-            tiny.measure_core(
                 &answers,
                 &mut ScratchDraws::new(&mut scratch, &mut rng),
                 &mut out

@@ -29,7 +29,7 @@ use free_gap_core::sparse_vector::{
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_core::{RngDraws, ScratchDraws, SvtScratch, TopKScratch};
-use free_gap_noise::rng::{derive_fast_stream, derive_stream};
+use free_gap_noise::rng::{derive_fast_stream, derive_stream, splitmix64};
 
 fn values() -> Vec<f64> {
     vec![120.0, 40.0, 97.0, 80.0, 3.0, 55.0, 101.0, 12.0]
@@ -182,7 +182,71 @@ fn call_batched_matches_into_entry_points() {
     }
 }
 
-/// Names and costs are what a uniform caller (benchmark grid, serving
+/// The output bits of every mechanism, pinned on both of its paths: the
+/// fast `call_batched` (the provider a server worker and the benchmark
+/// drive) and the dyn `call_reference`, on a 2,000-query workload with
+/// five derived streams each. Each path's digests fold into one value, so
+/// a change that moves any served bit of any mechanism fails here.
+#[test]
+fn call_batched_and_reference_digests_are_pinned() {
+    let (k, threshold) = (5, 500.0);
+    let expo = ExponentialMechanism::new(0.7, true).unwrap();
+    let grid: Vec<AnyMechanism> = vec![
+        NoisyTopKWithGap::new(k, 0.7, true).unwrap().into(),
+        ClassicNoisyTopK::new(k, 0.7, true).unwrap().into(),
+        DiscreteNoisyTopKWithGap::new(k, 0.7, true).unwrap().into(),
+        ExponentialTopK::new(expo, k).unwrap().into(),
+        StaircaseMechanism::new(0.7).unwrap().into(),
+        SparseVectorWithGap::new(k, 0.7, threshold, true)
+            .unwrap()
+            .into(),
+        ClassicSparseVector::new(k, 0.7, threshold, true)
+            .unwrap()
+            .into(),
+        AdaptiveSparseVector::new(k, 0.7, threshold, true)
+            .unwrap()
+            .into(),
+        MultiBranchAdaptiveSparseVector::new(k, 0.7, threshold, true, 3)
+            .unwrap()
+            .into(),
+        DiscreteSparseVectorWithGap::new(k, 0.7, threshold, true)
+            .unwrap()
+            .into(),
+    ];
+    let mut s = 0x5EED_u64;
+    let vals: Vec<f64> = (0..2_000)
+        .map(|_| (splitmix64(&mut s) % 1_000) as f64)
+        .collect();
+    let req = QuerySlice::new(&vals);
+    let mut scratch = CallScratch::new();
+    let (mut fast, mut reference) = (0u64, 0u64);
+    for mech in &grid {
+        let mut out = MechanismOutput::new_for(mech);
+        for r in 0..4 {
+            mech.call_batched(
+                &req,
+                &mut derive_fast_stream(2019, r),
+                &mut scratch,
+                &mut out,
+            )
+            .unwrap();
+            fast = out.digest(fast);
+            mech.call_reference(&req, &mut derive_stream(2019, r), &mut out)
+                .unwrap();
+            reference = out.digest(reference);
+        }
+    }
+    assert_eq!(
+        fast, 0xea15_5cec_0ee0_724f,
+        "call_batched digest moved: {fast:#018x}"
+    );
+    assert_eq!(
+        reference, 0x3662_5567_66a9_fa23,
+        "call_reference digest moved: {reference:#018x}"
+    );
+}
+
+/// Names and costs are what a uniform caller (the benchmark, the serving
 /// ledger) keys on: pin them.
 #[test]
 fn names_and_costs_are_stable() {

@@ -159,11 +159,8 @@ impl Subject for StaircaseMechanism {
         _scratch: &mut TopKScratch,
         out: &mut Vec<f64>,
     ) {
-        // The budget divisor is the batch size, so the batch is counted
-        // before it is measured.
         let values: Vec<f64> = queries.collect();
-        self.measure_split_into(values.iter().copied(), values.len(), provider, out)
-            .unwrap();
+        self.measure_split_into(&values, provider, out).unwrap();
     }
     fn buffer(out: &Vec<f64>) -> (usize, usize) {
         (out.len(), out.capacity())

@@ -309,7 +309,7 @@ proptest! {
         sorted.sort_by(|a, b| b.total_cmp(a));
         let threshold = sorted[threshold_rank.min(n - 1)];
 
-        // One derived stream per mechanism, as the grid runs them.
+        // One derived stream per mechanism, as a Monte-Carlo loop runs them.
         let topk = NoisyTopKWithGap::new(k, 0.8, monotone).unwrap();
         assert_providers_agree(&topk, &answers, seed, 0..1);
         let classic_topk = ClassicNoisyTopK::new(k, 0.8, monotone).unwrap();

@@ -1,8 +1,8 @@
-//! Equivalence suite of the bad fixture tree: covers `UnbenchedMechanism`
-//! only — `BadMechanism` and `GhostMechanism` have no entry.
+//! Equivalence suite of the bad fixture tree: covers `CoveredMechanism`
+//! only — `BadMechanism` has no entry.
 
 #[test]
-fn unbenched_mechanism_providers_agree() {
-    let mech = UnbenchedMechanism::new(1.0);
+fn covered_mechanism_providers_agree() {
+    let mech = CoveredMechanism::new(1.0);
     assert_providers_agree(&mech);
 }

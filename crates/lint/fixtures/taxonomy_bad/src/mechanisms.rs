@@ -1,7 +1,8 @@
-//! R4 power-check fixture tree — every way the taxonomy can go incomplete.
+//! R4 power-check fixture tree — an entry the equivalence suite never
+//! covers, beside a complete sibling that must not fire.
 
-/// Has its provider-taking entry and a bench grid cell, but no equivalence
-/// entry: nothing proves it bit-identical to the reference.
+/// Has its provider-taking entry but no equivalence entry: nothing proves
+/// it bit-identical to the reference.
 impl BadMechanism {
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
@@ -13,9 +14,8 @@ impl BadMechanism {
     }
 }
 
-/// Entry and equivalence entry — but never declared in `MECHANISM_PATHS`,
-/// so bench-check cannot guard its cell.
-impl UnbenchedMechanism {
+/// Entry and equivalence entry: complete, so it must stay silent.
+impl CoveredMechanism {
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,

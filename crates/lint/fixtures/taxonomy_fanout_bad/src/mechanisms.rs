@@ -1,7 +1,6 @@
 //! R4 power-check fixture tree — the fan-out growing back: a mechanism
-//! whose one provider-taking entry gained a public twin. Complete in every
-//! other respect (equivalence entry, grid cell), so only the one-entry
-//! check can fire.
+//! whose one provider-taking entry gained a public twin. Its equivalence
+//! entry exists, so only the one-entry check can fire.
 
 impl FannedOutMechanism {
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(

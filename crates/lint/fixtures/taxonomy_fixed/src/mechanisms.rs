@@ -1,7 +1,7 @@
 //! R4 power-check fixture tree — a complete taxonomy. Must lint clean.
 
 /// One public provider-taking entry beside the allocating reference, with
-/// an equivalence entry and a bench grid cell.
+/// an equivalence entry.
 impl GoodMechanism {
     pub fn run(&self, answers: &QueryAnswers<'_>, rng: &mut StdRng) -> Vec<GapOutcome> {
         let mut out = Vec::new();

@@ -1,7 +1,7 @@
 //! Deliberately-broken variant zoo: attacked by the privacy-attack harness,
-//! never benched — exempt from the taxonomy as a whole file, fan-out
+//! never served — exempt from the taxonomy as a whole file, fan-out
 //! included.
-// lint:allow-file(taxonomy): the zoo is an attack target, not a benched mechanism
+// lint:allow-file(taxonomy): the zoo is an attack target, not a served mechanism
 
 impl LeakyZooVariant {
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(

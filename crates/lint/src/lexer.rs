@@ -114,13 +114,9 @@ pub fn lex(src: &str) -> Lexed {
             }
             '"' => {
                 let (j, newlines) = skip_string(&bytes, i);
-                // String contents are kept (quotes stripped): the taxonomy
-                // rule reads mechanism names out of `MECHANISM_PATHS`.
                 tokens.push(Token {
                     kind: TokenKind::Literal,
-                    text: bytes[i + 1..j.saturating_sub(1).max(i + 1)]
-                        .iter()
-                        .collect(),
+                    text: String::new(),
                     line,
                 });
                 line += newlines;

@@ -16,7 +16,7 @@
 //! | `stream-discipline` (R1) | no raw RNG/`NoiseSource` draws inside provider-generic cores or the blocked `ScratchDraws` provider — randomness flows through [`DrawProvider`] methods only |
 //! | `endpoint-guard` (R2) | every `.ln()` in a uniform transform clamps its operand with `.max(f64::MIN_POSITIVE)` |
 //! | `panic-freedom` (R3) | no `unwrap`/`expect`/`panic!`/`assert!` in non-test mechanism code — typed `MechanismError` or a justified allow |
-//! | `taxonomy` (R4) | every mechanism type has exactly one public provider-taking `*_into` entry, a `scratch_equivalence` entry, and a `MECHANISM_PATHS` bench cell (cross-file) |
+//! | `taxonomy` (R4) | every mechanism type has exactly one public provider-taking `*_into` entry and a `scratch_equivalence` entry (cross-file) |
 //! | `budget-balance` (R5) | every `try_debit` handles its failure with a typed rejection; a debited share reaches exactly one `release` on every error path (dataflow) |
 //! | `lock-discipline` (R6) | a live guard never crosses another `.lock()` or a mechanism `call_*`; lock results absorb poisoning via `PoisonError::into_inner` (dataflow) |
 //! | `par-purity` (R7) | parallel block-fill closures are pure functions of (run seed, block index, disjoint slab) — no captured `&mut`, thread identity, statics, or entropy (dataflow) |
@@ -215,7 +215,7 @@ pub fn lint_file(
 }
 
 /// The layout of a tree to lint: where the linted crates' sources and the
-/// two cross-file anchors (equivalence suite, bench grid) live.
+/// cross-file anchor of R4 (the equivalence suite) live.
 #[derive(Debug, Clone)]
 pub struct TreeLayout {
     /// `crates/core/src` — R1 + R3 scope.
@@ -228,13 +228,11 @@ pub struct TreeLayout {
     /// `crates/attack/src` — R3 + R8 scope (the audit harness must not
     /// panic mid-board or mis-rank on NaN statistics).
     pub attack_src: PathBuf,
-    /// `crates/bench/src` — R3 + R8 scope (a panicking or NaN-unstable
-    /// sort in the grid invalidates the baselines CI gates on).
+    /// `crates/bench/src` — R3 + R8 scope (a panicking experiment aborts
+    /// a figure half-written; a NaN-unstable sort mis-ranks its rows).
     pub bench_src: PathBuf,
     /// `crates/core/tests/scratch_equivalence.rs` — R4 anchor.
     pub equivalence: PathBuf,
-    /// `crates/bench/src/perf.rs` — R4 anchor (`MECHANISM_PATHS`).
-    pub perf: PathBuf,
 }
 
 impl TreeLayout {
@@ -247,7 +245,6 @@ impl TreeLayout {
             attack_src: root.join("crates/attack/src"),
             bench_src: root.join("crates/bench/src"),
             equivalence: root.join("crates/core/tests/scratch_equivalence.rs"),
-            perf: root.join("crates/bench/src/perf.rs"),
         }
     }
 
@@ -261,7 +258,6 @@ impl TreeLayout {
             ("attack sources", &self.attack_src),
             ("bench sources", &self.bench_src),
             ("scratch_equivalence suite", &self.equivalence),
-            ("bench perf grid", &self.perf),
         ] {
             if !p.exists() {
                 return Err(format!(
@@ -286,8 +282,8 @@ pub fn lint_tree_report(layout: &TreeLayout, rules: &[Rule]) -> io::Result<Vec<D
     out.extend(lint_dir(&layout.attack_src, FileScope::Attack, rules)?);
     out.extend(lint_dir(&layout.bench_src, FileScope::Bench, rules)?);
     if rules.contains(&Rule::Taxonomy) {
-        let inv = taxonomy::inventory(&layout.core_src, &layout.equivalence, &layout.perf)?;
-        taxonomy::check(&inv, &layout.equivalence, &layout.perf, &mut out);
+        let inv = taxonomy::inventory(&layout.core_src, &layout.equivalence)?;
+        taxonomy::check(&inv, &layout.equivalence, &mut out);
     }
     out.sort_by(|a, b| {
         (&a.file, a.line, a.rule.name(), &a.message).cmp(&(
@@ -585,17 +581,9 @@ pub fn lint_fixture(fixture: &Fixture) -> io::Result<Vec<Diagnostic>> {
     let path = fixtures_dir().join(fixture.path);
     let mut out = Vec::new();
     if fixture.rule == Rule::Taxonomy {
-        let layout = TreeLayout {
-            core_src: path.join("src"),
-            noise_src: path.join("src"),
-            serve_src: path.join("src"),
-            attack_src: path.join("src"),
-            bench_src: path.join("src"),
-            equivalence: path.join("scratch_equivalence.rs"),
-            perf: path.join("perf.rs"),
-        };
-        let inv = taxonomy::inventory(&layout.core_src, &layout.equivalence, &layout.perf)?;
-        taxonomy::check(&inv, &layout.equivalence, &layout.perf, &mut out);
+        let equivalence = path.join("scratch_equivalence.rs");
+        let inv = taxonomy::inventory(&path.join("src"), &equivalence)?;
+        taxonomy::check(&inv, &equivalence, &mut out);
     } else {
         lint_file(&path, fixture.scope, &[fixture.rule], &mut out)?;
         out.retain(|d| d.allow == AllowState::None);

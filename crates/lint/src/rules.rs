@@ -25,9 +25,9 @@ pub enum FileScope {
     /// mid-board loses the whole audit; a NaN-partial sort mis-ranks the
     /// detection statistics it gates on.
     Attack,
-    /// `crates/bench/src` — grid, baselines, and the `repro` CLI:
-    /// R3 + R8. A panicking cell invalidates a whole timing run; NaN
-    /// partial sorts corrupt the percentile estimates CI compares.
+    /// `crates/bench/src` — the experiments and the `repro` CLI: R3 + R8.
+    /// A panicking experiment aborts a figure half-written; NaN partial
+    /// sorts mis-rank its rows.
     Bench,
 }
 

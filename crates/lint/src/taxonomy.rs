@@ -8,22 +8,15 @@
 //! 1. expose **only one** — a second public `*_into` entry is the fan-out
 //!    of drifting copies this rule exists to stop from growing back (the
 //!    Chen–Machanavajjhala hazard: variants that drift apart lose their
-//!    privacy guarantee),
+//!    privacy guarantee), and
 //! 2. appear in the `scratch_equivalence` suite (otherwise nothing proves
-//!    the entry bit-identical to the reference across providers), and
-//! 3. appear in the bench `MECHANISM_PATHS` grid (otherwise `bench-check`
-//!    cannot notice the cell going missing).
-//!
-//! The reverse directions hold too: every `MECHANISM_PATHS` name must
-//! resolve to a type with an `_into` entry and an equivalence entry — a
-//! mechanism added to the grid without an equivalence test is exactly the
-//! gap this rule exists to close.
+//!    the entry bit-identical to the reference across providers).
 //!
 //! Exemptions use the same allow syntax as the token rules:
 //! `// lint:allow(taxonomy): reason` on (or above) the `fn` line takes
 //! that entry out of the inventory, and a file-level
 //! `// lint:allow-file(taxonomy): reason` skips a whole file (the broken
-//! zoo is attacked, not benched).
+//! zoo is an attack target, not a served mechanism).
 
 use crate::allow;
 use crate::lexer::{lex, Token, TokenKind};
@@ -47,8 +40,6 @@ pub struct Inventory {
     types: BTreeMap<String, Vec<IntoFn>>,
     /// Identifiers appearing in the equivalence suite.
     equivalence_idents: Vec<String>,
-    /// Mechanism names in `MECHANISM_PATHS`, with the literal's line.
-    grid: Vec<(String, u32)>,
 }
 
 impl Inventory {
@@ -58,18 +49,10 @@ impl Inventory {
     pub fn mechanism_types(&self) -> Vec<String> {
         self.types.keys().cloned().collect()
     }
-
-    /// Sorted mechanism names of the bench grid.
-    pub fn grid_mechanisms(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.grid.iter().map(|(n, _)| n.clone()).collect();
-        v.sort();
-        v
-    }
 }
 
-/// Collects the inventory from the core sources, the equivalence suite and
-/// the bench grid file.
-pub fn inventory(core_src: &Path, equivalence: &Path, perf: &Path) -> io::Result<Inventory> {
+/// Collects the inventory from the core sources and the equivalence suite.
+pub fn inventory(core_src: &Path, equivalence: &Path) -> io::Result<Inventory> {
     let mut inv = Inventory::default();
     for file in crate::rust_files(core_src)? {
         collect_into_fns(&file, &mut inv)?;
@@ -81,13 +64,11 @@ pub fn inventory(core_src: &Path, equivalence: &Path, perf: &Path) -> io::Result
         .filter(|t| t.kind == TokenKind::Ident)
         .map(|t| t.text)
         .collect();
-    let perf_src = std::fs::read_to_string(perf)?;
-    inv.grid = grid_mechanisms(&lex(&perf_src).tokens);
     Ok(inv)
 }
 
 /// Runs the cross-checks over a collected inventory.
-pub fn check(inv: &Inventory, equivalence: &Path, perf: &Path, out: &mut Vec<Diagnostic>) {
+pub fn check(inv: &Inventory, equivalence: &Path, out: &mut Vec<Diagnostic>) {
     let mut flag = |file: &Path, line: u32, message: String| {
         out.push(Diagnostic {
             file: file.to_path_buf(),
@@ -119,42 +100,6 @@ pub fn check(inv: &Inventory, equivalence: &Path, perf: &Path, out: &mut Vec<Dia
                     "`{ty}` exposes `{}` but never appears in the scratch_equivalence \
                      suite ({}): nothing proves it bit-identical to the reference",
                     first.name,
-                    equivalence.display()
-                ),
-            );
-        }
-        if !inv.grid.iter().any(|(n, _)| n == ty) {
-            flag(
-                &first.file,
-                first.line,
-                format!(
-                    "`{ty}` exposes `{}` but is missing from MECHANISM_PATHS ({}): \
-                     bench-check cannot guard cells that were never declared",
-                    first.name,
-                    perf.display()
-                ),
-            );
-        }
-    }
-    for (name, line) in &inv.grid {
-        if !inv.types.contains_key(name) {
-            flag(
-                perf,
-                *line,
-                format!(
-                    "MECHANISM_PATHS lists `{name}` but no type of that name exposes a \
-                     public `*_into` entry in the core sources"
-                ),
-            );
-        }
-        if !inv.equivalence_idents.iter().any(|i| i == name) {
-            flag(
-                perf,
-                *line,
-                format!(
-                    "`{name}` is benched in MECHANISM_PATHS but has no \
-                     scratch_equivalence entry ({}): a grid cell without an \
-                     equivalence test can drift from the reference unnoticed",
                     equivalence.display()
                 ),
             );
@@ -266,67 +211,6 @@ fn matching_brace(toks: &[Token], open: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Extracts `(name, line)` for each mechanism in the `MECHANISM_PATHS`
-/// array literal: the string literal directly following a `(` inside the
-/// array (path strings follow `[` or `,` instead).
-fn grid_mechanisms(toks: &[Token]) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].kind == TokenKind::Ident && toks[i].text == "MECHANISM_PATHS" {
-            // Require an `=` before any top-level `;` — i.e. the definition,
-            // not a later use.
-            let mut j = i + 1;
-            let mut bracket = 0i32;
-            let mut is_def = false;
-            while j < toks.len() {
-                match toks[j].kind {
-                    TokenKind::Punct('[') | TokenKind::Punct('(') => bracket += 1,
-                    TokenKind::Punct(']') | TokenKind::Punct(')') => bracket -= 1,
-                    TokenKind::Punct('=') if bracket == 0 => {
-                        is_def = true;
-                        break;
-                    }
-                    TokenKind::Punct(';') if bracket == 0 => break,
-                    TokenKind::Punct('{') if bracket == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if is_def {
-                // Advance to the array's `[`, then walk it.
-                while j < toks.len() && toks[j].kind != TokenKind::Punct('[') {
-                    j += 1;
-                }
-                let mut depth = 0i32;
-                while j < toks.len() {
-                    match &toks[j].kind {
-                        TokenKind::Punct('[') => depth += 1,
-                        TokenKind::Punct(']') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return out;
-                            }
-                        }
-                        TokenKind::Literal
-                            if matches!(
-                                toks.get(j - 1).map(|t| &t.kind),
-                                Some(TokenKind::Punct('('))
-                            ) =>
-                        {
-                            out.push((toks[j].text.clone(), toks[j].line));
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,21 +231,5 @@ mod tests {
             let (ty, _) = parse_impl_header(&toks, 1).expect(src);
             assert_eq!(ty, want, "{src}");
         }
-    }
-
-    #[test]
-    fn grid_extraction_takes_mechanism_names_only() {
-        let src = r#"
-            pub const MECHANISM_PATHS: [(&str, &[&str]); 2] = [
-                ("NoisyTopKWithGap", &["dyn", "scratch"]),
-                ("ClassicSparseVector", &["dyn", "scratch", "streaming"]),
-            ];
-            fn use_it() { for (m, p) in MECHANISM_PATHS { drop((m, p)); } }
-        "#;
-        let names: Vec<String> = grid_mechanisms(&lex(src).tokens)
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(names, vec!["NoisyTopKWithGap", "ClassicSparseVector"]);
     }
 }

@@ -233,8 +233,8 @@ impl BlockBuffer {
     /// bounded: blocks taper toward the predicted per-run consumption, so
     /// the unconsumed tail is at most one block's overshoot (measured cost
     /// ≲ 10% on the shortest-decision mechanisms, vs. fusing the multiply
-    /// into every consumer loop — `repro bench-compare` guards the
-    /// trade-off).
+    /// into every consumer loop — the benchmark's `noise.block.*` and
+    /// per-mechanism rows time the trade-off).
     #[inline]
     pub fn peek_tuples_scaled<D: SingleUniform, R: Rng + ?Sized>(
         &mut self,

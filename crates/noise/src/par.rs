@@ -22,7 +22,7 @@
 //! count** — the property the provider-level digest tests in
 //! `free-gap-core` pin. The cost of the layout is that a blocked fill is a
 //! *different stream* from the single-RNG fast paths; it is a new path
-//! (`par` in the benchmark grid), not a replacement.
+//! (`call_par` in `free-gap-core`), not a replacement.
 
 use crate::rng::derive_fast_stream;
 use crate::traits::{ContinuousDistribution, DiscreteDistribution};

@@ -1,12 +1,12 @@
 //! `repro serve-bench`: a closed-loop load generator over [`QueryServer`].
 //!
-//! Unlike the `repro bench` throughput grid — which times bare mechanism
-//! loops — this benchmark measures the *serving layer*: per-request latency
-//! through the tenant lock, ledger debit, derived sub-stream setup and
-//! mechanism dispatch, plus the rejection counts a budget-enforcing server
-//! actually produces (tenants are provisioned with less ε than their
-//! request script wants, so the tail of every script is budget-rejected by
-//! design). Reported as p50/p95/p99 latency, not just runs/sec.
+//! Unlike a bare mechanism loop, this benchmark measures the *serving
+//! layer*: per-request latency through the tenant lock, ledger debit,
+//! derived sub-stream setup and mechanism dispatch, plus the rejection
+//! counts a budget-enforcing server actually produces (tenants are
+//! provisioned with less ε than their request script wants, so the tail of
+//! every script is budget-rejected by design). Reported as p50/p95/p99
+//! latency, not just runs/sec.
 //!
 //! ## Determinism
 //!
@@ -24,7 +24,7 @@
 //!
 //! Degenerate configurations (zero tenants, a zero/non-finite duration
 //! cap, a non-positive QPS target) are rejected up front with
-//! [`MechanismError::InvalidBenchConfig`] instead of silently clamped,
+//! [`MechanismError::InvalidParameter`] instead of silently clamped,
 //! and a worker thread that panics mid-run surfaces as
 //! [`MechanismError::WorkerPanicked`] after every sibling is joined —
 //! never a hang or an opaque propagated unwind.
@@ -124,23 +124,26 @@ impl ServeBenchConfig {
     /// always a mistyped flag, not a meaningful run.
     pub fn validate(&self) -> Result<(), MechanismError> {
         if self.tenants == 0 {
-            return Err(MechanismError::InvalidBenchConfig {
+            return Err(MechanismError::InvalidParameter {
                 name: "tenants",
+                value: 0.0,
                 requirement: "must be at least 1",
             });
         }
         if let Some(d) = self.duration_cap_secs {
             if !(d.is_finite() && d > 0.0) {
-                return Err(MechanismError::InvalidBenchConfig {
+                return Err(MechanismError::InvalidParameter {
                     name: "duration",
+                    value: d,
                     requirement: "must be a positive, finite number of seconds",
                 });
             }
         }
         if let Some(q) = self.qps {
             if !(q.is_finite() && q > 0.0) {
-                return Err(MechanismError::InvalidBenchConfig {
+                return Err(MechanismError::InvalidParameter {
                     name: "qps",
+                    value: q,
                     requirement: "must be a positive, finite requests-per-second rate",
                 });
             }
@@ -223,8 +226,8 @@ pub struct ServeBenchReport {
     pub truncated: bool,
 }
 
-/// The per-call mechanism grid the script cycles through: the same ten
-/// mechanisms as the throughput grid, at `k = 5`, over the shared
+/// The per-call mechanism grid the script cycles through: all ten
+/// mechanisms, at `k = 5`, over the shared
 /// integer-valued workload (so the finite-precision mechanisms accept it).
 fn script_grid(threshold: f64) -> Result<Vec<AnyMechanism>, free_gap_core::MechanismError> {
     let k = 5;
@@ -536,7 +539,7 @@ mod tests {
         let no_tenants = ServeBenchConfig { tenants: 0, ..ok };
         assert!(matches!(
             no_tenants.validate(),
-            Err(MechanismError::InvalidBenchConfig {
+            Err(MechanismError::InvalidParameter {
                 name: "tenants",
                 ..
             })
@@ -548,7 +551,7 @@ mod tests {
             };
             assert!(matches!(
                 cfg.validate(),
-                Err(MechanismError::InvalidBenchConfig {
+                Err(MechanismError::InvalidParameter {
                     name: "duration",
                     ..
                 })
@@ -559,7 +562,7 @@ mod tests {
             };
             assert!(matches!(
                 cfg.validate(),
-                Err(MechanismError::InvalidBenchConfig { name: "qps", .. })
+                Err(MechanismError::InvalidParameter { name: "qps", .. })
             ));
         }
         // Well-formed caps pass.

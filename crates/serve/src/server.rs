@@ -1,5 +1,5 @@
 //! The multi-tenant query server: one unified request/response surface
-//! over every grid mechanism, with per-tenant budget ledgers, derived
+//! over all ten mechanisms, with per-tenant budget ledgers, derived
 //! noise sub-streams, and open streaming-SVT sessions.
 //!
 //! ## Concurrency and determinism

@@ -408,3 +408,17 @@ fn serve_bench_digest_depends_on_seed() {
     let b = free_gap_serve::bench::run(&config).unwrap();
     assert_ne!(a.digest, b.digest);
 }
+
+/// The quick board's digest at the default seed, pinned: every response
+/// bit of the scripted multi-tenant run (all ten mechanisms, SVT sessions,
+/// rejections, evictions) folds into it, so a change that moves any served
+/// output bit fails here. `repro serve-bench --quick` prints the same value.
+#[test]
+fn serve_bench_quick_digest_is_pinned() {
+    let report = free_gap_serve::bench::run(&ServeBenchConfig::quick(20190412)).unwrap();
+    assert_eq!(
+        report.digest, 0xac44_ad34_f3fc_feed,
+        "serve-bench --quick digest moved: {:#018x}",
+        report.digest
+    );
+}

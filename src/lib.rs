@@ -69,9 +69,8 @@ pub mod prelude {
         DiscreteNoisyTopKWithGap, NoisyMaxWithGap, NoisyTopKWithGap, TopKOutput,
     };
     pub use free_gap_core::pipelines::{
-        svt_select_measure, svt_select_measure_scratch, topk_select_measure,
-        topk_select_measure_scratch, topk_select_measure_with_split,
-        topk_select_measure_with_split_scratch, PipelineScratch,
+        svt_select_measure, svt_select_measure_into, topk_select_measure, topk_select_measure_into,
+        topk_select_measure_with_split,
     };
     pub use free_gap_core::postprocess::{
         blue_estimates, blue_variance_ratio, combine_gap_with_measurement, gap_confidence_offset,
