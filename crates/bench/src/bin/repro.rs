@@ -14,11 +14,11 @@
 //!   ablation-split     selection/measurement budget-split sweep
 //!   ablation-branches  branch-count sweep for multi-branch Adaptive-SVT
 //!   all                every experiment above, paper defaults
-//!   serve-bench        multi-tenant serving-layer load generator →
-//!                      BENCH_serve.json: p50/p95/p99 request latency,
-//!                      budget-rejection counts, idle-session evictions and
-//!                      the bit-reproducibility digest (fixed seed → same
-//!                      digest for any worker count)
+//!   serve-bench        deterministic multi-tenant replay through the query
+//!                      server: completed, rejected and budget-rejected
+//!                      requests, idle-session evictions and the digest of
+//!                      every response bit (fixed seed → same digest for
+//!                      any worker count); times nothing
 //!   lint               free-gap-lint: the eight static invariants
 //!                      (stream-discipline, endpoint-guard, panic-freedom,
 //!                      taxonomy, budget-balance, lock-discipline,
@@ -31,17 +31,16 @@
 //!                      nonzero if any correct mechanism is flagged or any
 //!                      broken variant escapes detection
 //!
-//! Options:
+//! Options (each command reads only its own; any other is a usage error):
 //!   --runs N           Monte-Carlo runs per point (default: per experiment)
 //!   --scale F          dataset record-count fraction in (0, 1] (default 1.0)
 //!   --seed N           root RNG seed (default 20190412)
 //!   --eps F            total privacy budget ε (default 0.7)
-//!   --dataset NAME     bms-pos | kosarak | t40 (fig3/ablations; default bms-pos)
+//!   --dataset NAME     bms-pos | kosarak | t40 (fig3, ablation-split,
+//!                      ablation-branches, all; default bms-pos)
 //!   --csv              emit CSV instead of aligned tables
-//!   --json PATH        `serve-bench`: where the report goes (default
-//!                      BENCH_serve.json); `lint`: write the
-//!                      machine-readable finding report (schema
-//!                      free-gap-lint/1, includes allow-suppressed
+//!   --json PATH        `lint`: write the machine-readable finding report
+//!                      (schema free-gap-lint/1, includes allow-suppressed
 //!                      findings) before the pass/fail verdict
 //!   --trials N         `attack`: estimate-phase Monte-Carlo trials per side
 //!                      (search phase scales along; default 300000)
@@ -52,17 +51,6 @@
 //!                      trials, α = 0.05, same verdicts on the suite);
 //!                      `serve-bench`: 4 tenants × 300 requests instead of
 //!                      8 × 2000
-//!   --tenants N        `serve-bench`: number of registered tenants
-//!   --duration F       `serve-bench`: wall-clock cap in seconds; the run
-//!                      stops issuing requests when it elapses and the
-//!                      report is marked truncated
-//!   --qps F            `serve-bench`: aggregate request-rate target the
-//!                      workers pace themselves to (default: unpaced
-//!                      closed loop)
-//!   --par-threshold N  `serve-bench`: serve one-shot calls with at least
-//!                      N queries through the intra-run parallel noise
-//!                      path (default: off; changes the noise stream, so
-//!                      digests are only comparable at the same setting)
 //!   --rule NAME        `lint`: check a single rule (stream-discipline |
 //!                      endpoint-guard | panic-freedom | taxonomy |
 //!                      budget-balance | lock-discipline | par-purity |
@@ -93,56 +81,60 @@ struct CliOptions {
     epsilon: f64,
     dataset: Dataset,
     csv: bool,
-    /// `serve-bench`/`lint`: where the JSON report goes (`--json`).
+    /// `lint`: where the JSON report goes (`--json`).
     json: Option<String>,
     /// `attack`: estimate-phase trials per side (`--trials`).
     attack_trials: Option<usize>,
     /// `attack`: significance α of the reported bounds (`--significance`).
     significance: Option<f64>,
-    /// `attack`: budgeted CI smoke configuration (`--quick`).
+    /// `attack`/`serve-bench`: the budgeted smoke configuration (`--quick`).
     quick: bool,
-    /// `serve-bench`: tenant count (`--tenants`).
-    tenants: Option<usize>,
-    /// `serve-bench`: wall-clock cap in seconds (`--duration`).
-    duration: Option<f64>,
-    /// `serve-bench`: aggregate request-rate target (`--qps`).
-    qps: Option<f64>,
-    /// `serve-bench`: parallel-path opt-in query-count threshold
-    /// (`--par-threshold`).
-    par_threshold: Option<usize>,
     /// `lint`: restrict to a single named rule (`--rule`).
     lint_rule: Option<String>,
     /// `lint`: run the fixture power checks instead of the tree (`--fixtures`).
     fixtures: bool,
-    /// Which workload-shaping options were passed explicitly (the commands
-    /// with fixed workloads reject them).
-    workload_flags: Vec<&'static str>,
 }
 
-/// Every command `repro` runs; anything else is a usage error.
-const COMMANDS: [&str; 15] = [
-    "datasets",
-    "fig1a",
-    "fig1b",
-    "fig2a",
-    "fig2b",
-    "fig3",
-    "fig4",
-    "ablation-theta",
-    "ablation-sigma",
-    "ablation-split",
-    "ablation-branches",
-    "all",
-    "serve-bench",
-    "lint",
-    "attack",
+/// Every command `repro` runs, with the flags it reads. Anything else is a
+/// usage error: an unknown command, or a flag its command would ignore.
+const COMMANDS: [(&str, &[&str]); 15] = [
+    ("datasets", &["--scale", "--seed", "--csv"]),
+    ("fig1a", &["--runs", "--scale", "--seed", "--eps", "--csv"]),
+    ("fig1b", &["--runs", "--scale", "--seed", "--eps", "--csv"]),
+    ("fig2a", &["--runs", "--scale", "--seed", "--csv"]),
+    ("fig2b", &["--runs", "--scale", "--seed", "--csv"]),
+    (
+        "fig3",
+        &["--runs", "--scale", "--seed", "--eps", "--dataset", "--csv"],
+    ),
+    ("fig4", &["--runs", "--scale", "--seed", "--eps", "--csv"]),
+    ("ablation-theta", &["--runs", "--seed", "--eps", "--csv"]),
+    ("ablation-sigma", &["--runs", "--seed", "--eps", "--csv"]),
+    (
+        "ablation-split",
+        &["--runs", "--scale", "--seed", "--eps", "--dataset", "--csv"],
+    ),
+    (
+        "ablation-branches",
+        &["--runs", "--scale", "--seed", "--eps", "--dataset", "--csv"],
+    ),
+    (
+        "all",
+        &["--runs", "--scale", "--seed", "--eps", "--dataset", "--csv"],
+    ),
+    ("serve-bench", &["--seed", "--quick", "--csv"]),
+    ("lint", &["--rule", "--fixtures", "--json"]),
+    (
+        "attack",
+        &["--seed", "--trials", "--significance", "--quick", "--csv"],
+    ),
 ];
 
 fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let command = args.first().ok_or("missing command (try `repro all`)")?;
-    if !COMMANDS.contains(&command.as_str()) {
+    let Some(&(_, flags)) = COMMANDS.iter().find(|(name, _)| name == command) else {
         return Err(format!("unknown command `{command}` (try `repro all`)"));
-    }
+    };
     let mut opts = CliOptions {
         command: command.clone(),
         runs: None,
@@ -155,17 +147,18 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         attack_trials: None,
         significance: None,
         quick: false,
-        tenants: None,
-        duration: None,
-        qps: None,
-        par_threshold: None,
         lint_rule: None,
         fixtures: false,
-        workload_flags: Vec::new(),
     };
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
+        if !flags.contains(&flag) {
+            return Err(format!(
+                "`{command}` does not read `{flag}` (its flags: {})",
+                flags.join(" ")
+            ));
+        }
         let mut value = |name: &str| -> Result<String, String> {
             i += 1;
             args.get(i)
@@ -186,7 +179,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 opts.scale = value("--scale")?
                     .parse()
                     .map_err(|e| format!("--scale: {e}"))?;
-                opts.workload_flags.push("--scale");
             }
             "--seed" => {
                 opts.seed = value("--seed")?
@@ -195,12 +187,10 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             }
             "--eps" => {
                 opts.epsilon = value("--eps")?.parse().map_err(|e| format!("--eps: {e}"))?;
-                opts.workload_flags.push("--eps");
             }
             "--dataset" => {
                 let name = value("--dataset")?;
                 opts.dataset = parse_dataset(&name).ok_or(format!("unknown dataset `{name}`"))?;
-                opts.workload_flags.push("--dataset");
             }
             "--csv" => opts.csv = true,
             "--json" => opts.json = Some(value("--json")?),
@@ -223,39 +213,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 opts.significance = Some(alpha);
             }
             "--quick" => opts.quick = true,
-            "--tenants" => {
-                let tenants: usize = value("--tenants")?
-                    .parse()
-                    .map_err(|e| format!("--tenants: {e}"))?;
-                if tenants == 0 {
-                    return Err("--tenants must be at least 1".into());
-                }
-                opts.tenants = Some(tenants);
-            }
-            "--duration" => {
-                let duration: f64 = value("--duration")?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?;
-                if !(duration.is_finite() && duration > 0.0) {
-                    return Err("--duration must be positive".into());
-                }
-                opts.duration = Some(duration);
-            }
-            "--qps" => {
-                let qps: f64 = value("--qps")?.parse().map_err(|e| format!("--qps: {e}"))?;
-                if !(qps.is_finite() && qps > 0.0) {
-                    return Err("--qps must be positive".into());
-                }
-                opts.qps = Some(qps);
-            }
-            "--par-threshold" => {
-                // 0 is meaningful (every call takes the parallel path), so
-                // only a non-numeric value is rejected.
-                let threshold: usize = value("--par-threshold")?
-                    .parse()
-                    .map_err(|e| format!("--par-threshold: {e}"))?;
-                opts.par_threshold = Some(threshold);
-            }
             "--rule" => opts.lint_rule = Some(value("--rule")?),
             "--fixtures" => opts.fixtures = true,
             other => return Err(format!("unknown option `{other}`")),
@@ -289,147 +246,35 @@ fn emit(table: &Table, csv: bool) {
 // sequence reads better that way than as one giant vec![] literal.
 #[allow(clippy::vec_init_then_push)]
 fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
-    // Reject flags that the selected command would silently ignore — a user
-    // who names a file or knob must not get a success report for something
-    // else (same policy as the workload-flag rejections below).
-    if opts.attack_trials.is_some() && opts.command != "attack" {
-        return Err(format!(
-            "--trials only applies to `attack`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.significance.is_some() && opts.command != "attack" {
-        return Err(format!(
-            "--significance only applies to `attack`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.quick && opts.command != "attack" && opts.command != "serve-bench" {
-        return Err(format!(
-            "--quick only applies to `attack` and `serve-bench`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.tenants.is_some() && opts.command != "serve-bench" {
-        return Err(format!(
-            "--tenants only applies to `serve-bench`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.duration.is_some() && opts.command != "serve-bench" {
-        return Err(format!(
-            "--duration only applies to `serve-bench`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.qps.is_some() && opts.command != "serve-bench" {
-        return Err(format!(
-            "--qps only applies to `serve-bench`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.par_threshold.is_some() && opts.command != "serve-bench" {
-        return Err(format!(
-            "--par-threshold only applies to `serve-bench`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.lint_rule.is_some() && opts.command != "lint" {
-        return Err(format!(
-            "--rule only applies to `lint`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.fixtures && opts.command != "lint" {
-        return Err(format!(
-            "--fixtures only applies to `lint`, not `{}`",
-            opts.command
-        ));
-    }
-    if opts.json.is_some() && !matches!(opts.command.as_str(), "serve-bench" | "lint") {
-        return Err(format!(
-            "--json only applies to `serve-bench` and `lint`, not `{}`",
-            opts.command
-        ));
-    }
     let tables = match opts.command.as_str() {
         "serve-bench" => {
-            // The serving benchmark scripts its own tenants/workload;
-            // reject options it would silently ignore.
-            if let Some(flag) = opts.workload_flags.first() {
-                return Err(format!(
-                    "`serve-bench` scripts a fixed per-tenant workload; {flag} is not supported (only --tenants, --duration, --qps, --par-threshold, --quick, --seed, --csv, --json apply)"
-                ));
-            }
-            if opts.runs.is_some() {
-                return Err(
-                    "`serve-bench` sizes its load with --tenants/--duration, not --runs"
-                        .to_string(),
-                );
-            }
-            let mut cfg = if opts.quick {
+            let cfg = if opts.quick {
                 free_gap_serve::ServeBenchConfig::quick(opts.seed)
             } else {
                 free_gap_serve::ServeBenchConfig::full(opts.seed)
             };
-            if let Some(tenants) = opts.tenants {
-                cfg.tenants = tenants;
-            }
-            cfg.duration_cap_secs = opts.duration;
-            cfg.qps = opts.qps;
-            cfg.par_threshold = opts.par_threshold;
             let report =
                 free_gap_serve::bench::run(&cfg).map_err(|e| format!("serve-bench: {e}"))?;
-            let json_path = opts.json.as_deref().unwrap_or("BENCH_serve.json");
-            std::fs::write(json_path, free_gap_serve::bench::to_json(&cfg, &report))
-                .map_err(|e| format!("writing {json_path}: {e}"))?;
-            eprintln!("wrote {json_path}");
             let mut table = Table::new(
                 format!(
-                    "serve-bench: {} tenants × {} requests over {} workers (ε = {:.1}/tenant, digest {:#018x}{})",
+                    "serve-bench: {} tenants × {} requests over {} workers (ε = {:.1}/tenant, digest {:#018x})",
                     cfg.tenants,
                     cfg.requests_per_tenant,
                     cfg.workers,
                     cfg.epsilon_per_tenant,
                     report.digest,
-                    if report.truncated { ", TRUNCATED" } else { "" },
                 ),
-                &[
-                    "completed",
-                    "rejected",
-                    "budget_rejected",
-                    "evictions",
-                    "p50_us",
-                    "p95_us",
-                    "p99_us",
-                    "req/s",
-                ],
+                &["completed", "rejected", "budget_rejected", "evictions"],
             );
             table.push_row(vec![
                 Cell::Int(report.completed as i64),
                 Cell::Int(report.rejected as i64),
                 Cell::Int(report.budget_rejected as i64),
                 Cell::Int(report.evictions as i64),
-                report.p50_us.into(),
-                report.p95_us.into(),
-                report.p99_us.into(),
-                report.requests_per_sec.into(),
             ]);
             vec![table]
         }
         "attack" => {
-            // The suite is a self-contained audit over fixed synthetic
-            // workloads; reject options it would silently ignore.
-            if let Some(flag) = opts.workload_flags.first() {
-                return Err(format!(
-                    "`attack` audits fixed adversarial workloads; {flag} is not supported (only --trials, --significance, --quick, --seed, --csv apply)"
-                ));
-            }
-            if opts.runs.is_some() {
-                return Err(
-                    "`attack` sizes its Monte-Carlo phases with --trials, not --runs".to_string(),
-                );
-            }
             let mut cfg = if opts.quick {
                 free_gap_attack::AttackConfig::quick(opts.seed)
             } else {
@@ -507,15 +352,6 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
             Vec::new()
         }
         "lint" => {
-            // Static analysis over the checkout: no workload, no RNG.
-            if let Some(flag) = opts.workload_flags.first() {
-                return Err(format!(
-                    "`lint` is a static check; {flag} is not supported (only --rule, --fixtures, --json apply)"
-                ));
-            }
-            if opts.runs.is_some() {
-                return Err("`lint` is a static check; --runs does not apply".to_string());
-            }
             if opts.fixtures && opts.json.is_some() {
                 return Err(
                     "--json reports tree findings; it does not apply to `lint --fixtures`"
@@ -745,9 +581,10 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
+            let commands: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
             eprintln!(
-                "usage: repro <{}> [--runs N] [--scale F] [--seed N] [--eps F] [--dataset NAME] [--csv] [--json PATH] [--trials N] [--significance F] [--quick] [--tenants N] [--duration F] [--qps F] [--par-threshold N] [--rule NAME] [--fixtures]",
-                COMMANDS.join("|")
+                "usage: repro <{}> [--runs N] [--scale F] [--seed N] [--eps F] [--dataset NAME] [--csv] [--json PATH] [--trials N] [--significance F] [--quick] [--rule NAME] [--fixtures]",
+                commands.join("|")
             );
             return ExitCode::FAILURE;
         }
@@ -774,6 +611,16 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// `flags[1]` is a flag `flags[0]` does not read: parsing fails with a
+    /// usage error naming the command, that flag and the flags it does read.
+    fn assert_unread(flags: &[&str]) {
+        let err = parse_args(&args(flags)).unwrap_err();
+        let (command, reads) = COMMANDS.iter().find(|(c, _)| *c == flags[0]).unwrap();
+        assert!(err.contains(&format!("`{command}`")), "{flags:?}: {err}");
+        assert!(err.contains(&reads.join(" ")), "{flags:?}: {err}");
+        assert!(err.contains(&format!("`{}`", flags[1])), "{flags:?}: {err}");
+    }
+
     #[test]
     fn unknown_commands_are_usage_errors() {
         // Rejected while parsing, so `main` prints the usage line; a typo
@@ -783,8 +630,50 @@ mod tests {
             assert!(err.contains("unknown command"), "{command:?}: {err}");
         }
         assert!(parse_args(&[]).unwrap_err().contains("missing command"));
-        for command in COMMANDS {
+        for (command, _) in COMMANDS {
             assert!(parse_args(&args(&[command])).is_ok(), "{command}");
+        }
+    }
+
+    #[test]
+    fn each_command_rejects_flags_it_does_not_read() {
+        // One flag per command that the command would silently ignore: each
+        // is a usage error naming the command and the flags it does read.
+        for flags in [
+            vec!["datasets", "--eps", "3", "--runs", "9"],
+            vec!["fig1a", "--dataset", "kosarak"],
+            vec!["fig1b", "--quick"],
+            vec!["fig2a", "--eps", "0.1"],
+            vec!["fig2b", "--dataset", "t40"],
+            vec!["fig3", "--trials", "100"],
+            vec!["fig4", "--dataset", "kosarak"],
+            vec!["ablation-theta", "--scale", "0.5", "--dataset", "kosarak"],
+            vec!["ablation-sigma", "--dataset", "kosarak"],
+            vec!["ablation-split", "--rule", "taxonomy"],
+            vec!["ablation-branches", "--fixtures"],
+            vec!["all", "--json", "/tmp/out.json"],
+            vec!["serve-bench", "--runs", "10"],
+            vec!["serve-bench", "--json", "/tmp/out.json"],
+            vec!["lint", "--seed", "5", "--csv"],
+            vec!["attack", "--eps", "0.5"],
+        ] {
+            assert_unread(&flags);
+        }
+        // Every flag a command reads parses.
+        for (command, reads) in COMMANDS {
+            let mut line = vec![command];
+            for &flag in reads {
+                line.push(flag);
+                match flag {
+                    "--runs" | "--seed" | "--trials" => line.push("5"),
+                    "--scale" | "--eps" | "--significance" => line.push("0.05"),
+                    "--dataset" => line.push("kosarak"),
+                    "--rule" => line.push("taxonomy"),
+                    "--json" => line.push("/tmp/out.json"),
+                    _ => {}
+                }
+            }
+            parse_args(&args(&line)).unwrap_or_else(|e| panic!("{line:?}: {e}"));
         }
     }
 
@@ -824,10 +713,9 @@ mod tests {
             vec!["fig1a", "--trials", "5000"],
             vec!["datasets", "--significance", "0.05"],
             vec!["all", "--quick"],
+            vec!["lint", "--trials", "100"],
         ] {
-            let opts = parse_args(&args(&flags)).unwrap();
-            let err = run_command(&opts).unwrap_err();
-            assert!(err.contains("only applies to `attack`"), "{flags:?}: {err}");
+            assert_unread(&flags);
         }
     }
 
@@ -837,70 +725,22 @@ mod tests {
             vec!["attack", "--eps", "0.5"],
             vec!["attack", "--dataset", "kosarak"],
             vec!["attack", "--scale", "0.5"],
+            vec!["attack", "--runs", "10"],
         ] {
-            let opts = parse_args(&args(&flags)).unwrap();
-            let err = run_command(&opts).unwrap_err();
-            assert!(err.contains("not supported"), "{flags:?}: {err}");
+            assert_unread(&flags);
         }
-        let opts = parse_args(&args(&["attack", "--runs", "10"])).unwrap();
-        let err = run_command(&opts).unwrap_err();
-        assert!(err.contains("--trials, not --runs"), "{err}");
-    }
-
-    #[test]
-    fn parses_serve_bench_options() {
-        let opts = parse_args(&args(&[
-            "serve-bench",
-            "--tenants",
-            "16",
-            "--duration",
-            "2.5",
-            "--qps",
-            "5000",
-            "--par-threshold",
-            "32",
-            "--quick",
-            "--seed",
-            "9",
-        ]))
-        .unwrap();
-        assert_eq!(opts.command, "serve-bench");
-        assert_eq!(opts.tenants, Some(16));
-        assert_eq!(opts.duration, Some(2.5));
-        assert_eq!(opts.qps, Some(5000.0));
-        assert_eq!(opts.par_threshold, Some(32));
-        assert!(opts.quick);
-        assert_eq!(opts.seed, 9);
-    }
-
-    #[test]
-    fn validates_serve_bench_option_values() {
-        assert!(parse_args(&args(&["serve-bench", "--tenants", "0"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "--duration", "0"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "--duration", "nan"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "--qps", "-5"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "--qps", "inf"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "--par-threshold", "x"])).is_err());
-        // 0 means "every call": valid.
-        let opts = parse_args(&args(&["serve-bench", "--par-threshold", "0"])).unwrap();
-        assert_eq!(opts.par_threshold, Some(0));
     }
 
     #[test]
     fn serve_bench_options_are_rejected_on_other_commands() {
-        for flags in [
-            vec!["fig1a", "--tenants", "4"],
-            vec!["datasets", "--duration", "1.0"],
-            vec!["attack", "--qps", "100"],
-            vec!["all", "--tenants", "2"],
-            vec!["lint", "--par-threshold", "64"],
-        ] {
-            let opts = parse_args(&args(&flags)).unwrap();
-            let err = run_command(&opts).unwrap_err();
-            assert!(
-                err.contains("only applies to `serve-bench`"),
-                "{flags:?}: {err}"
-            );
+        // Beyond the shared `--seed` and `--csv`, `--quick` is serve-bench's
+        // one option, and `attack` is the only other command that reads it.
+        for (command, _) in COMMANDS {
+            if matches!(command, "serve-bench" | "attack") {
+                assert!(parse_args(&args(&[command, "--quick"])).unwrap().quick);
+            } else {
+                assert_unread(&[command, "--quick"]);
+            }
         }
     }
 
@@ -910,21 +750,13 @@ mod tests {
             vec!["serve-bench", "--eps", "0.5"],
             vec!["serve-bench", "--dataset", "kosarak"],
             vec!["serve-bench", "--scale", "0.5"],
+            vec!["serve-bench", "--runs", "10"],
+            // The neighbouring commands' flags stay rejected too.
+            vec!["serve-bench", "--trials", "100"],
+            vec!["serve-bench", "--rule", "taxonomy"],
         ] {
-            let opts = parse_args(&args(&flags)).unwrap();
-            let err = run_command(&opts).unwrap_err();
-            assert!(err.contains("not supported"), "{flags:?}: {err}");
+            assert_unread(&flags);
         }
-        let opts = parse_args(&args(&["serve-bench", "--runs", "10"])).unwrap();
-        let err = run_command(&opts).unwrap_err();
-        assert!(err.contains("not --runs"), "{err}");
-        // The neighbouring commands' flags stay rejected too.
-        let opts = parse_args(&args(&["serve-bench", "--trials", "100"])).unwrap();
-        let err = run_command(&opts).unwrap_err();
-        assert!(err.contains("only applies to `attack`"), "{err}");
-        let opts = parse_args(&args(&["serve-bench", "--rule", "taxonomy"])).unwrap();
-        let err = run_command(&opts).unwrap_err();
-        assert!(err.contains("only applies to `lint`"), "{err}");
     }
 
     #[test]
@@ -935,9 +767,7 @@ mod tests {
             vec!["attack", "--fixtures"],
             vec!["all", "--fixtures"],
         ] {
-            let opts = parse_args(&args(&flags)).unwrap();
-            let err = run_command(&opts).unwrap_err();
-            assert!(err.contains("only applies to `lint`"), "{flags:?}: {err}");
+            assert_unread(&flags);
         }
     }
 
@@ -947,14 +777,11 @@ mod tests {
             vec!["lint", "--eps", "0.5"],
             vec!["lint", "--dataset", "kosarak"],
             vec!["lint", "--scale", "0.5"],
+            vec!["lint", "--runs", "10"],
         ] {
-            let opts = parse_args(&args(&flags)).unwrap();
-            let err = run_command(&opts).unwrap_err();
-            assert!(err.contains("not supported"), "{flags:?}: {err}");
+            let err = parse_args(&args(&flags)).unwrap_err();
+            assert!(err.contains("`lint` does not read"), "{flags:?}: {err}");
         }
-        let opts = parse_args(&args(&["lint", "--runs", "10"])).unwrap();
-        let err = run_command(&opts).unwrap_err();
-        assert!(err.contains("--runs does not apply"), "{err}");
         let opts = parse_args(&args(&["lint", "--rule", "no-such-rule"])).unwrap();
         let err = run_command(&opts).unwrap_err();
         assert!(err.contains("unknown rule"), "{err}");
@@ -968,10 +795,10 @@ mod tests {
             vec!["attack", "--json", "/tmp/out.json"],
             vec!["datasets", "--json", "/tmp/out.json"],
             vec!["all", "--json", "/tmp/out.json"],
+            vec!["serve-bench", "--json", "/tmp/out.json"],
         ] {
-            let opts = parse_args(&args(&flags)).unwrap();
-            let err = run_command(&opts).unwrap_err();
-            assert!(err.contains("--json only applies to"), "{flags:?}: {err}");
+            let err = parse_args(&args(&flags)).unwrap_err();
+            assert!(err.contains("does not read `--json`"), "{flags:?}: {err}");
         }
         // Fixture power mode has no tree report to serialize.
         let opts = parse_args(&args(&["lint", "--fixtures", "--json", "/tmp/out.json"])).unwrap();

@@ -50,19 +50,19 @@
 //! providers; `tests/draw_provider.rs` proptests the stream discipline
 //! itself over random interleavings of the three draw shapes.
 //!
-//! ## The parallel pair
+//! ## The per-block provider
 //!
-//! [`BlockSeqDraws`] and [`ParallelDraws`] add a fourth execution path over
-//! the per-block sub-stream layout of [`free_gap_noise::par`]: a bulk fill
-//! consumes consecutive fixed-size blocks of the run, block `b` drawn from
+//! [`ParallelDraws`] adds a fourth execution path over the per-block
+//! sub-stream layout of [`free_gap_noise::par`]: a bulk fill consumes
+//! consecutive fixed-size blocks of the run, block `b` drawn from
 //! `derive_fast_stream(run_seed, b)`, while scalar draws ride a tape on the
 //! reserved stream [`par::SCALAR_STREAM`]. Because every block's noise is a
-//! pure function of `(run_seed, block index)`, [`ParallelDraws`] (which
-//! fills disjoint slabs from scoped threads, and reduces Top-K selection
-//! per chunk) is **bit-identical for every thread count** to
-//! [`BlockSeqDraws`] (which replays the same per-block streams in order).
-//! The pair serves a *different stream* from the three single-RNG providers
-//! above — it is a new benchmark/serving path (`par`), not a replacement.
+//! pure function of `(run_seed, block index)`, the provider — which fills
+//! disjoint slabs from scoped threads and reduces Top-K selection per
+//! chunk — is **bit-identical for every thread count**; at one thread it
+//! replays the same per-block streams in order on the calling thread. It
+//! serves a *different stream* from the three single-RNG providers above:
+//! a separate path (`call_par`), not a replacement.
 
 use crate::scratch::SvtScratch;
 use free_gap_alignment::NoiseSource;
@@ -199,7 +199,7 @@ pub trait DrawProvider {
     /// index order — the batched exponential-mechanism race shape. The
     /// default loops [`gumbel_next`](DrawProvider::gumbel_next), so it is
     /// bit-identical to the race's per-query draws on every single-stream
-    /// provider; the per-block providers override it with their block
+    /// provider; the per-block provider overrides it with its block
     /// engines (same layout as [`fill_offset`](DrawProvider::fill_offset)).
     fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
         out.clear();
@@ -589,41 +589,50 @@ impl<R: Rng + ?Sized> DrawProvider for RngDraws<'_, R> {
     }
 }
 
-/// Sequential reference provider over the per-block sub-stream layout of
-/// [`free_gap_noise::par`] — the provider [`ParallelDraws`] must match
-/// bit-for-bit.
+/// The per-block provider over the sub-stream layout of
+/// [`free_gap_noise::par`]: bulk fills split across up to `threads` scoped
+/// threads, Top-K selection reduced per chunk
+/// ([`select_top`](DrawProvider::select_top)).
 ///
 /// Bulk fills ([`fill_offset`](DrawProvider::fill_offset) and its discrete /
 /// Gumbel / staircase siblings) reserve the run's next
 /// [`par::blocks_for`]`(n)` block indices and draw block `b` from
-/// `derive_fast_stream(run_seed, b)`, replaying the blocks strictly in
-/// order. Scalar draws and tuple peeks are served from an internal
-/// [`SvtScratch`] tape over the reserved stream [`par::SCALAR_STREAM`], so
-/// they obey the usual stream discipline without ever touching a block
-/// stream. The provider owns all of its randomness — construct with
-/// [`new`](BlockSeqDraws::new), rebind between runs with
-/// [`reset`](BlockSeqDraws::reset).
+/// `derive_fast_stream(run_seed, b)`. Scalar draws and tuple peeks are
+/// served from an internal [`SvtScratch`] tape over the reserved stream
+/// [`par::SCALAR_STREAM`], so they obey the usual stream discipline without
+/// ever touching a block stream. The provider owns all of its randomness —
+/// construct with [`new`](Self::new), rebind between runs with
+/// [`reset`](Self::reset).
+///
+/// Bit-identical for every thread count, because every block's noise is a
+/// pure function of `(run_seed, block index)` and the selection reduce
+/// preserves the sequential scan's total order exactly. At `threads = 1`
+/// the fills take the sequential engines of [`free_gap_noise::par`] and
+/// selection the sequential scan — the reference the threaded form is
+/// tested against.
 #[derive(Debug)]
-pub struct BlockSeqDraws {
+pub struct ParallelDraws {
     run_seed: u64,
     next_block: u64,
     scalar_rng: FastRng,
     tape: SvtScratch,
+    threads: usize,
+    chunk_tops: Vec<Vec<usize>>,
 }
 
-// Block engines re-check distribution parameters the mechanism already
-// validated; the expects below are justified per-site for the lint.
-#[allow(clippy::expect_used)]
-impl BlockSeqDraws {
-    /// Creates the provider for one run: scalar draws on
+impl ParallelDraws {
+    /// Creates the provider for one run with up to `threads` worker threads
+    /// (clamped to at least 1): scalar draws on
     /// `derive_fast_stream(run_seed, SCALAR_STREAM)`, bulk fills starting
-    /// at block 0.
-    pub fn new(run_seed: u64) -> Self {
+    /// at block 0. `threads = 1` never spawns.
+    pub fn new(run_seed: u64, threads: usize) -> Self {
         Self {
             run_seed,
             next_block: 0,
             scalar_rng: derive_fast_stream(run_seed, par::SCALAR_STREAM),
             tape: SvtScratch::new(),
+            threads: threads.max(1),
+            chunk_tops: Vec::new(),
         }
     }
 
@@ -643,72 +652,25 @@ impl BlockSeqDraws {
         self.run_seed
     }
 
-    /// Reserves the consecutive block indices a bulk fill of `n` values
-    /// consumes, returning the first.
-    fn take_blocks(&mut self, n: usize) -> u64 {
+    /// The configured thread cap.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Sizes `out` for a bulk fill of `n` values and reserves the
+    /// consecutive block indices it consumes, returning the first.
+    fn take_blocks(&mut self, n: usize, out: &mut Vec<f64>) -> u64 {
+        out.resize(n, 0.0);
         let first = self.next_block;
         self.next_block = self.next_block.wrapping_add(par::blocks_for(n));
         first
     }
-
-    /// The one continuous block-fill engine behind both providers:
-    /// `threads = 1` is the sequential reference, `threads > 1` the scoped
-    /// parallel fill — identical output either way.
-    fn fill_offset_engine(&mut self, base: &[f64], scale: f64, threads: usize, out: &mut Vec<f64>) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let lap = Laplace::new(scale).expect("mechanism-validated scale");
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_offset_blocks(&lap, self.run_seed, first, threads, base, out);
-    }
-
-    /// Discrete sibling of [`fill_offset_engine`](Self::fill_offset_engine).
-    fn discrete_fill_offset_engine(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let dl = DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate");
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_values_offset_blocks(&dl, self.run_seed, first, threads, base, out);
-    }
-
-    /// Gumbel sibling of [`fill_offset_engine`](Self::fill_offset_engine)
-    /// (the batched exponential-mechanism race fill).
-    fn gumbel_fill_offset_engine(
-        &mut self,
-        base: &[f64],
-        beta: f64,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let gum = Gumbel::new(beta).expect("mechanism-validated scale");
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_offset_blocks(&gum, self.run_seed, first, threads, base, out);
-    }
-
-    /// Staircase sibling of [`fill_offset_engine`](Self::fill_offset_engine).
-    fn staircase_fill_offset_engine(
-        &mut self,
-        base: &[f64],
-        dist: &Staircase,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_offset_blocks(dist, self.run_seed, first, threads, base, out);
-    }
 }
 
-impl DrawProvider for BlockSeqDraws {
+// Block fills re-check distribution parameters the mechanism already
+// validated; the expects below are justified per-site for the lint.
+#[allow(clippy::expect_used)]
+impl DrawProvider for ParallelDraws {
     fn begin(&mut self) {
         self.tape.begin();
     }
@@ -751,7 +713,10 @@ impl DrawProvider for BlockSeqDraws {
         gamma: f64,
         out: &mut Vec<f64>,
     ) {
-        self.discrete_fill_offset_engine(base, unit_epsilon, gamma, 1, out);
+        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
+        let dl = DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate");
+        let first = self.take_blocks(base.len(), out);
+        par::par_fill_values_offset_blocks(&dl, self.run_seed, first, self.threads, base, out);
     }
 
     #[inline]
@@ -765,7 +730,10 @@ impl DrawProvider for BlockSeqDraws {
     }
 
     fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        self.fill_offset_engine(base, scale, 1, out);
+        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
+        let lap = Laplace::new(scale).expect("mechanism-validated scale");
+        let first = self.take_blocks(base.len(), out);
+        par::par_fill_offset_blocks(&lap, self.run_seed, first, self.threads, base, out);
     }
 
     #[inline]
@@ -784,132 +752,15 @@ impl DrawProvider for BlockSeqDraws {
     }
 
     fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        self.staircase_fill_offset_engine(base, dist, 1, out);
+        let first = self.take_blocks(base.len(), out);
+        par::par_fill_offset_blocks(dist, self.run_seed, first, self.threads, base, out);
     }
 
     fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
-        self.gumbel_fill_offset_engine(base, beta, 1, out);
-    }
-}
-
-/// Intra-run parallel provider: [`BlockSeqDraws`]'s per-block streams,
-/// filled by up to `threads` scoped threads over disjoint slabs, with
-/// Top-K selection reduced per chunk
-/// ([`select_top`](DrawProvider::select_top)).
-///
-/// Bit-identical to [`BlockSeqDraws`] — and to itself at any other thread
-/// count — because every block's noise is a pure function of
-/// `(run_seed, block index)` and the selection reduce preserves the
-/// sequential scan's total order exactly. Scalar draws delegate to the
-/// inner sequential provider unchanged.
-#[derive(Debug)]
-pub struct ParallelDraws {
-    inner: BlockSeqDraws,
-    threads: usize,
-    chunk_tops: Vec<Vec<usize>>,
-}
-
-impl ParallelDraws {
-    /// Creates the provider for one run with up to `threads` worker threads
-    /// (clamped to at least 1). `threads = 1` degrades to the sequential
-    /// reference without spawning.
-    pub fn new(run_seed: u64, threads: usize) -> Self {
-        Self {
-            inner: BlockSeqDraws::new(run_seed),
-            threads: threads.max(1),
-            chunk_tops: Vec::new(),
-        }
-    }
-
-    /// Rebinds to a new run seed (see [`BlockSeqDraws::reset`]).
-    pub fn reset(&mut self, run_seed: u64) {
-        self.inner.reset(run_seed);
-    }
-
-    /// The configured thread cap.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl DrawProvider for ParallelDraws {
-    fn begin(&mut self) {
-        self.inner.begin();
-    }
-
-    fn predicted_draws(&self) -> usize {
-        self.inner.predicted_draws()
-    }
-
-    #[inline]
-    fn next(&mut self, scale: f64) -> f64 {
-        self.inner.next(scale)
-    }
-
-    #[inline]
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        self.inner.discrete_next(unit_epsilon, gamma)
-    }
-
-    #[inline]
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
-        self.inner.discrete_peek_tuples(unit_epsilons, gamma)
-    }
-
-    #[inline]
-    fn discrete_consume(&mut self, draws: usize) {
-        self.inner.discrete_consume(draws);
-    }
-
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        self.inner
-            .discrete_fill_offset_engine(base, unit_epsilon, gamma, self.threads, out);
-    }
-
-    #[inline]
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
-        self.inner.peek_tuples(scales)
-    }
-
-    #[inline]
-    fn consume(&mut self, draws: usize) {
-        self.inner.consume(draws);
-    }
-
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        self.inner
-            .fill_offset_engine(base, scale, self.threads, out);
-    }
-
-    #[inline]
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        self.inner.gumbel_next(beta)
-    }
-
-    #[inline]
-    fn exp_next(&mut self, beta: f64) -> f64 {
-        self.inner.exp_next(beta)
-    }
-
-    #[inline]
-    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
-        self.inner.staircase_next(dist)
-    }
-
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        self.inner
-            .staircase_fill_offset_engine(base, dist, self.threads, out);
-    }
-
-    fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
-        self.inner
-            .gumbel_fill_offset_engine(base, beta, self.threads, out);
+        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
+        let gum = Gumbel::new(beta).expect("mechanism-validated scale");
+        let first = self.take_blocks(base.len(), out);
+        par::par_fill_offset_blocks(&gum, self.run_seed, first, self.threads, base, out);
     }
 
     fn select_top(&mut self, values: &[f64], m: usize, out: &mut Vec<usize>) {
@@ -1125,14 +976,14 @@ mod tests {
 
     #[test]
     fn parallel_draws_match_sequential_reference_for_all_thread_counts() {
-        // The tentpole invariant: ParallelDraws at threads {1, 2, 4} and
-        // the sequential reference BlockSeqDraws serve bit-identical draws
+        // The thread-count invariant: ParallelDraws at threads {2, 4} and
+        // the sequential reference (one thread) serve bit-identical draws
         // across every fill shape, interleaved with scalar draws, at sizes
         // spanning block boundaries.
         for n in [5, 100, par::BLOCK_LEN, 2 * par::BLOCK_LEN + 7, 9000] {
-            let mut reference = BlockSeqDraws::new(42);
+            let mut reference = ParallelDraws::new(42, 1);
             let want = drive_block_provider(&mut reference, n);
-            for threads in [1, 2, 4] {
+            for threads in [2, 4] {
                 let mut p = ParallelDraws::new(42, threads);
                 assert_eq!(
                     drive_block_provider(&mut p, n),
@@ -1154,11 +1005,11 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_construction() {
-        let mut fresh = BlockSeqDraws::new(99);
+        let mut fresh = ParallelDraws::new(99, 1);
         let want = drive_block_provider(&mut fresh, 1000);
         // Run a different seed first, then reset: served draws must be a
         // pure function of the run seed, not of buffer history.
-        let mut reused = BlockSeqDraws::new(7);
+        let mut reused = ParallelDraws::new(7, 1);
         drive_block_provider(&mut reused, 500);
         reused.reset(99);
         assert_eq!(drive_block_provider(&mut reused, 1000), want);
@@ -1174,12 +1025,12 @@ mod tests {
     fn scalar_draws_ride_the_reserved_stream() {
         // Scalar draws must come off SCALAR_STREAM regardless of how many
         // blocks bulk fills consumed — pin them against a hand-built tape.
-        let mut p = BlockSeqDraws::new(11);
+        let mut p = ParallelDraws::new(11, 1);
         p.begin();
         let mut out = Vec::new();
         p.fill_offset(&[0.0; 100], 1.0, &mut out);
         let x = p.next(2.0);
-        let mut q = BlockSeqDraws::new(11);
+        let mut q = ParallelDraws::new(11, 1);
         q.begin();
         let y = q.next(2.0);
         assert_eq!(

@@ -259,7 +259,7 @@ impl ExponentialMechanism {
     /// utilities are validated up front, every score `qᵢ·t + Gumbelᵢ` is
     /// produced in one batched
     /// [`gumbel_fill_offset`](DrawProvider::gumbel_fill_offset) (split
-    /// across a per-block provider's threads), and the race's insertion
+    /// across the per-block provider's threads), and the race's insertion
     /// rule replays over the precomputed scores in index order — the exact
     /// `f64`-total-order rule of [`run_top_k_into`](Self::run_top_k_into),
     /// so the result is bit-identical for any thread count of the same

@@ -62,9 +62,9 @@
 //!   the same RNG stream; the blocked tape may consume *more* of the stream
 //!   (batch lookahead), so derive a fresh
 //!   [`free_gap_noise::rng::derive_stream`] per run.
-//! * **[`draw::BlockSeqDraws`] / [`draw::ParallelDraws`]** — the per-block
-//!   sub-stream layout, bit-identical for every thread count (a different
-//!   stream from the single-RNG providers).
+//! * **[`draw::ParallelDraws`]** — the per-block sub-stream layout,
+//!   bit-identical for every thread count, sequential at one thread (a
+//!   different stream from the single-RNG providers).
 //!
 //! The SVT family's and the exponential race's `_into` entries consume
 //! `impl IntoIterator<Item = f64>` *lazily*, answering each query as it is

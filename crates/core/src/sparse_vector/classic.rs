@@ -273,8 +273,9 @@ impl ClassicSparseVector {
     /// provider picks the execution path: [`SourceDraws`] is the reference
     /// [`run`](Self::run) uses, [`ScratchDraws`] the blocked fast path
     /// (it buffers *noise* ahead of the stream, never query answers; see
-    /// [`crate::scratch`]), and the per-block providers of
-    /// [`crate::draw`] serve the threshold loop off their scalar tape.
+    /// [`crate::scratch`]), and the per-block
+    /// [`ParallelDraws`](crate::draw::ParallelDraws) serves the threshold
+    /// loop off its scalar tape.
     /// Every single-stream provider is bit-identical to [`run`](Self::run)
     /// on the same RNG stream and query sequence.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(

@@ -13,9 +13,7 @@
 
 use free_gap_alignment::SamplingSource;
 use free_gap_core::api::CallScratch;
-use free_gap_core::draw::{
-    BlockSeqDraws, DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws,
-};
+use free_gap_core::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
 use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{
     ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap, TopKOutput,
@@ -167,9 +165,10 @@ impl Subject for StaircaseMechanism {
     }
 }
 
-/// The five draw providers. The first three serve one sequential stream
-/// and must reproduce the reference bit for bit; the per-block pair serves
-/// a different stream keyed by the same `(seed, run)`.
+/// The draw providers. The first three serve one sequential stream and
+/// must reproduce the reference bit for bit; the per-block provider, run
+/// sequentially (`BlockSeq`, one thread) and threaded (`Parallel`, two),
+/// serves a different stream keyed by the same `(seed, run)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provider {
     Source,
@@ -216,7 +215,7 @@ pub fn run_entry<M: Subject>(
             m.entry(queries, &mut provider, topk, out);
         }
         Provider::BlockSeq => {
-            let mut provider = BlockSeqDraws::new(derive_stream_seed(seed, run));
+            let mut provider = ParallelDraws::new(derive_stream_seed(seed, run), 1);
             m.entry(queries, &mut provider, topk, out);
         }
         Provider::Parallel => {

@@ -1,23 +1,16 @@
 //! R1 power-check fixture — the shipped per-block fill. Must lint clean.
 //!
 //! Bulk fills reserve the run's next block indices and delegate to the
-//! sequential engine, which derives one sub-stream per block index; scalar
+//! block engine, which derives one sub-stream per block index; scalar
 //! draws ride the reserved scalar stream through the internal tape. No
-//! method in either provider touches a raw generator.
+//! method of the provider touches a raw generator.
 
 impl DrawProvider for ParallelDraws {
     fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        self.inner.fill_offset_engine(base, scale, out, self.threads)
-    }
-
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        self.inner.gumbel_next(beta)
-    }
-}
-
-impl DrawProvider for BlockSeqDraws {
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        self.fill_offset_engine(base, scale, out, 1)
+        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
+        let lap = Laplace::new(scale).expect("mechanism-validated scale");
+        let first = self.take_blocks(base.len(), out);
+        par::par_fill_offset_blocks(&lap, self.run_seed, first, self.threads, base, out);
     }
 
     fn next(&mut self, scale: f64) -> f64 {

@@ -135,10 +135,10 @@ fn is_macro_call(scoped: &[ScopedToken<'_>], i: usize) -> bool {
 
 /// A function is stream-disciplined (R1 scope) when it is generic over a
 /// draw provider, or implements one of the stream-owning providers: the
-/// blocked `ScratchDraws` tape, or the per-block `BlockSeqDraws` /
-/// `ParallelDraws` pair (whose whole contract is that every draw comes off
-/// a derived sub-stream). The draw-exact providers (`SourceDraws`,
-/// `RngDraws`) sample directly by design and are exempt.
+/// blocked `ScratchDraws` tape, or the per-block `ParallelDraws` (whose
+/// whole contract is that every draw comes off a derived sub-stream). The
+/// draw-exact providers (`SourceDraws`, `RngDraws`) sample directly by
+/// design and are exempt.
 fn r1_in_scope(ctx: &crate::scanner::Ctx) -> bool {
     let header = ctx.header.as_deref().unwrap_or("");
     if header.contains("SourceDraws") || header.contains("RngDraws") {
@@ -152,9 +152,7 @@ fn r1_in_scope(ctx: &crate::scanner::Ctx) -> bool {
         return true;
     }
     header.contains("DrawProvider")
-        && (header.contains("ScratchDraws")
-            || header.contains("BlockSeqDraws")
-            || header.contains("ParallelDraws"))
+        && (header.contains("ScratchDraws") || header.contains("ParallelDraws"))
 }
 
 /// A function is a uniform transform (R2 scope) when its name says it maps

@@ -2,8 +2,8 @@
 //!
 //! The workspace's fast paths fill an `n`-sized noise vector from **one**
 //! sequential RNG, which caps a single request at one core. This module
-//! defines the alternative layout the `free-gap-core` parallel providers
-//! build on:
+//! defines the alternative layout the `free-gap-core` per-block provider
+//! (`ParallelDraws`) builds on:
 //!
 //! * the tape is split into fixed-size blocks of [`BLOCK_LEN`] draws;
 //! * block `b` of a run is filled from its own derived generator,

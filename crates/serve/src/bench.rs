@@ -1,12 +1,15 @@
-//! `repro serve-bench`: a closed-loop load generator over [`QueryServer`].
+//! `repro serve-bench`: a deterministic multi-tenant replay over
+//! [`QueryServer`].
 //!
-//! Unlike a bare mechanism loop, this benchmark measures the *serving
-//! layer*: per-request latency through the tenant lock, ledger debit,
-//! derived sub-stream setup and mechanism dispatch, plus the rejection
-//! counts a budget-enforcing server actually produces (tenants are
-//! provisioned with less ε than their request script wants, so the tail of
-//! every script is budget-rejected by design). Reported as p50/p95/p99
-//! latency, not just runs/sec.
+//! The replay drives the *serving layer* — tenant lock, ledger debit,
+//! derived sub-stream setup and mechanism dispatch — through a scripted
+//! load and reports what a budget-enforcing server answers: completed
+//! requests, rejections, budget rejections and idle-session evictions
+//! (tenants are provisioned with less ε than their request script wants,
+//! so the tail of every script is budget-rejected by design), plus a
+//! digest of every response bit. It times nothing: the gated `serve-mixed`
+//! workload of the benchmark under `benchmark/` is the serving
+//! measurement.
 //!
 //! ## Determinism
 //!
@@ -19,28 +22,12 @@
 //! with the server's per-tenant derived noise sub-streams, the fold of
 //! every response digest per tenant (XORed across tenants into
 //! [`ServeBenchReport::digest`]) is bit-identical for 1 and 4 workers on
-//! the same seed (`tests/serve.rs` pins this). Latencies are the only
-//! numbers that vary run to run.
+//! the same seed, and so is every count (`tests/serve.rs` pins this).
 //!
-//! Degenerate configurations (zero tenants, a zero/non-finite duration
-//! cap, a non-positive QPS target) are rejected up front with
-//! [`MechanismError::InvalidParameter`] instead of silently clamped,
-//! and a worker thread that panics mid-run surfaces as
-//! [`MechanismError::WorkerPanicked`] after every sibling is joined —
-//! never a hang or an opaque propagated unwind.
-//!
-//! ## `BENCH_serve.json` protocol
-//!
-//! A single flat JSON object, schema `free-gap-serve/bench/v1`:
-//! configuration echo (`seed`, `tenants`, `workers`,
-//! `requests_per_tenant`, `epsilon_per_tenant`, `par_threshold` — `null`
-//! when the parallel path is off), outcome counts
-//! (`completed`, `rejected`, `budget_rejected`, `evictions`), the latency
-//! quantiles in microseconds (`p50_us`/`p95_us`/`p99_us`), wall-clock
-//! `elapsed_secs` with `requests_per_sec`, and the reproducibility
-//! `digest` (hex). `truncated` records whether a `--duration` cap stopped
-//! the script early (a truncated digest is only comparable to runs
-//! truncated at the same point, so CI leaves the cap off).
+//! A configuration with zero tenants is rejected up front with
+//! [`MechanismError::InvalidParameter`], and a worker thread that panics
+//! mid-run surfaces as [`MechanismError::WorkerPanicked`] after every
+//! sibling is joined — never a hang or an opaque propagated unwind.
 
 use crate::server::{MechanismRequest, QueryServer, RequestBody, WorkerScratch};
 use free_gap_core::api::AnyMechanism;
@@ -54,7 +41,6 @@ use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_core::{ExponentialTopK, MechanismError};
 use free_gap_noise::rng::{derive_fast_stream, splitmix64};
 use rand::Rng;
-use std::time::{Duration, Instant};
 
 /// Configuration of one serve-bench run.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +50,8 @@ pub struct ServeBenchConfig {
     pub seed: u64,
     /// Number of registered tenants.
     pub tenants: usize,
-    /// Serving threads; tenants are partitioned by `tenant % workers`.
+    /// Serving threads (clamped to the tenant count); worker `w` owns the
+    /// contiguous run of tenants `t` with `t × workers / tenants = w`.
     pub workers: usize,
     /// Script length per tenant.
     pub requests_per_tenant: usize,
@@ -72,19 +59,6 @@ pub struct ServeBenchConfig {
     /// cover roughly 60% of the script's demand, so budget rejections are
     /// exercised on every run.
     pub epsilon_per_tenant: f64,
-    /// Optional wall-clock cap (`--duration`): workers stop issuing new
-    /// requests once it elapses and the report is marked `truncated`.
-    pub duration_cap_secs: Option<f64>,
-    /// Optional aggregate request-rate target (`--qps`): workers pace
-    /// themselves to `qps / workers` each. Affects timing only, never the
-    /// per-tenant request order or digest.
-    pub qps: Option<f64>,
-    /// Optional opt-in (`--par-threshold`) to the server's intra-run
-    /// parallel call path for one-shot calls with at least this many
-    /// queries (see [`QueryServer::with_par_threshold`]). Changes the
-    /// noise stream those calls draw, so the digest is only comparable
-    /// between runs with the same setting.
-    pub par_threshold: Option<usize>,
 }
 
 impl ServeBenchConfig {
@@ -108,9 +82,6 @@ impl ServeBenchConfig {
             // The script demands ~0.72ε per request (see `script_request`);
             // provisioning 0.45 exhausts tenants ~60% through.
             epsilon_per_tenant: 0.45 * requests_per_tenant as f64,
-            duration_cap_secs: None,
-            qps: None,
-            par_threshold: None,
         }
     }
 
@@ -118,10 +89,9 @@ impl ServeBenchConfig {
         self.tenants * self.requests_per_tenant
     }
 
-    /// Rejects degenerate configurations with a typed error before any
-    /// tenant is registered or thread spawned: zero tenants would serve
-    /// nothing, and a zero or non-finite duration cap / QPS target is
-    /// always a mistyped flag, not a meaningful run.
+    /// Rejects a configuration with zero tenants, which would serve
+    /// nothing, with a typed error before any tenant is registered or
+    /// thread spawned.
     pub fn validate(&self) -> Result<(), MechanismError> {
         if self.tenants == 0 {
             return Err(MechanismError::InvalidParameter {
@@ -129,24 +99,6 @@ impl ServeBenchConfig {
                 value: 0.0,
                 requirement: "must be at least 1",
             });
-        }
-        if let Some(d) = self.duration_cap_secs {
-            if !(d.is_finite() && d > 0.0) {
-                return Err(MechanismError::InvalidParameter {
-                    name: "duration",
-                    value: d,
-                    requirement: "must be a positive, finite number of seconds",
-                });
-            }
-        }
-        if let Some(q) = self.qps {
-            if !(q.is_finite() && q > 0.0) {
-                return Err(MechanismError::InvalidParameter {
-                    name: "qps",
-                    value: q,
-                    requirement: "must be a positive, finite requests-per-second rate",
-                });
-            }
         }
         Ok(())
     }
@@ -199,8 +151,7 @@ where
 pub struct ServeBenchReport {
     /// Requests the script planned (`tenants × requests_per_tenant`).
     pub planned: usize,
-    /// Requests actually served (less than `planned` only when a
-    /// `--duration` cap truncated the run).
+    /// Requests the workers served (every planned one).
     pub completed: usize,
     /// Responses that were rejections of any kind.
     pub rejected: usize,
@@ -208,22 +159,9 @@ pub struct ServeBenchReport {
     pub budget_rejected: usize,
     /// Idle sessions the server evicted during the run.
     pub evictions: u64,
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile request latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// Wall-clock duration of the serving phase.
-    pub elapsed_secs: f64,
-    /// Completed requests per wall-clock second.
-    pub requests_per_sec: f64,
     /// XOR over tenants of each tenant's ordered response-digest fold —
-    /// bit-identical across worker counts for a fixed seed and untruncated
-    /// run.
+    /// bit-identical across worker counts for a fixed seed.
     pub digest: u64,
-    /// Whether a `--duration` cap stopped the script early.
-    pub truncated: bool,
 }
 
 /// The per-call mechanism grid the script cycles through: all ten
@@ -306,14 +244,11 @@ fn feed_slice(workload: &[f64], i: usize) -> Vec<f64> {
 struct WorkerStats {
     /// `(tenant, ordered digest fold)` for each tenant this worker owns.
     digests: Vec<(u64, u64)>,
-    latencies_us: Vec<f64>,
     completed: usize,
     rejected: usize,
     budget_rejected: usize,
-    truncated: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     config: &ServeBenchConfig,
     server: &QueryServer,
@@ -322,8 +257,6 @@ fn worker_loop(
     workload: &[f64],
     worker: usize,
     workers: usize,
-    start: Instant,
-    deadline: Option<Instant>,
 ) -> WorkerStats {
     let mut scratch = WorkerScratch::new();
     let my_tenants = tenants_for_worker(config.tenants, workers, worker);
@@ -335,33 +268,12 @@ fn worker_loop(
                 (t, splitmix64(&mut s))
             })
             .collect(),
-        latencies_us: Vec::with_capacity(my_tenants.len() * config.requests_per_tenant),
         ..WorkerStats::default()
     };
-    // The rate was validated up front; each of the `workers` live threads
-    // paces itself to an equal share of it.
-    let pace = config.qps.map(|q| workers as f64 / q);
-    let mut issued = 0u64;
-    'script: for i in 0..config.requests_per_tenant {
+    for i in 0..config.requests_per_tenant {
         for (slot, &t) in my_tenants.iter().enumerate() {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    stats.truncated = true;
-                    break 'script;
-                }
-            }
-            if let Some(interval) = pace {
-                let due = start + Duration::from_secs_f64(interval * issued as f64);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-            }
             let req = script_request(grid, svt, workload, t, i);
-            let begun = Instant::now();
             let resp = server.handle(&req, &mut scratch);
-            stats.latencies_us.push(begun.elapsed().as_secs_f64() * 1e6);
-            issued += 1;
             stats.completed += 1;
             if resp.is_rejected() {
                 stats.rejected += 1;
@@ -375,18 +287,9 @@ fn worker_loop(
     stats
 }
 
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
-/// Runs the closed-loop load generator: registers the tenants, serves each
-/// tenant's deterministic request script from `config.workers` threads,
-/// and aggregates latency quantiles, rejection counts and the
-/// reproducibility digest.
+/// Runs the replay: registers the tenants, serves each tenant's
+/// deterministic request script from `config.workers` threads, and
+/// aggregates the outcome counts and the reproducibility digest.
 pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, free_gap_core::MechanismError> {
     config.validate()?;
     let workload = synthetic_workload(config.seed);
@@ -397,119 +300,38 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, free_gap_core:
     let session_svt = SparseVectorWithGap::new(3, 0.5, threshold, true)?;
     // 32 idle ticks: leaked sessions (every 4th block) get evicted a few
     // blocks later, well within even the --quick script.
-    let mut server = QueryServer::new(config.seed).with_max_idle(32);
-    if let Some(n) = config.par_threshold {
-        server = server.with_par_threshold(n);
-    }
+    let server = QueryServer::new(config.seed).with_max_idle(32);
     for t in 0..config.tenants as u64 {
         server.register_tenant(t, config.epsilon_per_tenant)?;
     }
     // Clamp to the tenant count so every spawned worker owns at least one
     // tenant (rebalancing never changes the digest: it folds per tenant).
     let workers = config.workers.min(config.tenants).max(1);
-    let start = Instant::now();
-    let deadline = config
-        .duration_cap_secs
-        .map(|d| start + Duration::from_secs_f64(d));
     let stats = run_partitioned(workers, |w| {
-        worker_loop(
-            config,
-            &server,
-            &grid,
-            session_svt,
-            &workload,
-            w,
-            workers,
-            start,
-            deadline,
-        )
+        worker_loop(config, &server, &grid, session_svt, &workload, w, workers)
     })?;
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut digest = 0u64;
     let mut report = ServeBenchReport {
         planned: config.planned_requests(),
         completed: 0,
         rejected: 0,
         budget_rejected: 0,
         evictions: server.evictions(),
-        p50_us: 0.0,
-        p95_us: 0.0,
-        p99_us: 0.0,
-        elapsed_secs,
-        requests_per_sec: 0.0,
         digest: 0,
-        truncated: false,
     };
     for s in stats {
         report.completed += s.completed;
         report.rejected += s.rejected;
         report.budget_rejected += s.budget_rejected;
-        report.truncated |= s.truncated;
-        latencies.extend(s.latencies_us);
         for (_, d) in s.digests {
-            digest ^= d;
+            report.digest ^= d;
         }
     }
-    report.digest = digest;
-    latencies.sort_by(f64::total_cmp);
-    report.p50_us = percentile(&latencies, 0.50);
-    report.p95_us = percentile(&latencies, 0.95);
-    report.p99_us = percentile(&latencies, 0.99);
-    if elapsed_secs > 0.0 {
-        report.requests_per_sec = report.completed as f64 / elapsed_secs;
-    }
     Ok(report)
-}
-
-/// Serializes a report to the `BENCH_serve.json` schema.
-pub fn to_json(config: &ServeBenchConfig, report: &ServeBenchReport) -> String {
-    let par_threshold = config
-        .par_threshold
-        .map_or_else(|| "null".to_owned(), |n| n.to_string());
-    format!(
-        "{{\n  \"schema\": \"free-gap-serve/bench/v1\",\n  \
-         \"seed\": {},\n  \"tenants\": {},\n  \"workers\": {},\n  \
-         \"requests_per_tenant\": {},\n  \"epsilon_per_tenant\": {:.3},\n  \
-         \"par_threshold\": {},\n  \
-         \"planned\": {},\n  \"completed\": {},\n  \"rejected\": {},\n  \
-         \"budget_rejected\": {},\n  \"evictions\": {},\n  \
-         \"latency_us\": {{ \"p50\": {:.2}, \"p95\": {:.2}, \"p99\": {:.2} }},\n  \
-         \"elapsed_secs\": {:.6},\n  \"requests_per_sec\": {:.1},\n  \
-         \"digest\": \"{:#018x}\",\n  \"truncated\": {}\n}}\n",
-        config.seed,
-        config.tenants,
-        config.workers,
-        config.requests_per_tenant,
-        config.epsilon_per_tenant,
-        par_threshold,
-        report.planned,
-        report.completed,
-        report.rejected,
-        report.budget_rejected,
-        report.evictions,
-        report.p50_us,
-        report.p95_us,
-        report.p99_us,
-        report.elapsed_secs,
-        report.requests_per_sec,
-        report.digest,
-        report.truncated,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_pick_sorted_positions() {
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 0.50), 51.0);
-        assert_eq!(percentile(&v, 0.95), 95.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
 
     #[test]
     fn script_is_a_pure_function_of_tenant_and_index() {
@@ -544,34 +366,6 @@ mod tests {
                 ..
             })
         ));
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cfg = ServeBenchConfig {
-                duration_cap_secs: Some(bad),
-                ..ok
-            };
-            assert!(matches!(
-                cfg.validate(),
-                Err(MechanismError::InvalidParameter {
-                    name: "duration",
-                    ..
-                })
-            ));
-            let cfg = ServeBenchConfig {
-                qps: Some(bad),
-                ..ok
-            };
-            assert!(matches!(
-                cfg.validate(),
-                Err(MechanismError::InvalidParameter { name: "qps", .. })
-            ));
-        }
-        // Well-formed caps pass.
-        let capped = ServeBenchConfig {
-            duration_cap_secs: Some(1.5),
-            qps: Some(200.0),
-            ..ok
-        };
-        assert!(capped.validate().is_ok());
         // run() refuses before doing any work.
         assert!(run(&no_tenants).is_err());
     }
@@ -619,63 +413,11 @@ mod tests {
             workers: 4,
             requests_per_tenant: 26,
             epsilon_per_tenant: 0.45 * 26.0,
-            duration_cap_secs: None,
-            qps: None,
-            par_threshold: None,
         };
         let wide = run(&base).unwrap();
         assert_eq!(wide.completed, base.planned_requests());
         let narrow = run(&ServeBenchConfig { workers: 1, ..base }).unwrap();
         assert_eq!(wide.digest, narrow.digest);
         assert_eq!(wide.completed, narrow.completed);
-    }
-
-    #[test]
-    fn par_threshold_runs_clean_and_deterministic() {
-        let base = ServeBenchConfig {
-            seed: 11,
-            tenants: 2,
-            workers: 2,
-            requests_per_tenant: 26,
-            epsilon_per_tenant: 0.45 * 26.0,
-            duration_cap_secs: None,
-            qps: None,
-            par_threshold: Some(1),
-        };
-        let a = run(&base).unwrap();
-        assert_eq!(a.completed, base.planned_requests());
-        let b = run(&base).unwrap();
-        assert_eq!(a.digest, b.digest);
-    }
-
-    #[test]
-    fn json_echoes_the_outcome() {
-        let config = ServeBenchConfig::quick(7);
-        let report = ServeBenchReport {
-            planned: 1200,
-            completed: 1200,
-            rejected: 420,
-            budget_rejected: 400,
-            evictions: 12,
-            p50_us: 10.5,
-            p95_us: 42.0,
-            p99_us: 99.9,
-            elapsed_secs: 0.25,
-            requests_per_sec: 4800.0,
-            digest: 0xDEAD_BEEF,
-            truncated: false,
-        };
-        let json = to_json(&config, &report);
-        assert!(json.contains("\"schema\": \"free-gap-serve/bench/v1\""));
-        assert!(json.contains("\"par_threshold\": null"));
-        assert!(json.contains("\"budget_rejected\": 400"));
-        let par_config = ServeBenchConfig {
-            par_threshold: Some(32),
-            ..config
-        };
-        assert!(to_json(&par_config, &report).contains("\"par_threshold\": 32"));
-        assert!(json.contains("\"p99\": 99.90"));
-        assert!(json.contains("\"digest\": \"0x00000000deadbeef\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -30,9 +30,11 @@
 //! [`server::WorkerScratch`] across requests, so the steady state runs on
 //! the same warm-buffer fast paths as the Monte-Carlo harness.
 //!
-//! The [`mod@bench`] module is the `repro serve-bench` closed-loop load
-//! generator: p50/p95/p99 latency, rejection counts and a reproducibility
-//! digest into `BENCH_serve.json`.
+//! The [`mod@bench`] module is the `repro serve-bench` deterministic
+//! replay: a scripted multi-tenant load whose outcome counts and
+//! reproducibility digest are the same at any worker count. It times
+//! nothing; the gated `serve-mixed` benchmark workload measures serving
+//! speed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,8 @@
 //! The multi-tenant query server: one unified request/response surface
 //! over all ten mechanisms, with per-tenant budget ledgers, derived
-//! noise sub-streams, and open streaming-SVT sessions.
+//! noise sub-streams, and open streaming-SVT sessions. Every one-shot call
+//! takes one path: [`AnyMechanism::call_batched`] on the request's derived
+//! sub-stream.
 //!
 //! ## Concurrency and determinism
 //!
@@ -28,10 +30,9 @@
 use crate::ledger::BudgetLedger;
 use crate::session::SvtSession;
 use free_gap_core::api::{AnyMechanism, CallScratch, Mechanism, MechanismOutput, QuerySlice};
-use free_gap_core::draw::ParallelDraws;
 use free_gap_core::sparse_vector::SparseVectorWithGap;
 use free_gap_core::MechanismError;
-use free_gap_noise::rng::{derive_fast_stream, derive_stream_seed, splitmix64};
+use free_gap_noise::rng::{derive_fast_stream, splitmix64};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -177,7 +178,6 @@ impl MechanismResponse {
 pub struct WorkerScratch {
     call: CallScratch,
     out: MechanismOutput,
-    par: ParallelDraws,
 }
 
 impl WorkerScratch {
@@ -186,21 +186,8 @@ impl WorkerScratch {
         Self {
             call: CallScratch::new(),
             out: MechanismOutput::Indices(Vec::new()),
-            par: ParallelDraws::new(0, default_par_threads()),
         }
     }
-}
-
-/// Default intra-run thread count for the parallel call path: the
-/// machine's available parallelism clamped to the four-way layout the
-/// tests pin (one thread when parallelism cannot be queried). The clamp
-/// only affects wall-clock, never bits — [`ParallelDraws`] output is
-/// identical for every thread count.
-pub(crate) fn default_par_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(4)
 }
 
 impl Default for WorkerScratch {
@@ -243,10 +230,6 @@ impl Tenant {
 pub struct QueryServer {
     seed: u64,
     max_idle: u64,
-    /// One-shot calls whose workload reaches this length run through the
-    /// intra-run parallel path ([`AnyMechanism::call_par`]); `None`
-    /// (default) serves everything on the sequential batched path.
-    par_threshold: Option<usize>,
     tenants: RwLock<HashMap<u64, Arc<Tenant>>>,
 }
 
@@ -259,7 +242,6 @@ impl QueryServer {
         Self {
             seed,
             max_idle: DEFAULT_MAX_IDLE,
-            par_threshold: None,
             tenants: RwLock::new(HashMap::new()),
         }
     }
@@ -271,31 +253,23 @@ impl QueryServer {
         self
     }
 
-    /// Opts one-shot calls with at least `threshold` queries into the
-    /// intra-run parallel path. The parallel path draws a *different*
-    /// (equally well-defined) noise stream than the sequential batched
-    /// path — the per-block layout keyed by `(tenant seed, request
-    /// sequence)` — so flipping this knob changes outputs, but for a fixed
-    /// threshold every response stays bit-reproducible regardless of the
-    /// worker count or the machine's core count.
-    pub fn with_par_threshold(mut self, threshold: usize) -> Self {
-        self.par_threshold = Some(threshold);
-        self
-    }
-
     /// Registers a tenant with a total privacy budget.
     ///
     /// # Errors
     /// Rejects malformed budgets ([`MechanismError::InvalidEpsilon`]) and
-    /// duplicate registrations ([`MechanismError::InvalidSplit`]).
+    /// duplicate registrations ([`MechanismError::InvalidParameter`] naming
+    /// `tenant`); a rejected registration leaves the existing tenant
+    /// untouched.
     pub fn register_tenant(&self, tenant: u64, epsilon: f64) -> Result<(), MechanismError> {
         let ledger = BudgetLedger::new(epsilon)?;
         let mut s = self.seed ^ tenant.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let seed = splitmix64(&mut s);
         let mut map = self.tenants.write().unwrap_or_else(PoisonError::into_inner);
         if map.contains_key(&tenant) {
-            return Err(MechanismError::InvalidSplit {
-                reason: "tenant already registered",
+            return Err(MechanismError::InvalidParameter {
+                name: "tenant",
+                value: tenant as f64,
+                requirement: "must not already be registered",
             });
         }
         map.insert(
@@ -361,27 +335,9 @@ impl QueryServer {
                 }
                 inner.seq += 1;
                 let slice = QuerySlice::new(queries);
-                let result = match self.par_threshold {
-                    Some(threshold) if queries.len() >= threshold => {
-                        // Same derivation key as the sequential path, but
-                        // feeding the per-block sub-stream layout instead
-                        // of one sequential generator.
-                        worker.par.reset(derive_stream_seed(tenant.seed, inner.seq));
-                        // lint:allow(lock-discipline): per-tenant serialization is the determinism contract — the response stream of a tenant must be a function of its own request order, so its guard intentionally spans the call; other tenants hold other guards
-                        mechanism.call_par(
-                            &slice,
-                            &mut worker.par,
-                            &mut worker.call,
-                            &mut worker.out,
-                        )
-                    }
-                    _ => {
-                        let mut rng = derive_fast_stream(tenant.seed, inner.seq);
-                        // lint:allow(lock-discipline): same per-tenant serialization contract as the call_par arm above
-                        mechanism.call_batched(&slice, &mut rng, &mut worker.call, &mut worker.out)
-                    }
-                };
-                match result {
+                let mut rng = derive_fast_stream(tenant.seed, inner.seq);
+                // lint:allow(lock-discipline): per-tenant serialization is the determinism contract — the response stream of a tenant must be a function of its own request order, so its guard intentionally spans the call; other tenants hold other guards
+                match mechanism.call_batched(&slice, &mut rng, &mut worker.call, &mut worker.out) {
                     Ok(()) => MechanismResponse::Output(worker.out.clone()),
                     Err(e) => {
                         // The call drew no noise and released no output:

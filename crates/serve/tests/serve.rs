@@ -276,6 +276,40 @@ fn budget_rejections_are_typed_and_leave_state_unchanged() {
     );
 }
 
+/// A second registration of a live tenant id is rejected by name — not
+/// reported as a budget-split error — and leaves the first tenant's ledger
+/// as it was.
+#[test]
+fn registering_a_tenant_twice_is_rejected_by_name() {
+    let server = QueryServer::new(9);
+    server.register_tenant(3, 2.0).unwrap();
+    let call = MechanismRequest {
+        tenant: 3,
+        body: RequestBody::Call {
+            mechanism: NoisyTopKWithGap::new(3, 0.5, true).unwrap().into(),
+            queries: (0..8).map(|j| 50.0 - j as f64).collect(),
+        },
+    };
+    let mut scratch = WorkerScratch::new();
+    assert!(matches!(
+        server.handle(&call, &mut scratch),
+        MechanismResponse::Output(_)
+    ));
+    let err = server.register_tenant(3, 5.0).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            free_gap_core::MechanismError::InvalidParameter { name: "tenant", .. }
+        ),
+        "{err:?}"
+    );
+    let message = err.to_string();
+    assert!(message.contains("tenant"), "{message}");
+    assert!(!message.contains("split"), "{message}");
+    assert_eq!(server.spent(3), Some(0.5));
+    assert_eq!(server.remaining(3), Some(1.5));
+}
+
 /// A staircase call whose per-query budget rounds away (`e^{-ε/n}` is 1.0
 /// in `f64` for ε = 1e-12 over 20,000 queries) is a typed invalid-request
 /// rejection with the debit refunded — not a panic that takes the worker
@@ -384,15 +418,10 @@ fn serve_bench_is_bit_reproducible_across_worker_counts() {
     assert_eq!(a.budget_rejected, b.budget_rejected);
     assert_eq!(a.evictions, b.evictions);
     assert_eq!(a.completed, a.planned);
-    assert!(!a.truncated);
     // The script is sized to overrun the budget and leak sessions.
     assert!(a.budget_rejected > 0, "no budget rejection exercised");
     assert!(a.evictions > 0, "no eviction exercised");
     assert!(a.rejected >= a.budget_rejected);
-    // Latency quantiles are ordered and populated.
-    assert!(a.p50_us > 0.0);
-    assert!(a.p50_us <= a.p95_us && a.p95_us <= a.p99_us);
-    assert!(a.requests_per_sec > 0.0);
 }
 
 /// Different seeds must produce different digests (the digest actually
@@ -421,4 +450,22 @@ fn serve_bench_quick_digest_is_pinned() {
         "serve-bench --quick digest moved: {:#018x}",
         report.digest
     );
+}
+
+/// The full board's digest and counts at the default seed, pinned: 8
+/// tenants × 2,000 requests over 4 workers is the only scripted run with
+/// several tenants per worker at four workers. `repro serve-bench` prints
+/// the same values.
+#[test]
+fn serve_bench_full_digest_is_pinned() {
+    let report = free_gap_serve::bench::run(&ServeBenchConfig::full(20190412)).unwrap();
+    assert_eq!(
+        report.digest, 0x801a_7b49_fc0e_1b94,
+        "serve-bench digest moved: {:#018x}",
+        report.digest
+    );
+    assert_eq!(report.completed, 16_000);
+    assert_eq!(report.rejected, 4_780);
+    assert_eq!(report.budget_rejected, 3_403);
+    assert_eq!(report.evictions, 213);
 }
