@@ -9,7 +9,7 @@
 //!   add/remove-one adjacency): all `δᵢ ∈ [0, 1]` or all `δᵢ ∈ [-1, 0]`.
 //!
 //! [`AdjacencyModel`] generates random perturbations of the right shape for
-//! alignment checking and empirical-ε audits.
+//! alignment checking.
 
 use rand::Rng;
 

@@ -28,8 +28,8 @@
 //!   statistical audit of the paper's Lemma 2 / Lemma 4 proofs.
 //! * [`adjacency`] — generators for adjacent query-answer vectors (general
 //!   sensitivity-1 and monotone, per Definition 7).
-//! * [`empirical`] — a black-box `ε̂` estimator over discretized output
-//!   histograms, the classic sanity check for small output spaces.
+//! * [`binomial`] — Clopper–Pearson bounds and the empirical ε lower bound
+//!   the black-box attack harness (`free-gap-attack`) reports.
 //!
 //! The checker validates *necessary* conditions on sampled executions; the
 //! paper's theorems remain the proof. What the checker adds is exactly what
@@ -43,7 +43,6 @@
 pub mod adjacency;
 pub mod binomial;
 pub mod checker;
-pub mod empirical;
 pub mod mechanism;
 pub mod source;
 pub mod tape;

@@ -256,7 +256,7 @@ pub fn attack(target: &dyn AttackTarget, pairs: &[InputPair], cfg: &AttackConfig
     let usable: Vec<(usize, &InputPair)> = pairs
         .iter()
         .enumerate()
-        .filter(|(_, p)| p.lattice || !target.lattice_only())
+        .filter(|(_, p)| p.lattice() || !target.lattice_only())
         .collect();
     assert!(
         !usable.is_empty(),
@@ -390,12 +390,7 @@ mod tests {
         // the CP lower bound must collapse to ~0 and nothing is flagged.
         let target = ClassicSparseVector::new(2, 1.0, 10.0, false).unwrap();
         let d = vec![10.5, 9.0, 11.0, 8.0];
-        let pairs = vec![InputPair {
-            name: "null",
-            d: QueryAnswers::general(d.clone()),
-            dp: QueryAnswers::general(d),
-            lattice: false,
-        }];
+        let pairs = vec![InputPair::new("null", d.clone(), d)];
         let cfg = AttackConfig {
             search_trials: 4_000,
             estimate_trials: 8_000,

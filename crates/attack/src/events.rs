@@ -12,14 +12,17 @@
 //! The classifiers deliberately capture the axes along which the known
 //! broken variants leak: decision patterns (no-query-noise's deterministic
 //! comparisons), `⊤` counts (the unbounded-count variant), abort structure
-//! (budget misallocation), and *joint* pattern-plus-released-value events
+//! (budget misallocation), *joint* pattern-plus-released-value events
 //! (noisy-value reuse, whose witness is "many `⊥`s, then a `⊤` whose
-//! released value exposes that the noisy threshold sat below `T`").
+//! released value exposes that the noisy threshold sat below `T`"), and
+//! the branch pattern the adaptive SVT releases. For Noisy-Top-K at
+//! `k = 1`, the joint event is the (index, gap bucket) pair Algorithm 1
+//! releases.
 
 use crate::target::Observation;
 
 /// Number of classifiers in the fixed family.
-pub const NUM_CLASSIFIERS: usize = 6;
+pub const NUM_CLASSIFIERS: usize = 7;
 
 /// Short names, index-aligned with the values written by [`classify`].
 pub const CLASSIFIER_NAMES: [&str; NUM_CLASSIFIERS] = [
@@ -29,6 +32,7 @@ pub const CLASSIFIER_NAMES: [&str; NUM_CLASSIFIERS] = [
     "first-top-index",
     "first-top-value-bucket",
     "pattern+value-bucket",
+    "branch-pattern",
 ];
 
 /// Sentinel bucket for "no `⊤` in this run".
@@ -69,6 +73,14 @@ pub fn classify(obs: &Observation, threshold: f64, out: &mut [u64; NUM_CLASSIFIE
     // with where the first released value landed relative to T. This is
     // the compound witness shape for noisy-value reuse.
     out[5] = (bitmask & 0xFFFF_FFFF_FFFF) | (out[4] << 48);
+    // The branch tags of the first 32 queries, 2 bits each. Constant (0)
+    // for targets without branches, so it never wins their search.
+    out[6] = obs
+        .tags
+        .iter()
+        .take(32)
+        .enumerate()
+        .fold(0, |acc, (i, &tag)| acc | (u64::from(tag) << (2 * i)));
 }
 
 #[cfg(test)]
@@ -83,7 +95,8 @@ mod tests {
 
     #[test]
     fn classifies_the_compound_pattern() {
-        let obs = obs_of(vec![None, None, None, None, Some(9.3)]);
+        let mut obs = obs_of(vec![None, None, None, None, Some(9.3)]);
+        obs.tags = vec![0, 0, 0, 0, 2];
         let mut ev = [0u64; NUM_CLASSIFIERS];
         classify(&obs, 10.0, &mut ev);
         assert_eq!(ev[0], 0b10000);
@@ -93,6 +106,8 @@ mod tests {
         // 9.3 - 10.0 = -0.7 → bucket floor(-0.7) = -1 → 7.
         assert_eq!(ev[4], 7);
         assert_eq!(ev[5], 0b10000 | (7 << 48));
+        // Query 4 answered by the middle branch: tag 2 at bits 8..10.
+        assert_eq!(ev[6], 2 << 8);
     }
 
     #[test]

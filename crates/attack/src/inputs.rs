@@ -51,13 +51,19 @@ pub struct InputPair {
     pub d: QueryAnswers,
     /// The adjacent database's query answers.
     pub dp: QueryAnswers,
-    /// Whether both sides lie on the integer lattice (required by
-    /// lattice-only targets such as the discrete SVT).
-    pub lattice: bool,
+    lattice: bool,
 }
 
 impl InputPair {
-    fn new(name: &'static str, d: Vec<f64>, dp: Vec<f64>, lattice: bool) -> Self {
+    /// Builds a pair, asserting sensitivity-1 adjacency
+    /// (`|dᵢ - d'ᵢ| ≤ 1` for every query).
+    ///
+    /// A one-pair slice `&[InputPair::new(..)]` turns [`attack`] into a
+    /// fixed-pair audit: the search still picks the event, on that pair
+    /// only.
+    ///
+    /// [`attack`]: crate::estimator::attack
+    pub fn new(name: &'static str, d: Vec<f64>, dp: Vec<f64>) -> Self {
         assert_eq!(
             d.len(),
             dp.len(),
@@ -67,12 +73,19 @@ impl InputPair {
             d.iter().zip(&dp).all(|(a, b)| (a - b).abs() <= 1.0 + 1e-12),
             "{name}: adjacency violated (some |dᵢ - d'ᵢ| > 1)"
         );
+        let lattice = d.iter().chain(&dp).all(|v| (v - v.round()).abs() < 1e-9);
         Self {
             name,
             d: QueryAnswers::general(d),
             dp: QueryAnswers::general(dp),
             lattice,
         }
+    }
+
+    /// Whether every value on both sides is an integer (required by
+    /// lattice-only targets such as the discrete SVT).
+    pub fn lattice(&self) -> bool {
+        self.lattice
     }
 }
 
@@ -81,33 +94,30 @@ impl InputPair {
 /// All pairs are lattice-valued when `t` is an integer, except
 /// `sentinel-pinning` (half-unit sentinels by construction).
 pub fn standard_pairs(t: f64) -> Vec<InputPair> {
-    let lattice = (t - t.round()).abs() < 1e-9;
     let mut pairs = Vec::new();
 
     let d: Vec<f64> = std::iter::once(t + 1.0)
         .chain(std::iter::repeat_n(t - 2.0, 7))
         .collect();
     let dp: Vec<f64> = d.iter().map(|q| q - 1.0).collect();
-    pairs.push(InputPair::new("one-above", d, dp, lattice));
+    pairs.push(InputPair::new("one-above", d, dp));
 
     pairs.push(InputPair::new(
         "all-at-threshold",
         vec![t; 8],
         vec![t - 1.0; 8],
-        lattice,
     ));
 
     pairs.push(InputPair::new(
         "all-above",
         vec![t + 6.0; 24],
         vec![t + 5.0; 24],
-        lattice,
     ));
 
     let d = vec![t; 5];
     let mut dp = vec![t + 1.0; 4];
     dp.push(t - 1.0);
-    pairs.push(InputPair::new("push-below-pull-above", d, dp, lattice));
+    pairs.push(InputPair::new("push-below-pull-above", d, dp));
 
     let mut d = Vec::new();
     let mut dp = Vec::new();
@@ -119,7 +129,7 @@ pub fn standard_pairs(t: f64) -> Vec<InputPair> {
         d.push(t + 3.0);
         dp.push(t + 2.0); // ⊤ queries move down
     }
-    pairs.push(InputPair::new("sparse-highs", d, dp, lattice));
+    pairs.push(InputPair::new("sparse-highs", d, dp));
 
     let mut d = Vec::new();
     let mut dp = Vec::new();
@@ -131,7 +141,7 @@ pub fn standard_pairs(t: f64) -> Vec<InputPair> {
         d.push(t + 2.0);
         dp.push(t + 1.0);
     }
-    pairs.push(InputPair::new("sparse-highs-tight", d, dp, lattice));
+    pairs.push(InputPair::new("sparse-highs-tight", d, dp));
 
     let mut d = vec![t; 6];
     let mut dp = vec![t + 1.0; 6];
@@ -139,14 +149,14 @@ pub fn standard_pairs(t: f64) -> Vec<InputPair> {
         d.push(t + 1.0);
         dp.push(t);
     }
-    pairs.push(InputPair::new("push-pull-wide", d, dp, lattice));
+    pairs.push(InputPair::new("push-pull-wide", d, dp));
 
     let sentinels: Vec<f64> = (0..16).map(|i| t + (i as f64 - 8.0) * 0.5).collect();
     let mut d = sentinels.clone();
     let mut dp = sentinels;
     d.push(t + 0.25);
     dp.push(t + 0.75);
-    pairs.push(InputPair::new("sentinel-pinning", d, dp, false));
+    pairs.push(InputPair::new("sentinel-pinning", d, dp));
 
     pairs
 }
@@ -164,14 +174,14 @@ mod tests {
             for (a, b) in p.d.values().iter().zip(p.dp.values()) {
                 assert!((a - b).abs() <= 1.0 + 1e-12, "{}", p.name);
             }
-            if p.lattice {
+            if p.lattice() {
                 for v in p.d.values().iter().chain(p.dp.values()) {
                     assert!((v - v.round()).abs() < 1e-9, "{}: {v}", p.name);
                 }
             }
         }
         assert_eq!(
-            pairs.iter().filter(|p| !p.lattice).count(),
+            pairs.iter().filter(|p| !p.lattice()).count(),
             1,
             "only sentinel-pinning leaves the lattice at an integer threshold"
         );
@@ -179,12 +189,12 @@ mod tests {
 
     #[test]
     fn non_integer_threshold_marks_everything_off_lattice() {
-        assert!(standard_pairs(10.5).iter().all(|p| !p.lattice));
+        assert!(standard_pairs(10.5).iter().all(|p| !p.lattice()));
     }
 
     #[test]
     #[should_panic(expected = "adjacency violated")]
     fn adjacency_is_enforced() {
-        InputPair::new("bad", vec![0.0], vec![2.0], true);
+        InputPair::new("bad", vec![0.0], vec![2.0]);
     }
 }

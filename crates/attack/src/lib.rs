@@ -1,9 +1,12 @@
 //! # free-gap-attack
 //!
-//! A black-box privacy fault-injection harness over the Sparse Vector
-//! family: the correct mechanisms from the paper and the deliberately
-//! broken variant zoo (`free_gap_core::sparse_vector::broken`) behind one
-//! [`AttackTarget`] trait, attacked with the same machinery.
+//! A black-box privacy fault-injection harness over the Sparse Vector and
+//! Noisy-Max families: the correct mechanisms from the paper and the
+//! deliberately broken variant zoo (`free_gap_core::sparse_vector::broken`)
+//! behind one [`AttackTarget`] trait, attacked with the same machinery.
+//! Noisy-Top-K-with-Gap's observation carries each selected index's
+//! released gap, so an audit of it checks the paper's claim that the gap
+//! comes free; the adaptive SVT's observation carries its branch tags.
 //!
 //! The attack shape follows dp-sniper (Bichsel et al., and the excerpt in
 //! this repo's SNIPPETS.md): treat the mechanism as an opaque sampler and
@@ -32,6 +35,12 @@
 //! configured significance α), which is what makes the suite a two-sided
 //! oracle: correct mechanisms must never be flagged, and every zoo variant
 //! must be — see [`suite::run_suite`] and the `repro attack` CLI.
+//!
+//! The same [`attack`] call on a one-element pair slice is the fixed-pair
+//! audit: the search picks the event on that pair alone, and the estimate
+//! re-counts it on fresh streams. The workspace's black-box checks of
+//! single mechanisms on hand-picked pairs (`tests/dp_empirical.rs` at the
+//! repository root) all run this way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,39 +1,54 @@
-//! The [`AttackTarget`] trait: one black-box interface over correct and
-//! broken SVT mechanisms.
+//! The [`AttackTarget`] trait: one black-box interface over the Sparse
+//! Vector and Noisy-Max families, correct and broken.
 //!
 //! Every target — the paper's mechanisms and the variant zoo alike — is
 //! reduced to the same observable surface: a per-query decision vector with
-//! an optional released value per `⊤`. That is exactly what an adversary
-//! watching the mechanism's output sees, so classifiers built on
-//! [`Observation`] apply uniformly and the harness cannot accidentally use
-//! side information a real attacker would not have.
+//! an optional released value per `⊤`, plus the branch tag of each answer
+//! for the adaptive SVT. That is exactly what an adversary watching the
+//! mechanism's output sees, so classifiers built on [`Observation`] apply
+//! uniformly and the harness cannot accidentally use side information a
+//! real attacker would not have.
+//!
+//! Noisy-Top-K-with-Gap maps onto the same surface: a selected query is a
+//! `⊤` carrying its released gap, every other query a `⊥`. At `k = 1` that
+//! is exactly Algorithm 1's joint (index, gap) release. Gaps are
+//! non-negative, so its public threshold is `0` and the value buckets read
+//! the gap directly.
 
 use free_gap_core::answers::QueryAnswers;
 use free_gap_core::draw::ScratchDraws;
-use free_gap_core::scratch::SvtScratch;
+use free_gap_core::noisy_max::{NoisyTopKWithGap, TopKOutput};
+use free_gap_core::scratch::{SvtScratch, TopKScratch};
 use free_gap_core::sparse_vector::broken::{
     BudgetMisallocationSvt, NoQueryNoiseSvt, NoisyValueOutput, NoisyValueSvt, UnboundedCountSvt,
     UnscaledNoiseSvt,
 };
 use free_gap_core::sparse_vector::{
-    AdaptiveOutcome, AdaptiveSparseVector, AdaptiveSvOutput, ClassicSparseVector,
+    AdaptiveOutcome, AdaptiveSparseVector, AdaptiveSvOutput, Branch, ClassicSparseVector,
     DiscreteSparseVectorWithGap, SparseVectorWithGap, SvOutput,
 };
 use free_gap_noise::rng::FastRng;
 
 /// What the adversary observes from one mechanism run: per processed query,
-/// `Some(released value)` for `⊤` (the gap for gap-releasing mechanisms,
-/// the raw noisy value for [`NoisyValueSvt`], `0.0` for decision-only
-/// mechanisms) or `None` for `⊥`.
+/// `Some(released value)` for `⊤` (the gap for gap-releasing mechanisms and
+/// for each query Noisy-Top-K selects, the raw noisy value for
+/// [`NoisyValueSvt`], `0.0` for decision-only mechanisms) or `None` for
+/// `⊥`.
 #[derive(Debug, Clone)]
 pub struct Observation {
     /// The unified per-query view classifiers consume.
     pub above: Vec<Option<f64>>,
+    /// Per processed query, the branch that answered it: `0` for `⊥`, `1`
+    /// for the top branch, `2` for the middle branch. Empty for targets
+    /// without branches.
+    pub tags: Vec<u8>,
     // Reusable per-flavor output buffers so `observe` stays allocation-free
     // across trials.
     sv: SvOutput,
     nv: NoisyValueOutput,
     adaptive: AdaptiveSvOutput,
+    top_k: TopKScratch,
+    top_k_out: TopKOutput,
 }
 
 impl Default for Observation {
@@ -47,6 +62,7 @@ impl Observation {
     pub fn new() -> Self {
         Self {
             above: Vec::new(),
+            tags: Vec::new(),
             sv: SvOutput { above: Vec::new() },
             nv: Vec::new(),
             adaptive: AdaptiveSvOutput {
@@ -54,24 +70,50 @@ impl Observation {
                 spent: 0.0,
                 epsilon: 0.0,
             },
+            top_k: TopKScratch::new(),
+            top_k_out: TopKOutput::default(),
         }
     }
 
     fn take_sv(&mut self) {
         std::mem::swap(&mut self.above, &mut self.sv.above);
+        self.tags.clear();
     }
 
     fn take_nv(&mut self) {
         std::mem::swap(&mut self.above, &mut self.nv);
+        self.tags.clear();
     }
 
     fn take_adaptive(&mut self) {
         self.above.clear();
-        self.above
-            .extend(self.adaptive.outcomes.iter().map(|o| match o {
-                AdaptiveOutcome::Above { gap, .. } => Some(*gap),
-                AdaptiveOutcome::Below => None,
-            }));
+        self.tags.clear();
+        for o in &self.adaptive.outcomes {
+            let (value, tag) = match *o {
+                AdaptiveOutcome::Above {
+                    gap,
+                    branch: Branch::Top,
+                    ..
+                } => (Some(gap), 1),
+                AdaptiveOutcome::Above {
+                    gap,
+                    branch: Branch::Middle,
+                    ..
+                } => (Some(gap), 2),
+                AdaptiveOutcome::Below => (None, 0),
+            };
+            self.above.push(value);
+            self.tags.push(tag);
+        }
+    }
+
+    fn take_top_k(&mut self, n: usize) {
+        self.above.clear();
+        self.above.resize(n, None);
+        for item in &self.top_k_out.items {
+            self.above[item.index] = Some(item.gap);
+        }
+        self.tags.clear();
     }
 }
 
@@ -88,7 +130,8 @@ pub trait AttackTarget: Sync {
     fn claimed_epsilon(&self) -> f64;
 
     /// The public threshold `T` (classifiers bucket released values
-    /// relative to it).
+    /// relative to it; `0` for Noisy-Top-K, whose released gaps are
+    /// non-negative).
     fn public_threshold(&self) -> f64;
 
     /// True when the target only accepts integer-lattice inputs
@@ -219,6 +262,41 @@ impl AttackTarget for AdaptiveSparseVector {
     }
 }
 
+/// Noisy-Top-K-with-Gap (Algorithm 1): `Some(gap)` at each selected index
+/// and `None` elsewhere. `NoisyMaxWithGap` is audited through
+/// [`as_top_k`](free_gap_core::noisy_max::NoisyMaxWithGap::as_top_k).
+impl AttackTarget for NoisyTopKWithGap {
+    fn name(&self) -> &'static str {
+        "noisy-top-k-with-gap"
+    }
+
+    fn claimed_epsilon(&self) -> f64 {
+        self.epsilon()
+    }
+
+    fn public_threshold(&self) -> f64 {
+        0.0
+    }
+
+    fn observe(
+        &self,
+        answers: &QueryAnswers,
+        rng: &mut FastRng,
+        scratch: &mut SvtScratch,
+        out: &mut Observation,
+    ) {
+        let ran = self.run_into(
+            answers.values(),
+            &mut ScratchDraws::new(scratch, rng),
+            &mut out.top_k,
+            &mut out.top_k_out,
+        );
+        // lint:allow(panic-freedom): a non-finite pair or one shorter than k + 1 must abort the audit, not score an empty observation
+        ran.expect("attack pairs are finite and longer than k");
+        out.take_top_k(answers.len());
+    }
+}
+
 impl AttackTarget for NoisyValueSvt {
     fn name(&self) -> &'static str {
         "zoo:noisy-value-reuse"
@@ -272,6 +350,7 @@ mod tests {
             Box::new(NoQueryNoiseSvt::new(1.0, 10.0).unwrap()),
             Box::new(BudgetMisallocationSvt::new(2, 1.0, 10.0).unwrap()),
             Box::new(UnboundedCountSvt::new(1.0, 10.0).unwrap()),
+            Box::new(NoisyTopKWithGap::new(1, 1.0, false).unwrap()),
         ];
         for t in &targets {
             let mut rng = fast_rng_from_seed(7);
@@ -283,7 +362,24 @@ mod tests {
                 obs.above.len(),
                 answers.len()
             );
-            assert!((t.public_threshold() - 10.0).abs() < 1e-12, "{}", t.name());
+            let tags = if t.name() == "adaptive-svt" {
+                obs.above.len()
+            } else {
+                0
+            };
+            assert_eq!(obs.tags.len(), tags, "{}", t.name());
+            let top_k = t.name() == "noisy-top-k-with-gap";
+            if top_k {
+                // Every query is observed; only the selected one is a `⊤`.
+                assert_eq!(obs.above.len(), answers.len());
+                assert_eq!(obs.above.iter().flatten().count(), 1);
+            }
+            let threshold = if top_k { 0.0 } else { 10.0 };
+            assert!(
+                (t.public_threshold() - threshold).abs() < 1e-12,
+                "{}",
+                t.name()
+            );
             assert!((t.claimed_epsilon() - 1.0).abs() < 1e-12, "{}", t.name());
         }
         assert!(targets.iter().filter(|t| t.lattice_only()).count() == 1);

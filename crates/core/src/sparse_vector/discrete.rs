@@ -246,7 +246,6 @@ impl AlignedMechanism for DiscreteSparseVectorWithGap {
 mod tests {
     use super::*;
     use free_gap_alignment::checker::check_alignment_many;
-    use free_gap_alignment::empirical::empirical_epsilon;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
 
@@ -290,34 +289,6 @@ mod tests {
                 assert!(max <= 0.8 + 1e-9, "cost {max}");
             }
         }
-    }
-
-    #[test]
-    fn pure_dp_at_coarse_gamma_no_tie_penalty() {
-        // The module-level claim: even at γ = 1 (where the *Top-K* variant
-        // has a large δ), the SVT comparisons stay within pure ε. Audit the
-        // full decision vector black-box on a boundary-heavy workload.
-        let eps = 1.0;
-        let m = DiscreteSparseVectorWithGap::new(2, eps, 5.0, false).unwrap();
-        let run = |answers: &[f64], rng: &mut StdRng| {
-            m.run(&QueryAnswers::general(answers.to_vec()), rng)
-                .above
-                .iter()
-                .map(|o| o.is_some())
-                .collect::<Vec<bool>>()
-        };
-        // Integer workloads sitting exactly at the threshold: ties between
-        // noisy query and noisy threshold happen constantly.
-        let d = vec![5.0, 5.0, 4.0];
-        let dp = vec![4.0, 6.0, 5.0];
-        let mut rng = rng_from_seed(3);
-        let audit = empirical_epsilon(run, &d, &dp, 60_000, 200, &mut rng);
-        assert!(
-            audit.epsilon_hat <= eps + 0.2,
-            "ε̂ = {} via {}",
-            audit.epsilon_hat,
-            audit.witness
-        );
     }
 
     #[test]
