@@ -10,22 +10,25 @@
 //! * [`Mechanism`] — the one-call trait: a query slice in, a
 //!   [`MechanismOutput`] out, noise through any [`DrawProvider`].
 //! * [`AnyMechanism`] — a closed enum over the ten mechanisms, dispatching
-//!   [`Mechanism::call`] plus the two provider-choosing conveniences
-//!   [`call_batched`](AnyMechanism::call_batched) (the fast path a server
-//!   worker drives) and [`call_reference`](AnyMechanism::call_reference)
-//!   (the dyn `NoiseSource` reference path).
+//!   [`Mechanism::call`] plus three conveniences that each fix the
+//!   provider: [`call_batched`](AnyMechanism::call_batched) (the fast path
+//!   a server worker drives, [`ScratchDraws`] for every mechanism),
+//!   [`call_par`](AnyMechanism::call_par) (the per-block
+//!   [`ParallelDraws`] layout) and
+//!   [`call_reference`](AnyMechanism::call_reference) (the dyn
+//!   `NoiseSource` reference path).
 //!
 //! Design note — why `call` takes a scratch parameter where the obvious
 //! sketch would not: the selection mechanisms need `n`- and `k`-sized
 //! buffers, and `&self` receivers (the mechanisms are `Copy` parameter
 //! packs) cannot own them. Threading one [`TopKScratch`] through the call
 //! keeps the trait allocation-free across requests — the same pattern the
-//! Top-K `run_into` entries use — while the SVT family's noise tape rides
-//! inside the provider ([`ScratchDraws`]) instead. `call` is a thin
+//! Top-K `run_into` entries use — while the noise tape rides inside the
+//! provider ([`ScratchDraws`]) instead. `call` is a thin
 //! adapter: it coerces the output and forwards to the mechanism's one
 //! provider-taking `run_into` entry (`tests/api_surface.rs` pins this).
 
-use crate::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ParallelDraws, ScratchDraws, SourceDraws};
 use crate::error::MechanismError;
 use crate::exponential_mech::ExponentialMechanism;
 use crate::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap, TopKOutput};
@@ -541,13 +544,14 @@ impl Mechanism for DiscreteSparseVectorWithGap {
 }
 
 /// Reusable per-worker buffers for [`AnyMechanism::call_batched`]: the
-/// selection scratch plus the SVT/staircase noise tape, so one worker
-/// serves all ten mechanisms without per-request allocation.
+/// selection scratch plus the noise tape, so one worker serves all ten
+/// mechanisms without per-request allocation.
 #[derive(Debug, Default, Clone)]
 pub struct CallScratch {
     /// Selection buffers (Top-K family, exponential mechanism).
     pub topk: TopKScratch,
-    /// Blocked noise tape (SVT family, staircase measurement).
+    /// The noise tape [`call_batched`](AnyMechanism::call_batched) draws
+    /// every mechanism's noise through ([`ScratchDraws`]).
     pub svt: SvtScratch,
 }
 
@@ -638,26 +642,11 @@ impl Mechanism for AnyMechanism {
 }
 
 impl AnyMechanism {
-    /// True for the mechanisms whose fast path draws noise off the blocked
-    /// [`ScratchDraws`] tape (SVT family, staircase); the rest draw exact
-    /// through [`RngDraws`].
-    fn uses_tape(&self) -> bool {
-        matches!(
-            self,
-            Self::Staircase(_)
-                | Self::SparseVectorWithGap(_)
-                | Self::ClassicSparseVector(_)
-                | Self::AdaptiveSparseVector(_)
-                | Self::MultiBranchAdaptiveSparseVector(_)
-                | Self::DiscreteSparseVectorWithGap(_)
-        )
-    }
-
-    /// The batched fast path: [`Mechanism::call`] through each mechanism's
-    /// fast provider ([`RngDraws`] for the selection mechanisms, the
-    /// blocked [`ScratchDraws`] tape for SVT/staircase). Bit-identical to
-    /// the mechanism's `_into` entry through that provider on the same RNG
-    /// stream.
+    /// The batched fast path: [`Mechanism::call`] through [`ScratchDraws`]
+    /// over `scratch.svt`, for every mechanism. Scalar and tuple draws come
+    /// off the blocked tape; bulk fills drain it, then run the family's
+    /// fused kernel on `rng`. Bit-identical to the mechanism's `_into` entry
+    /// through any single-stream provider on the same RNG stream.
     pub fn call_batched<R: Rng + ?Sized>(
         &self,
         req: &QuerySlice<'_>,
@@ -665,12 +654,8 @@ impl AnyMechanism {
         scratch: &mut CallScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        if self.uses_tape() {
-            let mut provider = ScratchDraws::new(&mut scratch.svt, rng);
-            self.call(req, &mut provider, &mut scratch.topk, out)
-        } else {
-            self.call(req, &mut RngDraws::new(rng), &mut scratch.topk, out)
-        }
+        let mut provider = ScratchDraws::new(&mut scratch.svt, rng);
+        self.call(req, &mut provider, &mut scratch.topk, out)
     }
 
     /// The intra-run parallel path: [`Mechanism::call`] through a

@@ -12,10 +12,15 @@
 //!          ┌───────────────────────────┼───────────────────────────┐
 //!          ▼                           ▼                           ▼
 //!   SourceDraws                  ScratchDraws                  RngDraws
-//!   (dyn NoiseSource:            (SvtScratch/BlockBuffer:      (plain Rng:
-//!    alignment checker,           batched + blocked noise,      draw-exact
-//!    reference `run`)             Monte-Carlo fast path)        monomorphic)
+//!   (dyn NoiseSource:            (SvtScratch tape: the one     (plain Rng:
+//!    alignment checker,           fast path; blocked draws,     draw-exact,
+//!    reference `run`)             fused bulk fills)             no tape)
 //! ```
+//!
+//! [`ScratchDraws`] is the fast path for every mechanism:
+//! [`call_batched`](crate::api::AnyMechanism::call_batched) runs it whatever
+//! the draw shape, because its bulk fills run the same fused kernels
+//! [`RngDraws`] does once the tape's buffered uniforms are drained.
 //!
 //! ## Contract
 //!
@@ -329,14 +334,18 @@ impl DrawProvider for SourceDraws<'_> {
     }
 }
 
-/// Blocked monomorphic draw provider over [`SvtScratch`] — the Monte-Carlo
-/// fast path. Unit noise is generated in bounded
-/// [`BlockBuffer`](free_gap_noise::BlockBuffer) batches and rescaled per
-/// draw (bit-identical to sampling at the scale directly); `peek` calls
-/// return whole buffered blocks so the hot loop iterates slabs with
-/// `chunks_exact` instead of per-draw cursor arithmetic. May consume more
-/// of the RNG stream than it serves — see the stream discipline in
-/// [`crate::scratch`].
+/// Blocked monomorphic draw provider over [`SvtScratch`] — the one fast
+/// path, which [`call_batched`](crate::api::AnyMechanism::call_batched)
+/// runs for every mechanism. Scalar draws come off unit noise generated in
+/// bounded [`BlockBuffer`](free_gap_noise::BlockBuffer) batches and
+/// rescaled per draw (bit-identical to sampling at the scale directly);
+/// `peek` calls return whole buffered blocks so the hot loop iterates slabs
+/// with `chunks_exact` instead of per-draw cursor arithmetic. Bulk fills
+/// serve the buffered uniforms first, then run the family's fused kernel
+/// straight on the RNG, so a fill right after `begin` pulls exactly what it
+/// serves. Scalar and tuple draws may consume more of the RNG stream than
+/// they serve — see the stream discipline in [`crate::scratch`]. Every
+/// method forwards to the tape.
 pub struct ScratchDraws<'a, R: Rng + ?Sized> {
     scratch: &'a mut SvtScratch,
     rng: &'a mut R,
@@ -365,11 +374,10 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
 
     #[inline]
     fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        // Served from the shared raw-uniform tape: the distribution's
-        // exp/ln normalization is cached per rate, the draw's uniform comes
-        // from the same blocked tape the continuous draws use, and any
-        // buffered lookahead is consumed first — so discrete and continuous
-        // draws interleave without breaking the stream discipline.
+        // Served from the shared raw-uniform tape: the draw's uniform comes
+        // from the same blocked tape the continuous draws use, so discrete
+        // and continuous draws interleave without breaking the stream
+        // discipline.
         self.scratch.discrete_next(self.rng, unit_epsilon, gamma)
     }
 
@@ -386,7 +394,7 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
 
     #[inline]
     fn discrete_consume(&mut self, draws: usize) {
-        self.scratch.consume_discrete(draws);
+        self.scratch.consume(draws);
     }
 
     fn discrete_fill_offset(
@@ -396,9 +404,6 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
         gamma: f64,
         out: &mut Vec<f64>,
     ) {
-        // Same shape as `fill_offset`: served through the tape so buffered
-        // lookahead drains first, refills stay blocked, and the per-draw
-        // loop carries no distribution construction.
         self.scratch
             .discrete_fill_offset(self.rng, base, unit_epsilon, gamma, out);
     }
@@ -414,17 +419,7 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
     }
 
     fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        // Served through the block buffer, not the raw RNG: any unit draws
-        // buffered ahead by an earlier peek are consumed first, in order, so
-        // the stream-discipline contract ("served draws == sequential
-        // sampling loop") holds even when `fill_offset` follows `peek_*`.
-        // Refills still come in batched `fill_into` blocks, and
-        // `unit * scale` is bit-identical to sampling at `scale` directly.
-        out.clear();
-        out.extend(
-            base.iter()
-                .map(|b| b + self.scratch.next_scaled(self.rng, scale)),
-        );
+        self.scratch.fill_offset(self.rng, base, scale, out);
     }
 
     #[inline]
@@ -447,20 +442,17 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
     }
 
     fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        // Tape-served like `fill_offset`: buffered lookahead drains first,
-        // refills stay blocked, and the caller-constructed distribution is
-        // reused across the whole batch.
         self.scratch
             .staircase_fill_offset(self.rng, base, dist, out);
     }
 }
 
 /// Draw-exact monomorphic provider over a plain [`rand::Rng`] — no block
-/// lookahead, no `dyn` dispatch. This is the Top-K scratch path (which
-/// draws exactly `n` variates in one batched
+/// lookahead, no `dyn` dispatch: every draw samples straight from the RNG,
+/// bulk fills through the same fused
 /// [`fill_into_offset`](free_gap_noise::ContinuousDistribution::fill_into_offset)
-/// pass) and a general-purpose provider for mechanisms without an
-/// [`SvtScratch`] at hand.
+/// kernels [`ScratchDraws`] runs. A general-purpose provider for callers
+/// without an [`SvtScratch`] at hand; the fast path is [`ScratchDraws`].
 pub struct RngDraws<'a, R: Rng + ?Sized> {
     rng: &'a mut R,
     tuple: [f64; MAX_TUPLE],
@@ -703,7 +695,7 @@ impl DrawProvider for ParallelDraws {
 
     #[inline]
     fn discrete_consume(&mut self, draws: usize) {
-        self.tape.consume_discrete(draws);
+        self.tape.consume(draws);
     }
 
     fn discrete_fill_offset(

@@ -134,7 +134,7 @@ impl ExponentialMechanism {
     /// `scratch`, indices in `out` (descending under the `f64` total
     /// order, ties to the smaller index — exactly the reference sort's
     /// order). Lazy over `queries`, `O(k)` memory. Through
-    /// [`RngDraws`](crate::draw::RngDraws) it is the batched fast path.
+    /// [`ScratchDraws`](crate::draw::ScratchDraws) it is the fast path.
     ///
     /// # Errors
     /// [`MechanismError::NonFiniteUtility`] at the first NaN or infinite

@@ -51,17 +51,17 @@
 //!   the reference semantics of the allocating `run` / `run_top_k` /
 //!   `measure_split` entries; strictly draw-exact, so tapes stay
 //!   draw-for-draw faithful.
-//! * **[`draw::ScratchDraws`]** (SVT family, staircase) or
-//!   **[`draw::RngDraws`]** (Top-K family, exponential race) — the batched
-//!   fast path for Monte-Carlo and high-traffic serving. Noise is drawn in
-//!   batches via [`free_gap_noise::ContinuousDistribution::fill_into`]
-//!   (through the chunked [`free_gap_noise::BlockBuffer`]), noisy-value
-//!   buffers live in a reusable [`scratch::TopKScratch`] /
-//!   [`scratch::SvtScratch`], and the RNG is a monomorphic generic (no
+//! * **[`draw::ScratchDraws`]** — the one fast path, for every mechanism.
+//!   Scalar and tuple draws come off the chunked [`scratch::SvtScratch`]
+//!   tape; bulk fills drain it, then run the fused
+//!   [`free_gap_noise::ContinuousDistribution::fill_into_offset`] kernel
+//!   on the RNG. Selection buffers live in a reusable
+//!   [`scratch::TopKScratch`], and the RNG is a monomorphic generic (no
 //!   virtual dispatch). Outputs are **bit-for-bit identical** to `run` on
 //!   the same RNG stream; the blocked tape may consume *more* of the stream
 //!   (batch lookahead), so derive a fresh
-//!   [`free_gap_noise::rng::derive_stream`] per run.
+//!   [`free_gap_noise::rng::derive_stream`] per run. [`draw::RngDraws`] is
+//!   its draw-exact twin, without a tape.
 //! * **[`draw::ParallelDraws`]** — the per-block sub-stream layout,
 //!   bit-identical for every thread count, sequential at one thread (a
 //!   different stream from the single-RNG providers).
@@ -85,9 +85,9 @@
 //! [`api`] packages every mechanism behind one request/response
 //! shape: the [`api::Mechanism`] trait (`QuerySlice` in,
 //! [`api::MechanismOutput`] out, noise through any provider) and the
-//! [`api::AnyMechanism`] dispatch enum with the provider-choosing
-//! conveniences [`api::AnyMechanism::call_batched`] (fast path) and
-//! [`api::AnyMechanism::call_reference`] (dyn reference path). The
+//! [`api::AnyMechanism`] dispatch enum with the conveniences
+//! [`api::AnyMechanism::call_batched`] (fast path), `call_par` (per-block
+//! path) and [`api::AnyMechanism::call_reference`] (dyn reference path). The
 //! per-mechanism entries above are the typed surface; the unified one is
 //! what uniform callers — the benchmark and the `free-gap-serve`
 //! multi-tenant server — build on. The SVT family

@@ -107,7 +107,7 @@ impl NoisyTopKWithGap {
     /// of the top `k + 1`, gap construction. Buffers live in `scratch`; the
     /// output is written into `out`, reusing its buffer. The provider picks
     /// the execution path: [`SourceDraws`] is the reference [`run`](Self::run)
-    /// uses, [`RngDraws`](crate::draw::RngDraws) the batched fast path, and
+    /// uses, [`ScratchDraws`](crate::draw::ScratchDraws) the fast path, and
     /// [`ParallelDraws`](crate::draw::ParallelDraws) splits the fill and the
     /// selection across threads (a different, per-block stream).
     ///

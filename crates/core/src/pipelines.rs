@@ -61,7 +61,7 @@ pub struct TopKPipelineResult {
 ///
 /// Selection and measurement draw through the *same* provider in order
 /// (`n` selection draws, then `k` measurement draws). The fast path is
-/// [`RngDraws`](crate::draw::RngDraws) with a reused [`TopKScratch`].
+/// [`ScratchDraws`](crate::draw::ScratchDraws) with a reused [`TopKScratch`].
 pub fn topk_select_measure_into<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,

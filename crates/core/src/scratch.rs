@@ -8,14 +8,14 @@
 //! times on workloads with up to ~100k queries (§7 of the paper).
 //!
 //! Each mechanism's `_into` entry takes a [`DrawProvider`](crate::draw::DrawProvider);
-//! the fast paths use the scratch types below — [`TopKScratch`] beside
-//! [`RngDraws`](crate::draw::RngDraws) for the Top-K family, an
-//! [`SvtScratch`] inside [`ScratchDraws`](crate::draw::ScratchDraws) for the
-//! SVT family and staircase — so that:
+//! the one fast path is [`ScratchDraws`](crate::draw::ScratchDraws) over an
+//! [`SvtScratch`] noise tape, for every mechanism, with a [`TopKScratch`]
+//! holding the selection mechanisms' buffers — so that:
 //!
-//! * noise is drawn **in batches** via
-//!   [`ContinuousDistribution::fill_into`](free_gap_noise::ContinuousDistribution::fill_into),
-//!   not draw-by-draw;
+//! * noise is drawn **in batches**, not draw-by-draw: bulk fills run the
+//!   distribution's fused
+//!   [`fill_into_offset`](free_gap_noise::ContinuousDistribution::fill_into_offset)
+//!   kernel, scalar and tuple draws come off blocked refills;
 //! * noisy-value buffers live in the scratch and are **reused across runs**;
 //! * the RNG is a **monomorphic** generic parameter, so the whole inner loop
 //!   inlines — no `dyn` dispatch anywhere.
@@ -43,29 +43,35 @@
 //!    seed one from a `rng.gen::<u64>()` drawn up front) instead of running
 //!    them back-to-back on a shared stream.
 //!
-//! [`TopKScratch`] draws exactly `n` variates (no lookahead), so it is
-//! exempt from rule 2 — which is what lets the Top-K pipeline stay
-//! bit-identical end-to-end.
+//! Bulk fills pull no lookahead: they serve the uniforms the tape has
+//! already buffered and draw the rest straight from the stream. A run whose
+//! draws are all bulk fills (the Noisy-Top-K family, the staircase
+//! measurement, the Top-K pipeline) therefore leaves the stream exactly
+//! where a sequential sampling loop would, and is exempt from rule 2.
 //!
 //! ```
-//! use free_gap_core::draw::RngDraws;
+//! use free_gap_core::draw::ScratchDraws;
 //! use free_gap_core::noisy_max::{NoisyTopKWithGap, TopKOutput};
-//! use free_gap_core::scratch::TopKScratch;
+//! use free_gap_core::scratch::{SvtScratch, TopKScratch};
 //! use free_gap_noise::rng::derive_stream;
 //!
 //! let answers = [120.0, 40.0, 97.0, 80.0, 3.0];
 //! let mech = NoisyTopKWithGap::new(3, 1.0, true).unwrap();
-//! let mut scratch = TopKScratch::new();
+//! let (mut tape, mut scratch) = (SvtScratch::new(), TopKScratch::new());
 //! let mut out = TopKOutput::default();
 //! for run in 0..100 {
 //!     let mut rng = derive_stream(7, run);
-//!     mech.run_into(&answers, &mut RngDraws::new(&mut rng), &mut scratch, &mut out)
+//!     let mut draws = ScratchDraws::new(&mut tape, &mut rng);
+//!     mech.run_into(&answers, &mut draws, &mut scratch, &mut out)
 //!         .unwrap();
 //!     assert_eq!(out.items.len(), 3);
 //! }
 //! ```
 
-use free_gap_noise::{BlockBuffer, DiscreteLaplace, Exponential, Gumbel, Laplace, Staircase};
+use free_gap_noise::{
+    BlockBuffer, ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Exponential,
+    Gumbel, Laplace, SingleUniform, Staircase,
+};
 use rand::Rng;
 
 /// Reusable buffers for the Noisy Top-K family's batched fast path.
@@ -88,26 +94,20 @@ impl TopKScratch {
     }
 }
 
-/// Reusable noise tape for the Sparse Vector family's batched fast and
-/// streaming paths — the state behind
-/// [`ScratchDraws`](crate::draw::ScratchDraws).
+/// The noise tape behind [`ScratchDraws`](crate::draw::ScratchDraws), the
+/// one fast provider, for every mechanism.
 ///
-/// SVT draws at several scales (threshold noise, per-branch query noise),
-/// and the finite-precision variants draw discrete Laplace noise at several
-/// rates — so the scratch buffers **raw uniforms** (a [`BlockBuffer`]) and
-/// derives every draw from them at serve time: continuous draws as *unit*
-/// `Lap(1)` transforms rescaled per draw (IEEE multiplication makes
+/// Draws come at several scales and rates, so the scratch buffers **raw
+/// uniforms** (a [`BlockBuffer`], which also sizes the blocks) and derives
+/// every scalar and tuple draw from them at serve time: continuous draws as
+/// *unit* `Lap(1)` transforms rescaled per draw (IEEE multiplication makes
 /// `unit * scale` bit-identical to drawing `Lap(scale)` directly), discrete
-/// draws as one-uniform closed-form geometric-tail inversions with the
-/// distribution's `exp`/`ln` normalization hoisted and cached per rate.
-/// Because both families serve off one tape, any interleaving of continuous
-/// and discrete draws preserves the sequential stream order. Block sizing
-/// (first block from the previous run's consumption, later blocks tapered
-/// and cache-clamped) lives in [`BlockBuffer`]; this type pins the
-/// continuous distribution to unit Laplace and exposes the draw shapes the
-/// [`DrawProvider`](crate::draw::DrawProvider) contract needs: single
-/// scaled draws, whole blocks of scaled `m`-tuples, and their discrete
-/// twins.
+/// draws as one-uniform geometric-tail inversions. Any interleaving of the
+/// families thus preserves the sequential stream order. Bulk fills follow
+/// one rule: serve the buffered uniforms first, in order
+/// ([`BlockBuffer::drain`]), then run the family's fused kernel straight on
+/// the RNG; a staircase draw that straddles the end of the buffer takes its
+/// missing uniforms from the RNG, and a single staircase draw is that draw.
 #[derive(Debug, Clone)]
 pub struct SvtScratch {
     block: BlockBuffer,
@@ -115,13 +115,26 @@ pub struct SvtScratch {
     /// Scaled view of the currently peeked tuple block (rebuilt per peek,
     /// reused across runs).
     scaled: Vec<f64>,
-    /// Cached discrete distributions keyed by `(unit_epsilon, gamma)` bits —
-    /// constructing a [`DiscreteLaplace`] costs an `exp` and an `ln`, which
-    /// the batched discrete path hoists out of the per-draw loop (a run uses
-    /// one or two rates, so a linear scan beats any map).
-    discrete_dists: Vec<((u64, u64), DiscreteLaplace)>,
     /// Per-slot distributions of the currently peeked discrete tuple block.
     discrete_tuple: Vec<DiscreteLaplace>,
+}
+
+/// The discrete Laplace at `(unit_epsilon, gamma)`, built per call or per
+/// peeked slab (an `exp` and an `ln`): caller-chosen rates never grow state.
+#[allow(clippy::expect_used)]
+fn discrete(unit_epsilon: f64, gamma: f64) -> DiscreteLaplace {
+    // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
+    DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate")
+}
+
+/// One staircase draw from the buffered uniforms `head` (at most four),
+/// the missing ones pulled straight from `rng` in stream order.
+fn staircase_from<R: Rng + ?Sized>(head: &[f64], rng: &mut R, dist: &Staircase) -> f64 {
+    let mut u = [0.0; Staircase::URANDS];
+    for (i, slot) in u.iter_mut().enumerate() {
+        *slot = head.get(i).copied().unwrap_or_else(|| rng.gen());
+    }
+    dist.sample_from_uniforms(u)
 }
 
 impl SvtScratch {
@@ -133,7 +146,6 @@ impl SvtScratch {
             // lint:allow(panic-freedom): the constant unit scale is always a valid Laplace parameter
             unit: Laplace::new(1.0).expect("unit scale is valid"),
             scaled: Vec::new(),
-            discrete_dists: Vec::new(),
             discrete_tuple: Vec::new(),
         }
     }
@@ -172,29 +184,13 @@ impl SvtScratch {
         &self.scaled
     }
 
-    /// Advances the cursor past `draws` units previously obtained from
-    /// [`peek_tuples_scaled`](Self::peek_tuples_scaled).
+    /// Advances the cursor past `draws` values previously obtained from
+    /// [`peek_tuples_scaled`](Self::peek_tuples_scaled) or
+    /// [`discrete_peek_tuples`](Self::discrete_peek_tuples) (one uniform
+    /// each).
     #[inline]
     pub(crate) fn consume(&mut self, draws: usize) {
         self.block.consume(draws);
-    }
-
-    /// The cached discrete Laplace for `(unit_epsilon, gamma)`, constructed
-    /// once per distinct rate and reused across draws and runs.
-    #[allow(clippy::expect_used)]
-    fn discrete_dist(
-        dists: &mut Vec<((u64, u64), DiscreteLaplace)>,
-        unit_epsilon: f64,
-        gamma: f64,
-    ) -> DiscreteLaplace {
-        let key = (unit_epsilon.to_bits(), gamma.to_bits());
-        if let Some((_, d)) = dists.iter().find(|(k, _)| *k == key) {
-            return *d;
-        }
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let d = DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate");
-        dists.push((key, d));
-        d
     }
 
     /// Next discrete Laplace draw over `{kγ}` at per-unit rate
@@ -209,7 +205,7 @@ impl SvtScratch {
         unit_epsilon: f64,
         gamma: f64,
     ) -> f64 {
-        let d = Self::discrete_dist(&mut self.discrete_dists, unit_epsilon, gamma);
+        let d = discrete(unit_epsilon, gamma);
         self.block.next_discrete(&d, rng)
     }
 
@@ -217,7 +213,7 @@ impl SvtScratch {
     /// `unit_epsilons.len()`-tuples of discrete Laplace values (slot `b` of
     /// each tuple at rate `unit_epsilons[b]`) — see
     /// [`BlockBuffer::discrete_peek_tuples`]. Commit consumption with
-    /// [`consume_discrete`](Self::consume_discrete) in served values.
+    /// [`consume`](Self::consume) in served values.
     #[inline]
     pub(crate) fn discrete_peek_tuples<R: Rng + ?Sized>(
         &mut self,
@@ -226,21 +222,11 @@ impl SvtScratch {
         gamma: f64,
     ) -> &[f64] {
         self.discrete_tuple.clear();
-        for &rate in unit_epsilons {
-            self.discrete_tuple
-                .push(Self::discrete_dist(&mut self.discrete_dists, rate, gamma));
-        }
+        self.discrete_tuple
+            .extend(unit_epsilons.iter().map(|&rate| discrete(rate, gamma)));
         self.block
             .discrete_peek_tuples(&self.discrete_tuple, rng, &mut self.scaled);
         &self.scaled
-    }
-
-    /// Advances the cursor past `draws` discrete values previously obtained
-    /// from [`discrete_peek_tuples`](Self::discrete_peek_tuples) (one raw
-    /// uniform each, like the continuous draws).
-    #[inline]
-    pub(crate) fn consume_discrete(&mut self, draws: usize) {
-        self.block.consume(draws);
     }
 
     /// Next standard-shape Gumbel(`beta`) draw, served from the shared
@@ -267,18 +253,51 @@ impl SvtScratch {
         self.block.next_uncached(&dist, rng)
     }
 
-    /// Next staircase draw (four tape uniforms through the four-variable
-    /// transform), bit-identical to
-    /// [`Staircase::sample`](free_gap_noise::ContinuousDistribution::sample)
-    /// at the same stream position.
+    /// Next staircase draw, bit-identical to [`Staircase::sample`] at the
+    /// same stream position: the first draw of
+    /// [`staircase_fill_offset`](Self::staircase_fill_offset).
     #[inline]
     pub(crate) fn staircase_next<R: Rng + ?Sized>(&mut self, rng: &mut R, dist: &Staircase) -> f64 {
-        self.block.next_staircase(dist, rng)
+        staircase_from(self.block.drain(Staircase::URANDS), rng, dist)
     }
 
-    /// Fused `base[i] + staircase draw` batch over the shared tape — the
-    /// measurement shape, with the distribution constructed once by the
-    /// caller and any buffered lookahead drained first, in order.
+    /// The head of every bulk fill: sizes `out` to `base` and writes
+    /// `base[i] + draw(tuple)` over the buffered uniforms, `arity` per draw
+    /// (a short last tuple is `draw`'s to complete from `rng`). Returns the
+    /// count written; the caller's fused kernel fills the rest from `rng`.
+    fn drain_head<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        base: &[f64],
+        arity: usize,
+        out: &mut Vec<f64>,
+        draw: impl Fn(&[f64], &mut R) -> f64,
+    ) -> usize {
+        out.resize(base.len(), 0.0);
+        let drained = self.block.drain(base.len() * arity);
+        for ((slot, b), tuple) in out.iter_mut().zip(base).zip(drained.chunks(arity)) {
+            *slot = b + draw(tuple, rng);
+        }
+        drained.len().div_ceil(arity)
+    }
+
+    /// Fused `base[i] + Lap(scale)` batch: the buffered head, then the
+    /// fused kernel on the RNG.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn fill_offset<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        base: &[f64],
+        scale: f64,
+        out: &mut Vec<f64>,
+    ) {
+        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
+        let lap = Laplace::new(scale).expect("mechanism-validated scale");
+        let head = self.drain_head(rng, base, 1, out, |u, _| lap.sample_from_uniform(u[0]));
+        lap.fill_into_offset(rng, &base[head..], &mut out[head..]);
+    }
+
+    /// Fused `base[i] +` staircase-draw batch, likewise.
     pub(crate) fn staircase_fill_offset<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -286,16 +305,13 @@ impl SvtScratch {
         dist: &Staircase,
         out: &mut Vec<f64>,
     ) {
-        out.clear();
-        out.extend(
-            base.iter()
-                .map(|b| b + self.block.next_staircase(dist, rng)),
-        );
+        let head = self.drain_head(rng, base, Staircase::URANDS, out, |u, rng| {
+            staircase_from(u, rng, dist)
+        });
+        dist.fill_into_offset(rng, &base[head..], &mut out[head..]);
     }
 
-    /// Fused `base[i] + discrete draw` batch over the shared tape — the
-    /// discrete Noisy-Max shape, with the distribution construction hoisted
-    /// out of the loop and any buffered lookahead drained first, in order.
+    /// Fused `base[i] +` discrete-draw batch, likewise.
     pub(crate) fn discrete_fill_offset<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -304,9 +320,9 @@ impl SvtScratch {
         gamma: f64,
         out: &mut Vec<f64>,
     ) {
-        let d = Self::discrete_dist(&mut self.discrete_dists, unit_epsilon, gamma);
-        out.clear();
-        out.extend(base.iter().map(|b| b + self.block.next_discrete(&d, rng)));
+        let d = discrete(unit_epsilon, gamma);
+        let head = self.drain_head(rng, base, 1, out, |u, _| d.value_from_uniform(u[0]));
+        d.fill_values_into_offset(rng, &base[head..], &mut out[head..]);
     }
 }
 

@@ -27,8 +27,8 @@
 //! can never spend `ε/count` on more than `count` answers. The batch is
 //! one [`staircase_fill_offset`](DrawProvider::staircase_fill_offset):
 //! through [`ScratchDraws`](crate::draw::ScratchDraws) the distribution is
-//! constructed once per batch and the uniforms come off the shared
-//! raw-uniform tape in blocked refills, into a caller-owned output.
+//! constructed once per batch, the tape's buffered uniforms served first
+//! and the fused kernel run on the RNG, into a caller-owned output.
 //!
 //! `measure_split` is the dyn reference over the same loop, through
 //! [`SourceDraws`]: the source reconstructs the staircase distribution per

@@ -4,8 +4,7 @@
 //! * `call_reference` is bit-identical to each mechanism's allocating
 //!   reference entry (`run`, `run_top_k`, `measure_split`);
 //! * `call_batched` is bit-identical to each mechanism's `_into` entry
-//!   through the provider it picks (`RngDraws` for the selections, the
-//!   `ScratchDraws` tape for SVT and staircase);
+//!   through the one fast provider it runs, the `ScratchDraws` tape;
 //! * the resumable streaming SVT (`stream_open`/`stream_feed`) is
 //!   bit-identical to a one-shot `run_into` under any batching of the
 //!   query feed.
@@ -28,7 +27,7 @@ use free_gap_core::sparse_vector::{
     MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
-use free_gap_core::{RngDraws, ScratchDraws, SvtScratch, TopKScratch};
+use free_gap_core::{ScratchDraws, SvtScratch, TopKScratch};
 use free_gap_noise::rng::{derive_fast_stream, derive_stream, splitmix64};
 
 fn values() -> Vec<f64> {
@@ -109,29 +108,25 @@ fn call_reference_matches_run_entry_points() {
     }
 }
 
-/// `_into` entry of `m` through the provider `call_batched` picks for it,
-/// on stream `(seed, 1)` of the fast generator.
+/// `_into` entry of `m` through `ScratchDraws` on fresh scratches, on
+/// stream `(seed, 1)` of the fast generator.
 fn batched<M: Subject>(m: &M, vals: &[f64], seed: u64) -> M::Out {
     let mut rng = derive_fast_stream(seed, 1);
     let mut out = M::Out::default();
     let (mut topk, mut svt) = (TopKScratch::new(), SvtScratch::new());
     let queries = vals.iter().copied();
-    if M::TAPE {
-        m.entry(
-            queries,
-            &mut ScratchDraws::new(&mut svt, &mut rng),
-            &mut topk,
-            &mut out,
-        );
-    } else {
-        m.entry(queries, &mut RngDraws::new(&mut rng), &mut topk, &mut out);
-    }
+    m.entry(
+        queries,
+        &mut ScratchDraws::new(&mut svt, &mut rng),
+        &mut topk,
+        &mut out,
+    );
     out
 }
 
-/// `call_batched` picks each mechanism's fast provider, so on the same RNG
-/// stream it must be bit-identical to the mechanism's `_into` entry
-/// through that provider.
+/// `call_batched` runs every mechanism through `ScratchDraws`, so on the
+/// same RNG stream it must be bit-identical to the mechanism's `_into`
+/// entry through that provider (on warm scratches, against fresh ones).
 #[test]
 fn call_batched_matches_into_entry_points() {
     let vals = values();

@@ -8,7 +8,8 @@
 //! asserting the two agree bit for bit. Outputs are compared through their
 //! `{:?}` rendering, which prints every `f64` in its shortest exactly
 //! round-tripping form, so equal strings mean equal bits (signed zeros
-//! included).
+//! included). Output reuse is checked through [`ScratchDraws`], the one
+//! provider `call_batched` runs for every mechanism.
 #![allow(dead_code)]
 
 use free_gap_alignment::SamplingSource;
@@ -35,10 +36,6 @@ use std::fmt::Debug;
 pub trait Subject {
     /// The output shape `_into` writes.
     type Out: Debug + Default;
-    /// True when the mechanism's fast path is the blocked
-    /// [`ScratchDraws`] tape (SVT family, staircase) rather than
-    /// [`RngDraws`] — the provider `call_batched` picks.
-    const TAPE: bool;
     /// The allocating reference entry on a `StdRng` stream.
     fn reference(&self, answers: &QueryAnswers, rng: &mut StdRng) -> Self::Out;
     /// The `_into` entry through `provider`. Slice-taking entries collect
@@ -58,7 +55,6 @@ macro_rules! top_k_subject {
     ($($ty:ty => $out:ty, |$o:ident| $buf:expr;)*) => {$(
         impl Subject for $ty {
             type Out = $out;
-            const TAPE: bool = false;
             fn reference(&self, answers: &QueryAnswers, rng: &mut StdRng) -> $out {
                 self.run(answers, rng).unwrap()
             }
@@ -89,7 +85,6 @@ macro_rules! svt_subject {
     ($($ty:ty => $out:ty, |$o:ident| $buf:expr;)*) => {$(
         impl Subject for $ty {
             type Out = $out;
-            const TAPE: bool = true;
             fn reference(&self, answers: &QueryAnswers, rng: &mut StdRng) -> $out {
                 self.run(answers, rng)
             }
@@ -124,7 +119,6 @@ pub struct Race(pub ExponentialMechanism, pub usize);
 
 impl Subject for Race {
     type Out = Vec<usize>;
-    const TAPE: bool = false;
     fn reference(&self, answers: &QueryAnswers, rng: &mut StdRng) -> Vec<usize> {
         self.0.run_top_k(answers, self.1, rng).unwrap()
     }
@@ -146,7 +140,6 @@ impl Subject for Race {
 
 impl Subject for StaircaseMechanism {
     type Out = Vec<f64>;
-    const TAPE: bool = true;
     fn reference(&self, answers: &QueryAnswers, rng: &mut StdRng) -> Vec<f64> {
         self.measure_split(answers.values(), rng).unwrap()
     }
@@ -294,12 +287,12 @@ pub fn assert_providers_agree<M: Subject>(
     }
 }
 
-/// Output-buffer reuse through the mechanism's fast provider: a reused
-/// output matches the allocating reference on every run, and once one
-/// fixed stream has been replayed twice (the tape's consumption prediction
-/// settles) its buffer never grows again. `fixed_len` outputs (Top-K
-/// selections, measurements) must not reallocate after the first run at
-/// all.
+/// Output-buffer reuse through the fast provider (`ScratchDraws`, the one
+/// `call_batched` runs): a reused output matches the allocating reference
+/// on every run, and once one fixed stream has been replayed twice (the
+/// tape's consumption prediction settles) its buffer never grows again.
+/// `fixed_len` outputs (Top-K selections, measurements) must not
+/// reallocate after the first run at all.
 pub fn assert_output_reused<M: Subject>(
     m: &M,
     answers: &QueryAnswers,
@@ -308,12 +301,7 @@ pub fn assert_output_reused<M: Subject>(
     fixed_len: bool,
 ) {
     let name = std::any::type_name::<M>();
-    // The provider `call_batched` picks.
-    let kind = if M::TAPE {
-        Provider::Scratch
-    } else {
-        Provider::Rng
-    };
+    let kind = Provider::Scratch;
     let mut scratch = CallScratch::new();
     let mut out = M::Out::default();
     let values = answers.values();

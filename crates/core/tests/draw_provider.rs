@@ -20,17 +20,23 @@
 //! what the scratch provider's raw-uniform tape exists for: a continuous
 //! and a discrete draw must come out of the *same* buffered stream in
 //! sequential order.
+//!
+//! Two deterministic cases pin the tape's bulk-fill rule (drain the
+//! buffered uniforms, then run the fused kernel on the RNG), which random
+//! interleavings reach only by chance: a fill right after `begin` pulls
+//! from the RNG exactly what it serves, and a staircase draw may straddle
+//! the end of the buffered uniforms.
 
 use free_gap_alignment::SamplingSource;
 use free_gap_core::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
 use free_gap_core::SvtScratch;
 use free_gap_noise::rng::{derive_fast_stream, rng_from_seed};
 use free_gap_noise::{
-    ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Exponential, Gumbel, Laplace,
-    Staircase,
+    BlockBuffer, ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Exponential,
+    Gumbel, Laplace, Staircase,
 };
 use proptest::prelude::*;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// One step of a provider interleaving.
 #[derive(Debug, Clone)]
@@ -383,8 +389,8 @@ proptest! {
     }
 
     /// A scratch provider reused across runs (dirty block state, stale
-    /// prediction, warm discrete-distribution cache) still serves the same
-    /// stream as a fresh one: `begin` fully isolates runs.
+    /// prediction) still serves the same stream as a fresh one: `begin`
+    /// fully isolates runs.
     #[test]
     fn scratch_reuse_is_invisible(
         warm_seed in 0u64..1_000_000,
@@ -419,6 +425,117 @@ proptest! {
                 dirty_served[i].1.to_bits(),
                 fresh_served[i].1.to_bits(),
                 "draw {i}"
+            );
+        }
+    }
+}
+
+/// The three bulk-fill shapes of the tape.
+#[derive(Debug, Clone, Copy)]
+enum Bulk {
+    Laplace,
+    Discrete,
+    Staircase,
+}
+
+/// A bulk fill right after `begin` pulls from the RNG exactly the uniforms
+/// it serves (one per Laplace or discrete draw, four per staircase draw),
+/// even on a tape left with stale lookahead and a stale prediction by an
+/// earlier run.
+#[test]
+fn bulk_fills_after_begin_pull_exactly_what_they_serve() {
+    let stair = stair_dist(0.9, 0.35);
+    let mut scratch = SvtScratch::new();
+    for n in [1usize, 17, 5000] {
+        let base: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
+        for shape in [Bulk::Laplace, Bulk::Discrete, Bulk::Staircase] {
+            {
+                let mut warm = rng_from_seed(99);
+                let mut p = ScratchDraws::new(&mut scratch, &mut warm);
+                p.begin();
+                for _ in 0..37 {
+                    p.next(1.0);
+                }
+            }
+            let (mut rng, mut expect) = (rng_from_seed(7), rng_from_seed(7));
+            let mut out = Vec::new();
+            let mut p = ScratchDraws::new(&mut scratch, &mut rng);
+            p.begin();
+            let want: Vec<f64> = match shape {
+                Bulk::Laplace => {
+                    p.fill_offset(&base, 2.5, &mut out);
+                    let lap = Laplace::new(2.5).unwrap();
+                    base.iter().map(|b| b + lap.sample(&mut expect)).collect()
+                }
+                Bulk::Discrete => {
+                    p.discrete_fill_offset(&base, 0.4, 1.0, &mut out);
+                    let dl = DiscreteLaplace::new(0.4, 1.0).unwrap();
+                    base.iter()
+                        .map(|b| b + dl.sample_value(&mut expect))
+                        .collect()
+                }
+                Bulk::Staircase => {
+                    p.staircase_fill_offset(&base, &stair, &mut out);
+                    base.iter().map(|b| b + stair.sample(&mut expect)).collect()
+                }
+            };
+            assert_eq!(out.len(), n);
+            for (i, (got, want)) in out.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{shape:?} n = {n}: value {i}"
+                );
+            }
+            assert_eq!(
+                rng.next_u64(),
+                expect.next_u64(),
+                "{shape:?} n = {n}: the fill pulled more than it served"
+            );
+        }
+    }
+}
+
+/// A staircase draw may straddle the end of the tape's buffered uniforms:
+/// with 1 to 7 uniforms buffered ahead of the cursor (one whole tuple at
+/// most, then a partial one), three staircase draws served by
+/// `staircase_fill_offset` or by `staircase_next` match the sequential
+/// stream, and the missing uniforms come straight from the RNG, with no
+/// refill.
+#[test]
+fn staircase_draws_straddle_the_buffered_uniforms() {
+    let stair = stair_dist(0.9, 0.35);
+    let unit = Laplace::new(1.0).unwrap();
+    let base = [3.0, -1.5, 0.25];
+    for ahead in 1..=7 {
+        for fill in [true, false] {
+            let (mut rng, mut expect) = (rng_from_seed(34), rng_from_seed(34));
+            let mut scratch = SvtScratch::new();
+            let mut p = ScratchDraws::new(&mut scratch, &mut rng);
+            p.begin();
+            // A fresh tape's first block is `MIN_CHUNK` uniforms.
+            for i in 0..BlockBuffer::MIN_CHUNK - ahead {
+                let want = unit.sample(&mut expect);
+                assert_eq!(p.next(1.0).to_bits(), want.to_bits(), "draw {i}");
+            }
+            let mut out = Vec::new();
+            if fill {
+                p.staircase_fill_offset(&base, &stair, &mut out);
+            } else {
+                out.extend(base.iter().map(|b| b + p.staircase_next(&stair)));
+            }
+            for (i, (got, b)) in out.iter().zip(&base).enumerate() {
+                let want = b + stair.sample(&mut expect);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{ahead} ahead, fill {fill}: staircase draw {i}"
+                );
+            }
+            assert_eq!(
+                rng.next_u64(),
+                expect.next_u64(),
+                "{ahead} ahead, fill {fill}: RNG position"
             );
         }
     }

@@ -1,9 +1,9 @@
-//! Output-buffer reuse of the `_into` entries through each mechanism's
-//! fast provider (`RngDraws` for the selections, the `ScratchDraws` tape
-//! for SVT and staircase): one caller-owned output, built with `Default`
-//! and overwritten run after run, stays bit-identical to the allocating
-//! reference entry and is genuinely allocation-free once it has grown to
-//! steady state (the buffer is reused, never reallocated).
+//! Output-buffer reuse of the `_into` entries through the one fast
+//! provider, the `ScratchDraws` tape `call_batched` runs: one caller-owned
+//! output, built with `Default` and overwritten run after run, stays
+//! bit-identical to the allocating reference entry and is genuinely
+//! allocation-free once it has grown to steady state (the buffer is
+//! reused, never reallocated).
 
 mod common;
 

@@ -1,5 +1,5 @@
 //! Chunked noise-fill over fixed-size blocks: the buffering discipline
-//! behind the mechanisms' batched and streaming fast paths.
+//! behind the mechanisms' batched and streaming fast path.
 //!
 //! SVT-family mechanisms stop after a *data-dependent* number of draws, and
 //! the streaming entry points do not even know the stream length up front —
@@ -16,9 +16,15 @@
 //! * discrete Laplace draws go through
 //!   [`DiscreteLaplace::value_from_uniform`] (one uniform per draw — the
 //!   closed-form geometric-tail inversion), evaluated block-at-a-time with
-//!   the distribution's normalization hoisted out of the loop;
-//! * staircase draws go through [`Staircase::sample_from_uniforms`] (four
-//!   uniforms per draw, the Geng–Viswanath four-variable representation).
+//!   the distribution's normalization hoisted out of the loop.
+//!
+//! Bulk fills skip the blocks: [`BlockBuffer::drain`] hands over the
+//! uniforms already buffered, in order, and the caller draws the rest
+//! straight from the RNG with the family's fused kernel. Staircase draws
+//! ([`Staircase::sample_from_uniforms`](crate::Staircase::sample_from_uniforms),
+//! four uniforms each) are served the same way, a draw that straddles the
+//! end of the buffer taking its missing uniforms from the RNG. A fill right
+//! after [`begin`](BlockBuffer::begin) thus pulls exactly what it serves.
 //!
 //! Buffering *uniforms* rather than transformed values is what lets the two
 //! families share one tape: a mechanism (or a random interleaving in the
@@ -28,8 +34,8 @@
 //! the uniforms at the cursor.
 //!
 //! The load-bearing invariant is that **draw-order preservation**: however
-//! the buffer is refilled, the sequence of draws served is bit-identical to
-//! a sequential [`sample`](crate::ContinuousDistribution::sample) /
+//! the buffer is refilled or drained, the sequence of draws served is
+//! bit-identical to a sequential [`sample`](crate::ContinuousDistribution::sample) /
 //! [`DiscreteDistribution::sample_value`](crate::DiscreteDistribution::sample_value)
 //! loop on the same RNG stream. The buffer may pull *more* from the RNG
 //! than it serves (block lookahead), which is why consumers derive a fresh
@@ -44,7 +50,6 @@
 //! served well.
 
 use crate::discrete_laplace::DiscreteLaplace;
-use crate::staircase::Staircase;
 use crate::traits::SingleUniform;
 use rand::Rng;
 
@@ -68,10 +73,11 @@ pub struct BlockBuffer {
     /// Transform watermark into `vals`.
     transformed: usize,
     cursor: usize,
-    /// Fresh uniforms pulled from the RNG since the last
+    /// Fresh uniforms pulled into the buffer since the last
     /// [`begin`](Self::begin) (served = `filled - (raw.len() - cursor)`;
     /// tracked at refill time so the per-draw hot path carries no extra
-    /// bookkeeping).
+    /// bookkeeping). Uniforms a bulk fill draws straight from the RNG after
+    /// a [`drain`](Self::drain) never enter the buffer and are not counted.
     filled: usize,
     /// Predicted consumption of the next run (last run's served count), in
     /// uniforms.
@@ -168,21 +174,16 @@ impl BlockBuffer {
         dist.sample_from_uniform(u)
     }
 
-    /// Next staircase draw: four buffered uniforms through
-    /// [`Staircase::sample_from_uniforms`], bit-identical to a
-    /// [`sample`](crate::ContinuousDistribution::sample) call at the same
-    /// stream position (the four-variable representation consumes exactly
-    /// four uniforms in draw order; refills preserve the partial tuple's
-    /// order because a refill only happens when the buffer is drained).
+    /// Serves up to `max` raw uniforms buffered ahead of the cursor, in
+    /// stream order, without refilling — the head of a bulk fill. When it
+    /// returns fewer than `max` the buffer is empty, so the caller draws the
+    /// rest of its batch straight from the RNG and the served sequence still
+    /// matches sequential draws.
     #[inline]
-    pub fn next_staircase<R: Rng + ?Sized>(&mut self, dist: &Staircase, rng: &mut R) -> f64 {
-        let u = [
-            self.next_raw(rng),
-            self.next_raw(rng),
-            self.next_raw(rng),
-            self.next_raw(rng),
-        ];
-        dist.sample_from_uniforms(u)
+    pub fn drain(&mut self, max: usize) -> &[f64] {
+        let start = self.cursor;
+        self.cursor += max.min(self.raw.len() - start);
+        &self.raw[start..self.cursor]
     }
 
     /// Predicted draw consumption of the current run (last run's usage; one
@@ -483,24 +484,31 @@ mod tests {
     }
 
     #[test]
-    fn staircase_serving_replays_the_sequential_stream() {
-        let stair = Staircase::new(0.9, 1.0, 0.35).unwrap();
+    fn drain_serves_the_buffered_uniforms_in_order_without_refilling() {
         let unit = Laplace::new(1.0).unwrap();
         let mut expect_rng = rng_from_seed(34);
         let mut block = BlockBuffer::new();
         let mut rng = rng_from_seed(34);
         block.begin();
-        for i in 0..500 {
-            // Odd interleaving so staircase tuples straddle refills.
-            if i % 3 == 0 {
-                let got = block.next(&unit, &mut rng);
-                let want = unit.sample(&mut expect_rng);
-                assert_eq!(got.to_bits(), want.to_bits(), "draw {i} (laplace)");
-            }
-            let got = block.next_staircase(&stair, &mut rng);
-            let want = stair.sample(&mut expect_rng);
-            assert_eq!(got.to_bits(), want.to_bits(), "draw {i} (staircase)");
+        // Nothing buffered after `begin`: a drain serves nothing.
+        assert!(block.drain(5).is_empty());
+        let first = block.next(&unit, &mut rng);
+        assert_eq!(first.to_bits(), unit.sample(&mut expect_rng).to_bits());
+        let ahead = BlockBuffer::MIN_CHUNK - 1;
+        let head = block.drain(3).to_vec();
+        let rest = block.drain(usize::MAX).to_vec();
+        assert_eq!((head.len(), head.len() + rest.len()), (3, ahead));
+        for (i, u) in head.iter().chain(&rest).enumerate() {
+            assert_eq!(
+                u.to_bits(),
+                expect_rng.gen::<f64>().to_bits(),
+                "uniform {i}"
+            );
         }
+        // Drained dry: the buffer's next draw is the stream's next.
+        assert!(block.drain(1).is_empty());
+        let next = block.next(&unit, &mut rng);
+        assert_eq!(next.to_bits(), unit.sample(&mut expect_rng).to_bits());
     }
 
     #[test]

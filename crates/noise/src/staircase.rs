@@ -99,9 +99,9 @@ impl Staircase {
     /// four: `sample(rng)` is exactly
     /// `sample_from_uniforms([rng.gen(); 4])` — same arithmetic, same bits.
     /// This is the hook the raw-uniform tape uses to serve staircase draws
-    /// ([`crate::BlockBuffer::next_staircase`]), which is what lets the
-    /// staircase measurement mechanism share one buffered stream with the
-    /// Laplace/Gumbel/discrete families.
+    /// from its buffered uniforms ([`crate::BlockBuffer::drain`]), which is
+    /// what lets the staircase measurement mechanism share one buffered
+    /// stream with the Laplace/Gumbel/discrete families.
     ///
     /// An exact kernel: one `ln` (the layer, through
     /// [`Geometric::layer_from_uniform`]) and no data-dependent branch. The

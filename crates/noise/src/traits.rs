@@ -89,7 +89,7 @@ pub trait ContinuousDistribution {
 /// this trait: [`crate::LaplaceDiff`] stays off the tape entirely, while
 /// [`crate::Staircase`] rides it through its own fixed-arity transform
 /// ([`crate::Staircase::sample_from_uniforms`], four uniforms per draw,
-/// served by [`crate::BlockBuffer::next_staircase`]).
+/// taken from [`crate::BlockBuffer::drain`] and completed from the RNG).
 pub trait SingleUniform: ContinuousDistribution {
     /// The sampler as a pure transform of one uniform `u ∈ [0, 1)`.
     fn sample_from_uniform(&self, u: f64) -> f64;
