@@ -7,7 +7,7 @@
 //! implemented independently to make the experiments' comparison honest
 //! (same draw pattern, same selection rule).
 
-use super::top_k_scale;
+use super::{require_scale, top_k_scale};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
@@ -64,9 +64,11 @@ impl ClassicNoisyTopK {
     ///
     /// # Errors
     /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
-    /// infinite, and [`MechanismError::NotEnoughQueries`] if the workload
-    /// has fewer than `k + 1` queries (kept identical to the gap variant so
-    /// the two are comparable on the same workloads); both before any draw.
+    /// infinite, [`MechanismError::NotEnoughQueries`] if the workload has
+    /// fewer than `k + 1` queries (kept identical to the gap variant so the
+    /// two are comparable on the same workloads), and
+    /// [`MechanismError::InvalidEpsilon`] if the scale overflows `f64`; all
+    /// before any draw.
     pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -76,6 +78,7 @@ impl ClassicNoisyTopK {
     ) -> Result<(), MechanismError> {
         crate::answers::require_finite(answers)?;
         crate::answers::require_min_len(answers, self.k + 1)?;
+        require_scale(self.scale(), self.epsilon)?;
         provider.begin();
         provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
         provider.select_top(&scratch.noisy, self.k, out);
@@ -197,6 +200,12 @@ mod tests {
     fn validation() {
         assert!(ClassicNoisyTopK::new(0, 1.0, true).is_err());
         assert!(ClassicNoisyTopK::new(1, -1.0, true).is_err());
+        // A subnormal ε overflows the scale: a typed error, not a panic.
+        let tiny = ClassicNoisyTopK::new(2, 5e-324, true).unwrap();
+        assert_eq!(
+            tiny.run(&workload(), &mut rng_from_seed(1)),
+            Err(MechanismError::InvalidEpsilon { value: 5e-324 })
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::noisy_max::{TopKItem, TopKOutput};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use free_gap_noise::tie::union_tie_bound;
+use free_gap_noise::DiscreteLaplace;
 use rand::rngs::StdRng;
 
 /// Noisy-Top-K-with-Gap over integer counts with discrete Laplace noise.
@@ -109,8 +110,10 @@ impl DiscreteNoisyTopKWithGap {
     ///
     /// # Errors
     /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
-    /// infinite, and [`MechanismError::NotEnoughQueries`] if the workload
-    /// has fewer than `k + 1` queries; both before any draw.
+    /// infinite, [`MechanismError::NotEnoughQueries`] if the workload has
+    /// fewer than `k + 1` queries, and [`MechanismError::InvalidEpsilon`] if
+    /// the per-query rate admits no discrete Laplace in `f64` (its decay
+    /// ratio rounds to 1 or 0); all before any draw.
     pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -121,6 +124,13 @@ impl DiscreteNoisyTopKWithGap {
         crate::answers::require_finite(answers)?;
         crate::answers::require_min_len(answers, self.k + 1)?;
         self.validate_lattice(answers);
+        // Checked per run, not at construction: `delta` stays defined on
+        // lattices too fine to sample.
+        if DiscreteLaplace::new(self.unit_epsilon(), self.gamma).is_err() {
+            return Err(MechanismError::InvalidEpsilon {
+                value: self.epsilon,
+            });
+        }
         provider.begin();
         provider.discrete_fill_offset(answers, self.unit_epsilon(), self.gamma, &mut scratch.noisy);
         provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
@@ -233,6 +243,15 @@ mod tests {
         assert!(DiscreteNoisyTopKWithGap::new(0, 1.0, true).is_err());
         assert!(DiscreteNoisyTopKWithGap::new(1, 0.0, true).is_err());
         assert!(DiscreteNoisyTopKWithGap::with_gamma(1, 1.0, true, 0.0).is_err());
+        // A rate whose decay ratio rounds to 1 or 0: a typed error, not a
+        // panic mid-draw.
+        for eps in [5e-324, 1e-300, 1e300] {
+            let m = DiscreteNoisyTopKWithGap::new(2, eps, true).unwrap();
+            assert_eq!(
+                m.run(&workload(), &mut rng_from_seed(1)),
+                Err(MechanismError::InvalidEpsilon { value: eps })
+            );
+        }
     }
 
     #[test]

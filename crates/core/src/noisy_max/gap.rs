@@ -12,7 +12,7 @@
 //! `qᵢ - q'ᵢ + max_{l∉I}(q'_l + η_l) - max_{l∉I}(q_l + η_l)`,
 //! which preserves every win margin exactly.
 
-use super::top_k_scale;
+use super::{require_scale, top_k_scale};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
@@ -113,9 +113,10 @@ impl NoisyTopKWithGap {
     ///
     /// # Errors
     /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
-    /// infinite, and [`MechanismError::NotEnoughQueries`] if the workload
-    /// has fewer than `k + 1` queries (the `k`-th gap needs a runner-up);
-    /// both before any draw.
+    /// infinite, [`MechanismError::NotEnoughQueries`] if the workload has
+    /// fewer than `k + 1` queries (the `k`-th gap needs a runner-up), and
+    /// [`MechanismError::InvalidEpsilon`] if the scale overflows `f64` (a
+    /// subnormal ε); all before any draw.
     pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -125,6 +126,7 @@ impl NoisyTopKWithGap {
     ) -> Result<(), MechanismError> {
         crate::answers::require_finite(answers)?;
         crate::answers::require_min_len(answers, self.k + 1)?;
+        require_scale(self.scale(), self.epsilon)?;
         provider.begin();
         provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
         provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
@@ -286,6 +288,12 @@ mod tests {
         let m = NoisyTopKWithGap::new(2, 1.0, true).unwrap();
         assert_eq!(m.scale(), 2.0);
         assert_eq!(NoisyTopKWithGap::new(2, 1.0, false).unwrap().scale(), 4.0);
+        // A subnormal ε overflows the scale: a typed error, not a panic.
+        let tiny = NoisyTopKWithGap::new(2, 5e-324, true).unwrap();
+        assert_eq!(
+            tiny.run(&workload(), &mut rng_from_seed(1)),
+            Err(MechanismError::InvalidEpsilon { value: 5e-324 })
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
+use free_gap_noise::DiscreteLaplace;
 use rand::rngs::StdRng;
 
 /// Sparse-Vector-with-Gap over an integer lattice with discrete Laplace
@@ -54,19 +55,34 @@ impl DiscreteSparseVectorWithGap {
                 requirement: "must lie on the integer lattice (γ = 1)",
             });
         }
-        Ok(Self {
+        Self {
             k,
             epsilon: require_epsilon(epsilon)?,
             threshold,
             threshold_share: optimal_threshold_share(k, monotonic),
             monotonic,
             gamma,
-        })
+        }
+        .require_rates()
     }
 
     /// Overrides the threshold/query budget split.
     pub fn with_threshold_share(mut self, share: f64) -> Result<Self, MechanismError> {
         self.threshold_share = require_fraction("threshold_share", share)?;
+        self.require_rates()
+    }
+
+    /// Rejects a budget whose threshold or query rate admits no discrete
+    /// Laplace in `f64` (its decay ratio rounds to 1 or 0 at a vanishing
+    /// or huge ε): the run that follows would otherwise panic mid-draw.
+    fn require_rates(self) -> Result<Self, MechanismError> {
+        for rate in [self.threshold_rate(), self.query_rate()] {
+            if DiscreteLaplace::new(rate, self.gamma).is_err() {
+                return Err(MechanismError::InvalidEpsilon {
+                    value: self.epsilon,
+                });
+            }
+        }
         Ok(self)
     }
 
@@ -259,6 +275,15 @@ mod tests {
         assert!(DiscreteSparseVectorWithGap::new(1, 0.0, 50.0, true).is_err());
         // threshold off the integer lattice
         assert!(DiscreteSparseVectorWithGap::new(1, 1.0, 50.5, true).is_err());
+        // A rate whose decay ratio rounds to 1 or 0 would panic mid-draw.
+        for eps in [5e-324, 1e-300, 1e300] {
+            assert_eq!(
+                DiscreteSparseVectorWithGap::new(2, eps, 50.0, true),
+                Err(MechanismError::InvalidEpsilon { value: eps })
+            );
+        }
+        let m = DiscreteSparseVectorWithGap::new(2, 1.0, 50.0, true).unwrap();
+        assert!(m.with_threshold_share(1e-300).is_err());
     }
 
     #[test]

@@ -996,8 +996,7 @@ fn audit_success_path(
 }
 
 fn has_release(toks: &[Token], a: usize, b: usize) -> bool {
-    (a..b.min(toks.len()))
-        .any(|i| is_method_call(toks, i) && (toks[i].text == "release" || toks[i].text == "spend"))
+    (a..b.min(toks.len())).any(|i| is_method_call(toks, i) && toks[i].text == "release")
         || (a..b.min(toks.len())).any(|i| {
             toks[i].kind == TokenKind::Ident
                 && toks[i].text.contains("release")

@@ -403,7 +403,7 @@ pub struct Fixture {
 /// (or concretely possible) bug verbatim — plus the corrected twin that
 /// must lint clean (so a rule can neither under- nor over-fire without
 /// failing the power checks).
-pub const FIXTURES: [Fixture; 28] = [
+pub const FIXTURES: [Fixture; 29] = [
     Fixture {
         path: "stream_discipline_bad.rs",
         rule: Rule::StreamDiscipline,
@@ -500,6 +500,12 @@ pub const FIXTURES: [Fixture; 28] = [
         rule: Rule::BudgetBalance,
         scope: FileScope::Serve,
         expect_flagged: false,
+    },
+    Fixture {
+        path: "budget_rebill_bad.rs",
+        rule: Rule::BudgetBalance,
+        scope: FileScope::Serve,
+        expect_flagged: true,
     },
     Fixture {
         path: "budget_double_release_bad.rs",

@@ -86,6 +86,7 @@ fn bad_fixtures_are_verbatim_reproductions() {
     assert!(read("budget_debit_bad.rs").contains("let _ = tenant.ledger.try_debit(cost);"));
     assert!(read("budget_refund_bad.rs")
         .contains("Err(e) => MechanismResponse::Rejected(RejectReason::Invalid(e)),"));
+    assert!(read("budget_rebill_bad.rs").contains("let billed = tenant.ledger.spend(cost);"));
     let dr = read("budget_double_release_bad.rs");
     assert_eq!(dr.matches(".release(session.cost)").count(), 2);
     assert!(read("lock_order_bad.rs").contains("for t in map.values()"));
@@ -103,7 +104,9 @@ fn dataflow_tier_has_a_bad_and_fixed_pair_per_shape() {
     // The R5–R8 tier ships 8 bad/fixed pairs (16 fixtures): three R5
     // shapes (debit-without-reject, reject-without-release, double
     // release), two R6 (lock order, poison handling), two R7 (captured
-    // accumulator, entropy source), one R8 (partial comparisons).
+    // accumulator, entropy source), one R8 (partial comparisons). A
+    // ninth bad fixture, the R5 rebill (a `.spend(…)` on the error path),
+    // shares the reject-without-release shape's fixed twin.
     let tier: Vec<_> = FIXTURES
         .iter()
         .filter(|f| {
@@ -113,13 +116,13 @@ fn dataflow_tier_has_a_bad_and_fixed_pair_per_shape() {
             )
         })
         .collect();
-    assert_eq!(tier.len(), 16);
-    assert_eq!(tier.iter().filter(|f| f.expect_flagged).count(), 8);
+    assert_eq!(tier.len(), 17);
+    assert_eq!(tier.iter().filter(|f| f.expect_flagged).count(), 9);
     assert_eq!(
         tier.iter()
             .filter(|f| f.rule == Rule::BudgetBalance)
             .count(),
-        6
+        7
     );
     assert_eq!(
         tier.iter()

@@ -1,11 +1,11 @@
 //! Per-tenant privacy-budget ledger: a [`PrivacyBudget`] behind a mutex,
 //! so the debit-or-reject decision is atomic under concurrent requests.
 //!
-//! The invariant the server leans on: at every instant,
-//! `spent ≤ total (+ the accountant's 1e-12 relative slack)` — no
-//! interleaving of concurrent debits can jointly oversubscribe a tenant's
-//! ε, because each debit checks and mutates under the same lock
-//! (`tests/serve.rs` races this).
+//! The invariant the server leans on: at every instant `spent ≤ total`,
+//! exactly, in the accountant's nano-ε units — no interleaving of
+//! concurrent debits can jointly oversubscribe a tenant's ε, because each
+//! debit checks and mutates under the same lock (`tests/serve.rs` races
+//! this).
 
 use free_gap_core::{MechanismError, PrivacyBudget};
 use std::sync::{Mutex, PoisonError};
@@ -29,7 +29,7 @@ impl BudgetLedger {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PrivacyBudget> {
         // A poisoned lock means another thread panicked mid-debit; the
-        // accountant itself is a plain pair of floats and is never left
+        // accountant itself is a plain pair of integers and is never left
         // half-updated (try_debit/release mutate only on success), so the
         // inner value is still consistent and serving can continue.
         self.budget.lock().unwrap_or_else(PoisonError::into_inner)
@@ -44,13 +44,13 @@ impl BudgetLedger {
         self.lock().try_debit(epsilon)
     }
 
-    /// Returns previously debited budget (refunds a failed call, or an
-    /// evicted session's unspent share).
+    /// Credits back `credit` nano-ε of previously debited budget (refunds
+    /// a failed call, or a closed or evicted session's unused share).
     ///
     /// # Errors
     /// As [`PrivacyBudget::release`].
-    pub fn release(&self, epsilon: f64) -> Result<(), MechanismError> {
-        self.lock().release(epsilon)
+    pub fn release(&self, credit: u128) -> Result<(), MechanismError> {
+        self.lock().release(credit)
     }
 
     /// Budget still available.
@@ -72,6 +72,7 @@ impl BudgetLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use free_gap_core::budget::units;
 
     #[test]
     fn debit_and_release_round_trip() {
@@ -81,9 +82,9 @@ mod tests {
             ledger.try_debit(0.5),
             Err(MechanismError::BudgetExhausted { .. })
         ));
-        ledger.release(0.2).unwrap();
+        ledger.release(units(0.2)).unwrap();
         ledger.try_debit(0.5).unwrap();
-        assert!(ledger.remaining() < 1e-12);
-        assert!((ledger.total() - 1.0).abs() < 1e-15);
+        assert_eq!(ledger.remaining(), 0.0);
+        assert_eq!(ledger.total(), 1.0);
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! One server process holds many tenants. Each tenant owns:
 //!
-//! * a [`BudgetLedger`] — its total privacy budget ε behind an atomic
-//!   debit-or-reject gate, so no interleaving of concurrent requests can
+//! * a [`BudgetLedger`] — its total privacy budget ε, counted exactly in
+//!   whole nano-ε, behind an atomic debit-or-reject gate: every call costs
+//!   at least one unit, and no interleaving of concurrent requests can
 //!   oversubscribe it (rejections are typed:
 //!   [`server::RejectReason::Budget`] carries the requested/remaining ε);
 //! * a family of derived noise sub-streams — request `s` of tenant `t`
@@ -19,7 +20,7 @@
 //!   worker count or thread interleaving;
 //! * open streaming-SVT [`sessions`](SvtSession) — resumable
 //!   sparse-vector runs driven incrementally across requests, with their
-//!   unspent budget share returned on close or idle eviction, exactly
+//!   unused budget units returned on close or idle eviction, exactly
 //!   once.
 //!
 //! Requests speak the unified call surface from `free_gap_core::api`:

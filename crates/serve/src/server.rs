@@ -23,13 +23,16 @@
 //! resumable run state; [`RequestBody::Feed`] drives it incrementally.
 //! Idle sessions are evicted inline — each request advances the tenant's
 //! logical clock, and sessions untouched for more than `max_idle` ticks
-//! are closed before the request is served, releasing their unspent
-//! query-budget share exactly once (eviction and explicit close both go
-//! through map removal under the tenant lock).
+//! are closed before the request is served, crediting their unused
+//! query-budget units ([`SvtSession::unspent`]) exactly once (eviction and
+//! explicit close both go through map removal under the tenant lock).
+//! Ledger credits are integers, so they commute: eviction order cannot
+//! change any later budget decision.
 
 use crate::ledger::BudgetLedger;
 use crate::session::SvtSession;
 use free_gap_core::api::{AnyMechanism, CallScratch, Mechanism, MechanismOutput, QuerySlice};
+use free_gap_core::budget::{to_epsilon, units};
 use free_gap_core::sparse_vector::SparseVectorWithGap;
 use free_gap_core::MechanismError;
 use free_gap_noise::rng::{derive_fast_stream, splitmix64};
@@ -70,7 +73,7 @@ pub enum RequestBody {
         /// Queries to feed, in order.
         queries: Vec<f64>,
     },
-    /// Close a session, releasing its unspent budget share.
+    /// Close a session, crediting back its unused budget units.
     CloseSession {
         /// The session to close.
         session: u64,
@@ -102,7 +105,7 @@ pub enum MechanismResponse {
     SessionOpened {
         /// The session id.
         session: u64,
-        /// The ε debited up front.
+        /// The ε the ledger debited up front: [`units`]`(ε)` nano-ε.
         cost: f64,
     },
     /// Decisions for the fed queries (one per query observed before the
@@ -112,7 +115,7 @@ pub enum MechanismResponse {
     SessionClosed {
         /// The session id.
         session: u64,
-        /// The unspent ε share returned to the tenant's ledger.
+        /// The ε the ledger credited back: [`SvtSession::unspent`] nano-ε.
         released: f64,
     },
     /// The request was rejected; the tenant's state is unchanged except
@@ -343,7 +346,7 @@ impl QueryServer {
                         // The call drew no noise and released no output:
                         // refund the debit so a malformed workload does
                         // not burn budget.
-                        let refunded = tenant.ledger.release(cost);
+                        let refunded = tenant.ledger.release(units(cost));
                         debug_assert!(refunded.is_ok());
                         MechanismResponse::Rejected(RejectReason::Invalid(e))
                     }
@@ -364,7 +367,7 @@ impl QueryServer {
                     .insert(*session, SvtSession::open(*svt, rng, now));
                 MechanismResponse::SessionOpened {
                     session: *session,
-                    cost,
+                    cost: to_epsilon(units(cost)),
                 }
             }
             RequestBody::Feed { session, queries } => {
@@ -379,52 +382,40 @@ impl QueryServer {
                 let Some(open) = inner.sessions.remove(session) else {
                     return MechanismResponse::Rejected(RejectReason::UnknownSession);
                 };
-                let released = release_session(&tenant.ledger, &open);
                 MechanismResponse::SessionClosed {
                     session: *session,
-                    released,
+                    released: to_epsilon(release_session(&tenant.ledger, &open)),
                 }
             }
         }
     }
 
-    /// Closes sessions idle past the horizon, crediting their unspent
-    /// share. Removal happens under the tenant lock the caller already
+    /// Closes sessions idle past the horizon, crediting their unused
+    /// units. Removal happens under the tenant lock the caller already
     /// holds, so a session can never be released twice (eviction and
-    /// explicit close race on the same map entry).
+    /// explicit close race on the same map entry). The credits commute, so
+    /// the map's iteration order does not matter.
     fn evict_idle(&self, tenant: &Tenant, inner: &mut TenantInner, now: u64) {
-        if inner.sessions.is_empty() {
-            return;
-        }
-        let mut expired: Vec<u64> = inner
-            .sessions
-            .iter()
-            .filter(|(_, s)| now.saturating_sub(s.last_used()) > self.max_idle)
-            .map(|(&id, _)| id)
-            .collect();
-        // Sorted removal keeps the ledger's float-release order — and so
-        // every subsequent borderline debit decision — independent of
-        // HashMap iteration order.
-        expired.sort_unstable();
-        for id in expired {
-            if let Some(open) = inner.sessions.remove(&id) {
-                release_session(&tenant.ledger, &open);
+        inner.sessions.retain(|_, open| {
+            let idle = now.saturating_sub(open.last_used()) > self.max_idle;
+            if idle {
+                release_session(&tenant.ledger, open);
                 inner.evicted += 1;
             }
-        }
+            !idle
+        });
     }
 }
 
-/// Returns a closed/evicted session's unspent share to the ledger,
-/// reporting what was released.
-fn release_session(ledger: &BudgetLedger, session: &SvtSession) -> f64 {
+/// Credits a closed/evicted session's unused units back to the ledger,
+/// reporting the credit.
+fn release_session(ledger: &BudgetLedger, session: &SvtSession) -> u128 {
     let unspent = session.unspent();
-    if unspent > 0.0 {
-        // The session's full ε was debited at open, so the credit always
-        // fits; a failure here would be an accounting bug.
-        let released = ledger.release(unspent);
-        debug_assert!(released.is_ok());
-    }
+    // The session's full units(ε) were debited at open and the credit is
+    // at most that, so it always fits; a failure here would be an
+    // accounting bug.
+    let released = ledger.release(unspent);
+    debug_assert!(released.is_ok());
     unspent
 }
 

@@ -14,10 +14,13 @@
 //! draw (ε₁) happens at open, and the query noise is provisioned for the
 //! worst case of `k` above-threshold answers. Below-threshold answers are
 //! free — the SVT property the paper builds on — so when a session closes
-//! (or is evicted) after only `a < k` answers, the unanswered share
-//! `ε₂ · (k − a) / k` flows back to the tenant's ledger. The threshold
+//! (or is evicted) after only `a < k` answers, the unanswered share flows
+//! back to the tenant's ledger, in the ledger's nano-ε units:
+//! `units(ε) − units(ε₁ + ε₂·a/k)`, saturating. The used share rounds up,
+//! so the credit never exceeds what the answers left unused. The threshold
 //! share ε₁ is spent the moment the noisy threshold exists.
 
+use free_gap_core::budget::units;
 use free_gap_core::sparse_vector::{SparseVectorWithGap, SvtStreamState};
 use free_gap_core::SvtScratch;
 use free_gap_noise::rng::FastRng;
@@ -73,13 +76,13 @@ impl SvtSession {
         self.state.is_halted()
     }
 
-    /// The budget share not yet consumed by answers: `ε₂ · (k − a) / k`.
-    /// This is what closing or evicting the session releases back to the
-    /// tenant's ledger (the whole ε was debited at open).
-    pub fn unspent(&self) -> f64 {
-        let k = self.svt.k();
-        let open = k.saturating_sub(self.state.answered());
-        self.svt.epsilon2() * open as f64 / k as f64
+    /// The nano-ε units closing or evicting the session credits back to
+    /// the tenant's ledger, which debited [`units`]`(ε)` at open:
+    /// `units(ε) − units(ε₁ + ε₂·a/k)`, saturating, for `a` answers so far.
+    pub fn unspent(&self) -> u128 {
+        let used = self.svt.epsilon1()
+            + self.svt.epsilon2() * self.answered() as f64 / self.svt.k() as f64;
+        units(self.svt.epsilon()).saturating_sub(units(used))
     }
 
     /// Logical tick of the last request that touched this session.
@@ -97,7 +100,7 @@ mod tests {
     fn unspent_decreases_with_answers_and_hits_zero_at_halt() {
         let svt = SparseVectorWithGap::new(2, 1.0, 10.0, true).unwrap();
         let mut s = SvtSession::open(svt, fast_rng_from_seed(3), 0);
-        assert!((s.unspent() - svt.epsilon2()).abs() < 1e-12);
+        assert_eq!(s.unspent(), units(svt.epsilon()) - units(svt.epsilon1()));
         let mut out = Vec::new();
         // Far-above queries are answered almost surely; feed until halt.
         let mut guard = 0;
@@ -107,7 +110,7 @@ mod tests {
             assert!(guard < 100, "far-above queries never halted the run");
         }
         assert_eq!(s.answered(), 2);
-        assert_eq!(s.unspent(), 0.0);
+        assert_eq!(s.unspent(), 0);
         assert_eq!(s.last_used(), guard - 1);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! * concurrent debits can never jointly oversubscribe a tenant's ε
 //!   (seeded stress race + exact-sum assertion on dyadic amounts);
-//! * an evicted session's unspent budget is released exactly once;
+//! * every call costs at least one nano-ε unit, so a spent tenant cannot
+//!   keep calling at a vanishing ε;
+//! * an evicted session's unused units are released exactly once;
 //! * per-tenant responses are independent of how requests from different
 //!   tenants interleave (the sequential reference check);
 //! * a call the mechanism cannot serve (an unrepresentable staircase batch,
@@ -11,6 +13,7 @@
 //! * the serve-bench digest is bit-identical for 1 vs 4 worker threads.
 
 use free_gap_core::api::AnyMechanism;
+use free_gap_core::budget::{to_epsilon, units};
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
 use free_gap_core::sparse_vector::SparseVectorWithGap;
 use free_gap_core::staircase_mech::StaircaseMechanism;
@@ -111,12 +114,14 @@ fn evicted_session_budget_is_released_exactly_once() {
         open,
         MechanismResponse::SessionOpened {
             session: 7,
-            cost: svt.epsilon()
+            cost: to_epsilon(units(svt.epsilon()))
         }
     );
     assert_eq!(server.open_sessions(0), Some(1));
-    let after_open = server.remaining(0).unwrap();
-    assert!((after_open - (10.0 - svt.epsilon())).abs() < 1e-12);
+    assert_eq!(
+        server.remaining(0),
+        Some(to_epsilon(units(10.0) - units(svt.epsilon())))
+    );
     // Tick the clock past the idle horizon without touching the session.
     for _ in 0..4 {
         assert!(tick(&server, 0, &mut scratch).is_rejected());
@@ -124,9 +129,9 @@ fn evicted_session_budget_is_released_exactly_once() {
     assert_eq!(server.evictions(), 1);
     assert_eq!(server.open_sessions(0), Some(0));
     // No query was answered, so the whole ε₂ share comes back; only the
-    // threshold share ε₁ stays spent.
+    // threshold share's units(ε₁) stay spent.
+    assert_eq!(server.spent(0), Some(to_epsilon(units(svt.epsilon1()))));
     let after_evict = server.remaining(0).unwrap();
-    assert!((after_evict - (10.0 - svt.epsilon1())).abs() < 1e-12);
     // Closing the already-evicted session must not release again.
     let close = server.handle(
         &MechanismRequest {
@@ -178,13 +183,17 @@ fn explicit_close_releases_the_unanswered_share() {
         },
         &mut scratch,
     );
-    let expect_released = svt.epsilon2() * (4 - answered) as f64 / 4.0;
-    let MechanismResponse::SessionClosed { released, .. } = close else {
-        panic!("expected close, got {close:?}");
-    };
-    assert!((released - expect_released).abs() < 1e-12);
-    let spent = server.spent(0).unwrap();
-    assert!((spent - (svt.epsilon() - expect_released)).abs() < 1e-12);
+    // The session rule: the answers used units(ε₁ + ε₂·a/k), and the rest
+    // of the units(ε) debited at open comes back.
+    let used = units(svt.epsilon1() + svt.epsilon2() * answered as f64 / 4.0);
+    assert_eq!(
+        close,
+        MechanismResponse::SessionClosed {
+            session: 1,
+            released: to_epsilon(units(svt.epsilon()) - used)
+        }
+    );
+    assert_eq!(server.spent(0), Some(to_epsilon(used)));
 }
 
 /// Per-tenant responses must not depend on how requests from *different*
@@ -340,9 +349,36 @@ fn an_unrepresentable_staircase_batch_is_rejected_and_refunded() {
     assert_eq!(server.spent(0), Some(0.0));
     // The tenant and the worker keep serving: a short batch at the same ε
     // is answered and debited.
+    // It costs one whole nano-ε unit, the least any call costs.
     let response = server.handle(&call(vec![1.0; 4]), &mut scratch);
     assert!(matches!(response, MechanismResponse::Output(_)));
-    assert_eq!(server.spent(0), Some(1e-12));
+    assert_eq!(server.spent(0), Some(1e-9));
+}
+
+/// Once a tenant's ε is spent, no call gets through at any ε, however
+/// small: each costs at least one nano-ε unit. (A relative slack in the
+/// accountant used to let 5e-13-ε calls through without bound.)
+#[test]
+fn a_spent_tenant_cannot_call_at_a_vanishing_epsilon() {
+    let server = QueryServer::new(5);
+    server.register_tenant(0, 1.0).unwrap();
+    let mut scratch = WorkerScratch::new();
+    let queries: Vec<f64> = (0..8).map(|j| 50.0 - j as f64).collect();
+    let call = |epsilon: f64| MechanismRequest {
+        tenant: 0,
+        body: RequestBody::Call {
+            mechanism: NoisyTopKWithGap::new(3, epsilon, true).unwrap().into(),
+            queries: queries.clone(),
+        },
+    };
+    let response = server.handle(&call(1.0), &mut scratch);
+    assert!(matches!(response, MechanismResponse::Output(_)));
+    let tiny = call(5e-13);
+    let answered = (0..100_000)
+        .filter(|_| !server.handle(&tiny, &mut scratch).is_budget_rejected())
+        .count();
+    assert_eq!(answered, 0);
+    assert_eq!(server.spent(0), Some(1.0));
 }
 
 /// A NaN or infinite answer used to corrupt Noisy-Top-K selection (a NaN
@@ -446,7 +482,7 @@ fn serve_bench_digest_depends_on_seed() {
 fn serve_bench_quick_digest_is_pinned() {
     let report = free_gap_serve::bench::run(&ServeBenchConfig::quick(20190412)).unwrap();
     assert_eq!(
-        report.digest, 0xac44_ad34_f3fc_feed,
+        report.digest, 0xf935_4266_0fda_62ab,
         "serve-bench --quick digest moved: {:#018x}",
         report.digest
     );
@@ -460,7 +496,7 @@ fn serve_bench_quick_digest_is_pinned() {
 fn serve_bench_full_digest_is_pinned() {
     let report = free_gap_serve::bench::run(&ServeBenchConfig::full(20190412)).unwrap();
     assert_eq!(
-        report.digest, 0x801a_7b49_fc0e_1b94,
+        report.digest, 0x1bbe_9ec3_3992_15b8,
         "serve-bench digest moved: {:#018x}",
         report.digest
     );

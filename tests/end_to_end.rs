@@ -107,14 +107,14 @@ fn budget_accountant_tracks_pipeline_spend() {
     let selector = NoisyTopKWithGap::new(3, shares[0], true).unwrap();
     let mut rng = rng_from_seed(2);
     let out = selector.run(&answers, &mut rng);
-    budget.spend(shares[0]).unwrap();
+    budget.try_debit(shares[0]).unwrap();
     let measurer = LaplaceMechanism::new(shares[1]).unwrap();
     let out = out.unwrap();
     let truths: Vec<f64> = out.indices().iter().map(|&i| answers.values()[i]).collect();
     let _ = measurer.run(&truths, &mut rng);
-    budget.spend(shares[1]).unwrap();
+    budget.try_debit(shares[1]).unwrap();
     assert!(budget.remaining() < 1e-9);
-    assert!(budget.spend(0.01).is_err());
+    assert!(budget.try_debit(0.01).is_err());
 }
 
 #[test]
