@@ -24,7 +24,7 @@ use free_gap_core::sparse_vector::broken::{
     UnscaledNoiseSvt,
 };
 use free_gap_core::sparse_vector::{
-    AdaptiveOutcome, AdaptiveSparseVector, AdaptiveSvOutput, Branch, ClassicSparseVector,
+    AdaptiveOutcome, AdaptiveSparseVector, AdaptiveSvOutput, ClassicSparseVector,
     DiscreteSparseVectorWithGap, SparseVectorWithGap, SvOutput,
 };
 use free_gap_noise::rng::FastRng;
@@ -38,9 +38,9 @@ use free_gap_noise::rng::FastRng;
 pub struct Observation {
     /// The unified per-query view classifiers consume.
     pub above: Vec<Option<f64>>,
-    /// Per processed query, the branch that answered it: `0` for `⊥`, `1`
-    /// for the top branch, `2` for the middle branch. Empty for targets
-    /// without branches.
+    /// Per processed query, the branch that answered it: `0` for `⊥`,
+    /// otherwise one more than the answering rung (`1` for the top branch,
+    /// `2` for the middle branch). Empty for targets without branches.
     pub tags: Vec<u8>,
     // Reusable per-flavor output buffers so `observe` stays allocation-free
     // across trials.
@@ -90,16 +90,7 @@ impl Observation {
         self.tags.clear();
         for o in &self.adaptive.outcomes {
             let (value, tag) = match *o {
-                AdaptiveOutcome::Above {
-                    gap,
-                    branch: Branch::Top,
-                    ..
-                } => (Some(gap), 1),
-                AdaptiveOutcome::Above {
-                    gap,
-                    branch: Branch::Middle,
-                    ..
-                } => (Some(gap), 2),
+                AdaptiveOutcome::Above { branch, gap, .. } => (Some(gap), branch + 1),
                 AdaptiveOutcome::Below => (None, 0),
             };
             self.above.push(value);

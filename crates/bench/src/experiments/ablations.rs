@@ -17,12 +17,12 @@ use crate::runner::{mean_and_stderr, parallel_runs, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
-use free_gap_core::draw::{RngDraws, ScratchDraws};
+use free_gap_core::api::CallScratch;
+use free_gap_core::draw::ScratchDraws;
 use free_gap_core::metrics::{mse_improvement_percent, selection_quality};
 use free_gap_core::pipelines::topk_select_measure_into;
-use free_gap_core::scratch::TopKScratch;
 use free_gap_core::sparse_vector::{
-    AdaptiveSparseVector, AdaptiveSvOutput, Branch, MultiBranchAdaptiveSparseVector,
+    AdaptiveSparseVector, AdaptiveSvOutput, MultiBranchAdaptiveSparseVector,
 };
 use free_gap_core::QueryAnswers;
 use free_gap_data::Dataset;
@@ -88,7 +88,7 @@ fn sweep_adaptive_svt(
             let top_share = if out.answered() == 0 {
                 0.0
             } else {
-                out.answered_via(Branch::Top) as f64 / answered
+                out.answered_via(0) as f64 / answered
             };
             (answered, top_share, q.precision, q.f_measure)
         },
@@ -251,15 +251,15 @@ pub fn split_sweep(
         let samples = parallel_runs_with_state(
             config.runs,
             config.seed ^ (fi as u64) << 20,
-            TopKScratch::new,
+            CallScratch::new,
             |_, rng, scratch| {
                 let r = topk_select_measure_into(
                     &workload.answers,
                     k,
                     config.epsilon,
                     fraction,
-                    &mut RngDraws::new(rng),
-                    scratch,
+                    &mut ScratchDraws::new(&mut scratch.svt, rng),
+                    &mut scratch.topk,
                 )
                 .expect("validated parameters");
                 let mut blue = 0.0;

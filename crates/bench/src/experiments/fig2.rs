@@ -14,7 +14,7 @@ use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use free_gap_core::api::CallScratch;
-use free_gap_core::draw::{RngDraws, ScratchDraws};
+use free_gap_core::draw::ScratchDraws;
 use free_gap_core::metrics::mse_improvement_percent;
 use free_gap_core::pipelines::{svt_select_measure_into, topk_select_measure_into};
 use free_gap_core::postprocess::{blue_variance_ratio, svt_error_ratio};
@@ -54,7 +54,7 @@ pub fn run(
                         k,
                         epsilon,
                         0.5,
-                        &mut RngDraws::new(rng),
+                        &mut ScratchDraws::new(&mut scratch.svt, rng),
                         &mut scratch.topk,
                     )
                     .expect("workload sized for k");

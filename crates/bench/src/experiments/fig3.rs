@@ -23,7 +23,7 @@ use crate::ExperimentConfig;
 use free_gap_core::draw::ScratchDraws;
 use free_gap_core::metrics::selection_quality;
 use free_gap_core::sparse_vector::{
-    AdaptiveSparseVector, AdaptiveSvOutput, Branch, ClassicSparseVector, SvOutput,
+    AdaptiveSparseVector, AdaptiveSvOutput, ClassicSparseVector, SvOutput,
 };
 use free_gap_data::Dataset;
 use free_gap_noise::rng::rng_from_seed;
@@ -112,8 +112,8 @@ pub fn run(config: &ExperimentConfig, dataset: Dataset, k_values: &[usize]) -> T
                 let aq = selection_quality(&a.above_indices(), &truth);
                 RunStats {
                     svt_answers: s.answered() as f64,
-                    adaptive_top: a.answered_via(Branch::Top) as f64,
-                    adaptive_middle: a.answered_via(Branch::Middle) as f64,
+                    adaptive_top: a.answered_via(0) as f64,
+                    adaptive_middle: a.answered_via(1) as f64,
                     svt_precision: sq.precision,
                     svt_f: sq.f_measure,
                     adaptive_precision: aq.precision,

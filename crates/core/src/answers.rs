@@ -43,6 +43,41 @@ pub(crate) fn require_finite(values: &[f64]) -> Result<(), MechanismError> {
     }
 }
 
+/// 2⁵²: below it, adding and subtracting it rounds a non-negative `f64` to
+/// the nearest integer; from it up, every finite `f64` is an integer.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// True when `v` lies within 1e-9 of a multiple of `gamma`: the rule
+/// `|v/γ - round(v/γ)| < 1e-9`, so NaN and infinities are off the lattice.
+/// Branch-free: below 2⁵² steps, adding and subtracting 2⁵² rounds to the
+/// nearest integer (ties to even, which moves only exact halves, off the
+/// lattice either way); from 2⁵² up every finite step count is an integer.
+pub(crate) fn on_lattice(v: f64, gamma: f64) -> bool {
+    let steps = (v / gamma).abs();
+    let rounded = (steps + TWO_52) - TWO_52;
+    ((steps - rounded).abs() < 1e-9) | ((steps >= TWO_52) & steps.is_finite())
+}
+
+/// Validates that every answer is a multiple of the lattice step `gamma`
+/// ([`on_lattice`]), the precondition of the discrete mechanisms: an
+/// off-lattice answer carries its fractional part into the released gap
+/// exactly, so the release would not be private.
+pub(crate) fn require_lattice(values: &[f64], gamma: f64) -> Result<(), MechanismError> {
+    // Branch-free like `require_finite`; the offender is located only when
+    // there is one.
+    if values.iter().fold(true, |ok, &v| ok & on_lattice(v, gamma)) {
+        return Ok(());
+    }
+    match values.iter().position(|&v| !on_lattice(v, gamma)) {
+        Some(index) => Err(MechanismError::InvalidParameter {
+            name: "answer",
+            value: values[index],
+            requirement: "must be a multiple of the lattice step γ",
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A vector of sensitivity-1 query answers, tagged with monotonicity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryAnswers {
@@ -140,6 +175,52 @@ mod tests {
         let p = q.perturbed(&[0.5, -0.5]);
         assert_eq!(p.values(), &[1.5, 1.5]);
         assert!(p.monotonic());
+    }
+
+    #[test]
+    fn lattice_check_keeps_the_rounding_rule() {
+        let rule = |v: f64, gamma: f64| {
+            let steps = v / gamma;
+            (steps - steps.round()).abs() < 1e-9
+        };
+        let two_52 = 4_503_599_627_370_496.0;
+        let edges = [
+            0.0,
+            -0.0,
+            3.0,
+            -3.0,
+            3.5,
+            -2.5,
+            3.7,
+            3.0 + 1e-10,
+            3.0 - 1e-10,
+            1e-300,
+            two_52 - 0.5,
+            two_52 - 1.0,
+            two_52 + 1.0,
+            2.0 * two_52 - 1.0,
+            -(two_52 + 3.0),
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for gamma in [1.0, 0.5, 0.1, 3.0] {
+            for v in edges {
+                assert_eq!(on_lattice(v, gamma), rule(v, gamma), "{v} at γ = {gamma}");
+                let checked = require_lattice(&[4.0 * gamma, v], gamma);
+                assert_eq!(checked.is_ok(), rule(v, gamma), "{v} at γ = {gamma}");
+            }
+        }
+        assert_eq!(
+            require_lattice(&[1.0, 2.5, 3.5], 1.0),
+            Err(MechanismError::InvalidParameter {
+                name: "answer",
+                value: 2.5,
+                requirement: "must be a multiple of the lattice step γ",
+            })
+        );
     }
 
     #[test]

@@ -35,8 +35,7 @@ use crate::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWith
 use crate::scratch::{SvtScratch, TopKScratch};
 use crate::sparse_vector::{
     AdaptiveOutcome, AdaptiveSparseVector, AdaptiveSvOutput, ClassicSparseVector,
-    DiscreteSparseVectorWithGap, MultiBranchAdaptiveSparseVector, MultiBranchOutcome,
-    MultiBranchSvOutput, SparseVectorWithGap, SvOutput,
+    DiscreteSparseVectorWithGap, MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use crate::staircase_mech::StaircaseMechanism;
 use free_gap_alignment::SamplingSource;
@@ -98,8 +97,10 @@ pub enum MechanismOutput {
     SparseVector(SvOutput),
     /// Adaptive SVT outcomes with budget accounting (Algorithm 2).
     Adaptive(AdaptiveSvOutput),
-    /// Multi-branch adaptive SVT outcomes.
-    MultiBranch(MultiBranchSvOutput),
+    /// Multi-branch adaptive SVT outcomes: the same shape as
+    /// [`Adaptive`](Self::Adaptive), kept apart because the digest tags
+    /// the two differently.
+    MultiBranch(AdaptiveSvOutput),
     /// Perturbed measurement values (staircase/Laplace measurement).
     Measurements(Vec<f64>),
 }
@@ -135,15 +136,13 @@ impl MechanismOutput {
                 Self::SparseVector(SvOutput::default())
             }
             AnyMechanism::AdaptiveSparseVector(m) => Self::Adaptive(AdaptiveSvOutput {
-                outcomes: Vec::new(),
-                spent: 0.0,
                 epsilon: m.epsilon(),
+                ..Default::default()
             }),
             AnyMechanism::MultiBranchAdaptiveSparseVector(m) => {
-                Self::MultiBranch(MultiBranchSvOutput {
-                    outcomes: Vec::new(),
-                    spent: 0.0,
+                Self::MultiBranch(AdaptiveSvOutput {
                     epsilon: m.epsilon(),
+                    ..Default::default()
                 })
             }
             AnyMechanism::Staircase(_) => Self::Measurements(Vec::new()),
@@ -172,7 +171,7 @@ impl MechanismOutput {
     }
 
     /// Coerces to the [`MultiBranch`](Self::MultiBranch) variant.
-    pub fn multi_branch_mut(&mut self) -> &mut MultiBranchSvOutput {
+    pub fn multi_branch_mut(&mut self) -> &mut AdaptiveSvOutput {
         coerce_output!(self, MultiBranch)
     }
 
@@ -210,29 +209,22 @@ impl MechanismOutput {
                     };
                 }
             }
-            Self::Adaptive(o) => {
+            Self::Adaptive(o) | Self::MultiBranch(o) => {
+                let ladder = matches!(self, Self::MultiBranch(_));
                 for outcome in &o.outcomes {
-                    acc = match outcome {
-                        AdaptiveOutcome::Above { gap, branch, cost } => {
-                            let tag = match branch {
-                                crate::sparse_vector::Branch::Top => 3,
-                                crate::sparse_vector::Branch::Middle => 4,
+                    acc = match *outcome {
+                        AdaptiveOutcome::Above { branch, gap, cost } => {
+                            let branch = u64::from(branch);
+                            // Algorithm 2 mixes one tag per rung (3 top, 4
+                            // middle); the ladder mixes 5, then its rung.
+                            let tagged = if ladder {
+                                mix(mix(acc, 5), branch)
+                            } else {
+                                mix(acc, 3 + branch)
                             };
-                            mix(mix(mix(acc, tag), gap.to_bits()), cost.to_bits())
+                            mix(mix(tagged, gap.to_bits()), cost.to_bits())
                         }
                         AdaptiveOutcome::Below => mix(acc, 2),
-                    };
-                }
-                acc = mix(acc, o.spent.to_bits());
-            }
-            Self::MultiBranch(o) => {
-                for outcome in &o.outcomes {
-                    acc = match outcome {
-                        MultiBranchOutcome::Above { branch, gap, cost } => mix(
-                            mix(mix(mix(acc, 5), *branch as u64), gap.to_bits()),
-                            cost.to_bits(),
-                        ),
-                        MultiBranchOutcome::Below => mix(acc, 2),
                     };
                 }
                 acc = mix(acc, o.spent.to_bits());
@@ -527,6 +519,8 @@ impl Mechanism for DiscreteSparseVectorWithGap {
         self.epsilon()
     }
 
+    /// Checks the lazy entry's lattice precondition on the materialized
+    /// slice, before any draw.
     fn call<P: DrawProvider>(
         &self,
         req: &QuerySlice<'_>,
@@ -534,6 +528,7 @@ impl Mechanism for DiscreteSparseVectorWithGap {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_lattice(req.values(), self.gamma())?;
         self.run_into(
             req.values().iter().copied(),
             provider,

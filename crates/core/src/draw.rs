@@ -25,13 +25,12 @@
 //! ## Contract
 //!
 //! The trait exposes the draw shapes the paper's mechanisms need — single
-//! draws ([`next`](DrawProvider::next)), Algorithm 2's `(ξ, η)` pairs
-//! ([`peek_pairs`](DrawProvider::peek_pairs)), the multi-branch ladder's
-//! `m`-tuples ([`peek_tuples`](DrawProvider::peek_tuples)), the Noisy-Max
-//! batch ([`fill_offset`](DrawProvider::fill_offset)), the discrete
-//! (finite-precision) twins of each
+//! draws ([`next`](DrawProvider::next)), the adaptive branch ladder's
+//! `m`-tuples ([`peek_tuples`](DrawProvider::peek_tuples); Algorithm 2 is
+//! the ladder at `m = 2`, so its `(ξ, η)` pairs are 2-tuples), the
+//! Noisy-Max batch ([`fill_offset`](DrawProvider::fill_offset)), the
+//! discrete (finite-precision) twins of each
 //! ([`discrete_next`](DrawProvider::discrete_next),
-//! [`discrete_peek_pairs`](DrawProvider::discrete_peek_pairs),
 //! [`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples),
 //! [`discrete_fill_offset`](DrawProvider::discrete_fill_offset)), and the
 //! baseline-mechanism shapes
@@ -46,10 +45,13 @@
 //! the same underlying stream. A provider may pull more randomness than it
 //! serves (block lookahead, [`ScratchDraws`]) or be draw-exact
 //! ([`SourceDraws`], [`RngDraws`]); cores therefore only call
-//! `peek_pairs`/`peek_tuples` **after** the matching query is known to
-//! exist, so draw-exact providers never sample noise for a query that was
-//! never pulled — which is what keeps the recorded alignment tapes
-//! draw-for-draw identical to the pre-provider implementations.
+//! `peek_tuples` **after** the matching query is known to exist, so
+//! draw-exact providers never sample noise for a query that was never
+//! pulled — which is what keeps the recorded alignment tapes draw-for-draw
+//! identical to the pre-provider implementations. The pair
+//! specializations [`peek_pairs`](DrawProvider::peek_pairs) and
+//! [`discrete_peek_pairs`](DrawProvider::discrete_peek_pairs) forward to
+//! the tuple shapes; no mechanism core calls them.
 //!
 //! The `scratch_equivalence` suite enforces output equality across all
 //! providers; `tests/draw_provider.rs` proptests the stream discipline
@@ -79,9 +81,10 @@ use free_gap_noise::{
 };
 use rand::Rng;
 
-/// Largest tuple arity a provider must support — one draw per branch of the
-/// deepest multi-branch ladder
-/// ([`MultiBranchAdaptiveSparseVector::MAX_BRANCHES`](crate::sparse_vector::MultiBranchAdaptiveSparseVector::MAX_BRANCHES)).
+/// Largest tuple arity a provider must support: one draw per rung of the
+/// deepest adaptive branch ladder, whose
+/// [`MAX_BRANCHES`](crate::sparse_vector::MultiBranchAdaptiveSparseVector::MAX_BRANCHES)
+/// is defined as this constant.
 pub const MAX_TUPLE: usize = 16;
 
 /// A source of Laplace (and discrete-Laplace) draws for a mechanism core.
@@ -158,8 +161,9 @@ pub trait DrawProvider {
     /// Implementations may panic when `scales.len()` exceeds [`MAX_TUPLE`].
     fn peek_tuples(&mut self, scales: &[f64]) -> &[f64];
 
-    /// Pair specialization of [`peek_tuples`](DrawProvider::peek_tuples) —
-    /// Algorithm 2's `(ξ, η)` draw shape.
+    /// Pair specialization of [`peek_tuples`](DrawProvider::peek_tuples):
+    /// the shape of Algorithm 2's `(ξ, η)` pairs, which its core draws as
+    /// 2-tuples.
     fn peek_pairs(&mut self, scales: [f64; 2]) -> &[f64] {
         self.peek_tuples(&scales)
     }

@@ -47,7 +47,8 @@ pub enum MechanismError {
     },
     /// A named parameter that is not a privacy budget was out of range: a
     /// lattice step `γ`, a sensitivity `Δ`, a margin multiplier, an
-    /// off-lattice threshold, a variance or BLUE's `λ`, a branch count, a
+    /// off-lattice threshold or answer (the discrete mechanisms need
+    /// multiples of `γ`), a variance or BLUE's `λ`, a branch count, a
     /// serve-bench replay with zero tenants, or a tenant id the query
     /// server has already registered. Each is rejected by name, so the
     /// message never blames ε for it.

@@ -11,7 +11,8 @@
 //! |--------|-----------|-----------------|
 //! | [`noisy_max::NoisyTopKWithGap`] | Noisy-Top-K-with-Gap | Algorithm 1, Theorem 2 |
 //! | [`noisy_max::ClassicNoisyTopK`] | index-only Noisy Max / Top-K baseline | Dwork & Roth, §5 |
-//! | [`sparse_vector::AdaptiveSparseVector`] | Adaptive-Sparse-Vector-with-Gap | Algorithm 2, Theorem 4 |
+//! | [`sparse_vector::AdaptiveSparseVector`] | Adaptive-Sparse-Vector-with-Gap: the two-rung branch ladder | Algorithm 2, Theorem 4 |
+//! | [`sparse_vector::MultiBranchAdaptiveSparseVector`] | the `m`-rung branch ladder, the one adaptive SVT core | §6.1 extension |
 //! | [`sparse_vector::SparseVectorWithGap`] | Sparse-Vector-with-Gap (Wang et al.) | §6.1 (σ = ∞ case) |
 //! | [`sparse_vector::ClassicSparseVector`] | SVT baseline (Lyu et al.) | §2, §7.3 |
 //! | [`exponential_mech::ExponentialMechanism`] | exponential-mechanism selection baseline | §2 related work |

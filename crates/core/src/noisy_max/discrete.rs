@@ -85,17 +85,6 @@ impl DiscreteNoisyTopKWithGap {
             .expect("parameters validated at construction")
     }
 
-    fn validate_lattice(&self, answers: &[f64]) {
-        debug_assert!(
-            answers.iter().all(|v| {
-                let steps = v / self.gamma;
-                (steps - steps.round()).abs() < 1e-9
-            }),
-            "query answers must be multiples of γ = {}",
-            self.gamma
-        );
-    }
-
     /// The single copy of the discrete Top-K selection and its one
     /// provider-taking entry: one discrete Laplace draw per query (batched
     /// by the provider's
@@ -111,9 +100,11 @@ impl DiscreteNoisyTopKWithGap {
     /// # Errors
     /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
     /// infinite, [`MechanismError::NotEnoughQueries`] if the workload has
-    /// fewer than `k + 1` queries, and [`MechanismError::InvalidEpsilon`] if
-    /// the per-query rate admits no discrete Laplace in `f64` (its decay
-    /// ratio rounds to 1 or 0); all before any draw.
+    /// fewer than `k + 1` queries, [`MechanismError::InvalidParameter`] if
+    /// an answer is not a multiple of `γ`, and
+    /// [`MechanismError::InvalidEpsilon`] if the per-query rate admits no
+    /// discrete Laplace in `f64` (its decay ratio rounds to 1 or 0); all
+    /// before any draw.
     pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -123,7 +114,7 @@ impl DiscreteNoisyTopKWithGap {
     ) -> Result<(), MechanismError> {
         crate::answers::require_finite(answers)?;
         crate::answers::require_min_len(answers, self.k + 1)?;
-        self.validate_lattice(answers);
+        crate::answers::require_lattice(answers, self.gamma)?;
         // Checked per run, not at construction: `delta` stays defined on
         // lattices too fine to sample.
         if DiscreteLaplace::new(self.unit_epsilon(), self.gamma).is_err() {

@@ -22,24 +22,24 @@
 //!
 //! For monotone workloads the query noises improve to `Lap(1/ε₂)`,
 //! `Lap(1/ε₁)` (end of §6.1) and `σ = 2√2/ε₂`.
+//!
+//! Algorithm 2 is the two-rung
+//! [`MultiBranchAdaptiveSparseVector`]: rung 0 is the top branch (`ξᵢ`
+//! against `σ`), rung 1 the middle branch (`ηᵢ` against 0). This type is a
+//! thin wrapper that builds that ladder and names its quantities; the
+//! loop, the Eq. (3) alignment and the output comparison are the ladder's.
 
-use super::{optimal_threshold_share, AdaptiveOutcome, AdaptiveSvOutput, Branch};
+use super::{AdaptiveSvOutput, MultiBranchAdaptiveSparseVector};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
+use crate::draw::DrawProvider;
+use crate::error::MechanismError;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::rngs::StdRng;
 
-/// Adaptive-Sparse-Vector-with-Gap (Algorithm 2).
+/// Adaptive-Sparse-Vector-with-Gap (Algorithm 2): the two-rung ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSparseVector {
-    k: usize,
-    epsilon: f64,
-    threshold: f64,
-    theta: f64,
-    monotonic: bool,
-    sigma_multiplier: f64,
-    answer_limit: Option<usize>,
+    inner: MultiBranchAdaptiveSparseVector,
 }
 
 impl AdaptiveSparseVector {
@@ -55,26 +55,14 @@ impl AdaptiveSparseVector {
         threshold: f64,
         monotonic: bool,
     ) -> Result<Self, MechanismError> {
-        if k == 0 {
-            return Err(MechanismError::InvalidK {
-                k,
-                requirement: "k must be at least 1",
-            });
-        }
         Ok(Self {
-            k,
-            epsilon: require_epsilon(epsilon)?,
-            threshold,
-            theta: optimal_threshold_share(k, monotonic),
-            monotonic,
-            sigma_multiplier: 2.0,
-            answer_limit: None,
+            inner: MultiBranchAdaptiveSparseVector::new(k, epsilon, threshold, monotonic, 2)?,
         })
     }
 
     /// Overrides the budget-allocation hyperparameter `θ ∈ (0, 1)`.
     pub fn with_theta(mut self, theta: f64) -> Result<Self, MechanismError> {
-        self.theta = require_fraction("theta", theta)?;
+        self.inner = self.inner.with_theta(theta)?;
         Ok(self)
     }
 
@@ -88,7 +76,7 @@ impl AdaptiveSparseVector {
                 requirement: "must be non-negative and finite",
             });
         }
-        self.sigma_multiplier = m;
+        self.inner.set_margin_multiplier(m);
         Ok(self)
     }
 
@@ -96,177 +84,71 @@ impl AdaptiveSparseVector {
     /// answers even if budget remains (the Figure-4 protocol, which then
     /// reads off [`AdaptiveSvOutput::remaining_fraction`]).
     pub fn with_answer_limit(mut self, limit: usize) -> Self {
-        self.answer_limit = Some(limit);
+        self.inner.set_answer_limit(limit);
         self
     }
 
     /// The sizing parameter `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.inner.k()
     }
 
     /// The public threshold `T`.
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.inner.threshold()
     }
 
     /// The total privacy budget `ε`.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
     /// Threshold budget `ε₀ = θε`.
     pub fn epsilon0(&self) -> f64 {
-        self.theta * self.epsilon
+        self.inner.epsilon0()
     }
 
     /// Baseline per-answer budget `ε₁ = (1-θ)ε/k`.
     pub fn epsilon1(&self) -> f64 {
-        (1.0 - self.theta) * self.epsilon / self.k as f64
+        self.inner.epsilon1()
     }
 
-    /// Cheap per-answer budget `ε₂ = ε₁/2`.
+    /// Cheap per-answer budget `ε₂ = ε₁/2`: rung 0's budget.
     pub fn epsilon2(&self) -> f64 {
-        self.epsilon1() / 2.0
-    }
-
-    /// Sensitivity factor in the query-noise scales: 2 general, 1 monotone.
-    fn noise_factor(&self) -> f64 {
-        if self.monotonic {
-            1.0
-        } else {
-            2.0
-        }
+        self.inner.branch_budget(0)
     }
 
     /// Laplace scale of the top-branch noise `ξᵢ`.
     pub fn top_scale(&self) -> f64 {
-        self.noise_factor() / self.epsilon2()
+        self.inner.branch_scale(0)
     }
 
     /// Laplace scale of the middle-branch noise `ηᵢ`.
     pub fn middle_scale(&self) -> f64 {
-        self.noise_factor() / self.epsilon1()
+        self.inner.branch_scale(1)
     }
 
     /// The top-branch margin `σ` (multiplier × std of `Lap(top_scale)`).
     pub fn sigma(&self) -> f64 {
-        self.sigma_multiplier * std::f64::consts::SQRT_2 * self.top_scale()
+        self.inner.branch_margin(0)
     }
 
-    /// The single copy of Algorithm 2's branch and budget logic and its
-    /// one provider-taking entry, writing into `out` (every field
-    /// overwritten, buffers reused). Providers and bit-identity as in
-    /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
-    ///
-    /// Consumes `queries` lazily: the next answer is pulled only while the
-    /// adaptive budget still covers a worst-case (`ε₁`) answer and the
-    /// answer limit is not reached — queries after the halt are never
-    /// observed. Noise comes in whole `(ξ, η)` pair blocks
-    /// ([`DrawProvider::peek_pairs`]), iterated with `chunks_exact(2)` so
-    /// the hot loop carries no per-query cursor arithmetic on blocked
-    /// providers; each block's first query is pulled *before* the peek, so
-    /// draw-exact providers never sample noise for a query that does not
-    /// exist. Draw order (ξᵢ then ηᵢ, query by query) is identical on every
-    /// provider.
+    /// Algorithm 2's one provider-taking entry: the two-rung
+    /// [`MultiBranchAdaptiveSparseVector::run_into`], whose draw shape is
+    /// one `(ξᵢ, ηᵢ)` pair per query. Lazy consumption, the answer limit
+    /// and bit-identity across providers are as documented there.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut AdaptiveSvOutput,
     ) {
-        let eps1 = self.epsilon1();
-        let eps2 = self.epsilon2();
-        let sigma = self.sigma();
-        let scales = [self.top_scale(), self.middle_scale()];
-        let cap = self.answer_limit.unwrap_or(usize::MAX);
-        // Line 16's stopping product, identical on every path.
-        let budget_cap = self.epsilon * (1.0 + 1e-12);
-        provider.begin();
-        let mut queries = queries.into_iter();
-        // One outcome per (ξ, η) draw pair: pre-size from the provider's
-        // consumption prediction (capped by the stream's upper bound when it
-        // knows one) to skip the realloc chain on long streams.
-        let predicted = provider.predicted_draws();
-        let capacity = (predicted / 2 + usize::from(predicted > 0))
-            .min(queries.size_hint().1.unwrap_or(usize::MAX));
-        let noisy_threshold = self.threshold + provider.next(1.0 / self.epsilon0());
-
-        out.outcomes.clear();
-        out.outcomes.reserve(capacity);
-        let mut spent = self.epsilon0();
-        let mut answered = 0usize;
-        let mut done = false;
-        while !done && answered < cap {
-            // Pull the block's first query before peeking: a draw-exact
-            // provider must not draw noise for a query that never arrives.
-            let Some(first) = queries.next() else { break };
-            let mut pending = Some(first);
-            let mut taken = 0usize;
-            let pairs = provider.peek_pairs(scales);
-            for pair in pairs.chunks_exact(2) {
-                let Some(q) = pending.take().or_else(|| queries.next()) else {
-                    done = true;
-                    break;
-                };
-                // Both noises drawn unconditionally, exactly like line 7 of
-                // Algorithm 2: the draw structure must not depend on data.
-                let xi = pair[0];
-                let eta = pair[1];
-                taken += 2;
-                let top_gap = q + xi - noisy_threshold;
-                let mid_gap = q + eta - noisy_threshold;
-                let outcome = if top_gap >= sigma {
-                    spent += eps2;
-                    answered += 1;
-                    AdaptiveOutcome::Above {
-                        gap: top_gap,
-                        branch: Branch::Top,
-                        cost: eps2,
-                    }
-                } else if mid_gap >= 0.0 {
-                    spent += eps1;
-                    answered += 1;
-                    AdaptiveOutcome::Above {
-                        gap: mid_gap,
-                        branch: Branch::Middle,
-                        cost: eps1,
-                    }
-                } else {
-                    AdaptiveOutcome::Below
-                };
-                out.outcomes.push(outcome);
-                // Line 16 + answer limit: stop when a worst-case answer no
-                // longer fits or the limit is reached — checked before the
-                // next query pull, so no query is observed past the halt.
-                if spent + eps1 > budget_cap || answered >= cap {
-                    done = true;
-                    break;
-                }
-            }
-            provider.consume(taken);
-        }
-        out.spent = spent;
-        out.epsilon = self.epsilon;
-    }
-
-    fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> AdaptiveSvOutput {
-        let mut out = AdaptiveSvOutput::default();
-        self.run_into(
-            answers.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            &mut out,
-        );
-        out
+        self.inner.run_into(queries, provider, out);
     }
 
     /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> AdaptiveSvOutput {
-        self.run_with_source(answers, &mut SamplingSource::new(rng))
+        self.inner.run(answers, rng)
     }
 }
 
@@ -275,13 +157,10 @@ impl AlignedMechanism for AdaptiveSparseVector {
     type Output = AdaptiveSvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> AdaptiveSvOutput {
-        self.run_with_source(input, source)
+        AlignedMechanism::run(&self.inner, input, source)
     }
 
-    /// Equation (3), with the footnote-6 monotone refinement: threshold up
-    /// by 1 and the *winning* noise of each above answer shifted so its gap
-    /// is exactly preserved; losing branches keep their noise and stay
-    /// losing because the threshold rose.
+    /// The ladder's Eq. (3) alignment at `m = 2`.
     fn align(
         &self,
         input: &QueryAnswers,
@@ -289,61 +168,15 @@ impl AlignedMechanism for AdaptiveSparseVector {
         tape: &NoiseTape,
         output: &AdaptiveSvOutput,
     ) -> NoiseTape {
-        let q = input.values();
-        let qp = neighbor.values();
-        let favorable = self.monotonic && q.iter().zip(qp).all(|(a, b)| a >= b);
-        let threshold_shift = if favorable { 0.0 } else { 1.0 };
-        tape.aligned_by(|draw_idx, _| {
-            if draw_idx == 0 {
-                return threshold_shift;
-            }
-            // Draws 1.. come in (ξᵢ, ηᵢ) pairs for query i.
-            let qi = (draw_idx - 1) / 2;
-            let is_xi = (draw_idx - 1) % 2 == 0;
-            let shift = threshold_shift + q[qi] - qp[qi];
-            match output.outcomes.get(qi) {
-                Some(AdaptiveOutcome::Above {
-                    branch: Branch::Top,
-                    ..
-                }) if is_xi => shift,
-                Some(AdaptiveOutcome::Above {
-                    branch: Branch::Middle,
-                    ..
-                }) if !is_xi => shift,
-                _ => 0.0,
-            }
-        })
+        self.inner.align(input, neighbor, tape, output)
     }
 
     fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
     fn outputs_match(&self, a: &AdaptiveSvOutput, b: &AdaptiveSvOutput) -> bool {
-        a.outcomes.len() == b.outcomes.len()
-            && a.outcomes
-                .iter()
-                .zip(&b.outcomes)
-                .all(|(x, y)| match (x, y) {
-                    (AdaptiveOutcome::Below, AdaptiveOutcome::Below) => true,
-                    (
-                        AdaptiveOutcome::Above {
-                            gap: gx,
-                            branch: bx,
-                            cost: cx,
-                        },
-                        AdaptiveOutcome::Above {
-                            gap: gy,
-                            branch: by,
-                            cost: cy,
-                        },
-                    ) => {
-                        bx == by
-                            && cx == cy
-                            && (gx - gy).abs() <= 1e-9 * gx.abs().max(gy.abs()).max(1.0)
-                    }
-                    _ => false,
-                })
+        self.inner.outputs_match(a, b)
     }
 }
 
@@ -413,7 +246,7 @@ mod tests {
         let answers = QueryAnswers::counting(vec![1e7; 100]);
         let mut rng = rng_from_seed(3);
         let out = m.run(&answers, &mut rng);
-        assert_eq!(out.answered_via(Branch::Middle), 0);
+        assert_eq!(out.answered_via(1), 0);
         assert!(out.answered() >= 9, "answered {}", out.answered());
         assert!(out.answered() <= 11);
     }
@@ -428,8 +261,8 @@ mod tests {
         let mut middle = 0;
         for _ in 0..50 {
             let out = m.run(&answers, &mut rng);
-            top += out.answered_via(Branch::Top);
-            middle += out.answered_via(Branch::Middle);
+            top += out.answered_via(0);
+            middle += out.answered_via(1);
         }
         assert!(middle > top * 5, "middle {middle} vs top {top}");
     }
@@ -458,7 +291,7 @@ mod tests {
         let mut rng = rng_from_seed(6);
         for _ in 0..50 {
             let out = m.run(&answers, &mut rng);
-            assert_eq!(out.answered_via(Branch::Top), 0);
+            assert_eq!(out.answered_via(0), 0);
         }
     }
 

@@ -13,7 +13,7 @@
 //! queries and threshold are.)
 
 use super::{optimal_threshold_share, SvOutput};
-use crate::answers::QueryAnswers;
+use crate::answers::{on_lattice, QueryAnswers};
 use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
@@ -47,8 +47,7 @@ impl DiscreteSparseVectorWithGap {
             });
         }
         let gamma = 1.0;
-        let t_steps = threshold / gamma;
-        if (t_steps - t_steps.round()).abs() > 1e-9 {
+        if !on_lattice(threshold, gamma) {
             return Err(MechanismError::InvalidParameter {
                 name: "threshold",
                 value: threshold,
@@ -107,15 +106,9 @@ impl DiscreteSparseVectorWithGap {
         (1.0 - self.threshold_share) * self.epsilon / (c * self.k as f64)
     }
 
-    fn validate_lattice(&self, answers: &QueryAnswers) {
-        debug_assert!(
-            answers.values().iter().all(|v| {
-                let steps = v / self.gamma;
-                (steps - steps.round()).abs() < 1e-9
-            }),
-            "query answers must be multiples of γ = {}",
-            self.gamma
-        );
+    /// The lattice step `γ` that answers and threshold must be multiples of.
+    pub(crate) fn gamma(&self) -> f64 {
+        self.gamma
     }
 
     /// The single copy of the discrete SVT decision loop and its one
@@ -134,6 +127,14 @@ impl DiscreteSparseVectorWithGap {
     /// Consumes `queries` lazily, writing into `out`: the stop condition is
     /// checked *before* pulling the next query, so once the `k`-th `⊤` is
     /// answered no further query is ever observed.
+    ///
+    /// Precondition: every answer is a multiple of `γ` — an off-lattice
+    /// answer's fractional part would reach the released gap exactly. A
+    /// lazy stream cannot be checked before the first draw, and an error
+    /// mid-scan would reveal how far the scan got, so this entry only
+    /// debug-asserts it per pulled answer;
+    /// [`Mechanism::call`](crate::api::Mechanism::call) rejects an
+    /// off-lattice workload with a typed error before any draw.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -168,10 +169,7 @@ impl DiscreteSparseVectorWithGap {
                     break;
                 };
                 debug_assert!(
-                    {
-                        let steps = q / self.gamma;
-                        (steps - steps.round()).abs() < 1e-9
-                    },
+                    on_lattice(q, self.gamma),
                     "query answers must be multiples of γ = {}",
                     self.gamma
                 );
@@ -193,7 +191,6 @@ impl DiscreteSparseVectorWithGap {
     }
 
     fn run_with_source(&self, answers: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.validate_lattice(answers);
         let mut out = SvOutput::default();
         self.run_into(
             answers.values().iter().copied(),
@@ -273,8 +270,16 @@ mod tests {
     fn validation() {
         assert!(DiscreteSparseVectorWithGap::new(0, 1.0, 50.0, true).is_err());
         assert!(DiscreteSparseVectorWithGap::new(1, 0.0, 50.0, true).is_err());
-        // threshold off the integer lattice
-        assert!(DiscreteSparseVectorWithGap::new(1, 1.0, 50.5, true).is_err());
+        // threshold off the integer lattice, including NaN and infinities
+        for threshold in [50.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                DiscreteSparseVectorWithGap::new(1, 1.0, threshold, true),
+                Err(MechanismError::InvalidParameter {
+                    name: "threshold",
+                    ..
+                })
+            ));
+        }
         // A rate whose decay ratio rounds to 1 or 0 would panic mid-draw.
         for eps in [5e-324, 1e-300, 1e300] {
             assert_eq!(

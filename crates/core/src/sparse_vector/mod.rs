@@ -1,5 +1,6 @@
 //! The Sparse Vector family (§6): classic SVT baseline, Sparse-Vector-with-
-//! Gap, and the paper's Adaptive-Sparse-Vector-with-Gap (Algorithm 2).
+//! Gap, and the paper's Adaptive-Sparse-Vector-with-Gap (Algorithm 2), which
+//! is the two-rung case of the one adaptive core, the multi-branch ladder.
 
 mod adaptive;
 pub mod broken;
@@ -13,10 +14,8 @@ pub use adaptive::AdaptiveSparseVector;
 pub use classic::{ClassicSparseVector, SvtStreamState};
 pub use discrete::DiscreteSparseVectorWithGap;
 pub use gap::SparseVectorWithGap;
-pub use multi_branch::{
-    as_algorithm2_branch, MultiBranchAdaptiveSparseVector, MultiBranchOutcome, MultiBranchSvOutput,
-};
-pub use output::{AdaptiveOutcome, AdaptiveSvOutput, Branch, SvOutput};
+pub use multi_branch::MultiBranchAdaptiveSparseVector;
+pub use output::{AdaptiveOutcome, AdaptiveSvOutput, SvOutput};
 
 /// The Lyu et al. recommended budget split between threshold noise and query
 /// noise: ratio `1 : (2k)^{2/3}` for general queries, `1 : k^{2/3}` for

@@ -1,7 +1,10 @@
 //! Multi-branch Adaptive Sparse Vector — the extension §6.1 sketches:
 //! *"Algorithm 2 can be easily extended with multiple additional 'if'
 //! branches. For simplicity we do not include such variations."* We include
-//! it.
+//! it, and it is the one adaptive SVT core: Algorithm 2
+//! ([`AdaptiveSparseVector`](super::AdaptiveSparseVector)) is this ladder
+//! with two rungs, run through the same loop, alignment and output
+//! comparison.
 //!
 //! With `m` branches the per-answer budgets form a geometric ladder
 //! `ε₁/2^{m-1} < … < ε₁/2 < ε₁`: each query is first tested with the
@@ -10,85 +13,21 @@
 //! test. A query `2^{m-1}`× … far above the threshold costs `ε₁/2^{m-1}`,
 //! so the same budget can answer up to `2^{m-1}·k` such queries.
 //!
-//! `m = 1` recovers Sparse-Vector-with-Gap; `m = 2` is exactly Algorithm 2
-//! (draw-for-draw: the test-suite checks output equality on shared noise
-//! streams).
+//! `m = 1` recovers Sparse-Vector-with-Gap's decisions; `m = 2` is
+//! Algorithm 2, whose two settings — the margin multiplier and the answer
+//! limit — the ladder carries privately.
 //!
 //! The local alignment generalizes Eq. (3) verbatim: the threshold noise
 //! moves up by one, losing branch noises stay, and the single winning
 //! branch noise of each answer absorbs `1 + qᵢ - q'ᵢ`; the Definition-6
 //! cost telescopes to `ε₀ + Σ (winning branch budgets) ≤ ε`.
 
-use super::{optimal_threshold_share, Branch};
+use super::{optimal_threshold_share, AdaptiveOutcome, AdaptiveSvOutput};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws, MAX_TUPLE};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-
-/// Per-query outcome of the multi-branch mechanism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MultiBranchOutcome {
-    /// Above threshold via branch `branch` (0 = cheapest), at cost `cost`.
-    Above {
-        /// Branch index, `0 ..= m-1` from cheapest to baseline.
-        branch: usize,
-        /// The released noisy gap.
-        gap: f64,
-        /// Budget consumed for this answer.
-        cost: f64,
-    },
-    /// Below threshold: free.
-    Below,
-}
-
-impl MultiBranchOutcome {
-    /// True for any above-threshold branch.
-    pub fn is_above(&self) -> bool {
-        matches!(self, MultiBranchOutcome::Above { .. })
-    }
-}
-
-/// Output of [`MultiBranchAdaptiveSparseVector`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MultiBranchSvOutput {
-    /// One outcome per processed query.
-    pub outcomes: Vec<MultiBranchOutcome>,
-    /// Total budget consumed (including the threshold share).
-    pub spent: f64,
-    /// The mechanism's budget `ε`.
-    pub epsilon: f64,
-}
-
-impl MultiBranchSvOutput {
-    /// Number of above-threshold answers.
-    pub fn answered(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.is_above()).count()
-    }
-
-    /// Number of answers via branch index `b`.
-    pub fn answered_via(&self, b: usize) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, MultiBranchOutcome::Above { branch, .. } if *branch == b))
-            .count()
-    }
-
-    /// Indices answered above-threshold.
-    pub fn above_indices(&self) -> Vec<usize> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_above())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Unspent budget fraction.
-    pub fn remaining_fraction(&self) -> f64 {
-        ((self.epsilon - self.spent) / self.epsilon).max(0.0)
-    }
-}
 
 /// Adaptive Sparse Vector with `m ≥ 1` test branches.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,13 +38,19 @@ pub struct MultiBranchAdaptiveSparseVector {
     theta: f64,
     monotonic: bool,
     branches: usize,
+    /// Margin of every rung but the baseline, in standard deviations of
+    /// the rung's noise (the paper fixes 2).
+    margin_multiplier: f64,
+    /// Stop after this many above-threshold answers, budget or not.
+    answer_limit: Option<usize>,
 }
 
 impl MultiBranchAdaptiveSparseVector {
-    /// Maximum supported branch count; the ladder's noise scale grows as
-    /// `2^{m-1}`, so deeper ladders are useless in practice and risk
-    /// under/overflow in the margins.
-    pub const MAX_BRANCHES: usize = 16;
+    /// Maximum supported branch count: one draw per rung, so the deepest
+    /// ladder is the widest tuple a provider serves. The ladder's noise
+    /// scale grows as `2^{m-1}`, so deeper ladders are useless in practice
+    /// and risk under/overflow in the margins.
+    pub const MAX_BRANCHES: usize = MAX_TUPLE;
 
     /// Creates the mechanism. `branches = 1` is Sparse-Vector-with-Gap,
     /// `branches = 2` is Algorithm 2.
@@ -126,7 +71,7 @@ impl MultiBranchAdaptiveSparseVector {
             return Err(MechanismError::InvalidParameter {
                 name: "branches",
                 value: branches as f64,
-                requirement: "must be in 1..=16",
+                requirement: "must be in 1..=MAX_BRANCHES",
             });
         }
         Ok(Self {
@@ -136,6 +81,8 @@ impl MultiBranchAdaptiveSparseVector {
             theta: optimal_threshold_share(k, monotonic),
             monotonic,
             branches,
+            margin_multiplier: 2.0,
+            answer_limit: None,
         })
     }
 
@@ -145,9 +92,29 @@ impl MultiBranchAdaptiveSparseVector {
         Ok(self)
     }
 
+    /// Sets the margin multiplier (validated by the caller).
+    pub(super) fn set_margin_multiplier(&mut self, multiplier: f64) {
+        self.margin_multiplier = multiplier;
+    }
+
+    /// Sets the answer limit.
+    pub(super) fn set_answer_limit(&mut self, limit: usize) {
+        self.answer_limit = Some(limit);
+    }
+
     /// Number of branches `m`.
     pub fn branches(&self) -> usize {
         self.branches
+    }
+
+    /// The sizing parameter `k`.
+    pub(super) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The public threshold `T`.
+    pub(super) fn threshold(&self) -> f64 {
+        self.threshold
     }
 
     /// The total privacy budget `ε` one run costs.
@@ -166,25 +133,26 @@ impl MultiBranchAdaptiveSparseVector {
     }
 
     /// Budget of branch `b` (0 = cheapest): `ε₁ / 2^{m-1-b}`.
-    pub fn branch_budget(&self, b: usize) -> f64 {
+    pub(super) fn branch_budget(&self, b: usize) -> f64 {
         // lint:allow(panic-freedom): branch index is an internal loop variable, never user input
         assert!(b < self.branches, "branch index out of range");
         self.epsilon1() / (1u64 << (self.branches - 1 - b)) as f64
     }
 
     /// Laplace scale of branch `b`'s noise: `c / branch_budget(b)`.
-    pub fn branch_scale(&self, b: usize) -> f64 {
+    pub(super) fn branch_scale(&self, b: usize) -> f64 {
         let c = if self.monotonic { 1.0 } else { 2.0 };
         c / self.branch_budget(b)
     }
 
-    /// Acceptance margin of branch `b`: 2 standard deviations of its noise
-    /// for every rung except the baseline, which uses margin 0.
-    pub fn branch_margin(&self, b: usize) -> f64 {
+    /// Acceptance margin of branch `b`: the margin multiplier times the
+    /// standard deviation of its noise for every rung except the
+    /// baseline, which uses margin 0.
+    pub(super) fn branch_margin(&self, b: usize) -> f64 {
         if b + 1 == self.branches {
             0.0
         } else {
-            2.0 * std::f64::consts::SQRT_2 * self.branch_scale(b)
+            self.margin_multiplier * std::f64::consts::SQRT_2 * self.branch_scale(b)
         }
     }
 
@@ -194,24 +162,26 @@ impl MultiBranchAdaptiveSparseVector {
     /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
     ///
     /// Consumes `queries` lazily, pulling the next answer only while the
-    /// remaining budget still covers a worst-case (`ε₁`) answer — queries
-    /// after the halt are never observed. Each query consumes one whole
-    /// `m`-tuple of draws ([`DrawProvider::peek_tuples`], the `peek_pairs`
-    /// pattern generalized), served in blocks on buffered providers and
-    /// iterated with `chunks_exact(m)`; each block's first query is pulled
-    /// *before* the peek, so draw-exact providers never sample noise for a
-    /// query that does not exist. All `m` draws of a tuple are consumed
-    /// unconditionally (data-independent draw structure); the ladder scan
-    /// stops at the first winning branch. Draw order (branch `0..m` per
-    /// query, query by query) is identical on every provider.
+    /// remaining budget still covers a worst-case (`ε₁`) answer and the
+    /// answer limit is not reached — queries after the halt are never
+    /// observed. Each query consumes one whole `m`-tuple of draws
+    /// ([`DrawProvider::peek_tuples`]), served in blocks on buffered
+    /// providers and iterated with `chunks_exact(m)`; each block's first
+    /// query is pulled *before* the peek, so draw-exact providers never
+    /// sample noise for a query that does not exist. All `m` draws of a
+    /// tuple are consumed unconditionally (data-independent draw
+    /// structure); the ladder scan stops at the first winning branch. Draw
+    /// order (branch `0..m` per query, query by query) is identical on
+    /// every provider.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
-        out: &mut MultiBranchSvOutput,
+        out: &mut AdaptiveSvOutput,
     ) {
         let m = self.branches;
         let eps1 = self.epsilon1();
+        let cap = self.answer_limit.unwrap_or(usize::MAX);
         let budget_cap = self.epsilon * (1.0 + 1e-12);
         // Per-branch constants hoisted out of the loop. Stack arrays
         // (m <= MAX_BRANCHES) keep the fast path allocation-free apart from
@@ -236,8 +206,9 @@ impl MultiBranchAdaptiveSparseVector {
         out.outcomes.clear();
         out.outcomes.reserve(capacity);
         let mut spent = self.epsilon0();
+        let mut answered = 0usize;
         let mut done = false;
-        while !done {
+        while !done && answered < cap {
             // Pull the block's first query before peeking (draw-exactness).
             let Some(first) = queries.next() else { break };
             let mut pending = Some(first);
@@ -249,22 +220,25 @@ impl MultiBranchAdaptiveSparseVector {
                     break;
                 };
                 taken += m;
-                let mut outcome = MultiBranchOutcome::Below;
+                let mut outcome = AdaptiveOutcome::Below;
                 for b in 0..m {
                     let gap = q + tuple[b] - noisy_threshold;
                     if gap >= margins[b] {
                         let cost = budgets[b];
                         spent += cost;
-                        outcome = MultiBranchOutcome::Above {
-                            branch: b,
-                            gap,
-                            cost,
-                        };
+                        answered += 1;
+                        // b < MAX_BRANCHES, which fits a u8 (asserted at
+                        // compile time in `output.rs`'s tests).
+                        let branch = b as u8;
+                        outcome = AdaptiveOutcome::Above { branch, gap, cost };
                         break;
                     }
                 }
                 out.outcomes.push(outcome);
-                if spent + eps1 > budget_cap {
+                // Line 16 + answer limit: stop when a worst-case answer no
+                // longer fits or the limit is reached — checked before the
+                // next query pull, so no query is observed past the halt.
+                if spent + eps1 > budget_cap || answered >= cap {
                     done = true;
                     break;
                 }
@@ -279,8 +253,8 @@ impl MultiBranchAdaptiveSparseVector {
         &self,
         answers: &QueryAnswers,
         source: &mut dyn NoiseSource,
-    ) -> MultiBranchSvOutput {
-        let mut out = MultiBranchSvOutput::default();
+    ) -> AdaptiveSvOutput {
+        let mut out = AdaptiveSvOutput::default();
         self.run_into(
             answers.values().iter().copied(),
             &mut SourceDraws::new(source),
@@ -290,25 +264,29 @@ impl MultiBranchAdaptiveSparseVector {
     }
 
     /// Runs with a plain RNG: the allocating reference path.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> MultiBranchSvOutput {
+    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> AdaptiveSvOutput {
         self.run_with_source(answers, &mut SamplingSource::new(rng))
     }
 }
 
 impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
     type Input = QueryAnswers;
-    type Output = MultiBranchSvOutput;
+    type Output = AdaptiveSvOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> MultiBranchSvOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> AdaptiveSvOutput {
         self.run_with_source(input, source)
     }
 
+    /// Equation (3), with the footnote-6 monotone refinement: threshold up
+    /// by 1 and the *winning* rung's noise of each above answer shifted so
+    /// its gap is exactly preserved; losing rungs keep their noise and stay
+    /// losing because the threshold rose.
     fn align(
         &self,
         input: &QueryAnswers,
         neighbor: &QueryAnswers,
         tape: &NoiseTape,
-        output: &MultiBranchSvOutput,
+        output: &AdaptiveSvOutput,
     ) -> NoiseTape {
         let q = input.values();
         let qp = neighbor.values();
@@ -319,10 +297,11 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
             if draw_idx == 0 {
                 return threshold_shift;
             }
+            // Draws 1.. come in m-tuples, one per query.
             let qi = (draw_idx - 1) / m;
             let branch = (draw_idx - 1) % m;
             match output.outcomes.get(qi) {
-                Some(MultiBranchOutcome::Above { branch: wb, .. }) if *wb == branch => {
+                Some(AdaptiveOutcome::Above { branch: won, .. }) if usize::from(*won) == branch => {
                     threshold_shift + q[qi] - qp[qi]
                 }
                 _ => 0.0,
@@ -334,20 +313,20 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
         self.epsilon
     }
 
-    fn outputs_match(&self, a: &MultiBranchSvOutput, b: &MultiBranchSvOutput) -> bool {
+    fn outputs_match(&self, a: &AdaptiveSvOutput, b: &AdaptiveSvOutput) -> bool {
         a.outcomes.len() == b.outcomes.len()
             && a.outcomes
                 .iter()
                 .zip(&b.outcomes)
                 .all(|(x, y)| match (x, y) {
-                    (MultiBranchOutcome::Below, MultiBranchOutcome::Below) => true,
+                    (AdaptiveOutcome::Below, AdaptiveOutcome::Below) => true,
                     (
-                        MultiBranchOutcome::Above {
+                        AdaptiveOutcome::Above {
                             branch: bx,
                             gap: gx,
                             cost: cx,
                         },
-                        MultiBranchOutcome::Above {
+                        AdaptiveOutcome::Above {
                             branch: by,
                             gap: gy,
                             cost: cy,
@@ -362,19 +341,12 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
     }
 }
 
-/// Maps a two-branch outcome onto the Algorithm-2 [`Branch`] labels.
-pub fn as_algorithm2_branch(outcome: &MultiBranchOutcome) -> Option<Branch> {
-    match outcome {
-        MultiBranchOutcome::Above { branch: 0, .. } => Some(Branch::Top),
-        MultiBranchOutcome::Above { branch: 1, .. } => Some(Branch::Middle),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse_vector::{AdaptiveOutcome, AdaptiveSparseVector, SparseVectorWithGap};
+    use crate::draw::ScratchDraws;
+    use crate::scratch::SvtScratch;
+    use crate::sparse_vector::{AdaptiveSparseVector, SparseVectorWithGap};
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
@@ -404,39 +376,49 @@ mod tests {
 
     #[test]
     fn two_branches_equal_algorithm_2_on_shared_noise() {
+        // Algorithm 2 is the two-rung ladder, so on one stream the two
+        // agree bit for bit: at the default settings, and with a
+        // non-default σ multiplier and an answer limit, which the wrapper
+        // must route to the ladder. Both the reference path and the
+        // blocked ScratchDraws tape.
         let answers = QueryAnswers::counting(vec![100.0, 5.0, 90.0, 60.0, 4.0, 95.0, 3.0]);
-        let multi = mech(3, 2, 58.0);
         let alg2 = AdaptiveSparseVector::new(3, 0.7, 58.0, true).unwrap();
-        for seed in 0..60 {
-            let a = multi.run(&answers, &mut rng_from_seed(seed));
-            let b = alg2.run(&answers, &mut rng_from_seed(seed));
-            assert_eq!(a.outcomes.len(), b.outcomes.len(), "seed {seed}");
-            for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-                match (x, y) {
-                    (MultiBranchOutcome::Below, AdaptiveOutcome::Below) => {}
-                    (
-                        MultiBranchOutcome::Above {
-                            gap: gx, cost: cx, ..
-                        },
-                        AdaptiveOutcome::Above {
-                            gap: gy, cost: cy, ..
-                        },
-                    ) => {
-                        assert!((gx - gy).abs() < 1e-12, "seed {seed}");
-                        assert!((cx - cy).abs() < 1e-15, "seed {seed}");
-                        assert_eq!(
-                            as_algorithm2_branch(x),
-                            match y {
-                                AdaptiveOutcome::Above { branch, .. } => Some(*branch),
-                                AdaptiveOutcome::Below => None,
-                            }
-                        );
-                    }
-                    other => panic!("seed {seed}: divergent outcomes {other:?}"),
-                }
+        let mut tuned = mech(3, 2, 58.0);
+        tuned.set_margin_multiplier(0.5);
+        tuned.set_answer_limit(2);
+        let tuned_alg2 = alg2
+            .with_sigma_multiplier(0.5)
+            .unwrap()
+            .with_answer_limit(2);
+        let mut scratch = SvtScratch::new();
+        let mut limit_bound = false;
+        for (multi, alg2) in [(mech(3, 2, 58.0), alg2), (tuned, tuned_alg2)] {
+            for seed in 0..60 {
+                let a = multi.run(&answers, &mut rng_from_seed(seed));
+                assert_eq!(
+                    a,
+                    alg2.run(&answers, &mut rng_from_seed(seed)),
+                    "seed {seed}"
+                );
+                let mut fast = [AdaptiveSvOutput::default(), AdaptiveSvOutput::default()];
+                multi.run_into(
+                    answers.values().iter().copied(),
+                    &mut ScratchDraws::new(&mut scratch, &mut rng_from_seed(seed)),
+                    &mut fast[0],
+                );
+                alg2.run_into(
+                    answers.values().iter().copied(),
+                    &mut ScratchDraws::new(&mut scratch, &mut rng_from_seed(seed)),
+                    &mut fast[1],
+                );
+                assert_eq!(fast[0], fast[1], "seed {seed}");
+                assert_eq!(fast[0], a, "seed {seed}");
+                // Two answers never exhaust a k = 3 budget, so a tuned run
+                // that stops there with queries left was stopped by the limit.
+                limit_bound |= multi == tuned && a.answered() == 2 && a.outcomes.len() < 7;
             }
-            assert!((a.spent - b.spent).abs() < 1e-12);
         }
+        assert!(limit_bound, "the answer limit never stopped a run early");
     }
 
     #[test]
@@ -451,15 +433,7 @@ mod tests {
         for seed in 0..60 {
             let a = multi.run(&answers, &mut rng_from_seed(seed));
             let b = svg.run(&answers, &mut rng_from_seed(seed));
-            let a_gaps: Vec<(usize, f64)> = a
-                .outcomes
-                .iter()
-                .enumerate()
-                .filter_map(|(i, o)| match o {
-                    MultiBranchOutcome::Above { gap, .. } => Some((i, *gap)),
-                    MultiBranchOutcome::Below => None,
-                })
-                .collect();
+            let a_gaps = a.gaps();
             assert_eq!(a_gaps.len(), b.gaps().len(), "seed {seed}");
             for ((ia, ga), (ib, gb)) in a_gaps.iter().zip(b.gaps().iter()) {
                 assert_eq!(ia, ib);

@@ -1,25 +1,23 @@
-//! Output types for the Sparse Vector family.
+//! Output types for the Sparse Vector family: [`SvOutput`] for classic SVT
+//! and Sparse-Vector-with-Gap, and one [`AdaptiveSvOutput`] for the
+//! adaptive branch ladder — Algorithm 2 (the two-rung ladder) and its
+//! multi-branch extension alike.
 
-/// Which branch of Algorithm 2 produced an above-threshold answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Branch {
-    /// The cheap, very-noisy first branch (`ξᵢ` test against `σ`): costs `ε₂`.
-    Top,
-    /// The baseline second branch (`ηᵢ` test against 0): costs `ε₁`.
-    Middle,
-}
-
-/// Per-query outcome of the adaptive mechanism.
+/// Per-query outcome of the adaptive branch ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdaptiveOutcome {
-    /// Above threshold via the given branch, with the released noisy gap and
+    /// Above threshold via rung `branch`, with the released noisy gap and
     /// the budget consumed for this answer.
     Above {
+        /// The rung that fired, `0 ..= m-1` from cheapest to baseline. In
+        /// Algorithm 2, rung 0 is the top branch (`ξᵢ` against `σ`, cost
+        /// `ε₂`) and rung 1 the middle branch (`ηᵢ` against 0, cost `ε₁`).
+        /// A `u8` holds any rung of the deepest ladder and keeps the
+        /// outcome at 24 bytes, where a `usize` would take 32.
+        branch: u8,
         /// The released noisy gap (noisy query minus noisy threshold).
         gap: f64,
-        /// The branch that fired.
-        branch: Branch,
-        /// Budget consumed (`ε₂` for Top, `ε₁` for Middle).
+        /// Budget consumed: the rung's per-answer budget.
         cost: f64,
     },
     /// Below threshold (`⊥`): free.
@@ -27,13 +25,14 @@ pub enum AdaptiveOutcome {
 }
 
 impl AdaptiveOutcome {
-    /// True for either above-threshold branch.
+    /// True for any above-threshold rung.
     pub fn is_above(&self) -> bool {
         matches!(self, AdaptiveOutcome::Above { .. })
     }
 }
 
-/// Output of [`super::AdaptiveSparseVector`].
+/// Output of [`super::AdaptiveSparseVector`] and
+/// [`super::MultiBranchAdaptiveSparseVector`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdaptiveSvOutput {
     /// One outcome per *processed* query (the mechanism may stop early when
@@ -61,8 +60,8 @@ impl AdaptiveSvOutput {
         self.outcomes.iter().filter(|o| o.is_above()).count()
     }
 
-    /// Number of above-threshold answers from a given branch.
-    pub fn answered_via(&self, branch: Branch) -> usize {
+    /// Number of above-threshold answers from rung `branch`.
+    pub fn answered_via(&self, branch: u8) -> usize {
         self.outcomes
             .iter()
             .filter(|o| matches!(o, AdaptiveOutcome::Above { branch: b, .. } if *b == branch))
@@ -137,18 +136,26 @@ impl SvOutput {
 mod tests {
     use super::*;
 
+    // A `u8` rung shares the tag's word; a `usize` one would grow the
+    // outcome to 32 bytes.
+    const _: () = assert!(std::mem::size_of::<AdaptiveOutcome>() == 24);
+    // The ladder's rung index, `0..MAX_BRANCHES`, must fit that `u8`.
+    const _: () = assert!(
+        crate::sparse_vector::MultiBranchAdaptiveSparseVector::MAX_BRANCHES <= 1 + u8::MAX as usize
+    );
+
     fn adaptive() -> AdaptiveSvOutput {
         AdaptiveSvOutput {
             outcomes: vec![
                 AdaptiveOutcome::Below,
                 AdaptiveOutcome::Above {
+                    branch: 0,
                     gap: 3.0,
-                    branch: Branch::Top,
                     cost: 0.05,
                 },
                 AdaptiveOutcome::Above {
+                    branch: 1,
                     gap: 1.0,
-                    branch: Branch::Middle,
                     cost: 0.1,
                 },
                 AdaptiveOutcome::Below,
@@ -163,8 +170,9 @@ mod tests {
         let o = adaptive();
         assert_eq!(o.above_indices(), vec![1, 2]);
         assert_eq!(o.answered(), 2);
-        assert_eq!(o.answered_via(Branch::Top), 1);
-        assert_eq!(o.answered_via(Branch::Middle), 1);
+        assert_eq!(o.answered_via(0), 1);
+        assert_eq!(o.answered_via(1), 1);
+        assert_eq!(o.answered_via(2), 0);
         assert_eq!(o.gaps(), vec![(1, 3.0), (2, 1.0)]);
         assert!((o.remaining() - 0.35).abs() < 1e-15);
         assert!((o.remaining_fraction() - 0.5).abs() < 1e-15);

@@ -22,7 +22,7 @@ use free_gap_core::noisy_max::{
 use free_gap_core::scratch::TopKScratch;
 use free_gap_core::sparse_vector::{
     AdaptiveSparseVector, AdaptiveSvOutput, ClassicSparseVector, DiscreteSparseVectorWithGap,
-    MultiBranchAdaptiveSparseVector, MultiBranchSvOutput, SparseVectorWithGap, SvOutput,
+    MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_core::QueryAnswers;
@@ -109,7 +109,7 @@ svt_subject! {
     SparseVectorWithGap => SvOutput, |o| o.above;
     DiscreteSparseVectorWithGap => SvOutput, |o| o.above;
     AdaptiveSparseVector => AdaptiveSvOutput, |o| o.outcomes;
-    MultiBranchAdaptiveSparseVector => MultiBranchSvOutput, |o| o.outcomes;
+    MultiBranchAdaptiveSparseVector => AdaptiveSvOutput, |o| o.outcomes;
 }
 
 /// The exponential mechanism's Top-`k` race (`run_top_k` against

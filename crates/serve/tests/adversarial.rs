@@ -2,8 +2,9 @@
 //!
 //! Each seed generates a request script for four tenants with a small idle
 //! horizon: calls over all ten mechanisms at hostile budgets (ε from 5e-324
-//! to 1e300, plus a fresh ε on every call), `k > n` and empty workloads,
-//! duplicate opens, feeds and closes to unknown, closed and evicted
+//! to 1e300, plus a fresh ε on every call), `k > n`, empty and off-lattice
+//! workloads (which the two discrete mechanisms must refuse), duplicate
+//! opens, feeds and closes to unknown, closed and evicted
 //! sessions, and idle runs that evict sessions between feeds. A model of
 //! the accountant, in the ledger's nano-ε units, predicts every response
 //! kind. For every seed the harness asserts:
@@ -79,8 +80,9 @@ impl Gen {
         }
     }
 
-    /// Integer-valued answers (so the discrete mechanisms accept them),
-    /// some far above the threshold so sessions get `⊤` answers.
+    /// Integer-valued answers, some far above the threshold so sessions get
+    /// `⊤` answers. [`script`] moves one answer of some calls off the
+    /// integer lattice.
     fn queries(&mut self, max_len: u64) -> Vec<f64> {
         let n = self.below(max_len + 1);
         (0..n)
@@ -122,7 +124,12 @@ fn script(seed: u64, tenant: u64) -> Vec<RequestBody> {
                 let k = 1 + g.below(6) as usize;
                 let eps = g.epsilon();
                 let which = g.below(10);
-                let queries = g.queries(8);
+                let mut queries = g.queries(8);
+                if !queries.is_empty() && g.below(4) == 0 {
+                    // A fractional part in [0.25, 0.75): off the lattice.
+                    let i = g.below(queries.len() as u64) as usize;
+                    queries[i] += 0.25 + 0.5 * g.unit();
+                }
                 match mechanism(which, k, eps) {
                     Ok(mechanism) => out.push(RequestBody::Call { mechanism, queries }),
                     // A budget whose noise the mechanism cannot represent
@@ -214,12 +221,19 @@ impl Model {
         }
         let left = units(TOTAL) - self.spent;
         let ok = match (body, resp) {
-            (RequestBody::Call { mechanism, .. }, resp) => {
+            (RequestBody::Call { mechanism, queries }, resp) => {
                 let debit = units(mechanism.cost());
+                // The discrete mechanisms release lattice gaps, so they
+                // refuse any answer off the integer lattice.
+                let off_lattice = matches!(
+                    mechanism,
+                    AnyMechanism::DiscreteNoisyTopKWithGap(_)
+                        | AnyMechanism::DiscreteSparseVectorWithGap(_)
+                ) && queries.iter().any(|q| q.fract() != 0.0);
                 match resp {
                     MechanismResponse::Rejected(RejectReason::Budget(_)) => debit > left,
                     MechanismResponse::Rejected(RejectReason::Invalid(_)) => debit <= left,
-                    MechanismResponse::Output(_) if debit <= left => {
+                    MechanismResponse::Output(_) if debit <= left && !off_lattice => {
                         self.spent += debit;
                         self.calls += debit;
                         true
@@ -348,7 +362,7 @@ fn serve_threaded(seed: u64, scripts: &[Vec<RequestBody>], threads: u64) -> Vec<
 
 /// Response kinds the scripts must reach, so the harness cannot pass by
 /// exercising nothing.
-const KINDS: [&str; 10] = [
+const KINDS: [&str; 11] = [
     "output",
     "opened",
     "decisions",
@@ -357,6 +371,7 @@ const KINDS: [&str; 10] = [
     "session exists",
     "budget",
     "invalid",
+    "off-lattice answer",
     "eviction",
     "release after a ⊤ answer",
 ];
@@ -370,18 +385,22 @@ fn kind(resp: &MechanismResponse) -> usize {
         MechanismResponse::Rejected(RejectReason::UnknownSession) => 4,
         MechanismResponse::Rejected(RejectReason::SessionExists) => 5,
         MechanismResponse::Rejected(RejectReason::Budget(_)) => 6,
+        MechanismResponse::Rejected(RejectReason::Invalid(MechanismError::InvalidParameter {
+            name: "answer",
+            ..
+        })) => 8,
         MechanismResponse::Rejected(RejectReason::Invalid(_)) => 7,
         MechanismResponse::Rejected(RejectReason::UnknownTenant) => unreachable!(),
     }
 }
 
 /// Checks one seed; returns how often each of [`KINDS`] occurred.
-fn check_seed(seed: u64) -> [u64; 10] {
+fn check_seed(seed: u64) -> [u64; 11] {
     let scripts: Vec<Vec<RequestBody>> = (0..TENANTS).map(|t| script(seed, t)).collect();
     let server = new_server(seed);
     let mut models: Vec<Model> = (0..TENANTS).map(|_| Model::default()).collect();
     let tenants: Vec<u64> = (0..TENANTS).collect();
-    let mut tally = [0; 10];
+    let mut tally = [0; 11];
     let reference = serve(&server, &scripts, &tenants, |t, body, resp| {
         if let Err(e) = models[t as usize].step(body, resp) {
             panic!("tenant {t}: {e}");
@@ -390,8 +409,8 @@ fn check_seed(seed: u64) -> [u64; 10] {
         let spent = server.spent(t).expect("registered tenant");
         assert!(spent <= TOTAL, "tenant {t}: spent {spent} > {TOTAL}");
     });
-    tally[8] = server.evictions();
-    tally[9] = models.iter().map(|m| m.answered_sessions).sum();
+    tally[9] = server.evictions();
+    tally[10] = models.iter().map(|m| m.answered_sessions).sum();
     for (t, model) in models.iter().enumerate() {
         let t = t as u64;
         assert!(model.open.is_empty(), "tenant {t}: the model kept sessions");
@@ -414,7 +433,7 @@ fn check_seed(seed: u64) -> [u64; 10] {
 
 #[test]
 fn adversarial_scripts_keep_the_ledger_exact_and_the_digests_fixed() {
-    let mut tally = [0; 10];
+    let mut tally = [0; 11];
     for i in 0..SEEDS {
         let seed = splitmix64(&mut (0xAD5E_ED00 + i));
         match std::panic::catch_unwind(|| check_seed(seed)) {

@@ -8,15 +8,16 @@
 //! * per-tenant responses are independent of how requests from different
 //!   tenants interleave (the sequential reference check);
 //! * a call the mechanism cannot serve (an unrepresentable staircase batch,
-//!   a non-finite Top-K answer) is a typed rejection whose debit is
-//!   refunded in full;
+//!   a non-finite Top-K answer, an off-lattice answer to a discrete
+//!   mechanism) is a typed rejection whose debit is refunded in full;
 //! * the serve-bench digest is bit-identical for 1 vs 4 worker threads.
 
 use free_gap_core::api::AnyMechanism;
 use free_gap_core::budget::{to_epsilon, units};
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
-use free_gap_core::sparse_vector::SparseVectorWithGap;
+use free_gap_core::sparse_vector::{DiscreteSparseVectorWithGap, SparseVectorWithGap};
 use free_gap_core::staircase_mech::StaircaseMechanism;
+use free_gap_core::MechanismError;
 use free_gap_serve::server::RejectReason;
 use free_gap_serve::{
     BudgetLedger, MechanismRequest, MechanismResponse, QueryServer, RequestBody, ServeBenchConfig,
@@ -431,6 +432,61 @@ fn a_non_finite_top_k_request_is_rejected_and_refunded() {
     );
     assert!(matches!(response, MechanismResponse::Output(_)));
     assert_eq!(server.spent(0), Some(0.25));
+}
+
+/// The discrete mechanisms release gaps on the lattice `{kγ}`, so an
+/// off-lattice answer's fractional part would reach the gap exactly (3.7
+/// and 1.2 would release a Top-K gap of 2.5 plus integer noise). Each
+/// rejects such a request before drawing, and the server refunds the debit
+/// in full.
+#[test]
+fn an_off_lattice_discrete_request_is_rejected_and_refunded() {
+    let server = QueryServer::new(5);
+    server.register_tenant(0, 1.0).unwrap();
+    let mut scratch = WorkerScratch::new();
+    let requests: [(AnyMechanism, Vec<f64>); 2] = [
+        (
+            DiscreteNoisyTopKWithGap::new(1, 0.25, true).unwrap().into(),
+            vec![3.7, 1.2, 0.4],
+        ),
+        (
+            DiscreteSparseVectorWithGap::new(1, 0.25, 5.0, true)
+                .unwrap()
+                .into(),
+            vec![3.7, 9.2, 0.4],
+        ),
+    ];
+    let call = |mechanism: AnyMechanism, queries: Vec<f64>| MechanismRequest {
+        tenant: 0,
+        body: RequestBody::Call { mechanism, queries },
+    };
+    for (mechanism, queries) in &requests {
+        let response = server.handle(&call(*mechanism, queries.clone()), &mut scratch);
+        assert!(
+            matches!(
+                response,
+                MechanismResponse::Rejected(RejectReason::Invalid(
+                    MechanismError::InvalidParameter {
+                        name: "answer",
+                        value,
+                        ..
+                    }
+                )) if value == 3.7
+            ),
+            "{response:?}"
+        );
+        assert_eq!(server.spent(0), Some(0.0));
+    }
+    // The same workloads rounded onto the lattice are answered and debited.
+    for (mechanism, queries) in requests {
+        let rounded = queries.iter().map(|q| q.round()).collect();
+        let response = server.handle(&call(mechanism, rounded), &mut scratch);
+        assert!(
+            matches!(response, MechanismResponse::Output(_)),
+            "{response:?}"
+        );
+    }
+    assert_eq!(server.spent(0), Some(0.5));
 }
 
 /// The acceptance pin: a fixed-seed serve-bench run is bit-reproducible

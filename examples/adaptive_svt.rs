@@ -40,7 +40,7 @@ fn main() {
         let a = adaptive.run(&answers, &mut rng);
         svt_total += s.answered();
         adaptive_total += a.answered();
-        top_total += a.answered_via(Branch::Top);
+        top_total += a.answered_via(0); // rung 0: the cheap top branch
         remaining += a.remaining_fraction();
     }
     let rf = runs as f64;

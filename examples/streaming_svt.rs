@@ -12,7 +12,6 @@
 
 use free_gap::prelude::*;
 use free_gap_alignment::SamplingSource;
-use free_gap_core::sparse_vector::AdaptiveOutcome;
 use free_gap_noise::rng::{derive_stream, splitmix64};
 use std::cell::Cell;
 
@@ -70,7 +69,7 @@ fn main() {
         let mut out = AdaptiveSvOutput::default();
         let mut source = SamplingSource::new(&mut rng);
         adaptive.run_into(stream, &mut SourceDraws::new(&mut source), &mut out);
-        let top = out.answered_via(Branch::Top);
+        let top = out.answered_via(0);
         let first_gap = out.outcomes.iter().find_map(|o| match o {
             AdaptiveOutcome::Above { gap, .. } => Some(*gap),
             AdaptiveOutcome::Below => None,

@@ -56,6 +56,17 @@ pub use free_gap_data as data;
 pub use free_gap_noise as noise;
 
 /// One-stop imports for the common workflows.
+///
+/// Both adaptive SVT mechanisms, Algorithm 2 ([`AdaptiveSparseVector`],
+/// the two-rung branch ladder) and [`MultiBranchAdaptiveSparseVector`],
+/// write one output type, [`AdaptiveSvOutput`]: a list of
+/// [`AdaptiveOutcome`]s, each naming its answering rung (0 is the
+/// cheapest).
+///
+/// [`AdaptiveSparseVector`]: prelude::AdaptiveSparseVector
+/// [`MultiBranchAdaptiveSparseVector`]: prelude::MultiBranchAdaptiveSparseVector
+/// [`AdaptiveSvOutput`]: prelude::AdaptiveSvOutput
+/// [`AdaptiveOutcome`]: prelude::AdaptiveOutcome
 pub mod prelude {
     pub use free_gap_alignment::{check_alignment, AlignedMechanism};
     pub use free_gap_core::answers::QueryAnswers;
@@ -78,9 +89,9 @@ pub mod prelude {
     };
     pub use free_gap_core::scratch::{SvtScratch, TopKScratch};
     pub use free_gap_core::sparse_vector::{
-        AdaptiveSparseVector, AdaptiveSvOutput, Branch, ClassicSparseVector,
-        DiscreteSparseVectorWithGap, MultiBranchAdaptiveSparseVector, MultiBranchSvOutput,
-        SparseVectorWithGap, SvOutput,
+        AdaptiveOutcome, AdaptiveSparseVector, AdaptiveSvOutput, ClassicSparseVector,
+        DiscreteSparseVectorWithGap, MultiBranchAdaptiveSparseVector, SparseVectorWithGap,
+        SvOutput,
     };
     pub use free_gap_core::staircase_mech::StaircaseMechanism;
     pub use free_gap_core::MechanismError;
