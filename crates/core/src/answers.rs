@@ -26,9 +26,13 @@ pub(crate) fn require_min_len(values: &[f64], need: usize) -> Result<(), Mechani
 
 /// Validates that every answer is finite. Selection over a NaN or an
 /// infinity is undefined (a NaN fails every `>=` of the Top-K scan, an
-/// infinite winner releases a NaN gap), so the selection mechanisms reject
-/// such a workload before drawing any noise.
-pub(crate) fn require_finite(values: &[f64]) -> Result<(), MechanismError> {
+/// infinite winner releases a NaN gap, a `+∞` clears any SVT threshold),
+/// so the mechanisms reject such a workload before drawing any noise. A
+/// server feeding an open SVT session checks each batch with it first.
+///
+/// # Errors
+/// [`MechanismError::NonFiniteUtility`] at the first NaN or infinity.
+pub fn require_finite(values: &[f64]) -> Result<(), MechanismError> {
     // A branch-free pass vectorizes, unlike an early-exit scan; the
     // offender is located only when there is one.
     if values.iter().fold(true, |finite, v| finite & v.is_finite()) {
@@ -61,7 +65,9 @@ pub(crate) fn on_lattice(v: f64, gamma: f64) -> bool {
 /// Validates that every answer is a multiple of the lattice step `gamma`
 /// ([`on_lattice`]), the precondition of the discrete mechanisms: an
 /// off-lattice answer carries its fractional part into the released gap
-/// exactly, so the release would not be private.
+/// exactly, so the release would not be private. A non-finite first
+/// offender is reported as [`MechanismError::NonFiniteUtility`], as
+/// [`require_finite`] would.
 pub(crate) fn require_lattice(values: &[f64], gamma: f64) -> Result<(), MechanismError> {
     // Branch-free like `require_finite`; the offender is located only when
     // there is one.
@@ -69,6 +75,10 @@ pub(crate) fn require_lattice(values: &[f64], gamma: f64) -> Result<(), Mechanis
         return Ok(());
     }
     match values.iter().position(|&v| !on_lattice(v, gamma)) {
+        Some(index) if !values[index].is_finite() => Err(MechanismError::NonFiniteUtility {
+            index,
+            value: values[index],
+        }),
         Some(index) => Err(MechanismError::InvalidParameter {
             name: "answer",
             value: values[index],
@@ -221,6 +231,15 @@ mod tests {
                 requirement: "must be a multiple of the lattice step γ",
             })
         );
+        // The first offender decides the error: non-finite is its own kind.
+        assert!(matches!(
+            require_lattice(&[1.0, f64::NAN, 2.5], 1.0),
+            Err(MechanismError::NonFiniteUtility { index: 1, .. })
+        ));
+        assert!(matches!(
+            require_lattice(&[1.0, 2.5, f64::INFINITY], 1.0),
+            Err(MechanismError::InvalidParameter { value, .. }) if value == 2.5
+        ));
     }
 
     #[test]

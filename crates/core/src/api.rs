@@ -10,11 +10,9 @@
 //! * [`Mechanism`] — the one-call trait: a query slice in, a
 //!   [`MechanismOutput`] out, noise through any [`DrawProvider`].
 //! * [`AnyMechanism`] — a closed enum over the ten mechanisms, dispatching
-//!   [`Mechanism::call`] plus three conveniences that each fix the
+//!   [`Mechanism::call`] plus two conveniences that each fix the
 //!   provider: [`call_batched`](AnyMechanism::call_batched) (the fast path
-//!   a server worker drives, [`ScratchDraws`] for every mechanism),
-//!   [`call_par`](AnyMechanism::call_par) (the per-block
-//!   [`ParallelDraws`] layout) and
+//!   a server worker drives, [`ScratchDraws`] for every mechanism) and
 //!   [`call_reference`](AnyMechanism::call_reference) (the dyn
 //!   `NoiseSource` reference path).
 //!
@@ -28,7 +26,7 @@
 //! adapter: it coerces the output and forwards to the mechanism's one
 //! provider-taking `run_into` entry (`tests/api_surface.rs` pins this).
 
-use crate::draw::{DrawProvider, ParallelDraws, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::MechanismError;
 use crate::exponential_mech::ExponentialMechanism;
 use crate::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap, TopKOutput};
@@ -423,6 +421,8 @@ impl Mechanism for SparseVectorWithGap {
         self.epsilon()
     }
 
+    /// Checks the lazy entry's finite-answer precondition on the
+    /// materialized slice, before any draw.
     fn call<P: DrawProvider>(
         &self,
         req: &QuerySlice<'_>,
@@ -430,6 +430,7 @@ impl Mechanism for SparseVectorWithGap {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(req.values())?;
         self.run_into(
             req.values().iter().copied(),
             provider,
@@ -448,6 +449,8 @@ impl Mechanism for ClassicSparseVector {
         self.epsilon()
     }
 
+    /// Checks the lazy entry's finite-answer precondition on the
+    /// materialized slice, before any draw.
     fn call<P: DrawProvider>(
         &self,
         req: &QuerySlice<'_>,
@@ -455,6 +458,7 @@ impl Mechanism for ClassicSparseVector {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(req.values())?;
         self.run_into(
             req.values().iter().copied(),
             provider,
@@ -473,6 +477,8 @@ impl Mechanism for AdaptiveSparseVector {
         self.epsilon()
     }
 
+    /// Checks the lazy entry's finite-answer precondition on the
+    /// materialized slice, before any draw.
     fn call<P: DrawProvider>(
         &self,
         req: &QuerySlice<'_>,
@@ -480,6 +486,7 @@ impl Mechanism for AdaptiveSparseVector {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(req.values())?;
         self.run_into(req.values().iter().copied(), provider, out.adaptive_mut());
         Ok(())
     }
@@ -494,6 +501,8 @@ impl Mechanism for MultiBranchAdaptiveSparseVector {
         self.epsilon()
     }
 
+    /// Checks the lazy entry's finite-answer precondition on the
+    /// materialized slice, before any draw.
     fn call<P: DrawProvider>(
         &self,
         req: &QuerySlice<'_>,
@@ -501,6 +510,7 @@ impl Mechanism for MultiBranchAdaptiveSparseVector {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(req.values())?;
         self.run_into(
             req.values().iter().copied(),
             provider,
@@ -641,7 +651,7 @@ impl AnyMechanism {
     /// over `scratch.svt`, for every mechanism. Scalar and tuple draws come
     /// off the blocked tape; bulk fills drain it, then run the family's
     /// fused kernel on `rng`. Bit-identical to the mechanism's `_into` entry
-    /// through any single-stream provider on the same RNG stream.
+    /// through any provider on the same RNG stream.
     pub fn call_batched<R: Rng + ?Sized>(
         &self,
         req: &QuerySlice<'_>,
@@ -651,34 +661,6 @@ impl AnyMechanism {
     ) -> Result<(), MechanismError> {
         let mut provider = ScratchDraws::new(&mut scratch.svt, rng);
         self.call(req, &mut provider, &mut scratch.topk, out)
-    }
-
-    /// The intra-run parallel path: [`Mechanism::call`] through a
-    /// [`ParallelDraws`] provider over the per-block sub-stream layout.
-    /// The Noisy-Max family gets a parallel noise fill plus the per-chunk
-    /// selection reduce, the exponential race a batched parallel Gumbel
-    /// fill with the race replayed over precomputed scores, staircase a
-    /// parallel measurement fill; the SVT family runs sequentially off the
-    /// provider's scalar tape (its adaptive threshold loop is inherently
-    /// sequential). Bit-identical for any thread count of `par` — but a
-    /// *different stream* than [`call_batched`](Self::call_batched): the
-    /// run is keyed by the provider's run seed, so callers
-    /// [`reset`](ParallelDraws::reset) `par` per request.
-    pub fn call_par(
-        &self,
-        req: &QuerySlice<'_>,
-        par: &mut ParallelDraws,
-        scratch: &mut CallScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        match self {
-            Self::Exponential(m) => {
-                let indices = out.indices_mut();
-                m.mechanism()
-                    .race_par_core(req.values(), m.k(), par, &mut scratch.topk, indices)
-            }
-            _ => self.call(req, par, &mut scratch.topk, out),
-        }
     }
 
     /// The dyn reference path: [`Mechanism::call`] through
@@ -787,64 +769,6 @@ mod tests {
         let a = MechanismOutput::Indices(Vec::new());
         let b = MechanismOutput::Measurements(Vec::new());
         assert_ne!(a.digest(0), b.digest(0));
-    }
-
-    #[test]
-    fn call_par_is_bit_identical_across_thread_counts() {
-        // Every mechanism, a workload large enough to engage both the
-        // parallel fill (> one block) and the parallel select reduce
-        // (> PAR_SELECT_MIN), and a fresh same-seed provider per call: the
-        // digest must not depend on the thread count.
-        let k = 5;
-        let threshold = 500.0;
-        #[allow(clippy::expect_used)]
-        // lint:allow(panic-freedom): test-only grid construction with known-valid parameters
-        let grid: Vec<AnyMechanism> = vec![
-            NoisyTopKWithGap::new(k, 0.7, true).expect("valid").into(),
-            ClassicNoisyTopK::new(k, 0.7, true).expect("valid").into(),
-            DiscreteNoisyTopKWithGap::new(k, 0.7, true)
-                .expect("valid")
-                .into(),
-            ExponentialTopK::new(ExponentialMechanism::new(0.7, true).expect("valid"), k)
-                .expect("valid")
-                .into(),
-            StaircaseMechanism::new(0.7).expect("valid").into(),
-            SparseVectorWithGap::new(k, 0.7, threshold, true)
-                .expect("valid")
-                .into(),
-            ClassicSparseVector::new(k, 0.7, threshold, true)
-                .expect("valid")
-                .into(),
-            AdaptiveSparseVector::new(k, 0.7, threshold, true)
-                .expect("valid")
-                .into(),
-            MultiBranchAdaptiveSparseVector::new(k, 0.7, threshold, true, 3)
-                .expect("valid")
-                .into(),
-            DiscreteSparseVectorWithGap::new(k, 0.7, threshold, true)
-                .expect("valid")
-                .into(),
-        ];
-        let mut s = 0x5EED_u64;
-        let values: Vec<f64> = (0..9000)
-            .map(|_| (splitmix64(&mut s) % 1_000) as f64)
-            .collect();
-        let req = QuerySlice::new(&values);
-        for mech in &grid {
-            let mut digests = Vec::new();
-            for threads in [1usize, 2, 4] {
-                let mut par = ParallelDraws::new(42, threads);
-                let mut scratch = CallScratch::new();
-                let mut out = MechanismOutput::new_for(mech);
-                #[allow(clippy::expect_used)]
-                // lint:allow(panic-freedom): test asserts the call succeeds
-                mech.call_par(&req, &mut par, &mut scratch, &mut out)
-                    .expect("call_par");
-                digests.push(out.digest(7));
-            }
-            assert_eq!(digests[0], digests[1], "1 vs 2 threads: {}", mech.name());
-            assert_eq!(digests[0], digests[2], "1 vs 4 threads: {}", mech.name());
-        }
     }
 
     #[test]

@@ -56,25 +56,9 @@
 //! The `scratch_equivalence` suite enforces output equality across all
 //! providers; `tests/draw_provider.rs` proptests the stream discipline
 //! itself over random interleavings of the three draw shapes.
-//!
-//! ## The per-block provider
-//!
-//! [`ParallelDraws`] adds a fourth execution path over the per-block
-//! sub-stream layout of [`free_gap_noise::par`]: a bulk fill consumes
-//! consecutive fixed-size blocks of the run, block `b` drawn from
-//! `derive_fast_stream(run_seed, b)`, while scalar draws ride a tape on the
-//! reserved stream [`par::SCALAR_STREAM`]. Because every block's noise is a
-//! pure function of `(run_seed, block index)`, the provider — which fills
-//! disjoint slabs from scoped threads and reduces Top-K selection per
-//! chunk — is **bit-identical for every thread count**; at one thread it
-//! replays the same per-block streams in order on the calling thread. It
-//! serves a *different stream* from the three single-RNG providers above:
-//! a separate path (`call_par`), not a replacement.
 
 use crate::scratch::SvtScratch;
 use free_gap_alignment::NoiseSource;
-use free_gap_noise::par;
-use free_gap_noise::rng::{derive_fast_stream, FastRng};
 use free_gap_noise::{
     ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Exponential, Gumbel, Laplace,
     Staircase,
@@ -205,11 +189,12 @@ pub trait DrawProvider {
     fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>);
 
     /// Fills `out` with `base[i] + Gumbel(beta)`, one draw per element in
-    /// index order — the batched exponential-mechanism race shape. The
-    /// default loops [`gumbel_next`](DrawProvider::gumbel_next), so it is
-    /// bit-identical to the race's per-query draws on every single-stream
-    /// provider; the per-block provider overrides it with its block
-    /// engines (same layout as [`fill_offset`](DrawProvider::fill_offset)).
+    /// index order. It loops [`gumbel_next`](DrawProvider::gumbel_next), so
+    /// it is bit-identical to the race's per-query draws. No mechanism core
+    /// calls it; it stays on the trait because the gated benchmark's
+    /// tracing provider overrides it, and it goes with
+    /// [`peek_pairs`](DrawProvider::peek_pairs) when that provider no
+    /// longer pins the trait.
     fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
         out.clear();
         out.extend(base.iter().map(|b| b + self.gumbel_next(beta)));
@@ -218,9 +203,8 @@ pub trait DrawProvider {
     /// Writes the indices of the `m` largest of `values` into `out`
     /// (descending, ties to the smaller index) — the selection step the
     /// Noisy-Max cores run after their noise fill. Selection consumes no
-    /// randomness; it lives on the provider so [`ParallelDraws`] can swap
-    /// in the per-chunk k-best reduce, which is bit-identical to the
-    /// sequential scan this default runs.
+    /// randomness; it lives on the provider so a tracing provider can time
+    /// it. Every provider in this crate runs this default scan.
     fn select_top(&mut self, values: &[f64], m: usize, out: &mut Vec<usize>) {
         crate::noisy_max::top_indices_into(values, m, out);
     }
@@ -585,185 +569,6 @@ impl<R: Rng + ?Sized> DrawProvider for RngDraws<'_, R> {
     }
 }
 
-/// The per-block provider over the sub-stream layout of
-/// [`free_gap_noise::par`]: bulk fills split across up to `threads` scoped
-/// threads, Top-K selection reduced per chunk
-/// ([`select_top`](DrawProvider::select_top)).
-///
-/// Bulk fills ([`fill_offset`](DrawProvider::fill_offset) and its discrete /
-/// Gumbel / staircase siblings) reserve the run's next
-/// [`par::blocks_for`]`(n)` block indices and draw block `b` from
-/// `derive_fast_stream(run_seed, b)`. Scalar draws and tuple peeks are
-/// served from an internal [`SvtScratch`] tape over the reserved stream
-/// [`par::SCALAR_STREAM`], so they obey the usual stream discipline without
-/// ever touching a block stream. The provider owns all of its randomness —
-/// construct with [`new`](Self::new), rebind between runs with
-/// [`reset`](Self::reset).
-///
-/// Bit-identical for every thread count, because every block's noise is a
-/// pure function of `(run_seed, block index)` and the selection reduce
-/// preserves the sequential scan's total order exactly. At `threads = 1`
-/// the fills take the sequential engines of [`free_gap_noise::par`] and
-/// selection the sequential scan — the reference the threaded form is
-/// tested against.
-#[derive(Debug)]
-pub struct ParallelDraws {
-    run_seed: u64,
-    next_block: u64,
-    scalar_rng: FastRng,
-    tape: SvtScratch,
-    threads: usize,
-    chunk_tops: Vec<Vec<usize>>,
-}
-
-impl ParallelDraws {
-    /// Creates the provider for one run with up to `threads` worker threads
-    /// (clamped to at least 1): scalar draws on
-    /// `derive_fast_stream(run_seed, SCALAR_STREAM)`, bulk fills starting
-    /// at block 0. `threads = 1` never spawns.
-    pub fn new(run_seed: u64, threads: usize) -> Self {
-        Self {
-            run_seed,
-            next_block: 0,
-            scalar_rng: derive_fast_stream(run_seed, par::SCALAR_STREAM),
-            tape: SvtScratch::new(),
-            threads: threads.max(1),
-            chunk_tops: Vec::new(),
-        }
-    }
-
-    /// Rebinds the provider to a new run seed, reusing its buffers: the
-    /// scalar stream restarts, bulk fills restart at block 0. Bit-identical
-    /// to a freshly constructed provider — the stream discipline makes the
-    /// served draws a pure function of the streams, never of buffer history.
-    pub fn reset(&mut self, run_seed: u64) {
-        self.run_seed = run_seed;
-        self.next_block = 0;
-        self.scalar_rng = derive_fast_stream(run_seed, par::SCALAR_STREAM);
-        self.tape.begin();
-    }
-
-    /// The seed the run's per-block streams derive from.
-    pub fn run_seed(&self) -> u64 {
-        self.run_seed
-    }
-
-    /// The configured thread cap.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sizes `out` for a bulk fill of `n` values and reserves the
-    /// consecutive block indices it consumes, returning the first.
-    fn take_blocks(&mut self, n: usize, out: &mut Vec<f64>) -> u64 {
-        out.resize(n, 0.0);
-        let first = self.next_block;
-        self.next_block = self.next_block.wrapping_add(par::blocks_for(n));
-        first
-    }
-}
-
-// Block fills re-check distribution parameters the mechanism already
-// validated; the expects below are justified per-site for the lint.
-#[allow(clippy::expect_used)]
-impl DrawProvider for ParallelDraws {
-    fn begin(&mut self) {
-        self.tape.begin();
-    }
-
-    fn predicted_draws(&self) -> usize {
-        self.tape.predicted_draws()
-    }
-
-    #[inline]
-    fn next(&mut self, scale: f64) -> f64 {
-        self.tape.next_scaled(&mut self.scalar_rng, scale)
-    }
-
-    #[inline]
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        self.tape
-            .discrete_next(&mut self.scalar_rng, unit_epsilon, gamma)
-    }
-
-    #[inline]
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(
-            (1..=MAX_TUPLE).contains(&unit_epsilons.len()),
-            "tuple arity must be in 1..={MAX_TUPLE}"
-        );
-        self.tape
-            .discrete_peek_tuples(&mut self.scalar_rng, unit_epsilons, gamma)
-    }
-
-    #[inline]
-    fn discrete_consume(&mut self, draws: usize) {
-        self.tape.consume(draws);
-    }
-
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let dl = DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate");
-        let first = self.take_blocks(base.len(), out);
-        par::par_fill_values_offset_blocks(&dl, self.run_seed, first, self.threads, base, out);
-    }
-
-    #[inline]
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
-        self.tape.peek_tuples_scaled(&mut self.scalar_rng, scales)
-    }
-
-    #[inline]
-    fn consume(&mut self, draws: usize) {
-        self.tape.consume(draws);
-    }
-
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let lap = Laplace::new(scale).expect("mechanism-validated scale");
-        let first = self.take_blocks(base.len(), out);
-        par::par_fill_offset_blocks(&lap, self.run_seed, first, self.threads, base, out);
-    }
-
-    #[inline]
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        self.tape.gumbel_next(&mut self.scalar_rng, beta)
-    }
-
-    #[inline]
-    fn exp_next(&mut self, beta: f64) -> f64 {
-        self.tape.exp_next(&mut self.scalar_rng, beta)
-    }
-
-    #[inline]
-    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
-        self.tape.staircase_next(&mut self.scalar_rng, dist)
-    }
-
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        let first = self.take_blocks(base.len(), out);
-        par::par_fill_offset_blocks(dist, self.run_seed, first, self.threads, base, out);
-    }
-
-    fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let gum = Gumbel::new(beta).expect("mechanism-validated scale");
-        let first = self.take_blocks(base.len(), out);
-        par::par_fill_offset_blocks(&gum, self.run_seed, first, self.threads, base, out);
-    }
-
-    fn select_top(&mut self, values: &[f64], m: usize, out: &mut Vec<usize>) {
-        crate::noisy_max::par_top_indices_into(values, m, self.threads, &mut self.chunk_tops, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,119 +725,5 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let mut p = RngDraws::new(&mut rng);
         p.peek_tuples(&[1.0; MAX_TUPLE + 1]);
-    }
-
-    /// Order-sensitive digest over f64 bit patterns (same fold family as
-    /// the serve-bench digests).
-    fn digest(values: &[f64]) -> u64 {
-        use free_gap_noise::rng::splitmix64;
-        let mut acc = 0xD16E_57ED_u64;
-        for v in values {
-            acc ^= v.to_bits();
-            acc = splitmix64(&mut acc);
-        }
-        acc
-    }
-
-    /// Drives one provider through every bulk-fill shape plus interleaved
-    /// scalar draws and returns the digest of everything it served.
-    fn drive_block_provider<P: DrawProvider>(p: &mut P, n: usize) -> u64 {
-        let base: Vec<f64> = (0..n).map(|i| (i % 101) as f64 - 13.0).collect();
-        let stair = Staircase::new(0.8, 1.0, 0.3).expect("valid shape");
-        let mut out = Vec::new();
-        let mut acc = Vec::new();
-        p.begin();
-        p.fill_offset(&base, 2.5, &mut out);
-        acc.extend_from_slice(&out);
-        acc.push(p.next(1.5));
-        p.discrete_fill_offset(&base, 0.4, 1.0, &mut out);
-        acc.extend_from_slice(&out);
-        acc.push(p.discrete_next(0.3, 1.0));
-        p.gumbel_fill_offset(&base, 1.0, &mut out);
-        acc.extend_from_slice(&out);
-        acc.push(p.gumbel_next(2.0));
-        p.staircase_fill_offset(&base, &stair, &mut out);
-        acc.extend_from_slice(&out);
-        acc.push(p.exp_next(0.7));
-        acc.push(p.staircase_next(&stair));
-        let pair = p.peek_pairs([3.0, 0.5]);
-        let (a, b) = (pair[0], pair[1]);
-        p.consume(2);
-        acc.push(a);
-        acc.push(b);
-        // A second fill must continue at the next block index.
-        p.fill_offset(&base, 0.9, &mut out);
-        acc.extend_from_slice(&out);
-        let mut top = Vec::new();
-        p.select_top(&acc, 9, &mut top);
-        let mut values = acc;
-        values.extend(top.iter().map(|&i| i as f64));
-        digest(&values)
-    }
-
-    #[test]
-    fn parallel_draws_match_sequential_reference_for_all_thread_counts() {
-        // The thread-count invariant: ParallelDraws at threads {2, 4} and
-        // the sequential reference (one thread) serve bit-identical draws
-        // across every fill shape, interleaved with scalar draws, at sizes
-        // spanning block boundaries.
-        for n in [5, 100, par::BLOCK_LEN, 2 * par::BLOCK_LEN + 7, 9000] {
-            let mut reference = ParallelDraws::new(42, 1);
-            let want = drive_block_provider(&mut reference, n);
-            for threads in [2, 4] {
-                let mut p = ParallelDraws::new(42, threads);
-                assert_eq!(
-                    drive_block_provider(&mut p, n),
-                    want,
-                    "n = {n}, threads = {threads} diverged from sequential reference"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn block_provider_digest_is_pinned() {
-        // Pins the stream layout itself (block size, seed derivation, block
-        // accounting): any change to the layout moves this digest and must
-        // be a deliberate, documented break.
-        let mut p = ParallelDraws::new(7, 4);
-        assert_eq!(drive_block_provider(&mut p, 9000), 0x5999_F45D_5790_3DC1);
-    }
-
-    #[test]
-    fn reset_matches_fresh_construction() {
-        let mut fresh = ParallelDraws::new(99, 1);
-        let want = drive_block_provider(&mut fresh, 1000);
-        // Run a different seed first, then reset: served draws must be a
-        // pure function of the run seed, not of buffer history.
-        let mut reused = ParallelDraws::new(7, 1);
-        drive_block_provider(&mut reused, 500);
-        reused.reset(99);
-        assert_eq!(drive_block_provider(&mut reused, 1000), want);
-        let mut par_reused = ParallelDraws::new(7, 4);
-        drive_block_provider(&mut par_reused, 500);
-        par_reused.reset(99);
-        assert_eq!(drive_block_provider(&mut par_reused, 1000), want);
-        assert_eq!(par_reused.threads(), 4);
-        assert_eq!(fresh.run_seed(), 99);
-    }
-
-    #[test]
-    fn scalar_draws_ride_the_reserved_stream() {
-        // Scalar draws must come off SCALAR_STREAM regardless of how many
-        // blocks bulk fills consumed — pin them against a hand-built tape.
-        let mut p = ParallelDraws::new(11, 1);
-        p.begin();
-        let mut out = Vec::new();
-        p.fill_offset(&[0.0; 100], 1.0, &mut out);
-        let x = p.next(2.0);
-        let mut q = ParallelDraws::new(11, 1);
-        q.begin();
-        let y = q.next(2.0);
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "bulk fills must not consume the scalar stream"
-        );
     }
 }

@@ -253,55 +253,6 @@ impl ExponentialMechanism {
         scores.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         Ok(scores.into_iter().take(k).map(|(_, i)| i).collect())
     }
-
-    /// Intra-run parallel form of the race behind
-    /// [`AnyMechanism::call_par`](crate::api::AnyMechanism::call_par): all
-    /// utilities are validated up front, every score `qᵢ·t + Gumbelᵢ` is
-    /// produced in one batched
-    /// [`gumbel_fill_offset`](DrawProvider::gumbel_fill_offset) (split
-    /// across the per-block provider's threads), and the race's insertion
-    /// rule replays over the precomputed scores in index order — the exact
-    /// `f64`-total-order rule of [`run_top_k_into`](Self::run_top_k_into),
-    /// so the result is bit-identical for any thread count of the same
-    /// provider family. (Per-chunk reduce is deliberately *not* used here:
-    /// the race orders by `total_cmp`, not the Noisy-Max `>=` rule.)
-    pub(crate) fn race_par_core<P: DrawProvider>(
-        &self,
-        values: &[f64],
-        k: usize,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        Self::require_top_k_len(values.len(), k)?;
-        crate::answers::require_finite(values)?;
-        provider.begin();
-        let t = self.exponent();
-        scratch.aux.clear();
-        scratch.aux.extend(values.iter().map(|q| q * t));
-        provider.gumbel_fill_offset(&scratch.aux, 1.0, &mut scratch.noisy);
-        // The race's insertion rule over the precomputed scores: `out`
-        // holds the k best indices, descending under the total order, ties
-        // to the smaller index (identical to `run_top_k_into`, which
-        // compares against its parallel sorted-score buffer — same values
-        // either way).
-        out.clear();
-        out.reserve(k.saturating_add(1).min(1024));
-        for i in 0..scratch.noisy.len() {
-            let s = scratch.noisy[i];
-            if k == 0
-                || (out.len() == k && s.total_cmp(&scratch.noisy[out[k - 1]]) != Ordering::Greater)
-            {
-                continue;
-            }
-            let pos = out.partition_point(|&j| scratch.noisy[j].total_cmp(&s) != Ordering::Less);
-            out.insert(pos, i);
-            if out.len() > k {
-                out.pop();
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -63,9 +63,6 @@
 //!   (batch lookahead), so derive a fresh
 //!   [`free_gap_noise::rng::derive_stream`] per run. [`draw::RngDraws`] is
 //!   its draw-exact twin, without a tape.
-//! * **[`draw::ParallelDraws`]** — the per-block sub-stream layout,
-//!   bit-identical for every thread count, sequential at one thread (a
-//!   different stream from the single-RNG providers).
 //!
 //! The SVT family's and the exponential race's `_into` entries consume
 //! `impl IntoIterator<Item = f64>` *lazily*, answering each query as it is
@@ -87,14 +84,17 @@
 //! shape: the [`api::Mechanism`] trait (`QuerySlice` in,
 //! [`api::MechanismOutput`] out, noise through any provider) and the
 //! [`api::AnyMechanism`] dispatch enum with the conveniences
-//! [`api::AnyMechanism::call_batched`] (fast path), `call_par` (per-block
-//! path) and [`api::AnyMechanism::call_reference`] (dyn reference path). The
+//! [`api::AnyMechanism::call_batched`] (fast path) and
+//! [`api::AnyMechanism::call_reference`] (dyn reference path). The
 //! per-mechanism entries above are the typed surface; the unified one is
 //! what uniform callers — the benchmark and the `free-gap-serve`
-//! multi-tenant server — build on. The SVT family
-//! additionally exposes a *resumable* streaming form
-//! ([`sparse_vector::ClassicSparseVector::stream_open`] /
-//! [`sparse_vector::ClassicSparseVector::stream_feed`]) whose batched
+//! multi-tenant server — build on. No mechanism behind it answers a
+//! workload holding a NaN or an infinity: each returns
+//! [`MechanismError::NonFiniteUtility`] for the first one (a discrete
+//! mechanism reports an earlier off-lattice answer first).
+//! Sparse-Vector-with-Gap additionally exposes a *resumable* streaming
+//! form ([`sparse_vector::SparseVectorWithGap::stream_open`] /
+//! [`sparse_vector::SparseVectorWithGap::stream_feed`]) whose batched
 //! feeds are bit-identical to a one-shot streaming run, which is what an
 //! open server session drives.
 //!

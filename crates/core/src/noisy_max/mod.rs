@@ -52,74 +52,6 @@ pub(crate) fn top_indices_into(values: &[f64], m: usize, buf: &mut Vec<usize>) {
     }
 }
 
-/// Smallest workload the parallel selection splits: below this the chunk
-/// scans cannot amortize thread spawn, so [`par_top_indices_into`] falls
-/// back to the sequential scan (which is bit-identical anyway).
-pub(crate) const PAR_SELECT_MIN: usize = 4096;
-
-/// Parallel twin of [`top_indices_into`]: up to `threads` scoped threads
-/// each run the sequential scan over one contiguous chunk, and the chunk
-/// winners merge under the scan's exact insertion rule, visited in
-/// ascending global index order.
-///
-/// Bit-identical to [`top_indices_into`] whenever no value is NaN: the
-/// sequential scan's final buffer is the top `m` under the total order
-/// (value descending, index ascending), the global top `m` is contained in
-/// the union of the chunk top-`m`s, and replaying that union in ascending
-/// index order reproduces the same buffer. NaN values (for which `>=` is
-/// not a total order) and small/degenerate shapes fall back to the
-/// sequential scan. `chunk_tops` is caller-owned scratch for the per-chunk
-/// winners.
-pub(crate) fn par_top_indices_into(
-    values: &[f64],
-    m: usize,
-    threads: usize,
-    chunk_tops: &mut Vec<Vec<usize>>,
-    buf: &mut Vec<usize>,
-) {
-    if threads <= 1
-        || m == 0
-        || values.len() < PAR_SELECT_MIN
-        || values.len() <= m.saturating_mul(threads)
-        || values.iter().any(|v| v.is_nan())
-    {
-        top_indices_into(values, m, buf);
-        return;
-    }
-    let chunk = values.len().div_ceil(threads);
-    chunk_tops.resize_with(threads, Vec::new);
-    std::thread::scope(|scope| {
-        for (t, top) in chunk_tops.iter_mut().enumerate() {
-            let lo = (t * chunk).min(values.len());
-            let hi = (lo + chunk).min(values.len());
-            scope.spawn(move || {
-                top_indices_into(&values[lo..hi], m, top);
-                for idx in top.iter_mut() {
-                    *idx += lo;
-                }
-            });
-        }
-    });
-    // Chunks are contiguous, so sorting each chunk's winners and visiting
-    // chunks in order yields candidates in ascending global index — the
-    // order the tie rule (earlier index wins) depends on.
-    buf.clear();
-    buf.reserve(m + 1);
-    for top in chunk_tops.iter_mut() {
-        top.sort_unstable();
-        for &i in top.iter() {
-            if buf.len() == m && values[i] <= values[buf[m - 1]] {
-                continue;
-            }
-            let pos = buf.partition_point(|&j| values[j] >= values[i]);
-            buf.insert(pos, i);
-            if buf.len() > m {
-                buf.pop();
-            }
-        }
-    }
-}
-
 /// The per-query Laplace scale of the Noisy Top-K family at budget `epsilon`:
 /// `2k/ε` in general, `k/ε` for monotone workloads (Theorem 2's factor two).
 pub(crate) fn top_k_scale(k: usize, epsilon: f64, monotonic: bool) -> f64 {
@@ -171,53 +103,5 @@ mod tests {
     fn scale_doubles_for_general_queries() {
         assert_eq!(top_k_scale(3, 1.5, true), 2.0);
         assert_eq!(top_k_scale(3, 1.5, false), 4.0);
-    }
-
-    #[test]
-    fn par_top_indices_matches_sequential_scan() {
-        use free_gap_noise::rng::rng_from_seed;
-        use rand::Rng;
-        let mut rng = rng_from_seed(77);
-        let mut chunk_tops = Vec::new();
-        // Quantized values force heavy ties, exercising the earlier-index
-        // tie rule across chunk boundaries; sizes straddle PAR_SELECT_MIN.
-        for n in [
-            0,
-            50,
-            PAR_SELECT_MIN - 1,
-            PAR_SELECT_MIN,
-            PAR_SELECT_MIN + 1,
-            3 * PAR_SELECT_MIN + 17,
-        ] {
-            let v: Vec<f64> = (0..n).map(|_| rng.gen_range(0..40) as f64 * 0.5).collect();
-            for m in [0, 1, 5, 26] {
-                let mut seq = Vec::new();
-                top_indices_into(&v, m, &mut seq);
-                for threads in [1, 2, 3, 4] {
-                    let mut par = Vec::new();
-                    par_top_indices_into(&v, m, threads, &mut chunk_tops, &mut par);
-                    assert_eq!(seq, par, "n={n} m={m} threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn par_top_indices_handles_signed_zero_and_nan() {
-        // ±0.0 compare equal under `>=`, so both paths break the tie by
-        // index; NaN breaks the total order and must hit the sequential
-        // fallback (which then matches trivially).
-        let mut v: Vec<f64> = (0..2 * PAR_SELECT_MIN)
-            .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
-            .collect();
-        let mut chunk_tops = Vec::new();
-        let (mut seq, mut par) = (Vec::new(), Vec::new());
-        top_indices_into(&v, 7, &mut seq);
-        par_top_indices_into(&v, 7, 4, &mut chunk_tops, &mut par);
-        assert_eq!(seq, par);
-        v[13] = f64::NAN;
-        top_indices_into(&v, 7, &mut seq);
-        par_top_indices_into(&v, 7, 4, &mut chunk_tops, &mut par);
-        assert_eq!(seq, par);
     }
 }

@@ -19,8 +19,8 @@
 //! protocol wiring (budget split, measurement scale convention, the BLUE
 //! `λ` formula, inverse-variance weights) exists once, and the caller picks
 //! the execution path by picking the provider. Selection and measurement
-//! draw through the same provider in order, so every single-stream
-//! provider reproduces the allocating reference entry bit for bit.
+//! draw through the same provider in order, so every provider reproduces
+//! the allocating reference entry bit for bit.
 
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};

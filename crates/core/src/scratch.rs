@@ -76,15 +76,13 @@ use rand::Rng;
 
 /// Reusable buffers for the Noisy Top-K family's batched fast path.
 ///
-/// Holds the noisy-answer vector (length `n`), the selection buffer
-/// (length `k + 1`), and an auxiliary vector the batched Gumbel race uses
-/// for its scaled-utility base; all are grown on first use and reused
-/// afterwards.
+/// Holds the noisy-answer vector (length `n`; the exponential race keeps
+/// its `k` best scores there) and the selection buffer (length `k + 1`);
+/// both are grown on first use and reused afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct TopKScratch {
     pub(crate) noisy: Vec<f64>,
     pub(crate) top: Vec<usize>,
-    pub(crate) aux: Vec<f64>,
 }
 
 impl TopKScratch {

@@ -135,8 +135,9 @@ impl AdaptiveSparseVector {
 
     /// Algorithm 2's one provider-taking entry: the two-rung
     /// [`MultiBranchAdaptiveSparseVector::run_into`], whose draw shape is
-    /// one `(ξᵢ, ηᵢ)` pair per query. Lazy consumption, the answer limit
-    /// and bit-identity across providers are as documented there.
+    /// one `(ξᵢ, ηᵢ)` pair per query. Lazy consumption, the answer limit,
+    /// bit-identity across providers and the finite-answer precondition are
+    /// as documented there.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,

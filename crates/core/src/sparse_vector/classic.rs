@@ -9,24 +9,22 @@
 
 use super::{optimal_threshold_share, SvOutput};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
-use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Resumable state of one streaming SVT run: the noisy threshold, the
 /// hoisted per-query noise scale, and the `⊤`-answer count.
 ///
-/// Created by [`ClassicSparseVector::stream_open`] /
+/// Created by
 /// [`SparseVectorWithGap::stream_open`](super::SparseVectorWithGap::stream_open)
 /// and advanced one query at a time with `stream_feed` — the shape a
 /// long-lived server needs for analyst sessions whose query stream spans
 /// many requests. The state is plain data (no borrow of the RNG or
 /// scratch), so it can live across calls while each call reconstructs the
-/// [`ScratchDraws`] provider over the session's persistent `rng`/`scratch`
-/// pair.
+/// [`ScratchDraws`](crate::draw::ScratchDraws) provider over the session's
+/// persistent `rng`/`scratch` pair.
 #[derive(Debug, Clone, Copy)]
 pub struct SvtStreamState {
     noisy_threshold: f64,
@@ -169,7 +167,7 @@ impl ClassicSparseVector {
     /// Draws the threshold noise and builds the resumable stream state.
     /// The caller must have called `provider.begin()` already (this is the
     /// first draw of a run); the public entry is
-    /// [`stream_open`](Self::stream_open).
+    /// [`SparseVectorWithGap::stream_open`](super::SparseVectorWithGap::stream_open).
     pub(crate) fn stream_state_core<P: DrawProvider>(&self, provider: &mut P) -> SvtStreamState {
         SvtStreamState {
             noisy_threshold: self.threshold + provider.next(self.threshold_scale()),
@@ -181,10 +179,10 @@ impl ClassicSparseVector {
 
     /// One step of the SVT decision loop — the single copy
     /// [`run_core`](Self::run_core) and the resumable
-    /// [`stream_feed`](Self::stream_feed) both execute. Returns `None` once
-    /// the run has halted (the query is *not* observed in that case),
-    /// otherwise `Some(decision)`: `Some(gap-or-0.0)` for `⊤`, `None` for
-    /// `⊥`.
+    /// [`SparseVectorWithGap::stream_feed`](super::SparseVectorWithGap::stream_feed)
+    /// both execute. Returns `None` once the run has halted (the query is
+    /// *not* observed in that case), otherwise `Some(decision)`:
+    /// `Some(gap-or-0.0)` for `⊤`, `None` for `⊥`.
     #[inline]
     pub(crate) fn stream_step_core<P: DrawProvider>(
         &self,
@@ -207,40 +205,6 @@ impl ClassicSparseVector {
         } else {
             None
         })
-    }
-
-    /// Opens a resumable streaming run: starts a fresh noise tape on
-    /// `scratch` and draws the threshold noise from `rng`. Feed the
-    /// returned state one query at a time with
-    /// [`stream_feed`](Self::stream_feed) — in any batching across any
-    /// number of calls, the decisions are bit-identical to one
-    /// [`run_into`](Self::run_into) call through [`ScratchDraws`] over the
-    /// concatenated stream on the same RNG, provided the
-    /// same `rng`/`scratch` pair keeps serving this stream until it halts
-    /// (the scratch's buffered lookahead is part of the tape, so the pair
-    /// must not be lent to another run in between).
-    pub fn stream_open<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvtStreamState {
-        let mut provider = ScratchDraws::new(scratch, rng);
-        provider.begin();
-        self.stream_state_core(&mut provider)
-    }
-
-    /// Feeds one query to an open stream (see
-    /// [`stream_open`](Self::stream_open)): `None` once the run has halted
-    /// — the query is never observed — otherwise the `⊤`/`⊥` decision
-    /// (`Some(0.0)` for `⊤`; classic SVT withholds the gap).
-    pub fn stream_feed<R: Rng + ?Sized>(
-        &self,
-        state: &mut SvtStreamState,
-        query: f64,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> Option<Option<f64>> {
-        self.stream_step_core(state, query, &mut ScratchDraws::new(scratch, rng), false)
     }
 
     /// Dyn-source reference entry shared by the classic and gap variants:
@@ -271,13 +235,18 @@ impl ClassicSparseVector {
     /// is consumed lazily — pulling stops the moment the `k`-th `⊤` is
     /// answered, so queries after the halt are never observed. The
     /// provider picks the execution path: [`SourceDraws`] is the reference
-    /// [`run`](Self::run) uses, [`ScratchDraws`] the blocked fast path
-    /// (it buffers *noise* ahead of the stream, never query answers; see
-    /// [`crate::scratch`]), and the per-block
-    /// [`ParallelDraws`](crate::draw::ParallelDraws) serves the threshold
-    /// loop off its scalar tape.
-    /// Every single-stream provider is bit-identical to [`run`](Self::run)
-    /// on the same RNG stream and query sequence.
+    /// [`run`](Self::run) uses, and [`ScratchDraws`](crate::draw::ScratchDraws)
+    /// the blocked fast path (it buffers *noise* ahead of the stream, never
+    /// query answers; see [`crate::scratch`]). Every provider is
+    /// bit-identical to [`run`](Self::run) on the same RNG stream and query
+    /// sequence.
+    ///
+    /// Precondition: every answer is finite — a `+∞` answer clears any
+    /// noisy threshold and a NaN never does. A lazy stream cannot be
+    /// checked before the first draw, and an error mid-scan would reveal
+    /// how far the scan got, so this entry does not check it;
+    /// [`Mechanism::call`](crate::api::Mechanism::call) rejects a
+    /// non-finite workload with a typed error before any draw.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,

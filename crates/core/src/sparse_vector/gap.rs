@@ -9,7 +9,7 @@
 use super::classic::{ClassicSparseVector, SvtStreamState};
 use super::SvOutput;
 use crate::answers::QueryAnswers;
-use crate::draw::DrawProvider;
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::MechanismError;
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
@@ -81,8 +81,9 @@ impl SparseVectorWithGap {
 
     /// The one provider-taking entry: the decision loop of
     /// [`ClassicSparseVector`] with every `⊤` releasing its noisy gap,
-    /// writing into `out` and reusing its buffer. Laziness, providers and
-    /// bit-identity as in [`ClassicSparseVector::run_into`].
+    /// writing into `out` and reusing its buffer. Laziness, providers,
+    /// bit-identity and the finite-answer precondition as in
+    /// [`ClassicSparseVector::run_into`].
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -92,19 +93,32 @@ impl SparseVectorWithGap {
         self.inner.run_core(queries, provider, true, out);
     }
 
-    /// Opens a resumable gap-releasing stream; contract as in
-    /// [`ClassicSparseVector::stream_open`].
+    /// Opens a resumable gap-releasing streaming run: starts a fresh noise
+    /// tape on `scratch` and draws the threshold noise from `rng`. Feed the
+    /// returned state one query at a time with
+    /// [`stream_feed`](Self::stream_feed) — in any batching across any
+    /// number of calls, the decisions are bit-identical to one
+    /// [`run_into`](Self::run_into) call through [`ScratchDraws`] over the
+    /// concatenated stream on the same RNG, provided the same
+    /// `rng`/`scratch` pair keeps serving this stream until it halts (the
+    /// scratch's buffered lookahead is part of the tape, so the pair must
+    /// not be lent to another run in between).
     pub fn stream_open<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         scratch: &mut SvtScratch,
     ) -> SvtStreamState {
-        self.inner.stream_open(rng, scratch)
+        let mut provider = ScratchDraws::new(scratch, rng);
+        provider.begin();
+        self.inner.stream_state_core(&mut provider)
     }
 
     /// Feeds one query to an open stream: `None` once the run has halted
     /// (the query is never observed), otherwise the decision — `Some(gap)`
-    /// for `⊤` with the free gap released, `None` for `⊥`.
+    /// for `⊤` with the free gap released, `None` for `⊥`. The query must
+    /// be finite, as in [`run_into`](Self::run_into); a caller that
+    /// accepts batches from outside checks the whole batch before the first
+    /// feed.
     pub fn stream_feed<R: Rng + ?Sized>(
         &self,
         state: &mut SvtStreamState,
@@ -112,12 +126,8 @@ impl SparseVectorWithGap {
         rng: &mut R,
         scratch: &mut SvtScratch,
     ) -> Option<Option<f64>> {
-        self.inner.stream_step_core(
-            state,
-            query,
-            &mut crate::draw::ScratchDraws::new(scratch, rng),
-            true,
-        )
+        self.inner
+            .stream_step_core(state, query, &mut ScratchDraws::new(scratch, rng), true)
     }
 }
 

@@ -158,7 +158,8 @@ impl MultiBranchAdaptiveSparseVector {
 
     /// The single copy of the branch-ladder logic and its one
     /// provider-taking entry, writing into `out` (every field overwritten,
-    /// buffers reused). Providers and bit-identity as in
+    /// buffers reused). Providers, bit-identity and the finite-answer
+    /// precondition as in
     /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
     ///
     /// Consumes `queries` lazily, pulling the next answer only while the

@@ -96,19 +96,20 @@ impl StaircaseMechanism {
     /// then one staircase draw per answer in index order through the
     /// provider's batch shape, written into `out` (reusing its buffer).
     /// Bit-identical to [`measure_split`](Self::measure_split) on the same
-    /// RNG stream through every single-stream provider; the per-block
-    /// providers fill the batch from their block streams. A batch whose
-    /// budget admits no distribution fails before any draw.
+    /// RNG stream through every provider. A non-finite answer, or a batch
+    /// whose budget admits no distribution, fails before any draw.
     ///
     /// # Errors
-    /// As [`noise_for_batch`](Self::noise_for_batch), for
-    /// `k = answers.len()`.
+    /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
+    /// infinite; otherwise as [`noise_for_batch`](Self::noise_for_batch),
+    /// for `k = answers.len()`.
     pub fn measure_split_into<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
         out: &mut Vec<f64>,
     ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(answers)?;
         let noise = self.noise_for_batch(answers.len())?;
         provider.begin();
         provider.staircase_fill_offset(answers, &noise, out);
@@ -123,7 +124,7 @@ impl StaircaseMechanism {
     /// call — and one distribution reconstruction — per draw.
     ///
     /// # Errors
-    /// As [`noise_for_batch`](Self::noise_for_batch), for `k = answers.len()`.
+    /// As [`measure_split_into`](Self::measure_split_into).
     pub fn measure_split(
         &self,
         answers: &[f64],

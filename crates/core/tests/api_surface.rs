@@ -5,9 +5,9 @@
 //!   reference entry (`run`, `run_top_k`, `measure_split`);
 //! * `call_batched` is bit-identical to each mechanism's `_into` entry
 //!   through the one fast provider it runs, the `ScratchDraws` tape;
-//! * the resumable streaming SVT (`stream_open`/`stream_feed`) is
-//!   bit-identical to a one-shot `run_into` under any batching of the
-//!   query feed.
+//! * the resumable streaming Sparse-Vector-with-Gap
+//!   (`stream_open`/`stream_feed`) is bit-identical to a one-shot
+//!   `run_into` under any batching of the query feed.
 //!
 //! Together with `tests/scratch_equivalence.rs` (which pins the `_into`
 //! entries to the reference entries across providers) this makes the API
@@ -273,7 +273,6 @@ fn names_and_costs_are_stable() {
 fn resumable_stream_matches_one_shot() {
     let queries = values();
     let gap = SparseVectorWithGap::new(3, 0.7, 60.0, true).unwrap();
-    let classic = ClassicSparseVector::new(3, 0.7, 60.0, true).unwrap();
     // Batchings: one-at-a-time, pairs, front-loaded, everything-at-once.
     let batchings: &[&[usize]] = &[
         &[1, 1, 1, 1, 1, 1, 1, 1],
@@ -283,20 +282,14 @@ fn resumable_stream_matches_one_shot() {
         &[3, 1, 4],
     ];
     for seed in 0..30u64 {
-        let (mut one_shot_gap, mut one_shot_classic) = (SvOutput::default(), SvOutput::default());
+        let mut one_shot_gap = SvOutput::default();
         gap.run_into(
             queries.iter().copied(),
             &mut ScratchDraws::new(&mut SvtScratch::new(), &mut derive_fast_stream(seed, 2)),
             &mut one_shot_gap,
         );
-        classic.run_into(
-            queries.iter().copied(),
-            &mut ScratchDraws::new(&mut SvtScratch::new(), &mut derive_fast_stream(seed, 2)),
-            &mut one_shot_classic,
-        );
         for batching in batchings {
             assert_eq!(batching.iter().sum::<usize>(), queries.len());
-            // Gap-releasing variant.
             let mut rng = derive_fast_stream(seed, 2);
             let mut scratch = SvtScratch::new();
             let mut state = gap.stream_open(&mut rng, &mut scratch);
@@ -316,20 +309,6 @@ fn resumable_stream_matches_one_shot() {
             );
             assert_eq!(state.answered(), one_shot_gap.answered());
             assert_eq!(state.is_halted(), one_shot_gap.answered() == gap.k());
-            // Classic variant: same decisions, gaps withheld.
-            let mut rng = derive_fast_stream(seed, 2);
-            let mut scratch = SvtScratch::new();
-            let mut state = classic.stream_open(&mut rng, &mut scratch);
-            let mut decisions = Vec::new();
-            for &q in &queries {
-                if let Some(d) = classic.stream_feed(&mut state, q, &mut rng, &mut scratch) {
-                    decisions.push(d);
-                }
-            }
-            assert_eq!(
-                decisions, one_shot_classic.above,
-                "classic seed {seed} batching {batching:?}"
-            );
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use free_gap_alignment::SamplingSource;
 use free_gap_core::api::CallScratch;
-use free_gap_core::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
+use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
 use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{
     ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap, TopKOutput,
@@ -26,7 +26,7 @@ use free_gap_core::sparse_vector::{
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_core::QueryAnswers;
-use free_gap_noise::rng::{derive_stream, derive_stream_seed};
+use free_gap_noise::rng::derive_stream;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt::Debug;
@@ -158,30 +158,18 @@ impl Subject for StaircaseMechanism {
     }
 }
 
-/// The draw providers. The first three serve one sequential stream and
-/// must reproduce the reference bit for bit; the per-block provider, run
-/// sequentially (`BlockSeq`, one thread) and threaded (`Parallel`, two),
-/// serves a different stream keyed by the same `(seed, run)`.
+/// The draw providers. Each serves one sequential stream and must
+/// reproduce the reference bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provider {
     Source,
     Rng,
     Scratch,
-    BlockSeq,
-    Parallel,
 }
 
 impl Provider {
-    /// The providers bit-identical to the reference entry.
-    pub const SINGLE_STREAM: [Provider; 3] = [Provider::Source, Provider::Rng, Provider::Scratch];
     /// Every provider.
-    pub const ALL: [Provider; 5] = [
-        Provider::Source,
-        Provider::Rng,
-        Provider::Scratch,
-        Provider::BlockSeq,
-        Provider::Parallel,
-    ];
+    pub const ALL: [Provider; 3] = [Provider::Source, Provider::Rng, Provider::Scratch];
 }
 
 /// Runs `m`'s `_into` entry once through a fresh `kind` provider on stream
@@ -205,14 +193,6 @@ pub fn run_entry<M: Subject>(
         Provider::Rng => m.entry(queries, &mut RngDraws::new(&mut rng), topk, out),
         Provider::Scratch => {
             let mut provider = ScratchDraws::new(&mut scratch.svt, &mut rng);
-            m.entry(queries, &mut provider, topk, out);
-        }
-        Provider::BlockSeq => {
-            let mut provider = ParallelDraws::new(derive_stream_seed(seed, run), 1);
-            m.entry(queries, &mut provider, topk, out);
-        }
-        Provider::Parallel => {
-            let mut provider = ParallelDraws::new(derive_stream_seed(seed, run), 2);
             m.entry(queries, &mut provider, topk, out);
         }
     }
@@ -257,7 +237,7 @@ impl<I: Iterator<Item = f64>> Iterator for PanicAfter<I> {
 }
 
 /// For each run: the reference entry on stream `(seed, run)`, then the
-/// `_into` entry through every single-stream provider on materialized and
+/// `_into` entry through every provider on materialized and
 /// on lazy input — all into one reused output, which must come back
 /// bit-identical to the reference every time.
 pub fn assert_providers_agree<M: Subject>(
@@ -272,7 +252,7 @@ pub fn assert_providers_agree<M: Subject>(
     let values = answers.values();
     for run in runs {
         let expect = bits(&m.reference(answers, &mut derive_stream(seed, run)));
-        for kind in Provider::SINGLE_STREAM {
+        for kind in Provider::ALL {
             let queries = values.iter().copied();
             run_entry(m, kind, (seed, run), queries, &mut scratch, &mut out);
             assert_eq!(

@@ -28,9 +28,9 @@
 //! the end of the buffered uniforms.
 
 use free_gap_alignment::SamplingSource;
-use free_gap_core::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
+use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
 use free_gap_core::SvtScratch;
-use free_gap_noise::rng::{derive_fast_stream, rng_from_seed};
+use free_gap_noise::rng::rng_from_seed;
 use free_gap_noise::{
     BlockBuffer, ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Exponential,
     Gumbel, Laplace, Staircase,
@@ -244,13 +244,7 @@ fn serve<P: DrawProvider>(ops: &[Op], provider: &mut P) -> Vec<(Want, f64)> {
 /// consumed request parameters on a fresh stream from `seed` — the
 /// stream-discipline invariant, per provider.
 fn assert_sequential(label: &str, served: &[(Want, f64)], seed: u64) {
-    assert_sequential_on(label, served, rng_from_seed(seed));
-}
-
-/// [`assert_sequential`] against an arbitrary reference stream — the
-/// per-block provider serves its scalar draws from a *derived*
-/// sub-stream, not `rng_from_seed(seed)` directly.
-fn assert_sequential_on<R: Rng>(label: &str, served: &[(Want, f64)], mut rng: R) {
+    let mut rng = rng_from_seed(seed);
     for (i, (want, value)) in served.iter().enumerate() {
         let expect = match want {
             Want::Cont(scale) => Laplace::new(*scale).unwrap().sample(&mut rng),
@@ -323,69 +317,6 @@ proptest! {
         for (i, (a, b)) in dyn_single.iter().zip(&scratch_single).enumerate() {
             assert_eq!(a.1.to_bits(), b.1.to_bits(), "dyn vs scratch, draw {i}");
         }
-    }
-
-    /// The per-block provider is thread-invariant: [`ParallelDraws`] at 2
-    /// and 4 threads serves the bit-identical stream of its sequential
-    /// one-thread form through any interleaving of the draw shapes, a reset
-    /// provider replays a fresh one exactly, and the scalar draws obey the
-    /// usual stream discipline on the reserved scalar sub-stream
-    /// (`derive_fast_stream(seed, SCALAR_STREAM)`).
-    #[test]
-    fn block_providers_are_thread_invariant(
-        ops_seed in 0u64..1_000_000,
-        op_count in 1usize..40,
-        seed in 0u64..100_000,
-    ) {
-        let ops = random_ops(ops_seed, op_count);
-        // Every thread count runs the same internal tape, so slab sizes (and
-        // hence multi-tuple consumption) agree — no `single()` needed.
-        let mut seq = ParallelDraws::new(seed, 1);
-        let seq_served = serve(&ops, &mut seq);
-        for threads in [2usize, 4] {
-            let mut par = ParallelDraws::new(seed, threads);
-            let par_served = serve(&ops, &mut par);
-            prop_assert_eq!(seq_served.len(), par_served.len());
-            for (i, (a, b)) in seq_served.iter().zip(&par_served).enumerate() {
-                assert_eq!(
-                    a.1.to_bits(),
-                    b.1.to_bits(),
-                    "seq vs {threads}-thread par, draw {i}"
-                );
-            }
-        }
-
-        // Rebinding to the same run seed replays the stream exactly —
-        // buffer history from the first serve is invisible. Single-tuple
-        // consumption, as in `scratch_reuse_is_invisible`: warm tape state
-        // may expose larger (value-identical) slabs per peek.
-        let single_ops: Vec<Op> = ops.iter().map(Op::single).collect();
-        seq.reset(seed);
-        let reset_served = serve(&single_ops, &mut seq);
-        let mut fresh = ParallelDraws::new(seed, 1);
-        let fresh_served = serve(&single_ops, &mut fresh);
-        prop_assert_eq!(fresh_served.len(), reset_served.len());
-        for (i, (a, b)) in fresh_served.iter().zip(&reset_served).enumerate() {
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "fresh vs reset, draw {i}");
-        }
-
-        // Bulk fills consume block streams, not the scalar stream, so an
-        // interleaving without them must match sequential sampling on the
-        // scalar sub-stream alone.
-        let scalar_ops: Vec<Op> = ops
-            .iter()
-            .filter(|op| {
-                !matches!(op, Op::Fill(..) | Op::DiscreteFill(..) | Op::StaircaseFill(..))
-            })
-            .cloned()
-            .collect();
-        let mut scalar_provider = ParallelDraws::new(seed, 1);
-        let scalar_served = serve(&scalar_ops, &mut scalar_provider);
-        assert_sequential_on(
-            "block scalar stream",
-            &scalar_served,
-            derive_fast_stream(seed, free_gap_noise::par::SCALAR_STREAM),
-        );
     }
 
     /// A scratch provider reused across runs (dirty block state, stale

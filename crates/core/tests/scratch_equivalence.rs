@@ -1,6 +1,6 @@
 //! Execution-path equivalence: every mechanism's one provider-taking
-//! `_into` entry, run through each single-stream provider (`SourceDraws`,
-//! `RngDraws`, the blocked `ScratchDraws` tape) on materialized and on
+//! `_into` entry, run through each provider (`SourceDraws`, `RngDraws`,
+//! the blocked `ScratchDraws` tape) on materialized and on
 //! lazy input, must produce **bit-for-bit** the same output as the
 //! allocating reference entry on an identically seeded stream.
 //!
@@ -151,7 +151,7 @@ fn halt_table() -> Vec<(&'static str, AnyMechanism, u64, Option<usize>)> {
     ]
 }
 
-/// Runs one row of [`halt_table`] under all five providers.
+/// Runs one row of [`halt_table`] under every provider.
 fn halt_row(name: &str) {
     let (_, mech, seed, pulls) = halt_table().into_iter().find(|row| row.0 == name).unwrap();
     match mech {

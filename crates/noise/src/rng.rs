@@ -38,12 +38,7 @@ pub fn rng_from_seed(seed: u64) -> StdRng {
 
 /// The 64-bit seed a `(seed, stream)` pair derives to — the mixing step
 /// shared by [`derive_stream`] and [`derive_fast_stream`].
-///
-/// Exposed on its own so layered stream layouts (e.g. the per-block
-/// parallel fill in `free-gap-core`, which derives a run seed per request
-/// and then a sub-stream per block) can name the intermediate seed instead
-/// of an RNG.
-pub fn derive_stream_seed(seed: u64, stream: u64) -> u64 {
+fn derive_stream_seed(seed: u64, stream: u64) -> u64 {
     // Golden-ratio increment separates (seed, stream) pairs before mixing.
     seed ^ splitmix64(&mut (stream.wrapping_add(0x9E37_79B9_7F4A_7C15)))
 }
@@ -115,9 +110,8 @@ mod tests {
     #[test]
     fn derive_stream_seed_is_the_shared_mixing_step() {
         // Both derive functions must expand exactly the seed
-        // derive_stream_seed names; this pins the refactor so the
-        // per-block sub-stream layout (which uses the seed directly)
-        // cannot drift from the RNG constructors.
+        // derive_stream_seed names, so the two generator families derive
+        // their streams from one mixing step.
         for (seed, stream) in [(0u64, 0u64), (7, 3), (u64::MAX, u64::MAX), (42, 1 << 40)] {
             let derived = derive_stream_seed(seed, stream);
             let mut via_seed = fast_rng_from_seed(derived);

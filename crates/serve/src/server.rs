@@ -31,6 +31,7 @@
 
 use crate::ledger::BudgetLedger;
 use crate::session::SvtSession;
+use free_gap_core::answers::require_finite;
 use free_gap_core::api::{AnyMechanism, CallScratch, Mechanism, MechanismOutput, QuerySlice};
 use free_gap_core::budget::{to_epsilon, units};
 use free_gap_core::sparse_vector::SparseVectorWithGap;
@@ -66,7 +67,8 @@ pub enum RequestBody {
         /// The gap-releasing SVT to run.
         svt: SparseVectorWithGap,
     },
-    /// Feed queries to an open session.
+    /// Feed queries to an open session. A batch holding a NaN or an
+    /// infinity is rejected whole, before the session sees any of it.
     Feed {
         /// The session to drive.
         session: u64,
@@ -374,6 +376,11 @@ impl QueryServer {
                 let Some(open) = inner.sessions.get_mut(session) else {
                     return MechanismResponse::Rejected(RejectReason::UnknownSession);
                 };
+                // The whole batch is checked before the session sees any of
+                // it: a rejection mid-feed would reveal how far the scan got.
+                if let Err(e) = require_finite(queries) {
+                    return MechanismResponse::Rejected(RejectReason::Invalid(e));
+                }
                 let mut decisions = Vec::new();
                 open.feed(queries, now, &mut decisions);
                 MechanismResponse::Decisions(decisions)

@@ -53,6 +53,9 @@ impl SvtSession {
     /// Feeds a batch of queries, appending one decision per query observed
     /// before the halt (`Some(gap)` for `⊤`, `None` for `⊥`); queries fed
     /// after the `k`-th `⊤` are never observed and produce no decision.
+    /// Every query must be finite
+    /// ([`require_finite`](free_gap_core::answers::require_finite)), which
+    /// the server checks on the whole batch before it feeds any of it.
     pub fn feed(&mut self, queries: &[f64], now: u64, out: &mut Vec<Option<f64>>) {
         self.last_used = now;
         for &q in queries {

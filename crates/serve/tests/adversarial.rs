@@ -3,9 +3,11 @@
 //! Each seed generates a request script for four tenants with a small idle
 //! horizon: calls over all ten mechanisms at hostile budgets (ε from 5e-324
 //! to 1e300, plus a fresh ε on every call), `k > n`, empty and off-lattice
-//! workloads (which the two discrete mechanisms must refuse), duplicate
-//! opens, feeds and closes to unknown, closed and evicted
-//! sessions, and idle runs that evict sessions between feeds. A model of
+//! workloads (which the two discrete mechanisms must refuse), NaN and ±∞
+//! answers in calls and feeds (which every mechanism and every open
+//! session must refuse), duplicate opens, feeds and closes to unknown,
+//! closed and evicted sessions, and idle runs that evict sessions between
+//! feeds. A model of
 //! the accountant, in the ledger's nano-ε units, predicts every response
 //! kind. For every seed the harness asserts:
 //!
@@ -17,8 +19,8 @@
 //! * once every session is closed, each tenant's spent units equal the
 //!   units its answered calls cost plus, per session, `units(ε)` less its
 //!   credit;
-//! * each tenant's response digest is the same when the script is served
-//!   from 1, 2 and 4 threads.
+//! * each tenant's response digest, and the count of each response kind,
+//!   is the same when the script is served from 1, 2 and 4 threads.
 //!
 //! The vendored `proptest` subset has no shrinking, so a failure prints
 //! its seed; `check_seed(seed)` replays it.
@@ -82,15 +84,21 @@ impl Gen {
 
     /// Integer-valued answers, some far above the threshold so sessions get
     /// `⊤` answers. [`script`] moves one answer of some calls off the
-    /// integer lattice.
+    /// integer lattice. About one workload in eight has one answer
+    /// replaced by a NaN or an infinity.
     fn queries(&mut self, max_len: u64) -> Vec<f64> {
         let n = self.below(max_len + 1);
-        (0..n)
+        let mut queries: Vec<f64> = (0..n)
             .map(|_| match self.below(4) {
                 0 => 1000.0,
                 _ => self.below(100) as f64,
             })
-            .collect()
+            .collect();
+        if n > 0 && self.below(8) == 0 {
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            queries[self.below(n) as usize] = bad[self.below(3) as usize];
+        }
+        queries
     }
 }
 
@@ -126,7 +134,8 @@ fn script(seed: u64, tenant: u64) -> Vec<RequestBody> {
                 let which = g.below(10);
                 let mut queries = g.queries(8);
                 if !queries.is_empty() && g.below(4) == 0 {
-                    // A fractional part in [0.25, 0.75): off the lattice.
+                    // A fractional part in [0.25, 0.75): off the lattice
+                    // (a non-finite answer stays non-finite).
                     let i = g.below(queries.len() as u64) as usize;
                     queries[i] += 0.25 + 0.5 * g.unit();
                 }
@@ -230,10 +239,23 @@ impl Model {
                     AnyMechanism::DiscreteNoisyTopKWithGap(_)
                         | AnyMechanism::DiscreteSparseVectorWithGap(_)
                 ) && queries.iter().any(|q| q.fract() != 0.0);
+                // No mechanism answers a NaN or an infinity.
+                let non_finite = queries.iter().any(|q| !q.is_finite());
                 match resp {
                     MechanismResponse::Rejected(RejectReason::Budget(_)) => debit > left,
+                    MechanismResponse::Rejected(RejectReason::Invalid(
+                        MechanismError::NonFiniteUtility { index, value },
+                    )) => {
+                        debit <= left
+                            && !value.is_finite()
+                            && queries
+                                .get(*index)
+                                .is_some_and(|q| q.to_bits() == value.to_bits())
+                    }
                     MechanismResponse::Rejected(RejectReason::Invalid(_)) => debit <= left,
-                    MechanismResponse::Output(_) if debit <= left && !off_lattice => {
+                    MechanismResponse::Output(_)
+                        if debit <= left && !off_lattice && !non_finite =>
+                    {
                         self.spent += debit;
                         self.calls += debit;
                         true
@@ -269,10 +291,19 @@ impl Model {
                 }
             }
             (RequestBody::Feed { session, queries }, resp) => {
+                let non_finite = queries.iter().any(|q| !q.is_finite());
                 match (self.open.get_mut(session), resp) {
                     (None, MechanismResponse::Rejected(RejectReason::UnknownSession)) => true,
+                    // A non-finite batch is refused whole: the session, its
+                    // answers and its idle clock are untouched.
+                    (
+                        Some(_),
+                        MechanismResponse::Rejected(RejectReason::Invalid(
+                            MechanismError::NonFiniteUtility { .. },
+                        )),
+                    ) => non_finite,
                     (Some(open), MechanismResponse::Decisions(decisions))
-                        if decisions.len() <= queries.len() =>
+                        if !non_finite && decisions.len() <= queries.len() =>
                     {
                         open.answered += decisions.iter().filter(|d| d.is_some()).count();
                         open.last_used = now;
@@ -338,31 +369,45 @@ fn serve(
 }
 
 /// Serves the script from `threads` threads, each owning a contiguous run
-/// of tenants; returns the digest folds sorted by tenant.
-fn serve_threaded(seed: u64, scripts: &[Vec<RequestBody>], threads: u64) -> Vec<(u64, u64)> {
+/// of tenants; returns the digest folds sorted by tenant and how often each
+/// response kind occurred.
+fn serve_threaded(
+    seed: u64,
+    scripts: &[Vec<RequestBody>],
+    threads: u64,
+) -> (Vec<(u64, u64)>, [u64; RESPONSE_KINDS]) {
     let server = new_server(seed);
-    let mut folds: Vec<(u64, u64)> = std::thread::scope(|scope| {
+    let mut folds = Vec::new();
+    let mut tally = [0; RESPONSE_KINDS];
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let mine: Vec<u64> = (0..TENANTS)
                     .filter(|t| t * threads / TENANTS == w)
                     .collect();
                 let server = &server;
-                scope.spawn(move || serve(server, scripts, &mine, |_, _, _| {}))
+                scope.spawn(move || {
+                    let mut seen = [0; RESPONSE_KINDS];
+                    let folds = serve(server, scripts, &mine, |_, _, resp| seen[kind(resp)] += 1);
+                    (folds, seen)
+                })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("a serving thread panicked"))
-            .collect()
+        for handle in handles {
+            let (mine, seen) = handle.join().expect("a serving thread panicked");
+            folds.extend(mine);
+            tally.iter_mut().zip(seen).for_each(|(n, s)| *n += s);
+        }
     });
     folds.sort_unstable();
-    folds
+    (folds, tally)
 }
 
 /// Response kinds the scripts must reach, so the harness cannot pass by
-/// exercising nothing.
-const KINDS: [&str; 11] = [
+/// exercising nothing. The first [`RESPONSE_KINDS`] are what [`kind`]
+/// classifies a response as; the last two are counted from the server and
+/// the model.
+const KINDS: [&str; 12] = [
     "output",
     "opened",
     "decisions",
@@ -372,9 +417,11 @@ const KINDS: [&str; 11] = [
     "budget",
     "invalid",
     "off-lattice answer",
+    "non-finite answer",
     "eviction",
     "release after a ⊤ answer",
 ];
+const RESPONSE_KINDS: usize = 10;
 
 fn kind(resp: &MechanismResponse) -> usize {
     match resp {
@@ -389,18 +436,21 @@ fn kind(resp: &MechanismResponse) -> usize {
             name: "answer",
             ..
         })) => 8,
+        MechanismResponse::Rejected(RejectReason::Invalid(MechanismError::NonFiniteUtility {
+            ..
+        })) => 9,
         MechanismResponse::Rejected(RejectReason::Invalid(_)) => 7,
         MechanismResponse::Rejected(RejectReason::UnknownTenant) => unreachable!(),
     }
 }
 
 /// Checks one seed; returns how often each of [`KINDS`] occurred.
-fn check_seed(seed: u64) -> [u64; 11] {
+fn check_seed(seed: u64) -> [u64; 12] {
     let scripts: Vec<Vec<RequestBody>> = (0..TENANTS).map(|t| script(seed, t)).collect();
     let server = new_server(seed);
     let mut models: Vec<Model> = (0..TENANTS).map(|_| Model::default()).collect();
     let tenants: Vec<u64> = (0..TENANTS).collect();
-    let mut tally = [0; 11];
+    let mut tally = [0; 12];
     let reference = serve(&server, &scripts, &tenants, |t, body, resp| {
         if let Err(e) = models[t as usize].step(body, resp) {
             panic!("tenant {t}: {e}");
@@ -409,8 +459,8 @@ fn check_seed(seed: u64) -> [u64; 11] {
         let spent = server.spent(t).expect("registered tenant");
         assert!(spent <= TOTAL, "tenant {t}: spent {spent} > {TOTAL}");
     });
-    tally[9] = server.evictions();
-    tally[10] = models.iter().map(|m| m.answered_sessions).sum();
+    tally[10] = server.evictions();
+    tally[11] = models.iter().map(|m| m.answered_sessions).sum();
     for (t, model) in models.iter().enumerate() {
         let t = t as u64;
         assert!(model.open.is_empty(), "tenant {t}: the model kept sessions");
@@ -422,10 +472,12 @@ fn check_seed(seed: u64) -> [u64; 11] {
         );
     }
     for threads in [2, 4] {
+        let (folds, seen) = serve_threaded(seed, &scripts, threads);
+        assert_eq!(folds, reference, "digests moved at {threads} threads");
         assert_eq!(
-            serve_threaded(seed, &scripts, threads),
-            reference,
-            "digests moved at {threads} threads"
+            seen,
+            tally[..RESPONSE_KINDS],
+            "response kinds moved at {threads} threads"
         );
     }
     tally
@@ -433,7 +485,7 @@ fn check_seed(seed: u64) -> [u64; 11] {
 
 #[test]
 fn adversarial_scripts_keep_the_ledger_exact_and_the_digests_fixed() {
-    let mut tally = [0; 11];
+    let mut tally = [0; 12];
     for i in 0..SEEDS {
         let seed = splitmix64(&mut (0xAD5E_ED00 + i));
         match std::panic::catch_unwind(|| check_seed(seed)) {

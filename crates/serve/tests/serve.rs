@@ -8,14 +8,19 @@
 //! * per-tenant responses are independent of how requests from different
 //!   tenants interleave (the sequential reference check);
 //! * a call the mechanism cannot serve (an unrepresentable staircase batch,
-//!   a non-finite Top-K answer, an off-lattice answer to a discrete
-//!   mechanism) is a typed rejection whose debit is refunded in full;
+//!   a non-finite answer to any mechanism, an off-lattice answer to a
+//!   discrete mechanism) is a typed rejection whose debit is refunded in
+//!   full, and a non-finite feed leaves its session untouched;
 //! * the serve-bench digest is bit-identical for 1 vs 4 worker threads.
 
-use free_gap_core::api::AnyMechanism;
+use free_gap_core::api::{AnyMechanism, ExponentialTopK, Mechanism};
 use free_gap_core::budget::{to_epsilon, units};
+use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
-use free_gap_core::sparse_vector::{DiscreteSparseVectorWithGap, SparseVectorWithGap};
+use free_gap_core::sparse_vector::{
+    AdaptiveSparseVector, ClassicSparseVector, DiscreteSparseVectorWithGap,
+    MultiBranchAdaptiveSparseVector, SparseVectorWithGap,
+};
 use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_core::MechanismError;
 use free_gap_serve::server::RejectReason;
@@ -382,56 +387,140 @@ fn a_spent_tenant_cannot_call_at_a_vanishing_epsilon() {
     assert_eq!(server.spent(0), Some(1.0));
 }
 
-/// A NaN or infinite answer used to corrupt Noisy-Top-K selection (a NaN
-/// resets the `>=` scan; an infinite winner releases a NaN gap). Each Top-K
-/// mechanism now rejects such a request before drawing, and the server
-/// refunds the debit in full.
+/// A NaN or infinite answer used to corrupt selection and the SVT scans
+/// (a NaN resets the Top-K `>=` scan and is never `⊤`; a `+∞` clears any
+/// SVT threshold and releases an infinite gap). Every mechanism now
+/// rejects such a request before drawing, and the server refunds the debit
+/// in full. An open session rejects such a feed whole, before it sees any
+/// query: the session's state and idle clock stay as they were, so a later
+/// finite feed decides exactly as in a session that never saw the rejected
+/// one, and the ledger does not move.
 #[test]
-fn a_non_finite_top_k_request_is_rejected_and_refunded() {
+fn a_non_finite_request_is_rejected_and_refunded() {
     let server = QueryServer::new(5);
-    server.register_tenant(0, 1.0).unwrap();
+    server.register_tenant(0, 10.0).unwrap();
     let mut scratch = WorkerScratch::new();
-    let mechanisms: [AnyMechanism; 3] = [
+    let exponential = ExponentialMechanism::new(0.25, true).unwrap();
+    let mechanisms: [AnyMechanism; 10] = [
         NoisyTopKWithGap::new(1, 0.25, true).unwrap().into(),
         ClassicNoisyTopK::new(1, 0.25, true).unwrap().into(),
         DiscreteNoisyTopKWithGap::new(1, 0.25, true).unwrap().into(),
+        ExponentialTopK::new(exponential, 1).unwrap().into(),
+        StaircaseMechanism::new(0.25).unwrap().into(),
+        SparseVectorWithGap::new(1, 0.25, 5.0, true).unwrap().into(),
+        ClassicSparseVector::new(1, 0.25, 5.0, true).unwrap().into(),
+        AdaptiveSparseVector::new(1, 0.25, 5.0, true)
+            .unwrap()
+            .into(),
+        MultiBranchAdaptiveSparseVector::new(1, 0.25, 5.0, true, 3)
+            .unwrap()
+            .into(),
+        DiscreteSparseVectorWithGap::new(1, 0.25, 5.0, true)
+            .unwrap()
+            .into(),
     ];
+    let call = |mechanism: AnyMechanism, queries: Vec<f64>| MechanismRequest {
+        tenant: 0,
+        body: RequestBody::Call { mechanism, queries },
+    };
     for mechanism in mechanisms {
-        let call = |queries: Vec<f64>| MechanismRequest {
-            tenant: 0,
-            body: RequestBody::Call { mechanism, queries },
-        };
-        for queries in [
-            vec![10.0, f64::NAN, 3.0, 2.0],
-            vec![10.0, f64::INFINITY, 3.0, 2.0],
-        ] {
-            let response = server.handle(&call(queries), &mut scratch);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let response = server.handle(&call(mechanism, vec![10.0, bad, 3.0, 2.0]), &mut scratch);
             assert!(
                 matches!(
                     response,
                     MechanismResponse::Rejected(RejectReason::Invalid(
-                        free_gap_core::MechanismError::NonFiniteUtility { index: 1, .. }
+                        MechanismError::NonFiniteUtility { index: 1, .. }
                     ))
                 ),
-                "{response:?}"
+                "{}: {response:?}",
+                mechanism.name()
             );
             assert_eq!(server.spent(0), Some(0.0));
         }
     }
-    assert_eq!(server.remaining(0), Some(1.0));
-    // The tenant keeps serving: a finite request is answered and debited.
-    let response = server.handle(
-        &MechanismRequest {
-            tenant: 0,
-            body: RequestBody::Call {
-                mechanism: mechanisms[0],
-                queries: vec![10.0, 4.0, 3.0, 2.0],
-            },
-        },
+    // The tenant keeps serving: each finite request is answered and debited.
+    for mechanism in mechanisms {
+        let response = server.handle(&call(mechanism, vec![10.0, 4.0, 3.0, 2.0]), &mut scratch);
+        assert!(
+            matches!(response, MechanismResponse::Output(_)),
+            "{response:?}"
+        );
+    }
+    assert_eq!(server.spent(0), Some(2.5));
+
+    let svt = SparseVectorWithGap::new(2, 0.5, 5.0, true).unwrap();
+    let request = |body: RequestBody| MechanismRequest { tenant: 0, body };
+    let feed = |queries: Vec<f64>| {
+        request(RequestBody::Feed {
+            session: 1,
+            queries,
+        })
+    };
+    let finite = vec![1.0, 9.0, 4.0, 30.0, 6.0, 2.0];
+    let mut serve = |rejected_feeds: &[Vec<f64>]| {
+        let server = QueryServer::new(9);
+        server.register_tenant(0, 1.0).unwrap();
+        server.handle(
+            &request(RequestBody::OpenSession { session: 1, svt }),
+            &mut scratch,
+        );
+        let spent = server.spent(0);
+        for queries in rejected_feeds {
+            let response = server.handle(&feed(queries.clone()), &mut scratch);
+            assert!(
+                matches!(
+                    response,
+                    MechanismResponse::Rejected(RejectReason::Invalid(
+                        MechanismError::NonFiniteUtility { .. }
+                    ))
+                ),
+                "{response:?}"
+            );
+            assert_eq!(server.spent(0), spent);
+        }
+        let decisions = server.handle(&feed(finite.clone()), &mut scratch);
+        assert!(
+            matches!(decisions, MechanismResponse::Decisions(_)),
+            "{decisions:?}"
+        );
+        let closed = server.handle(
+            &request(RequestBody::CloseSession { session: 1 }),
+            &mut scratch,
+        );
+        (decisions, closed, server.spent(0))
+    };
+    let clean = serve(&[]);
+    let poisoned = serve(&[
+        vec![1.0, f64::NAN],
+        vec![f64::INFINITY],
+        vec![40.0, 3.0, f64::NEG_INFINITY],
+    ]);
+    assert_eq!(poisoned, clean);
+
+    // A rejected feed does not refresh the idle clock: opened at tick 1 and
+    // fed only non-finite batches at ticks 2 and 3, the session is evicted
+    // at tick 4 under a two-tick horizon.
+    let server = QueryServer::new(9).with_max_idle(2);
+    server.register_tenant(0, 1.0).unwrap();
+    server.handle(
+        &request(RequestBody::OpenSession { session: 1, svt }),
         &mut scratch,
     );
-    assert!(matches!(response, MechanismResponse::Output(_)));
-    assert_eq!(server.spent(0), Some(0.25));
+    for _ in 0..2 {
+        let response = server.handle(&feed(vec![f64::NAN]), &mut scratch);
+        assert!(response.is_rejected() && !response.is_budget_rejected());
+    }
+    assert_eq!(
+        server.handle(&feed(finite.clone()), &mut scratch),
+        MechanismResponse::Rejected(RejectReason::UnknownSession)
+    );
+    assert_eq!(server.evictions(), 1);
+    // An unknown session is reported as such, whatever the batch holds.
+    assert_eq!(
+        server.handle(&feed(vec![f64::NAN]), &mut scratch),
+        MechanismResponse::Rejected(RejectReason::UnknownSession)
+    );
 }
 
 /// The discrete mechanisms release gaps on the lattice `{kγ}`, so an
