@@ -25,9 +25,13 @@
 //! ## Contract
 //!
 //! The trait exposes the draw shapes the paper's mechanisms need — single
-//! draws ([`next`](DrawProvider::next)), the adaptive branch ladder's
-//! `m`-tuples ([`peek_tuples`](DrawProvider::peek_tuples); Algorithm 2 is
-//! the ladder at `m = 2`, so its `(ξ, η)` pairs are 2-tuples), the
+//! draws ([`next`](DrawProvider::next)), which the continuous SVT family
+//! takes only for its noisy threshold (the broken-variant zoo also draws
+//! its query noise this way), the adaptive branch ladder's `m`-tuples
+//! ([`peek_tuples`](DrawProvider::peek_tuples): Algorithm 2 is the ladder
+//! at `m = 2`, so its `(ξ, η)` pairs are 2-tuples, and
+//! Sparse-Vector-with-Gap and classic SVT draw their query noise as the
+//! one-rung ladder's 1-tuples), the
 //! Noisy-Max batch ([`fill_offset`](DrawProvider::fill_offset)), the
 //! discrete (finite-precision) twins of each
 //! ([`discrete_next`](DrawProvider::discrete_next),

@@ -142,6 +142,16 @@ pub(crate) fn require_epsilon(value: f64) -> Result<f64, MechanismError> {
     }
 }
 
+/// Rejects a budget whose Laplace noise scale overflows `f64` (a subnormal
+/// `epsilon` makes `1/ε` infinite): a typed error before any draw, not a
+/// panic in the provider nor a run comparing infinities.
+pub(crate) fn require_scale(scale: f64, epsilon: f64) -> Result<(), MechanismError> {
+    match free_gap_noise::Laplace::new(scale) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(MechanismError::InvalidEpsilon { value: epsilon }),
+    }
+}
+
 /// Validates a parameter that must be positive and finite (a lattice step,
 /// a sensitivity, a variance).
 pub(crate) fn require_positive(name: &'static str, value: f64) -> Result<f64, MechanismError> {

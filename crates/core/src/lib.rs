@@ -12,9 +12,9 @@
 //! | [`noisy_max::NoisyTopKWithGap`] | Noisy-Top-K-with-Gap | Algorithm 1, Theorem 2 |
 //! | [`noisy_max::ClassicNoisyTopK`] | index-only Noisy Max / Top-K baseline | Dwork & Roth, §5 |
 //! | [`sparse_vector::AdaptiveSparseVector`] | Adaptive-Sparse-Vector-with-Gap: the two-rung branch ladder | Algorithm 2, Theorem 4 |
-//! | [`sparse_vector::MultiBranchAdaptiveSparseVector`] | the `m`-rung branch ladder, the one adaptive SVT core | §6.1 extension |
-//! | [`sparse_vector::SparseVectorWithGap`] | Sparse-Vector-with-Gap (Wang et al.) | §6.1 (σ = ∞ case) |
-//! | [`sparse_vector::ClassicSparseVector`] | SVT baseline (Lyu et al.) | §2, §7.3 |
+//! | [`sparse_vector::MultiBranchAdaptiveSparseVector`] | the `m`-rung branch ladder, the one loop of the continuous SVT family | §6.1 extension |
+//! | [`sparse_vector::SparseVectorWithGap`] | Sparse-Vector-with-Gap (Wang et al.): the one-rung branch ladder | §6.1 (σ = ∞ case) |
+//! | [`sparse_vector::ClassicSparseVector`] | SVT baseline (Lyu et al.): the one-rung ladder with the gaps withheld | §2, §7.3 |
 //! | [`exponential_mech::ExponentialMechanism`] | exponential-mechanism selection baseline | §2 related work |
 //! | [`laplace_mech::LaplaceMechanism`] | Laplace measurement | Theorem 1 |
 //!
@@ -93,10 +93,11 @@
 //! [`MechanismError::NonFiniteUtility`] for the first one (a discrete
 //! mechanism reports an earlier off-lattice answer first).
 //! Sparse-Vector-with-Gap additionally exposes a *resumable* streaming
-//! form ([`sparse_vector::SparseVectorWithGap::stream_open`] /
-//! [`sparse_vector::SparseVectorWithGap::stream_feed`]) whose batched
-//! feeds are bit-identical to a one-shot streaming run, which is what an
-//! open server session drives.
+//! form: [`sparse_vector::SparseVectorWithGap::stream_open`] runs the
+//! branch ladder's open step, and
+//! [`sparse_vector::SparseVectorWithGap::stream_feed`] its feed step over
+//! one batch, so batched feeds are bit-identical to a one-shot streaming
+//! run. An open server session drives it.
 //!
 //! ## Example
 //!

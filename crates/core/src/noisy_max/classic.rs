@@ -7,10 +7,10 @@
 //! implemented independently to make the experiments' comparison honest
 //! (same draw pattern, same selection rule).
 
-use super::{require_scale, top_k_scale};
+use super::top_k_scale;
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{require_epsilon, require_scale, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;

@@ -98,13 +98,13 @@ impl DiscreteNoisyTopKWithGap {
     /// [`NoisyTopKWithGap::run_into`](crate::noisy_max::NoisyTopKWithGap::run_into).
     ///
     /// # Errors
-    /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
-    /// infinite, [`MechanismError::NotEnoughQueries`] if the workload has
-    /// fewer than `k + 1` queries, [`MechanismError::InvalidParameter`] if
-    /// an answer is not a multiple of `γ`, and
+    /// All before any draw, values before length: at the first answer off
+    /// the lattice, [`MechanismError::NonFiniteUtility`] if it is NaN or
+    /// infinite and [`MechanismError::InvalidParameter`] if it is a finite
+    /// non-multiple of `γ`; then [`MechanismError::NotEnoughQueries`] if
+    /// the workload has fewer than `k + 1` queries; then
     /// [`MechanismError::InvalidEpsilon`] if the per-query rate admits no
-    /// discrete Laplace in `f64` (its decay ratio rounds to 1 or 0); all
-    /// before any draw.
+    /// discrete Laplace in `f64` (its decay ratio rounds to 1 or 0).
     pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -112,9 +112,8 @@ impl DiscreteNoisyTopKWithGap {
         scratch: &mut TopKScratch,
         out: &mut TopKOutput,
     ) -> Result<(), MechanismError> {
-        crate::answers::require_finite(answers)?;
-        crate::answers::require_min_len(answers, self.k + 1)?;
         crate::answers::require_lattice(answers, self.gamma)?;
+        crate::answers::require_min_len(answers, self.k + 1)?;
         // Checked per run, not at construction: `delta` stays defined on
         // lattices too fine to sample.
         if DiscreteLaplace::new(self.unit_epsilon(), self.gamma).is_err() {

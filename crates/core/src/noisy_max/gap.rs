@@ -12,10 +12,10 @@
 //! `qᵢ - q'ᵢ + max_{l∉I}(q'_l + η_l) - max_{l∉I}(q_l + η_l)`,
 //! which preserves every win margin exactly.
 
-use super::{require_scale, top_k_scale};
+use super::top_k_scale;
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{require_epsilon, require_scale, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;

@@ -11,8 +11,6 @@ pub use discrete::DiscreteNoisyTopKWithGap;
 pub use gap::{NoisyMaxWithGap, NoisyTopKWithGap, TopKItem, TopKOutput};
 pub use pairwise::{pairwise_gap, pairwise_gap_variance};
 
-use crate::error::MechanismError;
-
 /// Indices of the `m` largest values, descending; ties broken by the smaller
 /// index (continuous noise makes ties measure-zero, so any deterministic rule
 /// is fine — this one keeps runs reproducible).
@@ -57,16 +55,6 @@ pub(crate) fn top_indices_into(values: &[f64], m: usize, buf: &mut Vec<usize>) {
 pub(crate) fn top_k_scale(k: usize, epsilon: f64, monotonic: bool) -> f64 {
     let factor = if monotonic { 1.0 } else { 2.0 };
     factor * k as f64 / epsilon
-}
-
-/// Rejects a run whose Laplace scale overflows `f64` (a subnormal `epsilon`
-/// makes `2k/ε` infinite): a typed error before any draw, not a panic in
-/// the provider.
-pub(crate) fn require_scale(scale: f64, epsilon: f64) -> Result<(), MechanismError> {
-    match free_gap_noise::Laplace::new(scale) {
-        Ok(_) => Ok(()),
-        Err(_) => Err(MechanismError::InvalidEpsilon { value: epsilon }),
-    }
 }
 
 #[cfg(test)]

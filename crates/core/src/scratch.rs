@@ -182,6 +182,13 @@ impl SvtScratch {
         &self.scaled
     }
 
+    /// Readies the next `n` draws for peeking — see
+    /// [`BlockBuffer::window`](free_gap_noise::BlockBuffer::window).
+    #[inline]
+    pub(crate) fn window<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) {
+        self.block.window(rng, n);
+    }
+
     /// Advances the cursor past `draws` values previously obtained from
     /// [`peek_tuples_scaled`](Self::peek_tuples_scaled) or
     /// [`discrete_peek_tuples`](Self::discrete_peek_tuples) (one uniform

@@ -76,7 +76,7 @@ impl AdaptiveSparseVector {
                 requirement: "must be non-negative and finite",
             });
         }
-        self.inner.set_margin_multiplier(m);
+        self.inner.margin_multiplier = m;
         Ok(self)
     }
 
@@ -84,18 +84,18 @@ impl AdaptiveSparseVector {
     /// answers even if budget remains (the Figure-4 protocol, which then
     /// reads off [`AdaptiveSvOutput::remaining_fraction`]).
     pub fn with_answer_limit(mut self, limit: usize) -> Self {
-        self.inner.set_answer_limit(limit);
+        self.inner.answer_limit = Some(limit);
         self
     }
 
     /// The sizing parameter `k`.
     pub fn k(&self) -> usize {
-        self.inner.k()
+        self.inner.k
     }
 
     /// The public threshold `T`.
     pub fn threshold(&self) -> f64 {
-        self.inner.threshold()
+        self.inner.threshold
     }
 
     /// The total privacy budget `ε`.
@@ -115,22 +115,22 @@ impl AdaptiveSparseVector {
 
     /// Cheap per-answer budget `ε₂ = ε₁/2`: rung 0's budget.
     pub fn epsilon2(&self) -> f64 {
-        self.inner.branch_budget(0)
+        self.inner.rung(self.epsilon1(), 0).0
     }
 
     /// Laplace scale of the top-branch noise `ξᵢ`.
     pub fn top_scale(&self) -> f64 {
-        self.inner.branch_scale(0)
+        self.inner.rung(self.epsilon1(), 0).1
     }
 
     /// Laplace scale of the middle-branch noise `ηᵢ`.
     pub fn middle_scale(&self) -> f64 {
-        self.inner.branch_scale(1)
+        self.inner.rung(self.epsilon1(), 1).1
     }
 
     /// The top-branch margin `σ` (multiplier × std of `Lap(top_scale)`).
     pub fn sigma(&self) -> f64 {
-        self.inner.branch_margin(0)
+        self.inner.margin(self.top_scale())
     }
 
     /// Algorithm 2's one provider-taking entry: the two-rung

@@ -6,59 +6,23 @@
 //! (`c` = 2 general, 1 monotone), answers `⊤`/`⊥` by comparing, and stops
 //! after `k` `⊤`s. Total cost `ε = ε₁ + ε₂` regardless of how many `⊥`s are
 //! emitted — answering below-threshold queries is free.
+//!
+//! It is [`SparseVectorWithGap`] with the gaps withheld, which is the
+//! paper's point: the gap was free all along. Both run the one-rung branch
+//! ladder's loop and alignment, so the two variants cannot silently diverge
+//! (the Chen–Machanavajjhala hazard).
 
-use super::{optimal_threshold_share, SvOutput};
+use super::{SparseVectorWithGap, SvOutput};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
+use crate::error::MechanismError;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
 
-/// Resumable state of one streaming SVT run: the noisy threshold, the
-/// hoisted per-query noise scale, and the `⊤`-answer count.
-///
-/// Created by
-/// [`SparseVectorWithGap::stream_open`](super::SparseVectorWithGap::stream_open)
-/// and advanced one query at a time with `stream_feed` — the shape a
-/// long-lived server needs for analyst sessions whose query stream spans
-/// many requests. The state is plain data (no borrow of the RNG or
-/// scratch), so it can live across calls while each call reconstructs the
-/// [`ScratchDraws`](crate::draw::ScratchDraws) provider over the session's
-/// persistent `rng`/`scratch` pair.
-#[derive(Debug, Clone, Copy)]
-pub struct SvtStreamState {
-    noisy_threshold: f64,
-    query_scale: f64,
-    answered: usize,
-    k: usize,
-}
-
-impl SvtStreamState {
-    /// Number of `⊤` answers emitted so far.
-    pub fn answered(&self) -> usize {
-        self.answered
-    }
-
-    /// True once the `k`-th `⊤` has been answered; further feeds return
-    /// `None` without observing the query.
-    pub fn is_halted(&self) -> bool {
-        self.answered >= self.k
-    }
-
-    /// The answer cap `k` of the mechanism that opened the stream.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// Classic SVT (no gap release).
+/// Classic SVT: Sparse-Vector-with-Gap answering each `⊤` with `Some(0.0)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassicSparseVector {
-    k: usize,
-    epsilon: f64,
-    threshold: f64,
-    threshold_share: f64,
-    monotonic: bool,
+    inner: SparseVectorWithGap,
 }
 
 impl ClassicSparseVector {
@@ -70,219 +34,69 @@ impl ClassicSparseVector {
         threshold: f64,
         monotonic: bool,
     ) -> Result<Self, MechanismError> {
-        if k == 0 {
-            return Err(MechanismError::InvalidK {
-                k,
-                requirement: "k must be at least 1",
-            });
-        }
         Ok(Self {
-            k,
-            epsilon: require_epsilon(epsilon)?,
-            threshold,
-            threshold_share: optimal_threshold_share(k, monotonic),
-            monotonic,
+            inner: SparseVectorWithGap::new(k, epsilon, threshold, monotonic)?,
         })
     }
 
     /// Overrides the threshold/query budget split (`θ ∈ (0,1)` is the
     /// threshold's share).
     pub fn with_threshold_share(mut self, share: f64) -> Result<Self, MechanismError> {
-        self.threshold_share = require_fraction("threshold_share", share)?;
+        self.inner = self.inner.with_threshold_share(share)?;
         Ok(self)
     }
 
     /// The answer cap `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.inner.k()
     }
 
     /// The public threshold `T`.
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.inner.threshold()
     }
 
     /// The total privacy budget `ε`.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
     /// Threshold-noise budget `ε₁ = θε`.
     pub fn epsilon1(&self) -> f64 {
-        self.threshold_share * self.epsilon
+        self.inner.epsilon1()
     }
 
     /// Query-noise budget `ε₂ = (1-θ)ε`.
     pub fn epsilon2(&self) -> f64 {
-        (1.0 - self.threshold_share) * self.epsilon
+        self.inner.epsilon2()
     }
 
     /// Laplace scale of the threshold noise, `1/ε₁`.
     pub fn threshold_scale(&self) -> f64 {
-        1.0 / self.epsilon1()
+        self.inner.threshold_scale()
     }
 
     /// Laplace scale of each query's noise, `ck/ε₂`.
     pub fn query_scale(&self) -> f64 {
-        let c = if self.monotonic { 1.0 } else { 2.0 };
-        c * self.k as f64 / self.epsilon2()
-    }
-
-    /// The single copy of the SVT decision loop, generic over the
-    /// [`DrawProvider`] noise comes through. Shared by the classic and
-    /// gap-releasing variants (`release_gaps` controls whether above answers
-    /// carry the noisy gap or a placeholder `0.0`) and by every execution
-    /// path — the variants cannot silently diverge (the
-    /// Chen–Machanavajjhala hazard).
-    ///
-    /// Writes into `out`, reusing its buffer; the stop condition is checked
-    /// *before* pulling the next query, so once the k-th ⊤ is answered no
-    /// further query is ever observed.
-    pub(crate) fn run_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        provider: &mut P,
-        release_gaps: bool,
-        out: &mut SvOutput,
-    ) {
-        provider.begin();
-        let mut queries = queries.into_iter();
-        // One decision per query draw: pre-size from the provider's
-        // consumption prediction (capped by the stream's own upper bound
-        // when it knows one) to skip the realloc chain on long streams.
-        let capacity = provider
-            .predicted_draws()
-            .min(queries.size_hint().1.unwrap_or(usize::MAX));
-        let mut state = self.stream_state_core(provider);
-        out.above.clear();
-        out.above.reserve(capacity);
-        while !state.is_halted() {
-            let Some(q) = queries.next() else { break };
-            if let Some(decision) = self.stream_step_core(&mut state, q, provider, release_gaps) {
-                out.above.push(decision);
-            }
-        }
-    }
-
-    /// Draws the threshold noise and builds the resumable stream state.
-    /// The caller must have called `provider.begin()` already (this is the
-    /// first draw of a run); the public entry is
-    /// [`SparseVectorWithGap::stream_open`](super::SparseVectorWithGap::stream_open).
-    pub(crate) fn stream_state_core<P: DrawProvider>(&self, provider: &mut P) -> SvtStreamState {
-        SvtStreamState {
-            noisy_threshold: self.threshold + provider.next(self.threshold_scale()),
-            query_scale: self.query_scale(),
-            answered: 0,
-            k: self.k,
-        }
-    }
-
-    /// One step of the SVT decision loop — the single copy
-    /// [`run_core`](Self::run_core) and the resumable
-    /// [`SparseVectorWithGap::stream_feed`](super::SparseVectorWithGap::stream_feed)
-    /// both execute. Returns `None` once the run has halted (the query is
-    /// *not* observed in that case), otherwise `Some(decision)`:
-    /// `Some(gap-or-0.0)` for `⊤`, `None` for `⊥`.
-    #[inline]
-    pub(crate) fn stream_step_core<P: DrawProvider>(
-        &self,
-        state: &mut SvtStreamState,
-        q: f64,
-        provider: &mut P,
-        release_gaps: bool,
-    ) -> Option<Option<f64>> {
-        if state.is_halted() {
-            return None;
-        }
-        let noisy = q + provider.next(state.query_scale);
-        Some(if noisy >= state.noisy_threshold {
-            state.answered += 1;
-            Some(if release_gaps {
-                noisy - state.noisy_threshold
-            } else {
-                0.0
-            })
-        } else {
-            None
-        })
-    }
-
-    /// Dyn-source reference entry shared by the classic and gap variants:
-    /// [`run_core`](Self::run_core) through the [`SourceDraws`] adapter.
-    pub(crate) fn run_impl(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-        release_gaps: bool,
-    ) -> SvOutput {
-        let mut out = SvOutput::default();
-        self.run_core(
-            answers.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            release_gaps,
-            &mut out,
-        );
-        out
+        self.inner.query_scale()
     }
 
     /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        self.run_impl(answers, &mut SamplingSource::new(rng), false)
+        AlignedMechanism::run(self, answers, &mut SamplingSource::new(rng))
     }
 
-    /// The one provider-taking entry: the shared SVT decision loop without
-    /// gap release, writing into `out` and reusing its buffer. `queries`
-    /// is consumed lazily — pulling stops the moment the `k`-th `⊤` is
-    /// answered, so queries after the halt are never observed. The
-    /// provider picks the execution path: [`SourceDraws`] is the reference
-    /// [`run`](Self::run) uses, and [`ScratchDraws`](crate::draw::ScratchDraws)
-    /// the blocked fast path (it buffers *noise* ahead of the stream, never
-    /// query answers; see [`crate::scratch`]). Every provider is
-    /// bit-identical to [`run`](Self::run) on the same RNG stream and query
-    /// sequence.
-    ///
-    /// Precondition: every answer is finite — a `+∞` answer clears any
-    /// noisy threshold and a NaN never does. A lazy stream cannot be
-    /// checked before the first draw, and an error mid-scan would reveal
-    /// how far the scan got, so this entry does not check it;
-    /// [`Mechanism::call`](crate::api::Mechanism::call) rejects a
-    /// non-finite workload with a typed error before any draw.
+    /// The one provider-taking entry:
+    /// [`SparseVectorWithGap::run_into`] with every `⊤` answered
+    /// `Some(0.0)`. Laziness, providers, bit-identity and the finite-answer
+    /// precondition as there.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut SvOutput,
     ) {
-        self.run_core(queries, provider, false, out);
-    }
-
-    /// Builds the SVT alignment shared by the classic and gap variants:
-    /// threshold noise up by 1 (or 0 in the favorable monotone direction),
-    /// each `⊤` query's noise shifted to keep clearing the higher threshold.
-    pub(crate) fn align_impl(
-        &self,
-        input: &QueryAnswers,
-        neighbor: &QueryAnswers,
-        tape: &NoiseTape,
-        output: &SvOutput,
-    ) -> NoiseTape {
-        let q = input.values();
-        let qp = neighbor.values();
-        // Footnote 6: when all queries shrink (qᵢ >= q'ᵢ) on a monotone
-        // workload, the threshold can stay put and winners shift by qᵢ - q'ᵢ.
-        let favorable = self.monotonic && q.iter().zip(qp).all(|(a, b)| a >= b);
-        let threshold_shift = if favorable { 0.0 } else { 1.0 };
-        tape.aligned_by(|draw_idx, _| {
-            if draw_idx == 0 {
-                threshold_shift
-            } else {
-                let qi = draw_idx - 1; // draw i+1 belongs to query i
-                match output.above.get(qi) {
-                    Some(Some(_)) => threshold_shift + q[qi] - qp[qi],
-                    _ => 0.0,
-                }
-            }
-        })
+        self.inner.run_decisions(queries, provider, out, false);
     }
 }
 
@@ -291,9 +105,15 @@ impl AlignedMechanism for ClassicSparseVector {
     type Output = SvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.run_impl(input, source, false)
+        let mut out = SvOutput::default();
+        let queries = input.values().iter().copied();
+        self.run_into(queries, &mut SourceDraws::new(source), &mut out);
+        out
     }
 
+    /// Sparse-Vector-with-Gap's alignment: threshold noise up by 1 (or 0 in
+    /// the favorable monotone direction), each `⊤` query's noise shifted to
+    /// keep clearing the higher threshold.
     fn align(
         &self,
         input: &QueryAnswers,
@@ -301,11 +121,11 @@ impl AlignedMechanism for ClassicSparseVector {
         tape: &NoiseTape,
         output: &SvOutput,
     ) -> NoiseTape {
-        self.align_impl(input, neighbor, tape, output)
+        self.inner.align(input, neighbor, tape, output)
     }
 
     fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 }
 

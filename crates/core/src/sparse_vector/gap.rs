@@ -1,54 +1,69 @@
 //! Sparse-Vector-with-Gap (Wang et al. [41], recovered from Algorithm 2 by
-//! deleting the first branch / setting `σ = ∞`).
+//! deleting the first branch / setting `σ = ∞`): the one-rung case of the
+//! branch ladder ([`MultiBranchAdaptiveSparseVector`]).
 //!
-//! Identical to [`ClassicSparseVector`] in noise, decisions, stopping rule
-//! and privacy cost — but each `⊤` additionally releases the noisy gap
-//! `qᵢ + νᵢ - T̃`, for free. `gap + T` is then a noisy estimate of `qᵢ(D)`
-//! that §6.2 sharpens with measurements and confidence bounds.
+//! Classic SVT's noise, decisions, stopping rule and privacy cost — and
+//! each `⊤` additionally releases the noisy gap `qᵢ + νᵢ - T̃`, for free.
+//! `gap + T` is then a noisy estimate of `qᵢ(D)` that §6.2 sharpens with
+//! measurements and confidence bounds. The ladder runs at this type's own
+//! scales, `1/(θε)` and `c·k/((1-θ)ε)`, evaluated as the paper states them.
 
-use super::classic::{ClassicSparseVector, SvtStreamState};
-use super::SvOutput;
+use super::multi_branch::Decisions;
+use super::{MultiBranchAdaptiveSparseVector, SvOutput, SvtStreamState};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws};
-use crate::error::MechanismError;
+use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::error::{require_fraction, require_scale, MechanismError};
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Sparse-Vector-with-Gap.
+/// Sparse-Vector-with-Gap: the one-rung branch ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseVectorWithGap {
-    inner: ClassicSparseVector,
+    inner: MultiBranchAdaptiveSparseVector,
 }
 
 impl SparseVectorWithGap {
-    /// Creates the mechanism (parameters as in [`ClassicSparseVector::new`]).
+    /// Creates the mechanism: find up to `k` queries above `threshold` with
+    /// total budget `epsilon`, using the Lyu-et-al optimal budget split. A
+    /// budget whose noise scale overflows is [`MechanismError::InvalidEpsilon`].
     pub fn new(
         k: usize,
         epsilon: f64,
         threshold: f64,
         monotonic: bool,
     ) -> Result<Self, MechanismError> {
-        Ok(Self {
-            inner: ClassicSparseVector::new(k, epsilon, threshold, monotonic)?,
-        })
+        Self::checked(MultiBranchAdaptiveSparseVector::new(
+            k, epsilon, threshold, monotonic, 1,
+        )?)
     }
 
-    /// Overrides the threshold/query budget split.
+    /// Overrides the threshold/query budget split (`θ ∈ (0,1)` is the
+    /// threshold's share).
     pub fn with_threshold_share(mut self, share: f64) -> Result<Self, MechanismError> {
-        self.inner = self.inner.with_threshold_share(share)?;
-        Ok(self)
+        self.inner.theta = require_fraction("threshold_share", share)?;
+        Self::checked(self.inner)
+    }
+
+    /// Wraps a one-rung ladder whose noise scales, this type's own among
+    /// them, are finite.
+    fn checked(inner: MultiBranchAdaptiveSparseVector) -> Result<Self, MechanismError> {
+        let svt = Self {
+            inner: inner.require_scales()?,
+        };
+        require_scale(svt.query_scale(), svt.epsilon())?;
+        Ok(svt)
     }
 
     /// The answer cap `k`.
     pub fn k(&self) -> usize {
-        self.inner.k()
+        self.inner.k
     }
 
     /// The public threshold `T`.
     pub fn threshold(&self) -> f64 {
-        self.inner.threshold()
+        self.inner.threshold
     }
 
     /// The total privacy budget `ε`.
@@ -56,53 +71,78 @@ impl SparseVectorWithGap {
         self.inner.epsilon()
     }
 
-    /// Threshold-noise budget `ε₁`.
+    /// Threshold-noise budget `ε₁ = θε`.
     pub fn epsilon1(&self) -> f64 {
-        self.inner.epsilon1()
+        self.inner.epsilon0()
     }
 
-    /// Query-noise budget `ε₂`.
+    /// Query-noise budget `ε₂ = (1-θ)ε`.
     pub fn epsilon2(&self) -> f64 {
-        self.inner.epsilon2()
+        (1.0 - self.inner.theta) * self.inner.epsilon()
     }
 
-    /// Variance of each released gap: threshold noise plus query noise.
+    /// Laplace scale of the threshold noise, `1/ε₁`.
+    pub(super) fn threshold_scale(&self) -> f64 {
+        1.0 / self.epsilon1()
+    }
+
+    /// Laplace scale of each query's noise, `ck/ε₂`.
+    pub(super) fn query_scale(&self) -> f64 {
+        let c = if self.inner.monotonic { 1.0 } else { 2.0 };
+        c * self.k() as f64 / self.epsilon2()
+    }
+
+    /// Variance of each released gap, `2/ε₁² + 2(ck/ε₂)²` (§6.2):
+    /// threshold noise plus query noise.
     pub fn gap_variance(&self) -> f64 {
-        let t = self.inner.threshold_scale();
-        let q = self.inner.query_scale();
+        let t = self.threshold_scale();
+        let q = self.query_scale();
         2.0 * t * t + 2.0 * q * q
+    }
+
+    /// One run of the one-rung ladder into `out`, each `⊤` carrying its
+    /// noisy gap, or `0.0` when `release_gaps` is false.
+    pub(super) fn run_decisions<P: DrawProvider, I: IntoIterator<Item = f64>>(
+        &self,
+        queries: I,
+        provider: &mut P,
+        out: &mut SvOutput,
+        release_gaps: bool,
+    ) {
+        out.above.clear();
+        let mut sink = Decisions(&mut out.above, release_gaps);
+        let scale = Some(self.query_scale());
+        self.inner.run_sink(scale, queries, provider, &mut sink);
     }
 
     /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        self.inner
-            .run_impl(answers, &mut SamplingSource::new(rng), true)
+        AlignedMechanism::run(self, answers, &mut SamplingSource::new(rng))
     }
 
-    /// The one provider-taking entry: the decision loop of
-    /// [`ClassicSparseVector`] with every `⊤` releasing its noisy gap,
-    /// writing into `out` and reusing its buffer. Laziness, providers,
-    /// bit-identity and the finite-answer precondition as in
-    /// [`ClassicSparseVector::run_into`].
+    /// The one provider-taking entry: the one-rung
+    /// [`MultiBranchAdaptiveSparseVector::run_into`] with every `⊤`
+    /// releasing its noisy gap, writing into `out` and reusing its buffer.
+    /// Laziness (no query is pulled after the `k`-th `⊤`), providers,
+    /// bit-identity and the finite-answer precondition as there.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut SvOutput,
     ) {
-        self.inner.run_core(queries, provider, true, out);
+        self.run_decisions(queries, provider, out, true);
     }
 
     /// Opens a resumable gap-releasing streaming run: starts a fresh noise
     /// tape on `scratch` and draws the threshold noise from `rng`. Feed the
-    /// returned state one query at a time with
-    /// [`stream_feed`](Self::stream_feed) — in any batching across any
-    /// number of calls, the decisions are bit-identical to one
-    /// [`run_into`](Self::run_into) call through [`ScratchDraws`] over the
-    /// concatenated stream on the same RNG, provided the same
-    /// `rng`/`scratch` pair keeps serving this stream until it halts (the
-    /// scratch's buffered lookahead is part of the tape, so the pair must
-    /// not be lent to another run in between).
+    /// returned state batch by batch with [`stream_feed`](Self::stream_feed)
+    /// — in any batching across any number of calls, the decisions are
+    /// bit-identical to one [`run_into`](Self::run_into) call through
+    /// [`ScratchDraws`] over the concatenated stream on the same RNG,
+    /// provided the same `rng`/`scratch` pair keeps serving this stream
+    /// until it halts (the scratch's buffered lookahead is part of the
+    /// tape, so the pair must not be lent to another run in between).
     pub fn stream_open<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -110,24 +150,30 @@ impl SparseVectorWithGap {
     ) -> SvtStreamState {
         let mut provider = ScratchDraws::new(scratch, rng);
         provider.begin();
-        self.inner.stream_state_core(&mut provider)
+        self.inner.open(&mut provider, Some(self.query_scale()))
     }
 
-    /// Feeds one query to an open stream: `None` once the run has halted
-    /// (the query is never observed), otherwise the decision — `Some(gap)`
-    /// for `⊤` with the free gap released, `None` for `⊥`. The query must
-    /// be finite, as in [`run_into`](Self::run_into); a caller that
-    /// accepts batches from outside checks the whole batch before the first
-    /// feed.
-    pub fn stream_feed<R: Rng + ?Sized>(
+    /// Feeds a batch to an open stream — one call of the ladder's feed
+    /// step — appending one decision per query observed before the halt:
+    /// `Some(gap)` for `⊤`, `None` for `⊥`. The queries must be finite, as
+    /// in [`run_into`](Self::run_into); a caller that accepts batches from
+    /// outside checks the whole batch first. `state` must come from this
+    /// mechanism's [`stream_open`](Self::stream_open): the feed takes the
+    /// threshold, noise scale and stop rule from it (debug builds check).
+    pub fn stream_feed<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         state: &mut SvtStreamState,
-        query: f64,
+        queries: I,
         rng: &mut R,
         scratch: &mut SvtScratch,
-    ) -> Option<Option<f64>> {
-        self.inner
-            .stream_step_core(state, query, &mut ScratchDraws::new(scratch, rng), true)
+        out: &mut Vec<Option<f64>>,
+    ) {
+        // The batch's length is known here: one peek serves the whole feed.
+        let queries = queries.into_iter();
+        scratch.window(rng, queries.size_hint().1.unwrap_or(0));
+        let mut provider = ScratchDraws::new(scratch, rng);
+        let mut sink = Decisions(out, true);
+        self.inner.feed(state, queries, &mut provider, &mut sink);
     }
 }
 
@@ -136,12 +182,16 @@ impl AlignedMechanism for SparseVectorWithGap {
     type Output = SvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.inner.run_impl(input, source, true)
+        let mut out = SvOutput::default();
+        let queries = input.values().iter().copied();
+        self.run_into(queries, &mut SourceDraws::new(source), &mut out);
+        out
     }
 
-    /// The same alignment as classic SVT: Wang et al.'s observation is that
-    /// it *already* preserves the gap values exactly, so releasing them adds
-    /// no cost. The checker verifies gap equality through
+    /// The ladder's Eq. (3) alignment at one rung, which classic SVT shares:
+    /// Wang et al.'s observation is that it *already* preserves the gap
+    /// values exactly, so releasing them adds no cost. The checker verifies
+    /// gap equality through
     /// [`outputs_match`](AlignedMechanism::outputs_match).
     fn align(
         &self,
@@ -150,11 +200,12 @@ impl AlignedMechanism for SparseVectorWithGap {
         tape: &NoiseTape,
         output: &SvOutput,
     ) -> NoiseTape {
-        self.inner.align_impl(input, neighbor, tape, output)
+        let winner = |qi: usize| output.above.get(qi).copied().flatten().map(|_| 0);
+        self.inner.align_winners(input, neighbor, tape, winner)
     }
 
     fn epsilon(&self) -> f64 {
-        AlignedMechanism::epsilon(&self.inner)
+        self.inner.epsilon()
     }
 
     fn outputs_match(&self, a: &SvOutput, b: &SvOutput) -> bool {
@@ -170,6 +221,7 @@ impl AlignedMechanism for SparseVectorWithGap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse_vector::ClassicSparseVector;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;

@@ -1,6 +1,9 @@
 //! The Sparse Vector family (§6): classic SVT baseline, Sparse-Vector-with-
-//! Gap, and the paper's Adaptive-Sparse-Vector-with-Gap (Algorithm 2), which
-//! is the two-rung case of the one adaptive core, the multi-branch ladder.
+//! Gap, and the paper's Adaptive-Sparse-Vector-with-Gap (Algorithm 2). The
+//! continuous members run one loop, the multi-branch ladder's: Algorithm 2
+//! is its two-rung case, Sparse-Vector-with-Gap its one-rung case, and
+//! classic SVT the one-rung run with the gaps withheld. The discrete
+//! variant keeps its own loop over the discrete-Laplace draw shapes.
 
 mod adaptive;
 pub mod broken;
@@ -11,10 +14,10 @@ mod multi_branch;
 mod output;
 
 pub use adaptive::AdaptiveSparseVector;
-pub use classic::{ClassicSparseVector, SvtStreamState};
+pub use classic::ClassicSparseVector;
 pub use discrete::DiscreteSparseVectorWithGap;
 pub use gap::SparseVectorWithGap;
-pub use multi_branch::MultiBranchAdaptiveSparseVector;
+pub use multi_branch::{MultiBranchAdaptiveSparseVector, SvtStreamState};
 pub use output::{AdaptiveOutcome, AdaptiveSvOutput, SvOutput};
 
 /// The Lyu et al. recommended budget split between threshold noise and query
@@ -24,21 +27,6 @@ pub use output::{AdaptiveOutcome, AdaptiveSvOutput, SvOutput};
 pub fn optimal_threshold_share(k: usize, monotonic: bool) -> f64 {
     let base = if monotonic { k as f64 } else { 2.0 * k as f64 };
     1.0 / (1.0 + base.powf(2.0 / 3.0))
-}
-
-/// Variance of a gap released by (non-adaptive) Sparse-Vector-with-Gap run
-/// at budget `epsilon` with the optimal split: `8(1+(2k)^{2/3})³/(2ε)²`-style
-/// closed forms from §6.2.
-///
-/// Concretely: with `ε₁ = θε` on the threshold and `ε₂ = (1-θ)ε` across `k`
-/// query answers at scale `c·k/ε₂` (`c` = 2 general, 1 monotone), the gap
-/// variance is `2/ε₁² + 2(ck/ε₂)²`.
-pub fn gap_variance(k: usize, epsilon: f64, monotonic: bool, threshold_share: f64) -> f64 {
-    let c = if monotonic { 1.0 } else { 2.0 };
-    let eps1 = threshold_share * epsilon;
-    let eps2 = (1.0 - threshold_share) * epsilon;
-    let query_scale = c * k as f64 / eps2;
-    2.0 / (eps1 * eps1) + 2.0 * query_scale * query_scale
 }
 
 #[cfg(test)]
@@ -64,14 +52,16 @@ mod tests {
         // is 2(1+(2k)^{2/3})³/ε'².
         let k = 5;
         let eps = 0.35;
-        let share = optimal_threshold_share(k, false);
-        let got = gap_variance(k, eps, false, share);
+        let got = SparseVectorWithGap::new(k, eps, 0.0, false)
+            .unwrap()
+            .gap_variance();
         let c = (2.0 * k as f64).powf(2.0 / 3.0);
         let expect = 2.0 * (1.0 + c).powi(3) / (eps * eps);
         assert!((got - expect).abs() / expect < 1e-12, "{got} vs {expect}");
         // Monotone: 2(1+k^{2/3})³/ε'².
-        let share_m = optimal_threshold_share(k, true);
-        let got_m = gap_variance(k, eps, true, share_m);
+        let got_m = SparseVectorWithGap::new(k, eps, 0.0, true)
+            .unwrap()
+            .gap_variance();
         let cm = (k as f64).powf(2.0 / 3.0);
         let expect_m = 2.0 * (1.0 + cm).powi(3) / (eps * eps);
         assert!((got_m - expect_m).abs() / expect_m < 1e-12);

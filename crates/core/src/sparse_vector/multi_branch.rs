@@ -1,21 +1,29 @@
 //! Multi-branch Adaptive Sparse Vector — the extension §6.1 sketches:
 //! *"Algorithm 2 can be easily extended with multiple additional 'if'
 //! branches. For simplicity we do not include such variations."* We include
-//! it, and it is the one adaptive SVT core: Algorithm 2
-//! ([`AdaptiveSparseVector`](super::AdaptiveSparseVector)) is this ladder
-//! with two rungs, run through the same loop, alignment and output
-//! comparison.
+//! it, and its loop is the one loop of the continuous SVT family: Algorithm
+//! 2 ([`AdaptiveSparseVector`](super::AdaptiveSparseVector)) is the ladder
+//! with two rungs, Sparse-Vector-with-Gap
+//! ([`SparseVectorWithGap`](super::SparseVectorWithGap)) the ladder with one
+//! rung, and classic SVT ([`ClassicSparseVector`](super::ClassicSparseVector))
+//! that one-rung run with its gaps withheld.
 //!
 //! With `m` branches the per-answer budgets form a geometric ladder
 //! `ε₁/2^{m-1} < … < ε₁/2 < ε₁`: each query is first tested with the
 //! cheapest (noisiest) branch against a 2-standard-deviation margin, then
 //! successively more expensive branches, ending with the margin-0 baseline
-//! test. A query `2^{m-1}`× … far above the threshold costs `ε₁/2^{m-1}`,
-//! so the same budget can answer up to `2^{m-1}·k` such queries.
+//! test, so the same budget can answer up to `2^{m-1}·k` far-above
+//! queries. The stop rule counts exact budget units: rung `b` costs `2^b`
+//! units, a run holds `k·2^{m-1}`, and the ladder stops once the units
+//! left cannot cover a baseline answer — at `m = 1`, after exactly `k`
+//! answers. The `f64` [`AdaptiveSvOutput::spent`] is reported, never
+//! compared.
 //!
-//! `m = 1` recovers Sparse-Vector-with-Gap's decisions; `m = 2` is
-//! Algorithm 2, whose two settings — the margin multiplier and the answer
-//! limit — the ladder carries privately.
+//! `new(.., 1)` makes Sparse-Vector-with-Gap's decisions, with gaps equal
+//! to within rounding: its rung scale is `c/(ε₁/2^{m-1})`, while
+//! Sparse-Vector-with-Gap hands the loop its own `c·k/ε₂`. `m = 2` is
+//! Algorithm 2, whose margin multiplier and answer limit the ladder
+//! carries privately.
 //!
 //! The local alignment generalizes Eq. (3) verbatim: the threshold noise
 //! moves up by one, losing branch noises stay, and the single winning
@@ -25,24 +33,105 @@
 use super::{optimal_threshold_share, AdaptiveOutcome, AdaptiveSvOutput};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws, MAX_TUPLE};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
+use crate::error::{require_epsilon, require_fraction, require_scale, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
+
+/// Where the feed step writes the outcome of each query it observes.
+pub(super) trait Sink {
+    fn reserve(&mut self, additional: usize);
+    fn push(&mut self, outcome: AdaptiveOutcome);
+}
+
+impl Sink for Vec<AdaptiveOutcome> {
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+
+    #[inline]
+    fn push(&mut self, outcome: AdaptiveOutcome) {
+        Vec::push(self, outcome);
+    }
+}
+
+/// The one-rung decisions of an [`SvOutput`](super::SvOutput): `Some(gap)`
+/// for `⊤`, or `Some(0.0)` when the gaps are withheld (the `bool` is
+/// false: classic SVT), and `None` for `⊥`.
+pub(super) struct Decisions<'a>(pub(super) &'a mut Vec<Option<f64>>, pub(super) bool);
+
+impl Sink for Decisions<'_> {
+    fn reserve(&mut self, additional: usize) {
+        self.0.reserve(additional);
+    }
+
+    #[inline]
+    fn push(&mut self, outcome: AdaptiveOutcome) {
+        self.0.push(match outcome {
+            AdaptiveOutcome::Above { gap, .. } => Some(if self.1 { gap } else { 0.0 }),
+            AdaptiveOutcome::Below => None,
+        });
+    }
+}
+
+/// Resumable state of one run of the branch ladder: the noisy threshold,
+/// the baseline rung's budget and noise scale, the stop rule's parameters,
+/// the answer count, the budget units used and the `f64` budget spent.
+///
+/// [`SparseVectorWithGap::stream_open`](super::SparseVectorWithGap::stream_open)
+/// opens one, and each
+/// [`stream_feed`](super::SparseVectorWithGap::stream_feed) runs the
+/// ladder's feed step over a batch, as a one-shot `run_into` does over its
+/// whole stream. The state is plain data, so a server keeps it across
+/// requests with the session's `rng`/`scratch` pair. It stays a few words,
+/// because a server moves it in and out of its session table.
+#[derive(Debug, Clone, Copy)]
+pub struct SvtStreamState {
+    noisy_threshold: f64,
+    baseline_budget: f64,
+    baseline_scale: f64,
+    m: usize,
+    k: usize,
+    answer_limit: usize,
+    answered: usize,
+    used: u128,
+    spent: f64,
+}
+
+impl SvtStreamState {
+    /// Number of `⊤` answers emitted so far.
+    pub fn answered(&self) -> usize {
+        self.answered
+    }
+
+    /// True once the run has stopped — the units left cannot cover a
+    /// baseline answer (after the `k`-th `⊤` of a one-rung run), or the
+    /// answer limit is reached. Further feeds observe no query.
+    pub fn is_halted(&self) -> bool {
+        let top = 1u128 << (self.m - 1);
+        self.answered >= self.answer_limit || self.used + top > self.k as u128 * top
+    }
+
+    /// The sizing parameter `k` of the mechanism that opened the stream
+    /// (a one-rung run's answer cap).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+}
 
 /// Adaptive Sparse Vector with `m ≥ 1` test branches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiBranchAdaptiveSparseVector {
-    k: usize,
+    pub(super) k: usize,
     epsilon: f64,
-    threshold: f64,
-    theta: f64,
-    monotonic: bool,
+    pub(super) threshold: f64,
+    pub(super) theta: f64,
+    pub(super) monotonic: bool,
     branches: usize,
     /// Margin of every rung but the baseline, in standard deviations of
-    /// the rung's noise (the paper fixes 2).
-    margin_multiplier: f64,
+    /// the rung's noise (the paper fixes 2; validated by the caller).
+    pub(super) margin_multiplier: f64,
     /// Stop after this many above-threshold answers, budget or not.
-    answer_limit: Option<usize>,
+    pub(super) answer_limit: Option<usize>,
 }
 
 impl MultiBranchAdaptiveSparseVector {
@@ -53,7 +142,8 @@ impl MultiBranchAdaptiveSparseVector {
     pub const MAX_BRANCHES: usize = MAX_TUPLE;
 
     /// Creates the mechanism. `branches = 1` is Sparse-Vector-with-Gap,
-    /// `branches = 2` is Algorithm 2.
+    /// `branches = 2` is Algorithm 2. A budget whose threshold or rung
+    /// noise scale overflows `f64` is [`MechanismError::InvalidEpsilon`].
     pub fn new(
         k: usize,
         epsilon: f64,
@@ -74,7 +164,7 @@ impl MultiBranchAdaptiveSparseVector {
                 requirement: "must be in 1..=MAX_BRANCHES",
             });
         }
-        Ok(Self {
+        Self {
             k,
             epsilon: require_epsilon(epsilon)?,
             threshold,
@@ -83,38 +173,29 @@ impl MultiBranchAdaptiveSparseVector {
             branches,
             margin_multiplier: 2.0,
             answer_limit: None,
-        })
+        }
+        .require_scales()
     }
 
     /// Overrides the budget-allocation hyperparameter `θ`.
     pub fn with_theta(mut self, theta: f64) -> Result<Self, MechanismError> {
         self.theta = require_fraction("theta", theta)?;
+        self.require_scales()
+    }
+
+    /// Rejects a budget whose threshold or rung noise scale overflows: a
+    /// run would compare infinities.
+    pub(super) fn require_scales(self) -> Result<Self, MechanismError> {
+        require_scale(1.0 / self.epsilon0(), self.epsilon)?;
+        for b in 0..self.branches {
+            require_scale(self.rung(self.epsilon1(), b).1, self.epsilon)?;
+        }
         Ok(self)
-    }
-
-    /// Sets the margin multiplier (validated by the caller).
-    pub(super) fn set_margin_multiplier(&mut self, multiplier: f64) {
-        self.margin_multiplier = multiplier;
-    }
-
-    /// Sets the answer limit.
-    pub(super) fn set_answer_limit(&mut self, limit: usize) {
-        self.answer_limit = Some(limit);
     }
 
     /// Number of branches `m`.
     pub fn branches(&self) -> usize {
         self.branches
-    }
-
-    /// The sizing parameter `k`.
-    pub(super) fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The public threshold `T`.
-    pub(super) fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// The total privacy budget `ε` one run costs.
@@ -132,141 +213,215 @@ impl MultiBranchAdaptiveSparseVector {
         (1.0 - self.theta) * self.epsilon / self.k as f64
     }
 
-    /// Budget of branch `b` (0 = cheapest): `ε₁ / 2^{m-1-b}`.
-    pub(super) fn branch_budget(&self, b: usize) -> f64 {
+    /// Budget and Laplace noise scale of branch `b` (0 = cheapest) given
+    /// `ε₁`: `ε₁ / 2^{m-1-b}` and `c / budget`.
+    pub(super) fn rung(&self, eps1: f64, b: usize) -> (f64, f64) {
         // lint:allow(panic-freedom): branch index is an internal loop variable, never user input
         assert!(b < self.branches, "branch index out of range");
-        self.epsilon1() / (1u64 << (self.branches - 1 - b)) as f64
-    }
-
-    /// Laplace scale of branch `b`'s noise: `c / branch_budget(b)`.
-    pub(super) fn branch_scale(&self, b: usize) -> f64 {
+        let budget = eps1 / (1u64 << (self.branches - 1 - b)) as f64;
         let c = if self.monotonic { 1.0 } else { 2.0 };
-        c / self.branch_budget(b)
+        (budget, c / budget)
     }
 
-    /// Acceptance margin of branch `b`: the margin multiplier times the
-    /// standard deviation of its noise for every rung except the
-    /// baseline, which uses margin 0.
-    pub(super) fn branch_margin(&self, b: usize) -> f64 {
-        if b + 1 == self.branches {
-            0.0
-        } else {
-            self.margin_multiplier * std::f64::consts::SQRT_2 * self.branch_scale(b)
+    /// Acceptance margin of a rung below the baseline (whose margin is 0)
+    /// with noise scale `scale`: the multiplier times the noise's std.
+    pub(super) fn margin(&self, scale: f64) -> f64 {
+        self.margin_multiplier * std::f64::consts::SQRT_2 * scale
+    }
+
+    /// The open step, after `provider.begin()`: draws the noisy threshold
+    /// and returns the state with no query observed. `one_rung_scale`
+    /// replaces a one-rung ladder's noise scale with Sparse-Vector-with-Gap's
+    /// own `c·k/ε₂`.
+    pub(super) fn open<P: DrawProvider>(
+        &self,
+        provider: &mut P,
+        one_rung_scale: Option<f64>,
+    ) -> SvtStreamState {
+        debug_assert!(one_rung_scale.is_none() || self.branches == 1);
+        let (baseline_budget, scale) = self.rung(self.epsilon1(), self.branches - 1);
+        SvtStreamState {
+            noisy_threshold: self.threshold + provider.next(1.0 / self.epsilon0()),
+            baseline_budget,
+            baseline_scale: one_rung_scale.unwrap_or(scale),
+            m: self.branches,
+            k: self.k,
+            answer_limit: self.answer_limit.unwrap_or(usize::MAX),
+            answered: 0,
+            used: 0,
+            spent: self.epsilon0(),
         }
     }
 
-    /// The single copy of the branch-ladder logic and its one
-    /// provider-taking entry, writing into `out` (every field overwritten,
-    /// buffers reused). Providers, bit-identity and the finite-answer
-    /// precondition as in
-    /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
+    /// The feed step: the blocked rung scan over `queries`, one outcome per
+    /// observed query into `sink`, until the queries run out or the run
+    /// that `state` holds halts. `state` must have been opened by this
+    /// mechanism: the baseline rung and the stop rule come from the state,
+    /// the cheaper rungs from `self`.
     ///
-    /// Consumes `queries` lazily, pulling the next answer only while the
-    /// remaining budget still covers a worst-case (`ε₁`) answer and the
-    /// answer limit is not reached — queries after the halt are never
-    /// observed. Each query consumes one whole `m`-tuple of draws
-    /// ([`DrawProvider::peek_tuples`]), served in blocks on buffered
-    /// providers and iterated with `chunks_exact(m)`; each block's first
-    /// query is pulled *before* the peek, so draw-exact providers never
-    /// sample noise for a query that does not exist. All `m` draws of a
-    /// tuple are consumed unconditionally (data-independent draw
-    /// structure); the ladder scan stops at the first winning branch. Draw
-    /// order (branch `0..m` per query, query by query) is identical on
-    /// every provider.
+    /// Each query consumes one whole `m`-tuple of draws
+    /// ([`DrawProvider::peek_tuples`]), and the scan stops at its first
+    /// winning rung. A block's first query is pulled *before* the peek, so
+    /// draw-exact providers never draw for a query that does not exist; the
+    /// stop rule is checked after each answer, before the next pull.
+    pub(super) fn feed<P: DrawProvider, I: IntoIterator<Item = f64>, S: Sink>(
+        &self,
+        state: &mut SvtStreamState,
+        queries: I,
+        provider: &mut P,
+        sink: &mut S,
+    ) {
+        debug_assert!((state.k, state.m) == (self.k, self.branches));
+        if state.is_halted() {
+            return;
+        }
+        let (m, last, eps1) = (state.m, state.m - 1, state.baseline_budget);
+        // Only the noise scales are tabled (a wider table is a measurable
+        // share of a short feed): a margin is one product away, and a
+        // rung's budget is looked up on an answer only.
+        let mut scales = [state.baseline_scale; MAX_TUPLE];
+        for (b, scale) in scales[..last].iter_mut().enumerate() {
+            *scale = self.rung(eps1, b).1;
+        }
+        let mut queries = queries.into_iter();
+        let noisy_threshold = state.noisy_threshold;
+        let (top, units) = (1u128 << last, state.k as u128 * (1u128 << last));
+        let (mut answered, mut used, mut spent) = (state.answered, state.used, state.spent);
+        let mut done = false;
+        while !done {
+            // Pull the block's first query before peeking (draw-exactness).
+            let Some(mut q) = queries.next() else { break };
+            let tuples = provider.peek_tuples(&scales[..m]);
+            let mut taken = 0;
+            loop {
+                let tuple = &tuples[taken..taken + m];
+                taken += m;
+                // The rungs with a margin, cheapest first, then the
+                // baseline: the noisy answer against the noisy threshold.
+                let won = (0..last)
+                    .map(|b| (b, q + tuple[b] - noisy_threshold))
+                    .find(|&(b, gap)| gap >= self.margin(scales[b]))
+                    .or_else(|| {
+                        let noisy = q + tuple[last];
+                        (noisy >= noisy_threshold).then_some((last, noisy - noisy_threshold))
+                    });
+                if let Some((b, gap)) = won {
+                    let cost = self.rung(eps1, b).0;
+                    spent += cost;
+                    answered += 1;
+                    used += 1 << b;
+                    // b < MAX_BRANCHES, which fits a u8 (asserted at
+                    // compile time in `output.rs`'s tests).
+                    let branch = b as u8;
+                    sink.push(AdaptiveOutcome::Above { branch, gap, cost });
+                    // Line 16 + answer limit: stop when the units left
+                    // cannot cover a baseline answer or the limit is
+                    // reached, before the next query is pulled.
+                    if used + top > units || answered >= state.answer_limit {
+                        done = true;
+                        break;
+                    }
+                } else {
+                    sink.push(AdaptiveOutcome::Below);
+                }
+                if taken == tuples.len() {
+                    break;
+                }
+                let Some(next) = queries.next() else {
+                    done = true;
+                    break;
+                };
+                q = next;
+            }
+            provider.consume(taken);
+        }
+        (state.answered, state.used, state.spent) = (answered, used, spent);
+    }
+
+    /// One whole run into `sink`: `begin`, the open step, then the feed
+    /// step over `queries`, with room for one outcome per predicted
+    /// `m`-tuple of draws made first (capped by the stream's upper bound).
+    /// Returns the budget spent.
+    pub(super) fn run_sink<P: DrawProvider, I: IntoIterator<Item = f64>, S: Sink>(
+        &self,
+        one_rung_scale: Option<f64>,
+        queries: I,
+        provider: &mut P,
+        sink: &mut S,
+    ) -> f64 {
+        provider.begin();
+        let mut state = self.open(provider, one_rung_scale);
+        let queries = queries.into_iter();
+        let predicted = provider.predicted_draws();
+        sink.reserve(
+            (predicted / self.branches + usize::from(predicted > 0))
+                .min(queries.size_hint().1.unwrap_or(usize::MAX)),
+        );
+        self.feed(&mut state, queries, provider, sink);
+        state.spent
+    }
+
+    /// The one provider-taking entry of the branch ladder, writing into
+    /// `out` (every field overwritten, buffers reused): the open step, then
+    /// the [feed step](SvtStreamState) over `queries`, which observes no
+    /// query after the halt. Draw order (branch `0..m` per query) is the
+    /// same on every provider: [`SourceDraws`] is the reference
+    /// [`run`](Self::run) uses, [`ScratchDraws`](crate::draw::ScratchDraws)
+    /// the blocked fast path (it buffers *noise* ahead, never answers), and
+    /// every provider is bit-identical on the same RNG stream.
+    ///
+    /// Precondition: every answer is finite — a `+∞` answer clears any
+    /// noisy threshold and a NaN never does. A lazy stream cannot be
+    /// checked before the first draw, and an error mid-scan would reveal
+    /// how far the scan got, so this entry does not check it;
+    /// [`Mechanism::call`](crate::api::Mechanism::call) rejects a
+    /// non-finite workload with a typed error before any draw.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut AdaptiveSvOutput,
     ) {
-        let m = self.branches;
-        let eps1 = self.epsilon1();
-        let cap = self.answer_limit.unwrap_or(usize::MAX);
-        let budget_cap = self.epsilon * (1.0 + 1e-12);
-        // Per-branch constants hoisted out of the loop. Stack arrays
-        // (m <= MAX_BRANCHES) keep the fast path allocation-free apart from
-        // the output vector.
-        let mut scales = [0.0f64; Self::MAX_BRANCHES];
-        let mut margins = [0.0f64; Self::MAX_BRANCHES];
-        let mut budgets = [0.0f64; Self::MAX_BRANCHES];
-        for b in 0..m {
-            scales[b] = self.branch_scale(b);
-            margins[b] = self.branch_margin(b);
-            budgets[b] = self.branch_budget(b);
-        }
-        provider.begin();
-        let mut queries = queries.into_iter();
-        // One outcome per m-tuple of draws: pre-size from the provider's
-        // consumption prediction (capped by the stream's upper bound when it
-        // knows one).
-        let predicted = provider.predicted_draws();
-        let capacity = (predicted / m + usize::from(predicted > 0))
-            .min(queries.size_hint().1.unwrap_or(usize::MAX));
-        let noisy_threshold = self.threshold + provider.next(1.0 / self.epsilon0());
         out.outcomes.clear();
-        out.outcomes.reserve(capacity);
-        let mut spent = self.epsilon0();
-        let mut answered = 0usize;
-        let mut done = false;
-        while !done && answered < cap {
-            // Pull the block's first query before peeking (draw-exactness).
-            let Some(first) = queries.next() else { break };
-            let mut pending = Some(first);
-            let mut taken = 0usize;
-            let tuples = provider.peek_tuples(&scales[..m]);
-            for tuple in tuples.chunks_exact(m) {
-                let Some(q) = pending.take().or_else(|| queries.next()) else {
-                    done = true;
-                    break;
-                };
-                taken += m;
-                let mut outcome = AdaptiveOutcome::Below;
-                for b in 0..m {
-                    let gap = q + tuple[b] - noisy_threshold;
-                    if gap >= margins[b] {
-                        let cost = budgets[b];
-                        spent += cost;
-                        answered += 1;
-                        // b < MAX_BRANCHES, which fits a u8 (asserted at
-                        // compile time in `output.rs`'s tests).
-                        let branch = b as u8;
-                        outcome = AdaptiveOutcome::Above { branch, gap, cost };
-                        break;
-                    }
-                }
-                out.outcomes.push(outcome);
-                // Line 16 + answer limit: stop when a worst-case answer no
-                // longer fits or the limit is reached — checked before the
-                // next query pull, so no query is observed past the halt.
-                if spent + eps1 > budget_cap || answered >= cap {
-                    done = true;
-                    break;
-                }
-            }
-            provider.consume(taken);
-        }
-        out.spent = spent;
+        out.spent = self.run_sink(None, queries, provider, &mut out.outcomes);
         out.epsilon = self.epsilon;
-    }
-
-    fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> AdaptiveSvOutput {
-        let mut out = AdaptiveSvOutput::default();
-        self.run_into(
-            answers.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            &mut out,
-        );
-        out
     }
 
     /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> AdaptiveSvOutput {
-        self.run_with_source(answers, &mut SamplingSource::new(rng))
+        AlignedMechanism::run(self, answers, &mut SamplingSource::new(rng))
+    }
+
+    /// The Eq. (3) alignment of [`align`](AlignedMechanism::align), given
+    /// each processed query's winning rung (`None` for `⊥`); the one-rung
+    /// types read theirs off an [`SvOutput`](super::SvOutput).
+    pub(super) fn align_winners(
+        &self,
+        input: &QueryAnswers,
+        neighbor: &QueryAnswers,
+        tape: &NoiseTape,
+        winner: impl Fn(usize) -> Option<u8>,
+    ) -> NoiseTape {
+        let q = input.values();
+        let qp = neighbor.values();
+        // Footnote 6: when all queries shrink (qᵢ >= q'ᵢ) on a monotone
+        // workload, the threshold can stay put and winners shift by qᵢ - q'ᵢ.
+        let favorable = self.monotonic && q.iter().zip(qp).all(|(a, b)| a >= b);
+        let threshold_shift = if favorable { 0.0 } else { 1.0 };
+        let m = self.branches;
+        tape.aligned_by(|draw_idx, _| {
+            if draw_idx == 0 {
+                return threshold_shift;
+            }
+            // Draws 1.. come in m-tuples, one per query.
+            let qi = (draw_idx - 1) / m;
+            match winner(qi) {
+                Some(won) if usize::from(won) == (draw_idx - 1) % m => {
+                    threshold_shift + q[qi] - qp[qi]
+                }
+                _ => 0.0,
+            }
+        })
     }
 }
 
@@ -275,7 +430,10 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
     type Output = AdaptiveSvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> AdaptiveSvOutput {
-        self.run_with_source(input, source)
+        let mut out = AdaptiveSvOutput::default();
+        let queries = input.values().iter().copied();
+        self.run_into(queries, &mut SourceDraws::new(source), &mut out);
+        out
     }
 
     /// Equation (3), with the footnote-6 monotone refinement: threshold up
@@ -289,24 +447,9 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
         tape: &NoiseTape,
         output: &AdaptiveSvOutput,
     ) -> NoiseTape {
-        let q = input.values();
-        let qp = neighbor.values();
-        let favorable = self.monotonic && q.iter().zip(qp).all(|(a, b)| a >= b);
-        let threshold_shift = if favorable { 0.0 } else { 1.0 };
-        let m = self.branches;
-        tape.aligned_by(|draw_idx, _| {
-            if draw_idx == 0 {
-                return threshold_shift;
-            }
-            // Draws 1.. come in m-tuples, one per query.
-            let qi = (draw_idx - 1) / m;
-            let branch = (draw_idx - 1) % m;
-            match output.outcomes.get(qi) {
-                Some(AdaptiveOutcome::Above { branch: won, .. }) if usize::from(*won) == branch => {
-                    threshold_shift + q[qi] - qp[qi]
-                }
-                _ => 0.0,
-            }
+        self.align_winners(input, neighbor, tape, |qi| match output.outcomes.get(qi) {
+            Some(AdaptiveOutcome::Above { branch, .. }) => Some(*branch),
+            _ => None,
         })
     }
 
@@ -347,7 +490,7 @@ mod tests {
     use super::*;
     use crate::draw::ScratchDraws;
     use crate::scratch::SvtScratch;
-    use crate::sparse_vector::{AdaptiveSparseVector, SparseVectorWithGap};
+    use crate::sparse_vector::{AdaptiveSparseVector, ClassicSparseVector, SparseVectorWithGap};
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
@@ -365,14 +508,42 @@ mod tests {
     }
 
     #[test]
+    fn budgets_whose_noise_scale_overflows_are_refused() {
+        // At a subnormal ε the threshold's and rungs' noise scales overflow
+        // to ∞ (and the rung budgets underflow to 0): a run would compare
+        // infinities, so every continuous SVT refuses the budget.
+        for eps in [5e-324, 1e-320, 1e-310] {
+            let refused = MechanismError::InvalidEpsilon { value: eps };
+            for m in 1..=3 {
+                let ladder = MultiBranchAdaptiveSparseVector::new(3, eps, 0.0, true, m);
+                assert_eq!(ladder.unwrap_err(), refused, "m = {m}");
+            }
+            let svg = SparseVectorWithGap::new(3, eps, 0.0, false);
+            assert_eq!(svg.unwrap_err(), refused);
+            let classic = ClassicSparseVector::new(3, eps, 0.0, false);
+            assert_eq!(classic.unwrap_err(), refused);
+            let alg2 = AdaptiveSparseVector::new(3, eps, 0.0, false);
+            assert_eq!(alg2.unwrap_err(), refused);
+        }
+        assert!(mech(3, 3, 0.0).with_theta(1e-310).is_err());
+        let svg = SparseVectorWithGap::new(3, 1.0, 0.0, true).unwrap();
+        assert_eq!(
+            svg.with_threshold_share(1e-310).unwrap_err(),
+            MechanismError::InvalidEpsilon { value: 1.0 }
+        );
+        // The smallest normal budgets still run.
+        assert!(MultiBranchAdaptiveSparseVector::new(3, 1e-300, 0.0, false, 3).is_ok());
+        assert!(SparseVectorWithGap::new(3, 1e-300, 0.0, false).is_ok());
+    }
+
+    #[test]
     fn budget_ladder_is_geometric() {
         let m = mech(4, 3, 10.0);
         let e1 = m.epsilon1();
-        assert!((m.branch_budget(2) - e1).abs() < 1e-15);
-        assert!((m.branch_budget(1) - e1 / 2.0).abs() < 1e-15);
-        assert!((m.branch_budget(0) - e1 / 4.0).abs() < 1e-15);
-        assert_eq!(m.branch_margin(2), 0.0);
-        assert!(m.branch_margin(0) > m.branch_margin(1));
+        assert!((m.rung(e1, 2).0 - e1).abs() < 1e-15);
+        assert!((m.rung(e1, 1).0 - e1 / 2.0).abs() < 1e-15);
+        assert!((m.rung(e1, 0).0 - e1 / 4.0).abs() < 1e-15);
+        assert!(m.margin(m.rung(e1, 0).1) > m.margin(m.rung(e1, 1).1));
     }
 
     #[test]
@@ -385,8 +556,8 @@ mod tests {
         let answers = QueryAnswers::counting(vec![100.0, 5.0, 90.0, 60.0, 4.0, 95.0, 3.0]);
         let alg2 = AdaptiveSparseVector::new(3, 0.7, 58.0, true).unwrap();
         let mut tuned = mech(3, 2, 58.0);
-        tuned.set_margin_multiplier(0.5);
-        tuned.set_answer_limit(2);
+        tuned.margin_multiplier = 0.5;
+        tuned.answer_limit = Some(2);
         let tuned_alg2 = alg2
             .with_sigma_multiplier(0.5)
             .unwrap()
@@ -429,8 +600,12 @@ mod tests {
         let answers = QueryAnswers::counting(vec![100.0, 5.0, 90.0, 60.0, 4.0, 95.0]);
         let multi = mech(3, 1, 58.0);
         let svg = SparseVectorWithGap::new(3, 0.7, 58.0, true).unwrap();
-        // Same θ split and same noise-draw structure (1 threshold + 1 per
-        // query), so identical streams give identical decisions and gaps.
+        // Same θ split, same noise-draw structure (1 threshold + 1 per
+        // query) and the same loop, so identical streams give identical
+        // decisions. The gaps agree only to within rounding: the ladder
+        // computes its rung's scale as c/(ε₁/2^{m-1}) and
+        // Sparse-Vector-with-Gap hands the loop its own c·k/ε₂, which
+        // differ in the last bit on some budgets.
         for seed in 0..60 {
             let a = multi.run(&answers, &mut rng_from_seed(seed));
             let b = svg.run(&answers, &mut rng_from_seed(seed));
@@ -441,6 +616,30 @@ mod tests {
                 assert!((ga - gb).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn one_rung_runs_answer_exactly_k_at_large_k() {
+        // The budget is sized for k baseline answers. Summed in f64, 10⁵
+        // answer budgets drift by more than a 1e-12 relative slack, so a
+        // stop rule comparing that sum with ε stops one answer short; the
+        // unit count stops at exactly k. A σ multiplier of 1e12 shuts
+        // Algorithm 2's top branch, so all three run the baseline rung.
+        let k = 100_000;
+        let answers = QueryAnswers::counting(vec![1e12; 2 * k + 10]);
+        let alg2 = AdaptiveSparseVector::new(k, 0.7, 0.0, true)
+            .unwrap()
+            .with_sigma_multiplier(1e12)
+            .unwrap()
+            .run(&answers, &mut rng_from_seed(1));
+        assert_eq!(alg2.answered_via(0), 0);
+        assert_eq!(alg2.answered(), k, "Algorithm 2");
+        let one_rung = mech(k, 1, 0.0).run(&answers, &mut rng_from_seed(1));
+        assert_eq!(one_rung.answered(), k, "one-rung ladder");
+        let svg = SparseVectorWithGap::new(k, 0.7, 0.0, true)
+            .unwrap()
+            .run(&answers, &mut rng_from_seed(1));
+        assert_eq!(svg.answered(), k, "Sparse-Vector-with-Gap");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * `call_batched` is bit-identical to each mechanism's `_into` entry
 //!   through the one fast provider it runs, the `ScratchDraws` tape;
 //! * the resumable streaming Sparse-Vector-with-Gap
-//!   (`stream_open`/`stream_feed`) is bit-identical to a one-shot
-//!   `run_into` under any batching of the query feed.
+//!   (`stream_open`, then the branch ladder's feed step once per batch
+//!   through `stream_feed`) is bit-identical to a one-shot `run_into`
+//!   under any batching of the query feed.
 //!
 //! Together with `tests/scratch_equivalence.rs` (which pins the `_into`
 //! entries to the reference entries across providers) this makes the API
@@ -296,11 +297,8 @@ fn resumable_stream_matches_one_shot() {
             let mut decisions = Vec::new();
             let mut offset = 0;
             for &batch in *batching {
-                for &q in &queries[offset..offset + batch] {
-                    if let Some(d) = gap.stream_feed(&mut state, q, &mut rng, &mut scratch) {
-                        decisions.push(d);
-                    }
-                }
+                let fed = queries[offset..offset + batch].iter().copied();
+                gap.stream_feed(&mut state, fed, &mut rng, &mut scratch, &mut decisions);
                 offset += batch;
             }
             assert_eq!(
@@ -313,8 +311,8 @@ fn resumable_stream_matches_one_shot() {
     }
 }
 
-/// Once the answer cap is reached, further feeds return `None` without
-/// observing the query or advancing the noise stream.
+/// Once the answer cap is reached, further feeds decide nothing: no query
+/// is pulled from the batch.
 #[test]
 fn halted_stream_ignores_further_queries() {
     let gap = SparseVectorWithGap::new(1, 1.0, 10.0, true).unwrap();
@@ -322,21 +320,94 @@ fn halted_stream_ignores_further_queries() {
     let mut scratch = SvtScratch::new();
     let mut state = gap.stream_open(&mut rng, &mut scratch);
     // A query far above threshold: answered immediately, halting the run.
+    let mut decisions = Vec::new();
     let mut fed = 0;
     while !state.is_halted() {
-        if gap
-            .stream_feed(&mut state, 500.0, &mut rng, &mut scratch)
-            .is_none()
-        {
-            break;
-        }
+        gap.stream_feed(&mut state, [500.0], &mut rng, &mut scratch, &mut decisions);
         fed += 1;
         assert!(fed < 100, "far-above query never answered");
     }
     assert!(state.is_halted());
     assert_eq!(state.answered(), 1);
     assert_eq!(state.k(), 1);
-    assert!(gap
-        .stream_feed(&mut state, 500.0, &mut rng, &mut scratch)
-        .is_none());
+    assert_eq!(decisions.len(), fed);
+    let mut pulled = 0;
+    let batch = std::iter::repeat_n(500.0, 5).inspect(|_| pulled += 1);
+    gap.stream_feed(&mut state, batch, &mut rng, &mut scratch, &mut decisions);
+    assert_eq!(pulled, 0, "a halted stream pulled a query");
+    assert_eq!(decisions.len(), fed);
+}
+
+/// The two discrete mechanisms report the same error for the same
+/// workload: the first offending answer by index, NaN and ±∞ as
+/// `NonFiniteUtility` and a finite off-lattice value as `InvalidParameter`
+/// naming `answer`, and only then a workload too short for the Top-K
+/// (`NotEnoughQueries`; Sparse Vector has no length floor).
+#[test]
+fn discrete_mechanisms_report_the_first_offender_values_before_length() {
+    use free_gap_core::MechanismError;
+    #[derive(Debug)]
+    enum Want {
+        NonFinite(usize),
+        OffLattice(f64),
+        Short,
+        Answered,
+    }
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let cases: &[(&[f64], Want, Want)] = &[
+        // (answers, Top-K at k = 1, Sparse Vector at k = 1)
+        (
+            &[1.5, nan, 3.0],
+            Want::OffLattice(1.5),
+            Want::OffLattice(1.5),
+        ),
+        (&[nan, 1.5, 3.0], Want::NonFinite(0), Want::NonFinite(0)),
+        (
+            &[2.0, 3.0, -inf, 0.5],
+            Want::NonFinite(2),
+            Want::NonFinite(2),
+        ),
+        (&[nan], Want::NonFinite(0), Want::NonFinite(0)),
+        (&[1.5], Want::OffLattice(1.5), Want::OffLattice(1.5)),
+        (&[2.0], Want::Short, Want::Answered),
+        (&[], Want::Short, Want::Answered),
+    ];
+    let mechanisms: [AnyMechanism; 2] = [
+        DiscreteNoisyTopKWithGap::new(1, 1.0, true).unwrap().into(),
+        DiscreteSparseVectorWithGap::new(1, 1.0, 10.0, true)
+            .unwrap()
+            .into(),
+    ];
+    for (answers, top_k, sparse_vector) in cases {
+        for (mech, want) in mechanisms.iter().zip([top_k, sparse_vector]) {
+            let mut out = MechanismOutput::new_for(mech);
+            let got = mech.call_batched(
+                &QuerySlice::new(answers),
+                &mut derive_fast_stream(1, 1),
+                &mut CallScratch::new(),
+                &mut out,
+            );
+            let ok = match (want, &got) {
+                (Want::NonFinite(i), Err(MechanismError::NonFiniteUtility { index, .. })) => {
+                    index == i
+                }
+                (
+                    Want::OffLattice(v),
+                    Err(MechanismError::InvalidParameter {
+                        name: "answer",
+                        value,
+                        ..
+                    }),
+                ) => value == v,
+                (Want::Short, Err(MechanismError::NotEnoughQueries { .. })) => true,
+                (Want::Answered, Ok(())) => true,
+                _ => false,
+            };
+            assert!(
+                ok,
+                "{} on {answers:?}: want {want:?}, got {got:?}",
+                mech.name()
+            );
+        }
+    }
 }

@@ -47,7 +47,9 @@
 //! near-identical draw counts), later blocks taper toward the prediction and
 //! are clamped to a cache-friendly maximum, so both short runs (little
 //! overdraw) and unboundedly long streams (hot, L1-resident refills) are
-//! served well.
+//! served well. Peeks transform eagerly, so each serves a bounded slab: a
+//! caller that knows how many draws it will take (a session feed) readies
+//! them with [`BlockBuffer::window`], and one peek serves exactly those.
 
 use crate::discrete_laplace::DiscreteLaplace;
 use crate::traits::SingleUniform;
@@ -82,6 +84,10 @@ pub struct BlockBuffer {
     /// Predicted consumption of the next run (last run's served count), in
     /// uniforms.
     predicted: usize,
+    /// End of the draws [`window`](Self::window) readied for peeking, an
+    /// index into `raw` (peeks are capped there while the cursor is below
+    /// it; every refill and [`begin`](Self::begin) clears it to 0).
+    window: usize,
 }
 
 impl BlockBuffer {
@@ -91,6 +97,11 @@ impl BlockBuffer {
     /// long runs stream through a hot buffer instead of round-tripping one
     /// run-sized buffer through DRAM.
     pub const CACHE_CHUNK: usize = 4096;
+    /// Fewest draws a peek outside a [`window`](Self::window) serves when
+    /// buffered: a peek costs about as much as a few dozen draws, so a
+    /// short call is served by one or two, and an early halt transforms at
+    /// most this many draws it never uses.
+    const PEEK_FLOOR: usize = 64;
 
     /// Creates an empty buffer (grows on first use).
     pub fn new() -> Self {
@@ -101,6 +112,7 @@ impl BlockBuffer {
             cursor: 0,
             filled: 0,
             predicted: Self::MIN_CHUNK,
+            window: 0,
         }
     }
 
@@ -116,6 +128,7 @@ impl BlockBuffer {
         self.transformed = 0;
         self.cursor = 0;
         self.filled = 0;
+        self.window = 0;
     }
 
     /// Next draw from `dist`, refilling the buffer in blocks as needed.
@@ -193,11 +206,13 @@ impl BlockBuffer {
         self.predicted
     }
 
-    /// The buffered draws ahead of the cursor, truncated to whole `m`-tuples,
-    /// refilling first if fewer than one tuple is available. Callers iterate
-    /// the slice (e.g. `chunks_exact(m)`) with zero per-tuple cursor
-    /// arithmetic, then commit consumption with [`consume`](Self::consume).
-    /// Draw order is identical to sequential [`next`](Self::next) draws.
+    /// Buffered draws ahead of the cursor in whole `m`-tuples, refilling
+    /// first if fewer than one tuple is available; how many is set by
+    /// [`window`](Self::window) or the run's progress (see `peek_len`).
+    /// Callers iterate the slice (e.g. `chunks_exact(m)`) with zero
+    /// per-tuple cursor arithmetic, then commit consumption with
+    /// [`consume`](Self::consume). Draw order is identical to sequential
+    /// [`next`](Self::next) draws.
     #[inline]
     pub fn peek_tuples<D: SingleUniform, R: Rng + ?Sized>(
         &mut self,
@@ -205,37 +220,61 @@ impl BlockBuffer {
         rng: &mut R,
         m: usize,
     ) -> &[f64] {
+        // The peek may refill, which moves the cursor: take the length first.
+        let len = self.peek_len(rng, m);
+        self.ensure_transformed(dist, self.cursor + len);
+        &self.vals[self.cursor..self.cursor + len]
+    }
+
+    /// Readies the next `n` draws (at most `CACHE_CHUNK`) for peeking, for
+    /// a caller that knows how many it will take, such as a session feed
+    /// of `n` one-draw queries: refills if fewer are buffered (leftovers
+    /// kept), so that one peek serves them all, and caps the peeks at them
+    /// until they are consumed, so that no draw past them is transformed.
+    /// Which draws are served, and in what order, does not change.
+    pub fn window<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) {
+        let n = n.min(Self::CACHE_CHUNK);
+        if self.cursor + n > self.raw.len() {
+            self.refill_keeping_leftover(rng, n);
+        }
+        self.window = self.cursor + n;
+    }
+
+    /// How many draws the next peek serves, refilling first if fewer than
+    /// one `m`-tuple is buffered: whole tuples, up to the end of a
+    /// [`window`](Self::window), or else at most a quarter of the draws
+    /// this run has already served and at least `PEEK_FLOOR` (or one
+    /// tuple). Peeks transform eagerly, and a run that stops early — an SVT
+    /// halting, a short call after a long one sized the block — would
+    /// otherwise pay the transform for the rest of a block it never uses.
+    #[inline]
+    fn peek_len<R: Rng + ?Sized>(&mut self, rng: &mut R, m: usize) -> usize {
         // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
         assert!(m >= 1, "tuple arity must be at least 1");
         if self.cursor + m > self.raw.len() {
             self.refill_keeping_leftover(rng, m);
         }
-        let avail = self.raw.len() - self.cursor;
-        let whole = avail - avail % m;
-        self.ensure_transformed(dist, self.cursor + whole);
-        &self.vals[self.cursor..self.cursor + whole]
+        let buffered = self.raw.len() - self.cursor;
+        let want = if self.cursor < self.window {
+            self.window - self.cursor
+        } else {
+            ((self.filled - buffered) / 4).max(Self::PEEK_FLOOR)
+        };
+        let avail = buffered.min(want.max(m));
+        avail - avail % m
     }
 
     /// Scaled twin of [`peek_tuples`](Self::peek_tuples), the draw-provider
     /// hook behind the mechanisms' blocked fast paths: writes
-    /// `value[i] * scales[i % m]` into `out` for every buffered draw ahead
-    /// of the cursor (whole `scales.len()`-tuples only, refilling first if
-    /// fewer than one tuple is available).
+    /// `value[i] * scales[i % m]` into `out` for the draws the peek serves
+    /// (whole `scales.len()`-tuples only, refilling first if fewer than one
+    /// tuple is available).
     ///
     /// Slot `b` of each tuple is then distributed `scale[b] ×` the base
     /// distribution — for distributions whose sampler is a single
     /// `scale * f(u)` product (Laplace), bit-identical to sampling at
     /// `scales[b]` directly. Consumption is still committed with
     /// [`consume`](Self::consume) in raw draw counts.
-    ///
-    /// The whole buffered slab is rescaled per peek, including a tail the
-    /// run may never consume (the underlying transform runs at most once
-    /// per uniform thanks to the watermark cache). That extra pass is
-    /// bounded: blocks taper toward the predicted per-run consumption, so
-    /// the unconsumed tail is at most one block's overshoot (measured cost
-    /// ≲ 10% on the shortest-decision mechanisms, vs. fusing the multiply
-    /// into every consumer loop — the benchmark's `noise.block.*` and
-    /// per-mechanism rows time the trade-off).
     #[inline]
     pub fn peek_tuples_scaled<D: SingleUniform, R: Rng + ?Sized>(
         &mut self,
@@ -246,7 +285,14 @@ impl BlockBuffer {
     ) {
         let units = self.peek_tuples(dist, rng, scales.len());
         out.clear();
-        out.extend(units.iter().zip(scales.iter().cycle()).map(|(u, s)| u * s));
+        // A lone scale is hoisted out of the rescale, which keeps it a
+        // straight multiply: cycling one scale per draw is a measurable
+        // share of a one-rung SVT run.
+        if let [scale] = scales {
+            out.extend(units.iter().map(|u| u * scale));
+        } else {
+            out.extend(units.iter().zip(scales.iter().cycle()).map(|(u, s)| u * s));
+        }
     }
 
     /// Discrete twin of [`peek_tuples`](Self::peek_tuples): writes whole
@@ -331,6 +377,7 @@ impl BlockBuffer {
         self.transformed = 0;
         self.cursor = 0;
         self.filled += size;
+        self.window = 0;
     }
 
     /// Refill for the peek/tuple paths: the up-to-`m - 1` already-drawn
@@ -341,8 +388,11 @@ impl BlockBuffer {
     fn refill_keeping_leftover<R: Rng + ?Sized>(&mut self, rng: &mut R, m: usize) {
         let leftover = self.raw.len() - self.cursor;
         debug_assert!(leftover < m);
-        self.raw.copy_within(self.cursor.., 0);
-        self.vals.copy_within(self.cursor.., 0);
+        // A block consumed to its end, the common case, has nothing to move.
+        if leftover > 0 {
+            self.raw.copy_within(self.cursor.., 0);
+            self.vals.copy_within(self.cursor.., 0);
+        }
         self.transformed = self.transformed.saturating_sub(self.cursor).min(leftover);
         let size = self.next_block_size().max(m);
         self.raw.resize(size, 0.0);
@@ -352,6 +402,7 @@ impl BlockBuffer {
         self.vals.resize(size, 0.0);
         self.filled += size - leftover;
         self.cursor = 0;
+        self.window = 0;
     }
 }
 
@@ -639,6 +690,62 @@ mod tests {
         block.next(&unit, &mut rng);
         block.begin();
         assert_eq!(block.predicted_draws(), BlockBuffer::MIN_CHUNK);
+    }
+
+    #[test]
+    fn peeks_transform_at_most_a_quarter_of_the_draws_served() {
+        // A 1000-draw block, sized by the last run: the first peeks of a
+        // run serve PEEK_FLOOR draws, later ones a quarter of those served.
+        let unit = Laplace::new(1.0).unwrap();
+        let mut block = BlockBuffer::new();
+        let mut rng = rng_from_seed(9);
+        block.begin();
+        for _ in 0..1000 {
+            block.next(&unit, &mut rng);
+        }
+        block.begin();
+        let mut served = 0;
+        while served < 900 {
+            let len = block.peek_tuples(&unit, &mut rng, 3).len();
+            assert!(len >= 3 && len.is_multiple_of(3));
+            assert!(
+                len <= (served / 4).max(BlockBuffer::PEEK_FLOOR),
+                "{len} after {served}"
+            );
+            block.consume(len);
+            served += len;
+        }
+        assert_eq!(
+            block.transformed, block.cursor,
+            "transformed past the peeks"
+        );
+    }
+
+    #[test]
+    fn a_window_is_served_by_one_peek_and_transformed_no_further() {
+        // Session-shaped: one draw at open, then batches of one-draw
+        // queries, each readied with `window`. Every batch is one peek of
+        // exactly its length, nothing past it is transformed, and the
+        // served stream is the sequential one.
+        let unit = Laplace::new(1.0).unwrap();
+        let mut expect_rng = rng_from_seed(10);
+        let mut block = BlockBuffer::new();
+        let mut rng = rng_from_seed(10);
+        let mut out = Vec::new();
+        block.begin();
+        assert_eq!(block.next(&unit, &mut rng), unit.sample(&mut expect_rng));
+        for n in [16, 5, 40, 1, 16, 0, 3, 300] {
+            block.window(&mut rng, n);
+            if n > 0 {
+                block.peek_tuples_scaled(&unit, &mut rng, &[2.0], &mut out);
+                assert_eq!(out.len(), n, "batch of {n}");
+                block.consume(n);
+            }
+            assert_eq!(block.transformed, block.cursor, "batch of {n}");
+            for v in &out[..n] {
+                assert_eq!(*v, 2.0 * unit.sample(&mut expect_rng));
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! [`SparseVectorWithGap::stream_open`] contract requires — the stream
 //! state, the RNG, and the [`SvtScratch`] noise tape (whose buffered
 //! lookahead is part of the tape, so the pair must keep serving this
-//! stream until it halts). Feeding the session in any batching is
+//! stream until it halts). Each feed runs the branch ladder's feed step
+//! once over the batch, so feeding the session in any batching is
 //! bit-identical to one one-shot streaming run on the same RNG.
 //!
 //! ## Budget story (paper §4, Algorithm 2's remaining-budget output)
@@ -58,15 +59,13 @@ impl SvtSession {
     /// the server checks on the whole batch before it feeds any of it.
     pub fn feed(&mut self, queries: &[f64], now: u64, out: &mut Vec<Option<f64>>) {
         self.last_used = now;
-        for &q in queries {
-            match self
-                .svt
-                .stream_feed(&mut self.state, q, &mut self.rng, &mut self.scratch)
-            {
-                Some(decision) => out.push(decision),
-                None => break,
-            }
-        }
+        self.svt.stream_feed(
+            &mut self.state,
+            queries.iter().copied(),
+            &mut self.rng,
+            &mut self.scratch,
+            out,
+        );
     }
 
     /// Above-threshold answers so far.

@@ -71,13 +71,14 @@ impl Gen {
     /// A hostile budget: a decimal one, a vanishing or subnormal one, one
     /// past any total, or a fresh one no earlier call used.
     fn epsilon(&mut self) -> f64 {
-        match self.below(7) {
+        match self.below(8) {
             0 => 0.1,
             1 => 0.35,
             2 => 0.7,
             3 => 5e-13,
             4 => 5e-324,
-            5 => 1e300,
+            5 => 1e-320,
+            6 => 1e300,
             _ => 1e-6 + 0.9 * self.unit(),
         }
     }
@@ -140,7 +141,15 @@ fn script(seed: u64, tenant: u64) -> Vec<RequestBody> {
                     queries[i] += 0.25 + 0.5 * g.unit();
                 }
                 match mechanism(which, k, eps) {
-                    Ok(mechanism) => out.push(RequestBody::Call { mechanism, queries }),
+                    Ok(mechanism) => {
+                        // The continuous SVT family's noise scales overflow
+                        // at a subnormal ε, so it must refuse one.
+                        assert!(
+                            !((5..=8).contains(&which) && eps < f64::MIN_POSITIVE),
+                            "mechanism {which} accepted ε = {eps:e}"
+                        );
+                        out.push(RequestBody::Call { mechanism, queries });
+                    }
                     // A budget whose noise the mechanism cannot represent
                     // is refused at construction, before any request.
                     Err(MechanismError::InvalidEpsilon { .. }) => {}
@@ -149,9 +158,16 @@ fn script(seed: u64, tenant: u64) -> Vec<RequestBody> {
             }
             40..=54 => {
                 let k = 1 + g.below(4) as usize;
-                let svt = SparseVectorWithGap::new(k, g.epsilon(), THRESHOLD, true)
-                    .expect("every generated ε is valid");
-                out.push(RequestBody::OpenSession { session, svt });
+                let eps = g.epsilon();
+                match SparseVectorWithGap::new(k, eps, THRESHOLD, true) {
+                    Ok(svt) => {
+                        assert!(eps >= f64::MIN_POSITIVE, "session accepted ε = {eps:e}");
+                        out.push(RequestBody::OpenSession { session, svt });
+                    }
+                    // Refused at construction, as for calls.
+                    Err(MechanismError::InvalidEpsilon { .. }) => {}
+                    Err(e) => panic!("session at ε = {eps:e}: {e:?}"),
+                }
             }
             55..=74 => out.push(RequestBody::Feed {
                 session,
