@@ -14,7 +14,8 @@
 //!   SourceDraws                  ScratchDraws                  RngDraws
 //!   (dyn NoiseSource:            (SvtScratch tape: the one     (plain Rng:
 //!    alignment checker,           fast path; blocked draws,     draw-exact,
-//!    reference `run`)             fused bulk fills)             no tape)
+//!    reference `run`;             fused bulk fills;             no tape;
+//!    never bounded)               bounded)                      bounded)
 //! ```
 //!
 //! [`ScratchDraws`] is the fast path for every mechanism:
@@ -57,9 +58,21 @@
 //! [`discrete_peek_pairs`](DrawProvider::discrete_peek_pairs) forward to
 //! the tuple shapes; no mechanism core calls them.
 //!
+//! A provider whose every draw is its sampler's own output reports itself
+//! [`bounded`](DrawProvider::bounded): no draw then exceeds the sampler's
+//! largest value, so an SVT core may answer `⊥` a query that no draw could
+//! lift over its threshold and [`skip`](DrawProvider::skip) its draws.
+//! Skipped draws advance the stream exactly as served ones would, so the
+//! served sequence, and every output, is unchanged. [`ScratchDraws`] and
+//! [`RngDraws`] are bounded; [`SourceDraws`] never is, because the
+//! alignment checker feeds its `dyn` source shifted tapes, so the
+//! reference path stays the textbook loop the fast path is checked
+//! against.
+//!
 //! The `scratch_equivalence` suite enforces output equality across all
-//! providers; `tests/draw_provider.rs` proptests the stream discipline
-//! itself over random interleavings of the three draw shapes.
+//! providers, and `tests/prune.rs` does so for the pruned routes at each
+//! rung's cut; `tests/draw_provider.rs` proptests the stream discipline
+//! itself over random interleavings of the draw shapes and skips.
 
 use crate::scratch::SvtScratch;
 use free_gap_alignment::NoiseSource;
@@ -88,6 +101,30 @@ pub trait DrawProvider {
     /// Predicted total draw consumption of the run (0 when unknown) — cores
     /// use it to pre-size output buffers, never for control flow.
     fn predicted_draws(&self) -> usize;
+
+    /// True when every draw this provider serves is its sampler's own
+    /// output, so no draw exceeds the sampler's largest value
+    /// ([`Laplace::UNIT_MAX`] times the scale,
+    /// [`DiscreteLaplace::max_value`]). A core may
+    /// then answer a query that no draw could lift over its threshold
+    /// without drawing, and [`skip`](DrawProvider::skip) the draws that
+    /// query owes. Defaults to `false`: a provider whose draws come from
+    /// elsewhere (a replayed or shifted tape) keeps every draw.
+    fn bounded(&self) -> bool {
+        false
+    }
+
+    /// Advances past the next `draws` draws exactly as serving them would,
+    /// without returning them; every draw shape in this crate takes one
+    /// uniform per draw except the staircase's, which cores never skip.
+    /// Cores call it only when [`bounded`](DrawProvider::bounded), before
+    /// the next draw of any shape. The default serves `draws` unit Laplace
+    /// draws and drops them.
+    fn skip(&mut self, draws: usize) {
+        for _ in 0..draws {
+            self.next(1.0);
+        }
+    }
 
     /// One `Lap(scale)` draw.
     fn next(&mut self, scale: f64) -> f64;
@@ -359,6 +396,16 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
         self.scratch.predicted_draws()
     }
 
+    fn bounded(&self) -> bool {
+        true
+    }
+
+    /// Moves the cursor over the buffered uniforms and pulls the rest
+    /// straight from the RNG, without transforming any.
+    fn skip(&mut self, draws: usize) {
+        self.scratch.skip(self.rng, draws);
+    }
+
     #[inline]
     fn next(&mut self, scale: f64) -> f64 {
         self.scratch.next_scaled(self.rng, scale)
@@ -468,6 +515,17 @@ impl<R: Rng + ?Sized> DrawProvider for RngDraws<'_, R> {
 
     fn predicted_draws(&self) -> usize {
         0
+    }
+
+    fn bounded(&self) -> bool {
+        true
+    }
+
+    /// Pulls one uniform per draw, as every sampler it serves does.
+    fn skip(&mut self, draws: usize) {
+        for _ in 0..draws {
+            let _: f64 = self.rng.gen();
+        }
     }
 
     fn next(&mut self, scale: f64) -> f64 {

@@ -62,7 +62,10 @@
 //!   the same RNG stream; the blocked tape may consume *more* of the stream
 //!   (batch lookahead), so derive a fresh
 //!   [`free_gap_noise::rng::derive_stream`] per run. [`draw::RngDraws`] is
-//!   its draw-exact twin, without a tape.
+//!   its draw-exact twin, without a tape. Both are
+//!   [bounded](draw::DrawProvider::bounded): the SVT cores answer `⊥`
+//!   without drawing a query no draw could lift over the threshold, and
+//!   skip its draws, which moves no output bit; `SourceDraws` never does.
 //!
 //! The SVT family's and the exponential race's `_into` entries consume
 //! `impl IntoIterator<Item = f64>` *lazily*, answering each query as it is

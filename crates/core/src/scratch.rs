@@ -189,6 +189,13 @@ impl SvtScratch {
         self.block.window(rng, n);
     }
 
+    /// Advances the tape past the next `draws` draws without transforming
+    /// them — see [`BlockBuffer::skip`].
+    #[inline]
+    pub(crate) fn skip<R: Rng + ?Sized>(&mut self, rng: &mut R, draws: usize) {
+        self.block.skip(rng, draws);
+    }
+
     /// Advances the cursor past `draws` values previously obtained from
     /// [`peek_tuples_scaled`](Self::peek_tuples_scaled) or
     /// [`discrete_peek_tuples`](Self::discrete_peek_tuples) (one uniform

@@ -122,7 +122,12 @@ impl DiscreteSparseVectorWithGap {
     /// the per-draw refill check and rate lookup amortized across the
     /// block, draw-exact providers exactly one draw — and each block's
     /// first query is pulled *before* the peek, so draw-exact providers
-    /// never sample noise for a query that was never pulled.
+    /// never sample noise for a query that was never pulled. With a
+    /// [bounded](DrawProvider::bounded) provider, a block's first query
+    /// that stays below the noisy threshold even at the largest draw
+    /// ([`DiscreteLaplace::max_value`]) is answered `⊥` without a peek, and
+    /// its draw is [skipped](DrawProvider::skip) before the next peek or at
+    /// the end of the run, as in the branch ladder's feed step.
     ///
     /// Consumes `queries` lazily, writing into `out`: the stop condition is
     /// checked *before* pulling the next query, so once the `k`-th `⊤` is
@@ -152,14 +157,36 @@ impl DiscreteSparseVectorWithGap {
         let noisy_threshold =
             self.threshold + provider.discrete_next(self.threshold_rate(), self.gamma);
         let qrate = [self.query_rate()];
+        // The construction checked the rate, so the bound always exists.
+        let cap = if provider.bounded() {
+            let noise = DiscreteLaplace::new(qrate[0], self.gamma).ok();
+            noise.map(|noise| noise.max_value())
+        } else {
+            None
+        };
         out.above.clear();
         out.above.reserve(capacity);
         let mut answered = 0usize;
+        let mut owed = 0;
         let mut done = false;
         while !done && answered < self.k {
             // Pull the block's first query before peeking: a draw-exact
             // provider must not draw noise for a query that never arrives.
             let Some(first) = queries.next() else { break };
+            if cap.is_some_and(|cap| first + cap < noisy_threshold) {
+                debug_assert!(
+                    on_lattice(first, self.gamma),
+                    "query answers must be multiples of γ = {}",
+                    self.gamma
+                );
+                out.above.push(None);
+                owed += 1;
+                continue;
+            }
+            if owed > 0 {
+                provider.skip(owed);
+                owed = 0;
+            }
             let mut pending = Some(first);
             let mut taken = 0usize;
             let slab = provider.discrete_peek_tuples(&qrate, self.gamma);
@@ -187,6 +214,9 @@ impl DiscreteSparseVectorWithGap {
                 }
             }
             provider.discrete_consume(taken);
+        }
+        if owed > 0 {
+            provider.skip(owed);
         }
     }
 

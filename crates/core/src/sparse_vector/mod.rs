@@ -3,7 +3,9 @@
 //! continuous members run one loop, the multi-branch ladder's: Algorithm 2
 //! is its two-rung case, Sparse-Vector-with-Gap its one-rung case, and
 //! classic SVT the one-rung run with the gaps withheld. The discrete
-//! variant keeps its own loop over the discrete-Laplace draw shapes.
+//! variant keeps its own loop over the discrete-Laplace draw shapes. Both
+//! loops skip, on a bounded provider, the draws of a query that no draw
+//! could lift over the noisy threshold.
 
 mod adaptive;
 pub mod broken;

@@ -25,6 +25,12 @@
 //! Algorithm 2, whose margin multiplier and answer limit the ladder
 //! carries privately.
 //!
+//! With a [bounded](crate::draw::DrawProvider::bounded) provider the feed
+//! step prunes: a query that no rung could accept even at that rung's
+//! largest draw is `⊥` without a peek, and its draws are skipped (see
+//! [`MultiBranchAdaptiveSparseVector::run_into`]). A run's time then also
+//! depends on how many answers lie within reach of the threshold.
+//!
 //! The local alignment generalizes Eq. (3) verbatim: the threshold noise
 //! moves up by one, losing branch noises stay, and the single winning
 //! branch noise of each answer absorbs `1 + qᵢ - q'ᵢ`; the Definition-6
@@ -35,6 +41,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws, MAX_TUPLE};
 use crate::error::{require_epsilon, require_fraction, require_scale, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
+use free_gap_noise::Laplace;
 use rand::rngs::StdRng;
 
 /// Where the feed step writes the outcome of each query it observes.
@@ -264,6 +271,15 @@ impl MultiBranchAdaptiveSparseVector {
     /// winning rung. A block's first query is pulled *before* the peek, so
     /// draw-exact providers never draw for a query that does not exist; the
     /// stop rule is checked after each answer, before the next pull.
+    ///
+    /// With a [bounded](DrawProvider::bounded) provider, a block's first
+    /// query that no rung could accept even at that rung's largest draw
+    /// ([`Laplace::UNIT_MAX`] times its scale) is answered `⊥` without a
+    /// peek, and its `m` draws are [skipped](DrawProvider::skip) before the
+    /// next peek or at the end of the feed. Each rung is tested with its
+    /// own expression, the bound in place of the draw; rounding is
+    /// monotone, so no decision changes. Queries inside a peeked slab are
+    /// tested on their draws.
     pub(super) fn feed<P: DrawProvider, I: IntoIterator<Item = f64>, S: Sink>(
         &self,
         state: &mut SvtStreamState,
@@ -287,10 +303,27 @@ impl MultiBranchAdaptiveSparseVector {
         let noisy_threshold = state.noisy_threshold;
         let (top, units) = (1u128 << last, state.k as u128 * (1u128 << last));
         let (mut answered, mut used, mut spent) = (state.answered, state.used, state.spent);
+        let bounded = provider.bounded();
+        let baseline_cap = Laplace::UNIT_MAX * scales[last];
+        let could_win = |q: f64| {
+            (0..last).any(|b| {
+                q + Laplace::UNIT_MAX * scales[b] - noisy_threshold >= self.margin(scales[b])
+            }) || q + baseline_cap >= noisy_threshold
+        };
+        let mut owed = 0;
         let mut done = false;
         while !done {
             // Pull the block's first query before peeking (draw-exactness).
             let Some(mut q) = queries.next() else { break };
+            if bounded && !could_win(q) {
+                sink.push(AdaptiveOutcome::Below);
+                owed += m;
+                continue;
+            }
+            if owed > 0 {
+                provider.skip(owed);
+                owed = 0;
+            }
             let tuples = provider.peek_tuples(&scales[..m]);
             let mut taken = 0;
             loop {
@@ -335,6 +368,9 @@ impl MultiBranchAdaptiveSparseVector {
             }
             provider.consume(taken);
         }
+        if owed > 0 {
+            provider.skip(owed);
+        }
         (state.answered, state.used, state.spent) = (answered, used, spent);
     }
 
@@ -368,7 +404,10 @@ impl MultiBranchAdaptiveSparseVector {
     /// same on every provider: [`SourceDraws`] is the reference
     /// [`run`](Self::run) uses, [`ScratchDraws`](crate::draw::ScratchDraws)
     /// the blocked fast path (it buffers *noise* ahead, never answers), and
-    /// every provider is bit-identical on the same RNG stream.
+    /// every provider is bit-identical on the same RNG stream. A
+    /// [bounded](DrawProvider::bounded) provider skips the draws of every
+    /// query that leads a block and that no rung could accept at its
+    /// largest draw, which changes no decision.
     ///
     /// Precondition: every answer is finite — a `+∞` answer clears any
     /// noisy threshold and a NaN never does. A lazy stream cannot be

@@ -11,7 +11,8 @@
 //! `discrete_next()` / `discrete_peek_pairs()` / `discrete_peek_tuples()` /
 //! `discrete_fill_offset()`, and the baseline-mechanism shapes
 //! `gumbel_next()` / `exp_next()` / `staircase_next()` /
-//! `staircase_fill_offset()` — over identically seeded streams, and asserts
+//! `staircase_fill_offset()` — and `skip(n)`, which must move the stream as
+//! `n` served draws would, over identically seeded streams, and asserts
 //! every consumed draw matches the sequential reference bit-for-bit. This
 //! is the property that lets one mechanism core swap providers freely: the
 //! alignment checker sees the same tape the reference loop would record,
@@ -70,6 +71,8 @@ enum Op {
     StaircaseNext(f64, f64),
     /// `staircase_fill_offset` over `len` zero offsets at `(epsilon, gamma)`.
     StaircaseFill(usize, f64, f64),
+    /// `skip(n)`: the stream passes `n` draws, none of them served.
+    Skip(usize),
 }
 
 impl Op {
@@ -85,7 +88,8 @@ impl Op {
 }
 
 /// What a served draw was requested as: a continuous `Lap(scale)` or a
-/// discrete Laplace at `(unit_epsilon, gamma)`.
+/// discrete Laplace at `(unit_epsilon, gamma)`, and so on; `Skipped`
+/// marks a draw the stream passed without serving it.
 #[derive(Debug, Clone, Copy)]
 enum Want {
     Cont(f64),
@@ -93,6 +97,7 @@ enum Want {
     Gum(f64),
     Exp(f64),
     Stair(f64, f64),
+    Skipped,
 }
 
 /// Positive, finite scales spanning what mechanisms actually request.
@@ -110,7 +115,7 @@ fn random_ops(seed: u64, count: usize) -> Vec<Op> {
     let rate = |rng: &mut rand::rngs::StdRng| RATES[rng.gen_range(0..RATES.len())];
     let gamma = |rng: &mut rand::rngs::StdRng| GAMMAS[rng.gen_range(0..GAMMAS.len())];
     (0..count)
-        .map(|_| match rng.gen_range(0..12) {
+        .map(|_| match rng.gen_range(0..13) {
             0 => Op::Next(scale(&mut rng)),
             1 => {
                 let a = scale(&mut rng);
@@ -140,6 +145,7 @@ fn random_ops(seed: u64, count: usize) -> Vec<Op> {
             8 => Op::GumbelNext(scale(&mut rng)),
             9 => Op::ExpNext(scale(&mut rng)),
             10 => Op::StaircaseNext(rate(&mut rng), SPLITS[rng.gen_range(0..SPLITS.len())]),
+            11 => Op::Skip([0, 1, 3, 17, 70, 5000][rng.gen_range(0..6usize)]),
             _ => Op::StaircaseFill(
                 rng.gen_range(1..8),
                 rate(&mut rng),
@@ -235,6 +241,10 @@ fn serve<P: DrawProvider>(ops: &[Op], provider: &mut P) -> Vec<(Want, f64)> {
                 provider.staircase_fill_offset(&base, &dist, &mut out);
                 served.extend(out.iter().map(|v| (Want::Stair(*eps, *split), *v)));
             }
+            Op::Skip(n) => {
+                provider.skip(*n);
+                served.extend(std::iter::repeat_n((Want::Skipped, 0.0), *n));
+            }
         }
     }
     served
@@ -254,6 +264,11 @@ fn assert_sequential(label: &str, served: &[(Want, f64)], seed: u64) {
             Want::Gum(beta) => Gumbel::new(*beta).unwrap().sample(&mut rng),
             Want::Exp(beta) => Exponential::new(*beta).unwrap().sample(&mut rng),
             Want::Stair(eps, split) => stair_dist(*eps, *split).sample(&mut rng),
+            Want::Skipped => {
+                // One uniform per skipped draw; nothing to compare.
+                let _: f64 = rng.gen();
+                continue;
+            }
         };
         assert_eq!(
             value.to_bits(),

@@ -1,0 +1,373 @@
+//! The bounded-noise prune moves no output bit. Each SVT here runs on
+//! workloads whose answers straddle the cut of every rung (the answer below
+//! which no draw of that rung's sampler can accept it), placed from the
+//! noisy threshold the run itself draws first: at the cut, one ULP (one
+//! lattice step for the discrete SVT) either side of it, and in a
+//! far-below/far-above mix. On those workloads the pruning providers
+//! (`call_batched`'s `ScratchDraws`, and `RngDraws`) equal `call_reference`
+//! bit for bit, a provider that reports itself unbounded gives the same
+//! outputs and never sees `skip`, and a session fed one query at a time
+//! equals one batch and one `run_into`. A lone answer at the prune's own
+//! cut is peeked and the one just below it skipped, so the prune tests
+//! exactly the bound: a looser or tighter cap fails here, although almost
+//! no draw could show it in an output.
+
+use free_gap_core::api::{AnyMechanism, CallScratch, Mechanism, MechanismOutput, QuerySlice};
+use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws};
+use free_gap_core::scratch::{SvtScratch, TopKScratch};
+use free_gap_core::sparse_vector::{
+    AdaptiveSparseVector, ClassicSparseVector, DiscreteSparseVectorWithGap,
+    MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
+};
+use free_gap_core::MechanismError;
+use free_gap_noise::rng::rng_from_seed;
+use free_gap_noise::{
+    ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Laplace, Staircase,
+};
+use std::f64::consts::SQRT_2;
+
+const EPSILONS: [f64; 4] = [1e-300, 0.01, 0.7, 50.0];
+const K: usize = 5;
+const SEEDS: u64 = 6;
+
+/// Forwards every draw to `inner`, reports `bounded` as told, and counts
+/// the draws skipped and the peeks served; an unbounded probe panics on
+/// `skip`, which a core must never call on it.
+struct Probe<P> {
+    inner: P,
+    bounded: bool,
+    skipped: usize,
+    peeks: usize,
+}
+
+impl<P: DrawProvider> DrawProvider for Probe<P> {
+    fn begin(&mut self) {
+        self.inner.begin();
+    }
+    fn predicted_draws(&self) -> usize {
+        self.inner.predicted_draws()
+    }
+    fn bounded(&self) -> bool {
+        self.bounded
+    }
+    fn skip(&mut self, draws: usize) {
+        assert!(self.bounded, "skip on an unbounded provider");
+        self.skipped += draws;
+        self.inner.skip(draws);
+    }
+    fn next(&mut self, scale: f64) -> f64 {
+        self.inner.next(scale)
+    }
+    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
+        self.inner.discrete_next(unit_epsilon, gamma)
+    }
+    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
+        self.peeks += 1;
+        self.inner.discrete_peek_tuples(unit_epsilons, gamma)
+    }
+    fn discrete_consume(&mut self, draws: usize) {
+        self.inner.discrete_consume(draws);
+    }
+    fn discrete_fill_offset(&mut self, base: &[f64], rate: f64, gamma: f64, out: &mut Vec<f64>) {
+        self.inner.discrete_fill_offset(base, rate, gamma, out);
+    }
+    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
+        self.peeks += 1;
+        self.inner.peek_tuples(scales)
+    }
+    fn consume(&mut self, draws: usize) {
+        self.inner.consume(draws);
+    }
+    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
+        self.inner.fill_offset(base, scale, out);
+    }
+    fn gumbel_next(&mut self, beta: f64) -> f64 {
+        self.inner.gumbel_next(beta)
+    }
+    fn exp_next(&mut self, beta: f64) -> f64 {
+        self.inner.exp_next(beta)
+    }
+    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
+        self.inner.staircase_next(dist)
+    }
+    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
+        self.inner.staircase_fill_offset(base, dist, out);
+    }
+}
+
+/// A continuous SVT under test: the noise scale of its threshold, and each
+/// rung's noise scale and margin, cheapest rung first (the baseline's
+/// margin is 0: it compares the noisy answer with the noisy threshold).
+struct Continuous {
+    mech: AnyMechanism,
+    threshold_scale: f64,
+    rungs: Vec<(f64, f64)>,
+}
+
+/// The continuous SVTs at budget `eps`: the one-, two- and three-rung
+/// ladders, Algorithm 2, Sparse-Vector-with-Gap and classic SVT.
+fn continuous(eps: f64) -> Vec<Continuous> {
+    let mut all = Vec::new();
+    for m in 1..=3 {
+        let ladder = MultiBranchAdaptiveSparseVector::new(K, eps, 0.0, true, m).unwrap();
+        // Rung b's budget is ε₁/2^{m-1-b} and its scale 1/budget on a
+        // monotone workload; every rung but the baseline has a margin of
+        // two standard deviations, 2√2·scale.
+        let rungs = (0..m)
+            .map(|b| {
+                let scale = 1.0 / (ladder.epsilon1() / (1u64 << (m - 1 - b)) as f64);
+                (scale, if b + 1 < m { 2.0 * SQRT_2 * scale } else { 0.0 })
+            })
+            .collect();
+        all.push(Continuous {
+            mech: ladder.into(),
+            threshold_scale: 1.0 / ladder.epsilon0(),
+            rungs,
+        });
+    }
+    let alg2 = AdaptiveSparseVector::new(K, eps, 0.0, false).unwrap();
+    all.push(Continuous {
+        mech: alg2.into(),
+        threshold_scale: 1.0 / alg2.epsilon0(),
+        rungs: vec![(alg2.top_scale(), alg2.sigma()), (alg2.middle_scale(), 0.0)],
+    });
+    // Sparse-Vector-with-Gap runs at classic SVT's scales.
+    let svg = SparseVectorWithGap::new(K, eps, 0.0, false).unwrap();
+    let scales = ClassicSparseVector::new(K, eps, 0.0, false).unwrap();
+    all.push(Continuous {
+        mech: svg.into(),
+        threshold_scale: scales.threshold_scale(),
+        rungs: vec![(scales.query_scale(), 0.0)],
+    });
+    let classic = ClassicSparseVector::new(K, eps, 0.0, true).unwrap();
+    all.push(Continuous {
+        mech: classic.into(),
+        threshold_scale: classic.threshold_scale(),
+        rungs: vec![(classic.query_scale(), 0.0)],
+    });
+    all
+}
+
+/// The two workloads around a noisy threshold: `cuts` (each with its two
+/// neighbours) cycled, with a far-above answer every 16th query, and a
+/// far-below/far-above mix. `far` is beyond every rung's reach.
+fn workloads(noisy_threshold: f64, cuts: &[f64], far: f64) -> [Vec<f64>; 2] {
+    let straddle = (0..64)
+        .map(|i| {
+            if i % 16 == 15 {
+                noisy_threshold + far
+            } else {
+                cuts[i % cuts.len()]
+            }
+        })
+        .collect();
+    let mix = (0..64)
+        .map(|i| noisy_threshold + if i % 7 == 3 { far } else { -far })
+        .collect();
+    [straddle, mix]
+}
+
+/// Runs `mech` on `answers` at `seed` through the reference path and every
+/// other provider, asserting equal outputs; returns the draws the bounded
+/// probe skipped and the peeks it served.
+fn assert_paths_agree(
+    mech: &AnyMechanism,
+    answers: &[f64],
+    seed: u64,
+    scratch: &mut CallScratch,
+) -> (usize, usize) {
+    let req = QuerySlice::new(answers);
+    let label = format!("{} at ε = {:e}, seed {seed}", mech.name(), epsilon(mech));
+    let mut reference = MechanismOutput::new_for(mech);
+    mech.call_reference(&req, &mut rng_from_seed(seed), &mut reference)
+        .unwrap();
+    let want = format!("{reference:?}");
+    let mut out = MechanismOutput::new_for(mech);
+    mech.call_batched(&req, &mut rng_from_seed(seed), scratch, &mut out)
+        .unwrap();
+    assert_eq!(format!("{out:?}"), want, "call_batched, {label}");
+    let mut topk = TopKScratch::new();
+    let mut rng = rng_from_seed(seed);
+    mech.call(&req, &mut RngDraws::new(&mut rng), &mut topk, &mut out)
+        .unwrap();
+    assert_eq!(format!("{out:?}"), want, "RngDraws, {label}");
+    let mut counts = (0, 0);
+    for bounded in [false, true] {
+        let mut rng = rng_from_seed(seed);
+        let mut probe = Probe {
+            inner: ScratchDraws::new(&mut scratch.svt, &mut rng),
+            bounded,
+            skipped: 0,
+            peeks: 0,
+        };
+        mech.call(&req, &mut probe, &mut topk, &mut out).unwrap();
+        assert_eq!(format!("{out:?}"), want, "bounded {bounded}, {label}");
+        counts = (probe.skipped, probe.peeks);
+    }
+    counts
+}
+
+/// The `f64` order as an integer order, and back.
+fn key(x: f64) -> i128 {
+    let bits = x.to_bits() as i64;
+    i128::from(if bits < 0 { i64::MIN - bits } else { bits })
+}
+
+fn unkey(k: i128) -> f64 {
+    let k = k as i64;
+    f64::from_bits(if k < 0 {
+        (i64::MIN - k) as u64
+    } else {
+        k as u64
+    })
+}
+
+/// The prune's cut: the smallest answer some rung could accept at its
+/// largest draw, each rung tested with its own expression, the bound in
+/// place of the draw. Found by bisection over the `f64` order between
+/// `noisy_threshold ∓ far`.
+fn prune_cut(noisy_threshold: f64, rungs: &[(f64, f64)], far: f64) -> f64 {
+    let (&(baseline, _), cheaper) = rungs.split_last().unwrap();
+    let could_win = |q: f64| {
+        cheaper
+            .iter()
+            .any(|&(scale, margin)| q + Laplace::UNIT_MAX * scale - noisy_threshold >= margin)
+            || q + Laplace::UNIT_MAX * baseline >= noisy_threshold
+    };
+    let (mut lo, mut hi) = (key(noisy_threshold - far), key(noisy_threshold + far));
+    assert!(!could_win(unkey(lo)) && could_win(unkey(hi)));
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if could_win(unkey(mid)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    unkey(hi)
+}
+
+fn epsilon(mech: &AnyMechanism) -> f64 {
+    match mech {
+        AnyMechanism::MultiBranchAdaptiveSparseVector(m) => m.epsilon(),
+        AnyMechanism::AdaptiveSparseVector(m) => m.epsilon(),
+        AnyMechanism::SparseVectorWithGap(m) => m.epsilon(),
+        AnyMechanism::ClassicSparseVector(m) => m.epsilon(),
+        AnyMechanism::DiscreteSparseVectorWithGap(m) => m.epsilon(),
+        _ => f64::NAN,
+    }
+}
+
+#[test]
+fn continuous_prunes_keep_every_bit_at_each_rungs_cut() {
+    let mut scratch = CallScratch::new();
+    for eps in EPSILONS {
+        for svt in continuous(eps) {
+            let (mut skipped, mut peeks) = (0, 0);
+            let (m, name) = (svt.rungs.len(), svt.mech.name());
+            for seed in 0..SEEDS {
+                let noise = Laplace::new(svt.threshold_scale).unwrap();
+                let noisy_threshold = 0.0 + noise.sample(&mut rng_from_seed(seed));
+                let mut cuts = Vec::new();
+                let mut far: f64 = 0.0;
+                for &(scale, margin) in &svt.rungs {
+                    let cap = Laplace::UNIT_MAX * scale;
+                    let cut = noisy_threshold + margin - cap;
+                    cuts.extend([cut.next_down(), cut, cut.next_up()]);
+                    far = far.max(4.0 * (cap + margin));
+                }
+                // The answer at the prune's cut is peeked, the one below it
+                // skipped: the prune tests exactly the bound.
+                let cut = prune_cut(noisy_threshold, &svt.rungs, far);
+                let below = assert_paths_agree(&svt.mech, &[cut.next_down()], seed, &mut scratch);
+                assert_eq!(below, (m, 0), "{name} at ε = {eps:e}, seed {seed}");
+                let at = assert_paths_agree(&svt.mech, &[cut], seed, &mut scratch);
+                assert_eq!(at, (0, 1), "{name} at ε = {eps:e}, seed {seed}");
+                for answers in workloads(noisy_threshold, &cuts, far) {
+                    let (s, p) = assert_paths_agree(&svt.mech, &answers, seed, &mut scratch);
+                    (skipped, peeks) = (skipped + s, peeks + p);
+                }
+            }
+            assert!(
+                skipped > 0 && peeks > 0,
+                "{name} at ε = {eps:e}: {skipped}, {peeks}"
+            );
+        }
+    }
+}
+
+#[test]
+fn discrete_prunes_keep_every_bit_at_the_cut() {
+    let mut scratch = CallScratch::new();
+    for eps in EPSILONS {
+        let Ok(svt) = DiscreteSparseVectorWithGap::new(K, eps, 0.0, true) else {
+            // Its rates admit no discrete Laplace in f64 at 1e-300.
+            assert_eq!(eps, 1e-300);
+            let refused = DiscreteSparseVectorWithGap::new(K, eps, 0.0, true);
+            assert_eq!(refused, Err(MechanismError::InvalidEpsilon { value: eps }));
+            continue;
+        };
+        let (mut skipped, mut peeks) = (0, 0);
+        for seed in 0..SEEDS {
+            let noise = DiscreteLaplace::new(svt.threshold_rate(), 1.0).unwrap();
+            let noisy_threshold = 0.0 + noise.sample_value(&mut rng_from_seed(seed));
+            let cap = DiscreteLaplace::new(svt.query_rate(), 1.0)
+                .unwrap()
+                .max_value();
+            let cut = noisy_threshold - cap;
+            let cuts = [cut - 1.0, cut, cut + 1.0];
+            let mech = AnyMechanism::from(svt);
+            let below = assert_paths_agree(&mech, &[cut - 1.0], seed, &mut scratch);
+            assert_eq!(below, (1, 0), "ε = {eps:e}, seed {seed}");
+            let at = assert_paths_agree(&mech, &[cut], seed, &mut scratch);
+            assert_eq!(at, (0, 1), "ε = {eps:e}, seed {seed}");
+            for answers in workloads(noisy_threshold, &cuts, 4.0 * cap) {
+                let (s, p) = assert_paths_agree(&mech, &answers, seed, &mut scratch);
+                (skipped, peeks) = (skipped + s, peeks + p);
+            }
+        }
+        assert!(skipped > 0 && peeks > 0, "ε = {eps:e}: {skipped}, {peeks}");
+    }
+}
+
+#[test]
+fn sessions_fed_one_query_at_a_time_equal_one_batch_and_one_run() {
+    for eps in EPSILONS {
+        let svt = SparseVectorWithGap::new(K, eps, 0.0, false).unwrap();
+        let scales = ClassicSparseVector::new(K, eps, 0.0, false).unwrap();
+        for seed in 0..SEEDS {
+            let noise = Laplace::new(scales.threshold_scale()).unwrap();
+            let noisy_threshold = 0.0 + noise.sample(&mut rng_from_seed(seed));
+            let cap = Laplace::UNIT_MAX * scales.query_scale();
+            let cut = noisy_threshold - cap;
+            let cuts = [cut.next_down(), cut, cut.next_up()];
+            for answers in workloads(noisy_threshold, &cuts, 4.0 * cap) {
+                let mut one = SvOutput::default();
+                let mut scratch = SvtScratch::new();
+                let mut rng = rng_from_seed(seed);
+                let mut provider = ScratchDraws::new(&mut scratch, &mut rng);
+                svt.run_into(answers.iter().copied(), &mut provider, &mut one);
+                let mut fed = [Vec::new(), Vec::new()];
+                for (batch, out) in [1, answers.len()].into_iter().zip(&mut fed) {
+                    let (mut rng, mut scratch) = (rng_from_seed(seed), SvtScratch::new());
+                    let mut state = svt.stream_open(&mut rng, &mut scratch);
+                    for chunk in answers.chunks(batch) {
+                        let chunk = chunk.iter().copied();
+                        svt.stream_feed(&mut state, chunk, &mut rng, &mut scratch, out);
+                    }
+                }
+                let label = format!("ε = {eps:e}, seed {seed}");
+                assert_eq!(
+                    format!("{:?}", fed[0]),
+                    format!("{:?}", one.above),
+                    "{label}"
+                );
+                assert_eq!(
+                    format!("{:?}", fed[1]),
+                    format!("{:?}", one.above),
+                    "{label}"
+                );
+            }
+        }
+    }
+}

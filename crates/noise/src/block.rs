@@ -49,7 +49,13 @@
 //! overdraw) and unboundedly long streams (hot, L1-resident refills) are
 //! served well. Peeks transform eagerly, so each serves a bounded slab: a
 //! caller that knows how many draws it will take (a session feed) readies
-//! them with [`BlockBuffer::window`], and one peek serves exactly those.
+//! them with [`BlockBuffer::window`], and one peek serves exactly those;
+//! otherwise a peek is sized by the draws the run has consumed from earlier
+//! peeks, continuous and discrete alike.
+//!
+//! [`BlockBuffer::skip`] passes draws without transforming them, for a
+//! caller that knows no value of theirs can matter (an SVT query no draw can
+//! lift over its threshold): the stream moves exactly as serving them would.
 
 use crate::discrete_laplace::DiscreteLaplace;
 use crate::traits::SingleUniform;
@@ -75,12 +81,16 @@ pub struct BlockBuffer {
     /// Transform watermark into `vals`.
     transformed: usize,
     cursor: usize,
-    /// Fresh uniforms pulled into the buffer since the last
-    /// [`begin`](Self::begin) (served = `filled - (raw.len() - cursor)`;
-    /// tracked at refill time so the per-draw hot path carries no extra
-    /// bookkeeping). Uniforms a bulk fill draws straight from the RNG after
-    /// a [`drain`](Self::drain) never enter the buffer and are not counted.
+    /// Fresh uniforms pulled into the buffer, or skipped straight past it
+    /// ([`skip`](Self::skip)), since the last [`begin`](Self::begin)
+    /// (served = `filled - (raw.len() - cursor)`; tracked at refill and
+    /// skip time so the per-draw hot path carries no extra bookkeeping).
+    /// Uniforms a bulk fill draws straight from the RNG after a
+    /// [`drain`](Self::drain) never enter the buffer and are not counted.
     filled: usize,
+    /// Draws committed through [`consume`](Self::consume) since the last
+    /// [`begin`](Self::begin): what sizes a peek outside a window.
+    consumed: usize,
     /// Predicted consumption of the next run (last run's served count), in
     /// uniforms.
     predicted: usize,
@@ -111,6 +121,7 @@ impl BlockBuffer {
             transformed: 0,
             cursor: 0,
             filled: 0,
+            consumed: 0,
             predicted: Self::MIN_CHUNK,
             window: 0,
         }
@@ -128,6 +139,7 @@ impl BlockBuffer {
         self.transformed = 0;
         self.cursor = 0;
         self.filled = 0;
+        self.consumed = 0;
         self.window = 0;
     }
 
@@ -243,10 +255,13 @@ impl BlockBuffer {
     /// How many draws the next peek serves, refilling first if fewer than
     /// one `m`-tuple is buffered: whole tuples, up to the end of a
     /// [`window`](Self::window), or else at most a quarter of the draws
-    /// this run has already served and at least `PEEK_FLOOR` (or one
-    /// tuple). Peeks transform eagerly, and a run that stops early — an SVT
-    /// halting, a short call after a long one sized the block — would
-    /// otherwise pay the transform for the rest of a block it never uses.
+    /// this run has committed through [`consume`](Self::consume) and at
+    /// least `PEEK_FLOOR` (or one tuple). Peeks transform eagerly, and a
+    /// run that stops early — an SVT halting, a short call after a long one
+    /// sized the block — would otherwise pay the transform for the rest of
+    /// a block it never uses. Draws passed by [`skip`](Self::skip) or
+    /// served one at a time do not count: a peek after a long skip serves
+    /// the query that ended it, not a quarter of the skipped stretch.
     #[inline]
     fn peek_len<R: Rng + ?Sized>(&mut self, rng: &mut R, m: usize) -> usize {
         // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
@@ -258,7 +273,7 @@ impl BlockBuffer {
         let want = if self.cursor < self.window {
             self.window - self.cursor
         } else {
-            ((self.filled - buffered) / 4).max(Self::PEEK_FLOOR)
+            (self.consumed / 4).max(Self::PEEK_FLOOR)
         };
         let avail = buffered.min(want.max(m));
         avail - avail % m
@@ -298,10 +313,10 @@ impl BlockBuffer {
     /// Discrete twin of [`peek_tuples`](Self::peek_tuples): writes whole
     /// `dists.len()`-tuples into `out`, slot `b` of each tuple drawn from
     /// `dists[b]` (refilling first if fewer than one tuple's worth of
-    /// uniforms is available). Each served value consumes one raw uniform;
-    /// commit consumption with [`consume`](Self::consume) in served values.
-    /// Draw order is identical to sequential
-    /// [`next_discrete`](Self::next_discrete) draws.
+    /// uniforms is available), as many as `peek_len` allows. Each served
+    /// value consumes one raw uniform; commit consumption with
+    /// [`consume`](Self::consume) in served values. Draw order is identical
+    /// to sequential [`next_discrete`](Self::next_discrete) draws.
     #[inline]
     pub fn discrete_peek_tuples<R: Rng + ?Sized>(
         &mut self,
@@ -310,15 +325,10 @@ impl BlockBuffer {
         out: &mut Vec<f64>,
     ) {
         let m = dists.len();
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(m >= 1, "tuple arity must be at least 1");
-        if self.cursor + m > self.raw.len() {
-            self.refill_keeping_leftover(rng, m);
-        }
-        let tuples = (self.raw.len() - self.cursor) / m;
-        let raw = &self.raw[self.cursor..self.cursor + tuples * m];
+        let len = self.peek_len(rng, m);
+        let raw = &self.raw[self.cursor..self.cursor + len];
         out.clear();
-        out.reserve(tuples * m);
+        out.reserve(len);
         for tuple in raw.chunks_exact(m) {
             for (dist, &u) in dists.iter().zip(tuple) {
                 out.push(dist.value_from_uniform(u));
@@ -342,6 +352,31 @@ impl BlockBuffer {
             "consumed more draws than were peeked"
         );
         self.cursor += draws;
+        self.consumed += draws;
+    }
+
+    /// Advances the tape past the next `n` draws without transforming
+    /// them, moving the stream exactly as serving them would (one uniform
+    /// per draw in every single-uniform family): the buffered uniforms are
+    /// passed over first, and the rest are pulled straight from the RNG and
+    /// dropped. Skipped draws count toward the run's prediction but not
+    /// toward its peek sizing.
+    #[inline]
+    pub fn skip<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) {
+        let buffered = n.min(self.raw.len() - self.cursor);
+        self.cursor += buffered;
+        if buffered < n {
+            self.skip_unbuffered(rng, n - buffered);
+        }
+    }
+
+    /// The part of a [`skip`](Self::skip) past the buffered uniforms.
+    #[cold]
+    fn skip_unbuffered<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) {
+        for _ in 0..n {
+            let _: f64 = rng.gen();
+        }
+        self.filled += n;
     }
 
     /// Applies the continuous transform to `raw[max(transformed, cursor)..
@@ -695,7 +730,8 @@ mod tests {
     #[test]
     fn peeks_transform_at_most_a_quarter_of_the_draws_served() {
         // A 1000-draw block, sized by the last run: the first peeks of a
-        // run serve PEEK_FLOOR draws, later ones a quarter of those served.
+        // run serve PEEK_FLOOR draws, later ones a quarter of those
+        // consumed, which here are all those served.
         let unit = Laplace::new(1.0).unwrap();
         let mut block = BlockBuffer::new();
         let mut rng = rng_from_seed(9);
@@ -745,6 +781,90 @@ mod tests {
             for v in &out[..n] {
                 assert_eq!(*v, 2.0 * unit.sample(&mut expect_rng));
             }
+        }
+    }
+
+    #[test]
+    fn skips_advance_the_stream_as_serving_would() {
+        // Skips of every length against the buffer (none, inside it, to its
+        // end, past it, across several blocks) between served draws: the
+        // served stream is the sequential one with the skipped draws
+        // dropped, and the skipped draws count toward the next prediction.
+        let unit = Laplace::new(1.0).unwrap();
+        let dl = DiscreteLaplace::new(0.4, 1.0).unwrap();
+        let mut expect_rng = rng_from_seed(12);
+        let mut block = BlockBuffer::new();
+        let mut rng = rng_from_seed(12);
+        block.begin();
+        let mut passed = 0;
+        for (round, n) in [0, 3, 12, 1, 40, 5000, 7, 0, 16, 333]
+            .into_iter()
+            .enumerate()
+        {
+            block.skip(&mut rng, n);
+            for _ in 0..n {
+                unit.sample(&mut expect_rng);
+            }
+            let slab = block.peek_tuples(&unit, &mut rng, 1)[..1].to_vec();
+            block.consume(1);
+            assert_eq!(slab[0], unit.sample(&mut expect_rng), "round {round}");
+            let got = block.next_discrete(&dl, &mut rng);
+            assert_eq!(got, dl.sample_value(&mut expect_rng), "round {round}");
+            passed += n + 2;
+        }
+        block.begin();
+        assert_eq!(block.predicted_draws(), passed);
+    }
+
+    #[test]
+    fn a_peek_after_a_long_skip_serves_the_floor() {
+        // A 4096-draw block, sized by the last run: a skip over most of it
+        // leaves the next peek sized by the draws consumed, not passed.
+        let unit = Laplace::new(1.0).unwrap();
+        let dists = [DiscreteLaplace::new(0.4, 1.0).unwrap()];
+        let mut block = BlockBuffer::new();
+        let mut rng = rng_from_seed(14);
+        let mut out = Vec::new();
+        block.begin();
+        block.skip(&mut rng, BlockBuffer::CACHE_CHUNK);
+        block.begin();
+        block.next(&unit, &mut rng);
+        block.skip(&mut rng, 3000);
+        let len = block.peek_tuples(&unit, &mut rng, 1).len();
+        assert_eq!(len, BlockBuffer::PEEK_FLOOR);
+        assert_eq!(block.transformed, block.cursor + len);
+        block.consume(len);
+        block.skip(&mut rng, 500);
+        block.discrete_peek_tuples(&dists, &mut rng, &mut out);
+        assert_eq!(out.len(), BlockBuffer::PEEK_FLOOR, "discrete peek");
+    }
+
+    #[test]
+    fn discrete_peeks_transform_at_most_a_quarter_of_the_draws_consumed() {
+        let dists = [
+            DiscreteLaplace::new(0.9, 1.0).unwrap(),
+            DiscreteLaplace::new(0.2, 1.0).unwrap(),
+        ];
+        let unit = Laplace::new(1.0).unwrap();
+        let mut block = BlockBuffer::new();
+        let mut rng = rng_from_seed(15);
+        let mut out = Vec::new();
+        block.begin();
+        for _ in 0..BlockBuffer::CACHE_CHUNK {
+            block.next(&unit, &mut rng);
+        }
+        block.begin();
+        let mut consumed = 0;
+        while consumed < 3000 {
+            block.discrete_peek_tuples(&dists, &mut rng, &mut out);
+            assert!(out.len() >= 2 && out.len().is_multiple_of(2));
+            assert!(
+                out.len() <= (consumed / 4).max(BlockBuffer::PEEK_FLOOR),
+                "{} after {consumed}",
+                out.len()
+            );
+            block.consume(out.len());
+            consumed += out.len();
         }
     }
 

@@ -131,6 +131,15 @@ impl DiscreteLaplace {
     pub fn value_from_uniform(&self, u: f64) -> f64 {
         self.index_from_uniform(u) as f64 * self.base
     }
+
+    /// An upper bound on every value this sampler can return: the index of
+    /// the top `f64` uniform below 1, plus one lattice step of slack for
+    /// the rounding of its `ln`, times `γ`. The inversion's index does not
+    /// decrease in `u`, so the top uniform's is the largest.
+    pub fn max_value(&self) -> f64 {
+        let top = 1.0 - f64::EPSILON / 2.0;
+        (self.index_from_uniform(top) + 1) as f64 * self.base
+    }
 }
 
 impl DiscreteDistribution for DiscreteLaplace {
@@ -285,6 +294,77 @@ mod tests {
             "{var} vs {}",
             d.variance_index()
         );
+    }
+
+    /// The largest `f64` below 1: the top uniform.
+    const TOP: f64 = 1.0 - f64::EPSILON / 2.0;
+
+    /// The accepted rate at γ = 1 next to the boundary between `refused`
+    /// and `accepted`, by bisection on the bit patterns.
+    fn accepted_edge(mut refused: f64, mut accepted: f64) -> f64 {
+        loop {
+            let mid = f64::from_bits((refused.to_bits() + accepted.to_bits()) / 2);
+            if mid == refused || mid == accepted {
+                return accepted;
+            }
+            if DiscreteLaplace::new(mid, 1.0).is_ok() {
+                accepted = mid;
+            } else {
+                refused = mid;
+            }
+        }
+    }
+
+    /// The bound's settings: γ ∈ {1, 0.25, 2⁻⁵²} at two rates each, and
+    /// the smallest and largest rates `DiscreteSparseVectorWithGap`
+    /// accepts, which are this constructor's at its γ = 1.
+    fn bound_settings() -> Vec<DiscreteLaplace> {
+        let (lo, hi) = (accepted_edge(1e-30, 1.0), accepted_edge(1e4, 1.0));
+        assert!(lo < 1e-15 && hi > 700.0, "edges {lo:e}, {hi}");
+        let settings = [
+            (0.05, 1.0),
+            (1.0, 1.0),
+            (0.05, 0.25),
+            (1.0, 0.25),
+            (1.0, f64::EPSILON),
+            (4.0, f64::EPSILON),
+            (lo, 1.0),
+            (hi, 1.0),
+        ];
+        settings
+            .iter()
+            .map(|&(eps, gamma)| dl(eps, gamma))
+            .collect()
+    }
+
+    #[test]
+    fn max_value_bounds_every_draw() {
+        let mut rng = rng_from_seed(52);
+        for d in bound_settings() {
+            let bound = d.max_value();
+            let check = |u: f64| assert!(d.value_from_uniform(u) <= bound, "{d:?}, u = {u:e}");
+            check(0.0);
+            let mut u = TOP;
+            for _ in 0..1 << 20 {
+                check(u);
+                u = u.next_down();
+            }
+            for _ in 0..1_000_000 {
+                check(rng.gen());
+            }
+        }
+    }
+
+    #[test]
+    fn max_value_is_one_step_above_the_top_uniform() {
+        for d in bound_settings() {
+            let (bound, top) = (d.max_value(), d.value_from_uniform(TOP));
+            // Where the lattice is finer than the value's f64 spacing, one
+            // step is at most one ulp of the value.
+            let step = d.base().max(top.next_up() - top);
+            assert!(top <= bound, "{d:?}");
+            assert!(bound - top <= step, "{d:?}: {bound} vs {top}");
+        }
     }
 
     #[test]

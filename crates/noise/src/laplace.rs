@@ -20,6 +20,15 @@ pub struct Laplace {
 }
 
 impl Laplace {
+    /// The largest draw of the unit-scale sampler over every `f64` uniform
+    /// in `[0, 1)`: the positive branch's `ln` argument `1 - 2|u - ½|` is
+    /// a multiple of `2⁻⁵²` there, so it is at least `2⁻⁵²` and the draw at
+    /// most `52·ln 2 ≈ 36.04`. This is `52·ln 2` rounded up to the next
+    /// `f64`, so it bounds the transform under any faithfully rounded `ln`.
+    /// A draw at scale `b` is at most `UNIT_MAX * b`: the sampler is a
+    /// single `b × f(u)` product, and rounding is monotone.
+    pub const UNIT_MAX: f64 = 36.043_653_389_117_16;
+
     /// Creates `Lap(scale)`; `scale` must be finite and positive.
     pub fn new(scale: f64) -> Result<Self, NoiseError> {
         Ok(Self {
@@ -205,6 +214,46 @@ mod tests {
         // (0.5*e^-700 ≈ 5e-305 is representable; beyond ~745 it underflows).
         assert!(l.sf(700.0) > 0.0);
         assert_eq!(1.0 - l.cdf(700.0), 0.0, "naive complement loses the tail");
+    }
+
+    /// The largest `f64` below 1: the top uniform.
+    const TOP: f64 = 1.0 - f64::EPSILON / 2.0;
+
+    #[test]
+    fn unit_max_bounds_every_draw() {
+        let unit = Laplace::new(1.0).unwrap();
+        let scaled = [Laplace::new(3.7).unwrap(), Laplace::new(1e300).unwrap()];
+        let check = |u: f64| {
+            assert!(
+                unit.sample_from_uniform(u) <= Laplace::UNIT_MAX,
+                "u = {u:e}"
+            );
+            for lap in &scaled {
+                let bound = Laplace::UNIT_MAX * lap.scale();
+                assert!(lap.sample_from_uniform(u) <= bound, "u = {u:e}");
+            }
+        };
+        check(0.0);
+        let mut u = TOP;
+        for _ in 0..1 << 20 {
+            check(u);
+            u = u.next_down();
+        }
+        let mut rng = rng_from_seed(36);
+        for _ in 0..10_000_000 {
+            check(rng.gen());
+        }
+    }
+
+    #[test]
+    fn unit_max_is_tight() {
+        let top = Laplace::new(1.0).unwrap().sample_from_uniform(TOP);
+        assert!(top <= Laplace::UNIT_MAX);
+        assert!(
+            (Laplace::UNIT_MAX - top) / Laplace::UNIT_MAX < 1e-12,
+            "{top}"
+        );
+        assert_eq!(Laplace::UNIT_MAX, (52.0 * std::f64::consts::LN_2).next_up());
     }
 
     #[test]
