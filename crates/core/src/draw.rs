@@ -26,9 +26,9 @@
 //! ## Contract
 //!
 //! The trait exposes the draw shapes the paper's mechanisms need — single
-//! draws ([`next`](DrawProvider::next)), which the continuous SVT family
-//! takes only for its noisy threshold (the broken-variant zoo also draws
-//! its query noise this way), the adaptive branch ladder's `m`-tuples
+//! draws ([`next`](DrawProvider::next)), which the SVT family takes only
+//! for its noisy threshold (the broken-variant zoo also draws its query
+//! noise this way), the adaptive branch ladder's `m`-tuples
 //! ([`peek_tuples`](DrawProvider::peek_tuples): Algorithm 2 is the ladder
 //! at `m = 2`, so its `(ξ, η)` pairs are 2-tuples, and
 //! Sparse-Vector-with-Gap and classic SVT draw their query noise as the
@@ -58,10 +58,17 @@
 //! [`discrete_peek_pairs`](DrawProvider::discrete_peek_pairs) forward to
 //! the tuple shapes; no mechanism core calls them.
 //!
+//! The two selection cores reach these shapes through a crate-private
+//! noise family (continuous, or discrete on `{kγ}`), which maps each shape
+//! onto the plain method or its `discrete_*` twin: the SVT family's branch
+//! ladder takes `next`, `peek_tuples` and `consume`, and Algorithm 1's core
+//! `fill_offset`, then [`select_top`](DrawProvider::select_top).
+//!
 //! A provider whose every draw is its sampler's own output reports itself
 //! [`bounded`](DrawProvider::bounded): no draw then exceeds the sampler's
 //! largest value, so an SVT core may answer `⊥` a query that no draw could
-//! lift over its threshold and [`skip`](DrawProvider::skip) its draws.
+//! lift over its threshold and [`skip`](DrawProvider::skip) its draws
+//! (the ladder does, in either family).
 //! Skipped draws advance the stream exactly as served ones would, so the
 //! served sequence, and every output, is unchanged. [`ScratchDraws`] and
 //! [`RngDraws`] are bounded; [`SourceDraws`] never is, because the
@@ -248,6 +255,104 @@ pub trait DrawProvider {
     /// it. Every provider in this crate runs this default scan.
     fn select_top(&mut self, values: &[f64], m: usize, out: &mut Vec<usize>) {
         crate::noisy_max::top_indices_into(values, m, out);
+    }
+}
+
+/// The noise family of a selection core: continuous Laplace at a scale
+/// ([`Continuous`]) or discrete Laplace on `{kγ}` at a rate per unit
+/// ([`Discrete`]). It maps each draw shape the branch ladder and
+/// Algorithm 1's core need onto one [`DrawProvider`] method; `noise` is a
+/// draw's parameter in the family.
+pub(crate) trait Family: Copy {
+    /// Whether the branch ladder may have rungs below the baseline in this
+    /// family. Without them the ladder has one rung, and the feed step is
+    /// compiled for exactly one.
+    const MULTI_RUNG: bool;
+
+    /// The noise of a sensitivity-1 release at `budget`: scale `1/budget`, or rate `budget`.
+    fn at_budget(self, budget: f64) -> f64;
+
+    /// One draw: the SVT's noisy threshold.
+    fn next(self, provider: &mut impl DrawProvider, noise: f64) -> f64;
+
+    /// A slab of whole tuples, slot `b` at `noise[b]`: the ladder's per-query draws.
+    fn peek_tuples<'p>(self, provider: &'p mut impl DrawProvider, noise: &[f64]) -> &'p [f64];
+
+    /// Commits `draws` values of the last slab.
+    fn consume(self, provider: &mut impl DrawProvider, draws: usize);
+
+    /// `base[i]` plus one draw each: Algorithm 1's fill.
+    fn fill_offset(self, p: &mut impl DrawProvider, base: &[f64], noise: f64, out: &mut Vec<f64>);
+
+    /// The largest draw a [bounded](DrawProvider::bounded) provider serves, for the ladder's
+    /// prune; `+∞`, which never prunes, where the rate admits no sampler.
+    fn max_draw(self, noise: f64) -> f64;
+}
+
+/// Continuous Laplace at a scale: the plain shapes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Continuous;
+
+impl Family for Continuous {
+    const MULTI_RUNG: bool = true;
+
+    fn at_budget(self, budget: f64) -> f64 {
+        1.0 / budget
+    }
+
+    fn next(self, provider: &mut impl DrawProvider, noise: f64) -> f64 {
+        provider.next(noise)
+    }
+
+    fn peek_tuples<'p>(self, provider: &'p mut impl DrawProvider, noise: &[f64]) -> &'p [f64] {
+        provider.peek_tuples(noise)
+    }
+
+    fn consume(self, provider: &mut impl DrawProvider, draws: usize) {
+        provider.consume(draws);
+    }
+
+    fn fill_offset(self, p: &mut impl DrawProvider, base: &[f64], noise: f64, out: &mut Vec<f64>) {
+        p.fill_offset(base, noise, out);
+    }
+
+    fn max_draw(self, noise: f64) -> f64 {
+        Laplace::UNIT_MAX * noise
+    }
+}
+
+/// Discrete Laplace on the lattice `{kγ}` at a rate per unit: the
+/// `discrete_*` shapes, called from here only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Discrete {
+    pub(crate) gamma: f64,
+}
+
+impl Family for Discrete {
+    const MULTI_RUNG: bool = false;
+
+    fn at_budget(self, budget: f64) -> f64 {
+        budget
+    }
+
+    fn next(self, provider: &mut impl DrawProvider, noise: f64) -> f64 {
+        provider.discrete_next(noise, self.gamma)
+    }
+
+    fn peek_tuples<'p>(self, provider: &'p mut impl DrawProvider, noise: &[f64]) -> &'p [f64] {
+        provider.discrete_peek_tuples(noise, self.gamma)
+    }
+
+    fn consume(self, provider: &mut impl DrawProvider, draws: usize) {
+        provider.discrete_consume(draws);
+    }
+
+    fn fill_offset(self, p: &mut impl DrawProvider, base: &[f64], noise: f64, out: &mut Vec<f64>) {
+        p.discrete_fill_offset(base, noise, self.gamma, out);
+    }
+
+    fn max_draw(self, noise: f64) -> f64 {
+        DiscreteLaplace::new(noise, self.gamma).map_or(f64::INFINITY, |d| d.max_value())
     }
 }
 

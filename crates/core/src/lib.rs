@@ -9,12 +9,14 @@
 //!
 //! | Module | Mechanism | Paper reference |
 //! |--------|-----------|-----------------|
-//! | [`noisy_max::NoisyTopKWithGap`] | Noisy-Top-K-with-Gap | Algorithm 1, Theorem 2 |
-//! | [`noisy_max::ClassicNoisyTopK`] | index-only Noisy Max / Top-K baseline | Dwork & Roth, §5 |
+//! | [`noisy_max::NoisyTopKWithGap`] | Noisy-Top-K-with-Gap: Algorithm 1's core, the one core of the Noisy-Top-K family | Algorithm 1, Theorem 2 |
+//! | [`noisy_max::ClassicNoisyTopK`] | index-only Noisy Max / Top-K baseline: Algorithm 1's core with the gaps withheld | Dwork & Roth, §5 |
+//! | [`noisy_max::DiscreteNoisyTopKWithGap`] | finite-precision Noisy-Top-K-with-Gap: Algorithm 1's core over discrete Laplace draws | §5.1, Appendix A.1 |
 //! | [`sparse_vector::AdaptiveSparseVector`] | Adaptive-Sparse-Vector-with-Gap: the two-rung branch ladder | Algorithm 2, Theorem 4 |
-//! | [`sparse_vector::MultiBranchAdaptiveSparseVector`] | the `m`-rung branch ladder, the one loop of the continuous SVT family | §6.1 extension |
+//! | [`sparse_vector::MultiBranchAdaptiveSparseVector`] | the `m`-rung branch ladder, the one loop of the SVT family | §6.1 extension |
 //! | [`sparse_vector::SparseVectorWithGap`] | Sparse-Vector-with-Gap (Wang et al.): the one-rung branch ladder | §6.1 (σ = ∞ case) |
 //! | [`sparse_vector::ClassicSparseVector`] | SVT baseline (Lyu et al.): the one-rung ladder with the gaps withheld | §2, §7.3 |
+//! | [`sparse_vector::DiscreteSparseVectorWithGap`] | finite-precision Sparse-Vector-with-Gap: the one-rung ladder over discrete Laplace draws | §5.1 |
 //! | [`exponential_mech::ExponentialMechanism`] | exponential-mechanism selection baseline | §2 related work |
 //! | [`laplace_mech::LaplaceMechanism`] | Laplace measurement | Theorem 1 |
 //!
@@ -40,9 +42,12 @@
 //! Each mechanism's decision/budget logic exists in **exactly one**
 //! function, generic over the [`draw::DrawProvider`] it draws noise
 //! through, and that function is the mechanism's one provider-taking
-//! public entry, named `*_into` (`run_into`,
-//! [`exponential_mech::ExponentialMechanism::run_top_k_into`],
-//! [`staircase_mech::StaircaseMechanism::measure_split_into`]). It writes
+//! public entry, named `*_into`. The selection mechanisms share two cores,
+//! the SVT family's branch ladder and Algorithm 1's, each generic over the
+//! noise family too (continuous or discrete Laplace). The entries are
+//! `run_into`,
+//! [`exponential_mech::ExponentialMechanism::run_top_k_into`] and
+//! [`staircase_mech::StaircaseMechanism::measure_split_into`]. Each writes
 //! into a caller-owned output (build an empty one with `Default`; every
 //! field is overwritten) and the caller picks the execution path by
 //! picking the provider:

@@ -1,74 +1,62 @@
 //! Classic (index-only) Noisy Max and Noisy Top-K — the baselines Algorithm 1
 //! strictly improves on.
 //!
-//! Identical noise and selection to [`super::NoisyTopKWithGap`]; the only
-//! difference is that the gaps are discarded. Theorem 2's point is that both
-//! versions have exactly the same privacy cost, so this baseline is
-//! implemented independently to make the experiments' comparison honest
-//! (same draw pattern, same selection rule).
+//! [`super::NoisyTopKWithGap`]'s core with the gaps withheld: the same
+//! noise, the same selection rule and the same Eq. (2) alignment, run by
+//! one body. Theorem 2's point is that both versions have exactly the same
+//! privacy cost — the proof never uses the withholding — so the
+//! experiments' comparison differs only in the released information.
 
-use super::top_k_scale;
+use super::gap::{align_selected, NoisyTopKWithGap};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, require_scale, MechanismError};
+use crate::draw::DrawProvider;
+use crate::error::MechanismError;
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::rngs::StdRng;
 
-/// Index-only Noisy Top-K (Dwork & Roth's Noisy Max generalized to `k`).
+/// Index-only Noisy Top-K (Dwork & Roth's Noisy Max generalized to `k`):
+/// Noisy-Top-K-with-Gap with the gaps withheld.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassicNoisyTopK {
-    k: usize,
-    epsilon: f64,
-    monotonic: bool,
+    inner: NoisyTopKWithGap,
 }
 
 impl ClassicNoisyTopK {
     /// Creates the mechanism with privacy cost `epsilon` (see
     /// [`super::NoisyTopKWithGap::new`] for the scale convention).
     pub fn new(k: usize, epsilon: f64, monotonic: bool) -> Result<Self, MechanismError> {
-        if k == 0 {
-            return Err(MechanismError::InvalidK {
-                k,
-                requirement: "k must be at least 1",
-            });
-        }
         Ok(Self {
-            k,
-            epsilon: require_epsilon(epsilon)?,
-            monotonic,
+            inner: NoisyTopKWithGap::new(k, epsilon, monotonic)?,
         })
     }
 
     /// The number of selected queries.
     pub fn k(&self) -> usize {
-        self.k
+        self.inner.k()
     }
 
     /// The total privacy budget `ε` one run costs.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
     /// The per-query Laplace scale.
     pub fn scale(&self) -> f64 {
-        top_k_scale(self.k, self.epsilon, self.monotonic)
+        self.inner.scale()
     }
 
-    /// The single copy of the index-only selection and its one
-    /// provider-taking entry (same draw pattern and selection rule as the
-    /// gap variant — Theorem 2's honest-comparison requirement; see
+    /// The one provider-taking entry:
     /// [`NoisyTopKWithGap::run_into`](super::NoisyTopKWithGap::run_into)
-    /// for the providers). Writes the selected indices into `out`, reusing
-    /// its buffer.
+    /// writing only the selected indices into `out`, best first, reusing
+    /// its buffer. Providers as there.
     ///
     /// # Errors
+    /// As the gap variant's, all before any draw:
     /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
     /// infinite, [`MechanismError::NotEnoughQueries`] if the workload has
-    /// fewer than `k + 1` queries (kept identical to the gap variant so the
-    /// two are comparable on the same workloads), and
-    /// [`MechanismError::InvalidEpsilon`] if the scale overflows `f64`; all
-    /// before any draw.
+    /// fewer than `k + 1` queries, and [`MechanismError::InvalidEpsilon`]
+    /// if the scale overflows `f64`.
     pub fn run_into<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -76,28 +64,7 @@ impl ClassicNoisyTopK {
         scratch: &mut TopKScratch,
         out: &mut Vec<usize>,
     ) -> Result<(), MechanismError> {
-        crate::answers::require_finite(answers)?;
-        crate::answers::require_min_len(answers, self.k + 1)?;
-        require_scale(self.scale(), self.epsilon)?;
-        provider.begin();
-        provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
-        provider.select_top(&scratch.noisy, self.k, out);
-        Ok(())
-    }
-
-    fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_into(
-            answers.values(),
-            &mut SourceDraws::new(source),
-            &mut TopKScratch::new(),
-            &mut out,
-        )?;
-        Ok(out)
+        self.inner.run_selection(answers, provider, scratch, out)
     }
 
     /// Runs with a plain RNG: indices of the `k` largest noisy answers,
@@ -110,7 +77,7 @@ impl ClassicNoisyTopK {
         answers: &QueryAnswers,
         rng: &mut StdRng,
     ) -> Result<Vec<usize>, MechanismError> {
-        self.run_with_source(answers, &mut SamplingSource::new(rng))
+        Ok(self.inner.run(answers, rng)?.indices())
     }
 }
 
@@ -119,13 +86,10 @@ impl AlignedMechanism for ClassicNoisyTopK {
     type Output = Vec<usize>;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> Vec<usize> {
-        #[allow(clippy::expect_used)]
-        self.run_with_source(input, source)
-            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
-            .expect("alignment checker workloads are pre-validated")
+        AlignedMechanism::run(&self.inner, input, source).indices()
     }
 
-    /// Same alignment as the gap variant (Eq. 2) — the proof never used the
+    /// The gap variant's alignment (Eq. 2) — the proof never used the
     /// fact that gaps were withheld, which is the paper's core observation.
     fn align(
         &self,
@@ -134,27 +98,11 @@ impl AlignedMechanism for ClassicNoisyTopK {
         tape: &NoiseTape,
         output: &Vec<usize>,
     ) -> NoiseTape {
-        let q = input.values();
-        let qp = neighbor.values();
-        let mut max_d = f64::NEG_INFINITY;
-        let mut max_dp = f64::NEG_INFINITY;
-        for l in 0..q.len() {
-            if !output.contains(&l) {
-                max_d = max_d.max(q[l] + tape.value(l));
-                max_dp = max_dp.max(qp[l] + tape.value(l));
-            }
-        }
-        tape.aligned_by(|i, _| {
-            if output.contains(&i) {
-                (q[i] - qp[i]) + (max_dp - max_d)
-            } else {
-                0.0
-            }
-        })
+        align_selected(input, neighbor, tape, output)
     }
 
     fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 }
 

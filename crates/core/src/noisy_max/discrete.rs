@@ -15,11 +15,15 @@
 //!   for a given workload size;
 //! * the same Eq.-2 alignment, whose shifts are automatically lattice-valued
 //!   because adjacent integer workloads differ by integers.
+//!
+//! It is [`NoisyTopKWithGap`]'s core with the discrete fill at this type's
+//! own [`unit_epsilon`](DiscreteNoisyTopKWithGap::unit_epsilon): one
+//! fill–select–gap body and one Eq. (2) alignment serve both.
 
+use super::gap::{NoisyTopKWithGap, TopKOutput};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, require_positive, MechanismError};
-use crate::noisy_max::{TopKItem, TopKOutput};
+use crate::draw::{Discrete, DrawProvider, SourceDraws};
+use crate::error::{require_positive, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use free_gap_noise::tie::union_tie_bound;
@@ -29,9 +33,7 @@ use rand::rngs::StdRng;
 /// Noisy-Top-K-with-Gap over integer counts with discrete Laplace noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiscreteNoisyTopKWithGap {
-    k: usize,
-    epsilon: f64,
-    monotonic: bool,
+    inner: NoisyTopKWithGap,
     gamma: f64,
 }
 
@@ -42,38 +44,39 @@ impl DiscreteNoisyTopKWithGap {
     }
 
     /// Creates the mechanism over the lattice `{m·γ}`. Queries must be
-    /// multiples of `γ`.
+    /// multiples of `γ`. A budget whose per-query rate underflows to 0 is
+    /// [`MechanismError::InvalidEpsilon`]: such a mechanism could never
+    /// run. Nonzero rates too fine to sample are accepted, so
+    /// [`delta`](Self::delta) stays defined on fine lattices; a run refuses
+    /// them.
     pub fn with_gamma(
         k: usize,
         epsilon: f64,
         monotonic: bool,
         gamma: f64,
     ) -> Result<Self, MechanismError> {
-        if k == 0 {
-            return Err(MechanismError::InvalidK {
-                k,
-                requirement: "k must be at least 1",
-            });
+        // The core checks `k` first, then ε; the lattice goes between.
+        if k > 0 {
+            require_positive("gamma", gamma)?;
         }
-        let gamma = require_positive("gamma", gamma)?;
-        Ok(Self {
-            k,
-            epsilon: require_epsilon(epsilon)?,
-            monotonic,
-            gamma,
-        })
+        let inner = NoisyTopKWithGap::new(k, epsilon, monotonic)?;
+        let mech = Self { inner, gamma };
+        if mech.unit_epsilon() == 0.0 {
+            return Err(MechanismError::InvalidEpsilon { value: epsilon });
+        }
+        Ok(mech)
     }
 
     /// The total privacy budget `ε` one run costs.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
     /// The per-query noise rate per unit of value: `ε/(2k)` in general,
     /// `ε/k` for monotone workloads (the discrete analogue of `Lap(2k/ε)`).
     pub fn unit_epsilon(&self) -> f64 {
-        let factor = if self.monotonic { 1.0 } else { 2.0 };
-        self.epsilon / (factor * self.k as f64)
+        let factor = if self.inner.monotonic { 1.0 } else { 2.0 };
+        self.epsilon() / (factor * self.inner.k as f64)
     }
 
     /// Appendix A.1: the `δ` of the `(ε, δ)` guarantee for an `n`-query
@@ -81,20 +84,18 @@ impl DiscreteNoisyTopKWithGap {
     pub fn delta(&self, n: usize) -> f64 {
         #[allow(clippy::expect_used)]
         union_tie_bound(n, self.unit_epsilon(), self.gamma)
-            // lint:allow(panic-freedom): rate and γ were range-checked in with_gamma; the bound cannot fail
+            // lint:allow(panic-freedom): γ was range-checked and the rate refused at 0 in with_gamma; the bound cannot fail
             .expect("parameters validated at construction")
     }
 
-    /// The single copy of the discrete Top-K selection and its one
-    /// provider-taking entry: one discrete Laplace draw per query (batched
-    /// by the provider's
-    /// [`discrete_fill_offset`](DrawProvider::discrete_fill_offset), fused
-    /// with the `+ q` offset so the `n`-sized buffer is written exactly
-    /// once), selection of the top `k + 1`, gap construction. Ties among
-    /// noisy answers are broken by the smaller index; `delta(n)` bounds the
-    /// probability that a tie among the top `k + 1` occurred at all.
-    /// Buffers live in `scratch`; the output is written into `out`, reusing
-    /// its buffer. Providers as in
+    /// The one provider-taking entry: Algorithm 1's core with one discrete
+    /// Laplace draw per query at [`unit_epsilon`](Self::unit_epsilon)
+    /// (batched by the provider's
+    /// [`discrete_fill_offset`](DrawProvider::discrete_fill_offset)).
+    /// Ties among noisy answers are broken by the smaller index; `delta(n)`
+    /// bounds the probability that a tie among the top `k + 1` occurred at
+    /// all. Buffers live in `scratch`; the output is written into `out`,
+    /// reusing its buffer. Providers as in
     /// [`NoisyTopKWithGap::run_into`](crate::noisy_max::NoisyTopKWithGap::run_into).
     ///
     /// # Errors
@@ -113,22 +114,18 @@ impl DiscreteNoisyTopKWithGap {
         out: &mut TopKOutput,
     ) -> Result<(), MechanismError> {
         crate::answers::require_lattice(answers, self.gamma)?;
-        crate::answers::require_min_len(answers, self.k + 1)?;
+        crate::answers::require_min_len(answers, self.inner.k + 1)?;
         // Checked per run, not at construction: `delta` stays defined on
         // lattices too fine to sample.
         if DiscreteLaplace::new(self.unit_epsilon(), self.gamma).is_err() {
             return Err(MechanismError::InvalidEpsilon {
-                value: self.epsilon,
+                value: self.epsilon(),
             });
         }
-        provider.begin();
-        provider.discrete_fill_offset(answers, self.unit_epsilon(), self.gamma, &mut scratch.noisy);
-        provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
-        out.items.clear();
-        out.items.extend((0..self.k).map(|i| TopKItem {
-            index: scratch.top[i],
-            gap: scratch.noisy[scratch.top[i]] - scratch.noisy[scratch.top[i + 1]],
-        }));
+        let family = Discrete { gamma: self.gamma };
+        let rate = self.unit_epsilon();
+        self.inner
+            .select(family, rate, answers, provider, scratch, out);
         Ok(())
     }
 
@@ -171,8 +168,9 @@ impl AlignedMechanism for DiscreteNoisyTopKWithGap {
             .expect("alignment checker workloads are pre-validated")
     }
 
-    /// Eq. (2) verbatim; all shifts are integer combinations of lattice
-    /// points, so the aligned tape stays on the support.
+    /// Eq. (2) verbatim, the gap variant's; all shifts are integer
+    /// combinations of lattice points, so the aligned tape stays on the
+    /// support.
     fn align(
         &self,
         input: &QueryAnswers,
@@ -180,37 +178,17 @@ impl AlignedMechanism for DiscreteNoisyTopKWithGap {
         tape: &NoiseTape,
         output: &TopKOutput,
     ) -> NoiseTape {
-        let q = input.values();
-        let qp = neighbor.values();
-        let selected = output.indices();
-        let mut max_d = f64::NEG_INFINITY;
-        let mut max_dp = f64::NEG_INFINITY;
-        for l in 0..q.len() {
-            if !selected.contains(&l) {
-                max_d = max_d.max(q[l] + tape.value(l));
-                max_dp = max_dp.max(qp[l] + tape.value(l));
-            }
-        }
-        tape.aligned_by(|i, _| {
-            if selected.contains(&i) {
-                (q[i] - qp[i]) + (max_dp - max_d)
-            } else {
-                0.0
-            }
-        })
+        self.inner.align(input, neighbor, tape, output)
     }
 
     fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
+    /// Lattice values compare exactly after identical integer shifts; the
+    /// gap variant's comparison holds them to that.
     fn outputs_match(&self, a: &TopKOutput, b: &TopKOutput) -> bool {
-        // Lattice values compare exactly after identical integer shifts.
-        a.items.len() == b.items.len()
-            && a.items.iter().zip(&b.items).all(|(x, y)| {
-                x.index == y.index
-                    && (x.gap - y.gap).abs() <= 1e-9 * x.gap.abs().max(y.gap.abs()).max(1.0)
-            })
+        self.inner.outputs_match(a, b)
     }
 }
 
@@ -233,15 +211,37 @@ mod tests {
         assert!(DiscreteNoisyTopKWithGap::new(0, 1.0, true).is_err());
         assert!(DiscreteNoisyTopKWithGap::new(1, 0.0, true).is_err());
         assert!(DiscreteNoisyTopKWithGap::with_gamma(1, 1.0, true, 0.0).is_err());
-        // A rate whose decay ratio rounds to 1 or 0: a typed error, not a
-        // panic mid-draw.
-        for eps in [5e-324, 1e-300, 1e300] {
+        // A per-query rate that underflows to 0 can never run: refused at
+        // construction, so `delta` never sees it.
+        assert_eq!(
+            DiscreteNoisyTopKWithGap::new(2, 5e-324, true),
+            Err(MechanismError::InvalidEpsilon { value: 5e-324 })
+        );
+        // A nonzero rate whose decay ratio rounds to 1 or 0: constructible,
+        // with a finite δ, and a typed error at run time, not a panic
+        // mid-draw.
+        for eps in [1e-300, 1e300] {
             let m = DiscreteNoisyTopKWithGap::new(2, eps, true).unwrap();
+            assert!(m.delta(1_000).is_finite());
             assert_eq!(
                 m.run(&workload(), &mut rng_from_seed(1)),
                 Err(MechanismError::InvalidEpsilon { value: eps })
             );
         }
+    }
+
+    #[test]
+    fn constructor_errors_keep_their_precedence() {
+        // k first, then γ, then ε.
+        let bad_k = DiscreteNoisyTopKWithGap::with_gamma(0, -1.0, true, 0.0);
+        assert!(matches!(bad_k, Err(MechanismError::InvalidK { k: 0, .. })));
+        let bad_gamma = DiscreteNoisyTopKWithGap::with_gamma(2, -1.0, true, 0.0);
+        assert!(matches!(
+            bad_gamma,
+            Err(MechanismError::InvalidParameter { name: "gamma", .. })
+        ));
+        let bad_eps = DiscreteNoisyTopKWithGap::with_gamma(2, -1.0, true, 1.0);
+        assert_eq!(bad_eps, Err(MechanismError::InvalidEpsilon { value: -1.0 }));
     }
 
     #[test]

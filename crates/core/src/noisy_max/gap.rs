@@ -12,9 +12,9 @@
 //! `qᵢ - q'ᵢ + max_{l∉I}(q'_l + η_l) - max_{l∉I}(q_l + η_l)`,
 //! which preserves every win margin exactly.
 
-use super::top_k_scale;
+use super::{gaps_match, top_k_scale};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
+use crate::draw::{Continuous, DrawProvider, Family, SourceDraws};
 use crate::error::{require_epsilon, require_scale, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
@@ -49,12 +49,35 @@ impl TopKOutput {
     }
 }
 
+/// Where Algorithm 1's core writes its selection: `(index, gap)` pairs,
+/// best first, each gap to the next-ranked noisy answer.
+pub(super) trait Selection {
+    /// Replaces the contents with `selected`.
+    fn fill(&mut self, selected: impl Iterator<Item = (usize, f64)>);
+}
+
+impl Selection for TopKOutput {
+    fn fill(&mut self, selected: impl Iterator<Item = (usize, f64)>) {
+        self.items.clear();
+        let items = selected.map(|(index, gap)| TopKItem { index, gap });
+        self.items.extend(items);
+    }
+}
+
+/// The index-only selection: the gaps are withheld.
+impl Selection for Vec<usize> {
+    fn fill(&mut self, selected: impl Iterator<Item = (usize, f64)>) {
+        self.clear();
+        self.extend(selected.map(|(index, _)| index));
+    }
+}
+
 /// Noisy-Top-K-with-Gap (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoisyTopKWithGap {
-    k: usize,
+    pub(super) k: usize,
     epsilon: f64,
-    monotonic: bool,
+    pub(super) monotonic: bool,
 }
 
 impl NoisyTopKWithGap {
@@ -100,14 +123,52 @@ impl NoisyTopKWithGap {
         4.0 * self.scale() * self.scale()
     }
 
-    /// The single copy of Algorithm 1 and its one provider-taking entry:
-    /// one `Lap(scale)` draw per query through `provider` (batched by its
-    /// [`fill_offset`](DrawProvider::fill_offset), fused with the `+ q`
-    /// offset so the `n`-sized buffer is written exactly once), selection
-    /// of the top `k + 1`, gap construction. Buffers live in `scratch`; the
-    /// output is written into `out`, reusing its buffer. The provider picks
-    /// the execution path: [`SourceDraws`] is the reference [`run`](Self::run)
-    /// uses, and [`ScratchDraws`](crate::draw::ScratchDraws) the fast path.
+    /// Algorithm 1's one fill–select–gap body, for every Noisy-Top-K
+    /// mechanism: one draw per query in `family` at `noise` (batched by the
+    /// family's bulk fill, fused with the `+ q` offset so the `n`-sized
+    /// buffer is written exactly once), selection of the top `k + 1` in the
+    /// `f64` order with ties to the smaller index, then each selected
+    /// index with its gap to the next, into `out`. The caller has checked
+    /// the answers and the noise.
+    pub(super) fn select<F: Family, P: DrawProvider, S: Selection>(
+        &self,
+        family: F,
+        noise: f64,
+        answers: &[f64],
+        provider: &mut P,
+        scratch: &mut TopKScratch,
+        out: &mut S,
+    ) {
+        provider.begin();
+        family.fill_offset(provider, answers, noise, &mut scratch.noisy);
+        provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
+        let (noisy, top) = (&scratch.noisy, &scratch.top);
+        out.fill((0..self.k).map(|i| (top[i], noisy[top[i]] - noisy[top[i + 1]])));
+    }
+
+    /// The continuous run: the checks of [`run_into`](Self::run_into),
+    /// then the core at this type's scale into any selection.
+    pub(super) fn run_selection<P: DrawProvider, S: Selection>(
+        &self,
+        answers: &[f64],
+        provider: &mut P,
+        scratch: &mut TopKScratch,
+        out: &mut S,
+    ) -> Result<(), MechanismError> {
+        crate::answers::require_finite(answers)?;
+        crate::answers::require_min_len(answers, self.k + 1)?;
+        require_scale(self.scale(), self.epsilon)?;
+        self.select(Continuous, self.scale(), answers, provider, scratch, out);
+        Ok(())
+    }
+
+    /// The one provider-taking entry: Algorithm 1 with one `Lap(scale)`
+    /// draw per query through `provider`'s
+    /// [`fill_offset`](DrawProvider::fill_offset). Buffers live in
+    /// `scratch`; the output is written into `out`, reusing its buffer. The
+    /// provider picks the execution path: [`SourceDraws`] is the reference
+    /// [`run`](Self::run) uses, and
+    /// [`ScratchDraws`](crate::draw::ScratchDraws) the fast path.
     ///
     /// # Errors
     /// [`MechanismError::NonFiniteUtility`] if an answer is NaN or
@@ -122,18 +183,7 @@ impl NoisyTopKWithGap {
         scratch: &mut TopKScratch,
         out: &mut TopKOutput,
     ) -> Result<(), MechanismError> {
-        crate::answers::require_finite(answers)?;
-        crate::answers::require_min_len(answers, self.k + 1)?;
-        require_scale(self.scale(), self.epsilon)?;
-        provider.begin();
-        provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
-        provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
-        out.items.clear();
-        out.items.extend((0..self.k).map(|i| TopKItem {
-            index: scratch.top[i],
-            gap: scratch.noisy[scratch.top[i]] - scratch.noisy[scratch.top[i + 1]],
-        }));
-        Ok(())
+        self.run_selection(answers, provider, scratch, out)
     }
 
     fn run_with_source(
@@ -186,33 +236,7 @@ impl AlignedMechanism for NoisyTopKWithGap {
         tape: &NoiseTape,
         output: &TopKOutput,
     ) -> NoiseTape {
-        let q = input.values();
-        let qp = neighbor.values();
-        // lint:allow(panic-freedom): alignment-checker invariant — adjacent workloads share arity by construction
-        assert_eq!(q.len(), qp.len(), "adjacent inputs must have equal arity");
-        // lint:allow(panic-freedom): alignment-checker invariant — the tape recorded one draw per query
-        assert_eq!(tape.len(), q.len(), "tape must hold one draw per query");
-        let selected = output.indices();
-
-        // max over unselected of q_l + η_l and q'_l + η_l (same η — losers
-        // keep their noise).
-        let mut max_d = f64::NEG_INFINITY;
-        let mut max_dp = f64::NEG_INFINITY;
-        for l in 0..q.len() {
-            if !selected.contains(&l) {
-                max_d = max_d.max(q[l] + tape.value(l));
-                max_dp = max_dp.max(qp[l] + tape.value(l));
-            }
-        }
-        debug_assert!(max_d.is_finite(), "k < n guarantees at least one loser");
-
-        tape.aligned_by(|i, _| {
-            if selected.contains(&i) {
-                (q[i] - qp[i]) + (max_dp - max_d)
-            } else {
-                0.0
-            }
-        })
+        align_selected(input, neighbor, tape, &output.indices())
     }
 
     fn epsilon(&self) -> f64 {
@@ -221,11 +245,49 @@ impl AlignedMechanism for NoisyTopKWithGap {
 
     fn outputs_match(&self, a: &TopKOutput, b: &TopKOutput) -> bool {
         a.items.len() == b.items.len()
-            && a.items.iter().zip(&b.items).all(|(x, y)| {
-                x.index == y.index
-                    && (x.gap - y.gap).abs() <= 1e-9 * x.gap.abs().max(y.gap.abs()).max(1.0)
-            })
+            && a.items
+                .iter()
+                .zip(&b.items)
+                .all(|(x, y)| x.index == y.index && gaps_match(x.gap, y.gap))
     }
+}
+
+/// Equation (2), the one alignment of the Noisy-Top-K family given the
+/// `selected` indices: losers keep their noise, and each winner's noise
+/// shifts by `qᵢ - q'ᵢ + max_{l∉I}(q'_l + η_l) - max_{l∉I}(q_l + η_l)`. Its
+/// shifts are lattice-valued when the workloads and the noise are.
+pub(super) fn align_selected(
+    input: &QueryAnswers,
+    neighbor: &QueryAnswers,
+    tape: &NoiseTape,
+    selected: &[usize],
+) -> NoiseTape {
+    let q = input.values();
+    let qp = neighbor.values();
+    // lint:allow(panic-freedom): alignment-checker invariant — adjacent workloads share arity by construction
+    assert_eq!(q.len(), qp.len(), "adjacent inputs must have equal arity");
+    // lint:allow(panic-freedom): alignment-checker invariant — the tape recorded one draw per query
+    assert_eq!(tape.len(), q.len(), "tape must hold one draw per query");
+
+    // max over unselected of q_l + η_l and q'_l + η_l (same η — losers
+    // keep their noise).
+    let mut max_d = f64::NEG_INFINITY;
+    let mut max_dp = f64::NEG_INFINITY;
+    for l in 0..q.len() {
+        if !selected.contains(&l) {
+            max_d = max_d.max(q[l] + tape.value(l));
+            max_dp = max_dp.max(qp[l] + tape.value(l));
+        }
+    }
+    debug_assert!(max_d.is_finite(), "k < n guarantees at least one loser");
+
+    tape.aligned_by(|i, _| {
+        if selected.contains(&i) {
+            (q[i] - qp[i]) + (max_dp - max_d)
+        } else {
+            0.0
+        }
+    })
 }
 
 /// Noisy-Max-with-Gap: the `k = 1` special case of Algorithm 1, returning

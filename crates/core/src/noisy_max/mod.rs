@@ -1,5 +1,9 @@
 //! The Noisy Max family: classic (index-only) baselines and the paper's
-//! gap-releasing variants (§5).
+//! gap-releasing variants (§5). Every member runs Algorithm 1's one core
+//! ([`NoisyTopKWithGap`]'s fill–select–gap body and Eq. (2) alignment):
+//! [`ClassicNoisyTopK`] with the gaps withheld, which Theorem 2 says costs
+//! the same, and [`DiscreteNoisyTopKWithGap`] with discrete Laplace draws
+//! at its own rate.
 
 mod classic;
 mod discrete;
@@ -48,6 +52,14 @@ pub(crate) fn top_indices_into(values: &[f64], m: usize, buf: &mut Vec<usize>) {
             buf.pop();
         }
     }
+}
+
+/// Whether two released gaps agree to within rounding: 1e-9 relative, or
+/// absolute below 1. The alignment checker's comparison for every
+/// gap-releasing mechanism, whose aligned rerun re-associates the gap's
+/// arithmetic.
+pub(crate) fn gaps_match(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
 /// The per-query Laplace scale of the Noisy Top-K family at budget `epsilon`:

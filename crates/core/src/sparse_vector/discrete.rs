@@ -11,11 +11,20 @@
 //! (Formally: on the lattice, `x < y` means `x ≤ y - γ`, which the +1
 //! threshold shift preserves because all shifts are multiples of `γ` when
 //! queries and threshold are.)
+//!
+//! It is the one-rung branch ladder
+//! ([`MultiBranchAdaptiveSparseVector`]) over discrete Laplace draws, run
+//! at this type's own rates `θε` and `(1-θ)ε/(ck)` as
+//! [`SparseVectorWithGap`](super::SparseVectorWithGap) runs at its own
+//! scales: the loop, the prune, the stop rule and the Eq. (3) alignment
+//! (its threshold shifted by `γ`) are the ladder's.
 
-use super::{optimal_threshold_share, SvOutput};
+use super::gap::decisions_match;
+use super::multi_branch::Decisions;
+use super::{MultiBranchAdaptiveSparseVector, SvOutput};
 use crate::answers::{on_lattice, QueryAnswers};
-use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
+use crate::draw::{Discrete, DrawProvider, SourceDraws};
+use crate::error::{require_fraction, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use free_gap_noise::DiscreteLaplace;
 use rand::rngs::StdRng;
@@ -24,11 +33,7 @@ use rand::rngs::StdRng;
 /// noise; pure ε-DP (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiscreteSparseVectorWithGap {
-    k: usize,
-    epsilon: f64,
-    threshold: f64,
-    threshold_share: f64,
-    monotonic: bool,
+    inner: MultiBranchAdaptiveSparseVector,
     gamma: f64,
 }
 
@@ -40,34 +45,22 @@ impl DiscreteSparseVectorWithGap {
         threshold: f64,
         monotonic: bool,
     ) -> Result<Self, MechanismError> {
-        if k == 0 {
-            return Err(MechanismError::InvalidK {
-                k,
-                requirement: "k must be at least 1",
-            });
-        }
         let gamma = 1.0;
-        if !on_lattice(threshold, gamma) {
+        // The ladder checks `k` first, then ε; the lattice goes between.
+        if k > 0 && !on_lattice(threshold, gamma) {
             return Err(MechanismError::InvalidParameter {
                 name: "threshold",
                 value: threshold,
                 requirement: "must lie on the integer lattice (γ = 1)",
             });
         }
-        Self {
-            k,
-            epsilon: require_epsilon(epsilon)?,
-            threshold,
-            threshold_share: optimal_threshold_share(k, monotonic),
-            monotonic,
-            gamma,
-        }
-        .require_rates()
+        let inner = MultiBranchAdaptiveSparseVector::new(k, epsilon, threshold, monotonic, 1)?;
+        Self { inner, gamma }.require_rates()
     }
 
     /// Overrides the threshold/query budget split.
     pub fn with_threshold_share(mut self, share: f64) -> Result<Self, MechanismError> {
-        self.threshold_share = require_fraction("threshold_share", share)?;
+        self.inner.theta = require_fraction("threshold_share", share)?;
         self.require_rates()
     }
 
@@ -78,7 +71,7 @@ impl DiscreteSparseVectorWithGap {
         for rate in [self.threshold_rate(), self.query_rate()] {
             if DiscreteLaplace::new(rate, self.gamma).is_err() {
                 return Err(MechanismError::InvalidEpsilon {
-                    value: self.epsilon,
+                    value: self.epsilon(),
                 });
             }
         }
@@ -87,23 +80,23 @@ impl DiscreteSparseVectorWithGap {
 
     /// The total privacy budget `ε`.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
     /// The public threshold `T`.
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.inner.threshold
     }
 
     /// Threshold-noise rate per unit: `ε₁ = θε`.
     pub fn threshold_rate(&self) -> f64 {
-        self.threshold_share * self.epsilon
+        self.inner.epsilon0()
     }
 
     /// Query-noise rate per unit: `ε₂/(ck)` (`c` = 2 general, 1 monotone).
     pub fn query_rate(&self) -> f64 {
-        let c = if self.monotonic { 1.0 } else { 2.0 };
-        (1.0 - self.threshold_share) * self.epsilon / (c * self.k as f64)
+        let c = if self.inner.monotonic { 1.0 } else { 2.0 };
+        (1.0 - self.inner.theta) * self.epsilon() / (c * self.inner.k as f64)
     }
 
     /// The lattice step `γ` that answers and threshold must be multiples of.
@@ -111,128 +104,39 @@ impl DiscreteSparseVectorWithGap {
         self.gamma
     }
 
-    /// The single copy of the discrete SVT decision loop and its one
-    /// provider-taking entry; released gaps are exact lattice multiples.
-    /// Providers and bit-identity as in
-    /// [`ClassicSparseVector::run_into`](super::ClassicSparseVector::run_into).
-    /// Query noise comes in whole blocks of
-    /// arity-1 tuples
-    /// ([`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples)):
-    /// blocked providers serve a slab of geometric-tail draws per peek with
-    /// the per-draw refill check and rate lookup amortized across the
-    /// block, draw-exact providers exactly one draw — and each block's
-    /// first query is pulled *before* the peek, so draw-exact providers
-    /// never sample noise for a query that was never pulled. With a
-    /// [bounded](DrawProvider::bounded) provider, a block's first query
-    /// that stays below the noisy threshold even at the largest draw
-    /// ([`DiscreteLaplace::max_value`]) is answered `⊥` without a peek, and
-    /// its draw is [skipped](DrawProvider::skip) before the next peek or at
-    /// the end of the run, as in the branch ladder's feed step.
-    ///
-    /// Consumes `queries` lazily, writing into `out`: the stop condition is
-    /// checked *before* pulling the next query, so once the `k`-th `⊤` is
-    /// answered no further query is ever observed.
+    /// The one provider-taking entry: the one-rung ladder over discrete
+    /// Laplace draws at this type's rates
+    /// ([`discrete_next`](DrawProvider::discrete_next) for the threshold,
+    /// [`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples) for the
+    /// queries), every `⊤` releasing its gap, an exact lattice multiple.
+    /// Laziness (no query is pulled after the `k`-th `⊤`), providers,
+    /// bit-identity and the bounded-provider prune (against
+    /// [`DiscreteLaplace::max_value`]) as in
+    /// [`MultiBranchAdaptiveSparseVector::run_into`].
     ///
     /// Precondition: every answer is a multiple of `γ` — an off-lattice
     /// answer's fractional part would reach the released gap exactly. A
     /// lazy stream cannot be checked before the first draw, and an error
-    /// mid-scan would reveal how far the scan got, so this entry only
-    /// debug-asserts it per pulled answer;
-    /// [`Mechanism::call`](crate::api::Mechanism::call) rejects an
-    /// off-lattice workload with a typed error before any draw.
+    /// mid-scan would reveal how far the scan got, so this entry does not
+    /// check it; [`Mechanism::call`](crate::api::Mechanism::call) rejects
+    /// an off-lattice workload with a typed error before any draw.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut SvOutput,
     ) {
-        provider.begin();
-        let mut queries = queries.into_iter();
-        // One decision per query draw: pre-size from the provider's
-        // consumption prediction (capped by the stream's own upper bound
-        // when it knows one) to skip the realloc chain on long streams.
-        let capacity = provider
-            .predicted_draws()
-            .min(queries.size_hint().1.unwrap_or(usize::MAX));
-        let noisy_threshold =
-            self.threshold + provider.discrete_next(self.threshold_rate(), self.gamma);
-        let qrate = [self.query_rate()];
-        // The construction checked the rate, so the bound always exists.
-        let cap = if provider.bounded() {
-            let noise = DiscreteLaplace::new(qrate[0], self.gamma).ok();
-            noise.map(|noise| noise.max_value())
-        } else {
-            None
-        };
         out.above.clear();
-        out.above.reserve(capacity);
-        let mut answered = 0usize;
-        let mut owed = 0;
-        let mut done = false;
-        while !done && answered < self.k {
-            // Pull the block's first query before peeking: a draw-exact
-            // provider must not draw noise for a query that never arrives.
-            let Some(first) = queries.next() else { break };
-            if cap.is_some_and(|cap| first + cap < noisy_threshold) {
-                debug_assert!(
-                    on_lattice(first, self.gamma),
-                    "query answers must be multiples of γ = {}",
-                    self.gamma
-                );
-                out.above.push(None);
-                owed += 1;
-                continue;
-            }
-            if owed > 0 {
-                provider.skip(owed);
-                owed = 0;
-            }
-            let mut pending = Some(first);
-            let mut taken = 0usize;
-            let slab = provider.discrete_peek_tuples(&qrate, self.gamma);
-            for &noise in slab {
-                let Some(q) = pending.take().or_else(|| queries.next()) else {
-                    done = true;
-                    break;
-                };
-                debug_assert!(
-                    on_lattice(q, self.gamma),
-                    "query answers must be multiples of γ = {}",
-                    self.gamma
-                );
-                taken += 1;
-                let noisy = q + noise;
-                if noisy >= noisy_threshold {
-                    out.above.push(Some(noisy - noisy_threshold));
-                    answered += 1;
-                    if answered == self.k {
-                        done = true;
-                        break;
-                    }
-                } else {
-                    out.above.push(None);
-                }
-            }
-            provider.discrete_consume(taken);
-        }
-        if owed > 0 {
-            provider.skip(owed);
-        }
-    }
-
-    fn run_with_source(&self, answers: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        let mut out = SvOutput::default();
-        self.run_into(
-            answers.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            &mut out,
-        );
-        out
+        let family = Discrete { gamma: self.gamma };
+        let rate = Some(self.query_rate());
+        let mut sink = Decisions(&mut out.above, true);
+        self.inner
+            .run_sink(family, rate, queries, provider, &mut sink);
     }
 
     /// Runs with a plain RNG: the allocating reference path.
     pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        self.run_with_source(answers, &mut SamplingSource::new(rng))
+        AlignedMechanism::run(self, answers, &mut SamplingSource::new(rng))
     }
 }
 
@@ -241,12 +145,15 @@ impl AlignedMechanism for DiscreteSparseVectorWithGap {
     type Output = SvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.run_with_source(input, source)
+        let mut out = SvOutput::default();
+        let queries = input.values().iter().copied();
+        self.run_into(queries, &mut SourceDraws::new(source), &mut out);
+        out
     }
 
-    /// The classic SVT alignment with lattice-valued shifts: threshold +γ
-    /// (one unit, since sensitivity 1 means integer deltas on an integer
-    /// lattice), winners shifted by `γ + qᵢ - q'ᵢ`.
+    /// The one-rung ladder's alignment with lattice-valued shifts:
+    /// threshold +γ (one unit, since sensitivity 1 means integer deltas on
+    /// an integer lattice), winners shifted by `γ + qᵢ - q'ᵢ`.
     fn align(
         &self,
         input: &QueryAnswers,
@@ -254,34 +161,17 @@ impl AlignedMechanism for DiscreteSparseVectorWithGap {
         tape: &NoiseTape,
         output: &SvOutput,
     ) -> NoiseTape {
-        let q = input.values();
-        let qp = neighbor.values();
-        let favorable = self.monotonic && q.iter().zip(qp).all(|(a, b)| a >= b);
-        let threshold_shift = if favorable { 0.0 } else { self.gamma };
-        tape.aligned_by(|draw_idx, _| {
-            if draw_idx == 0 {
-                threshold_shift
-            } else {
-                let qi = draw_idx - 1;
-                match output.above.get(qi) {
-                    Some(Some(_)) => threshold_shift + q[qi] - qp[qi],
-                    _ => 0.0,
-                }
-            }
-        })
+        let winner = |qi: usize| output.above.get(qi).copied().flatten().map(|_| 0);
+        self.inner
+            .align_winners(input, neighbor, tape, self.gamma, winner)
     }
 
     fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.inner.epsilon()
     }
 
     fn outputs_match(&self, a: &SvOutput, b: &SvOutput) -> bool {
-        a.above.len() == b.above.len()
-            && a.above.iter().zip(&b.above).all(|(x, y)| match (x, y) {
-                (None, None) => true,
-                (Some(gx), Some(gy)) => (gx - gy).abs() <= 1e-9 * gx.abs().max(gy.abs()).max(1.0),
-                _ => false,
-            })
+        decisions_match(a, b)
     }
 }
 

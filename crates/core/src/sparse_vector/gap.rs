@@ -11,8 +11,9 @@
 use super::multi_branch::Decisions;
 use super::{MultiBranchAdaptiveSparseVector, SvOutput, SvtStreamState};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{Continuous, DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::{require_fraction, require_scale, MechanismError};
+use crate::noisy_max::gaps_match;
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
 use rand::rngs::StdRng;
@@ -112,7 +113,8 @@ impl SparseVectorWithGap {
         out.above.clear();
         let mut sink = Decisions(&mut out.above, release_gaps);
         let scale = Some(self.query_scale());
-        self.inner.run_sink(scale, queries, provider, &mut sink);
+        self.inner
+            .run_sink(Continuous, scale, queries, provider, &mut sink);
     }
 
     /// Runs with a plain RNG: the allocating reference path.
@@ -150,7 +152,8 @@ impl SparseVectorWithGap {
     ) -> SvtStreamState {
         let mut provider = ScratchDraws::new(scratch, rng);
         provider.begin();
-        self.inner.open(&mut provider, Some(self.query_scale()))
+        self.inner
+            .open(Continuous, &mut provider, Some(self.query_scale()))
     }
 
     /// Feeds a batch to an open stream — one call of the ladder's feed
@@ -173,7 +176,8 @@ impl SparseVectorWithGap {
         scratch.window(rng, queries.size_hint().1.unwrap_or(0));
         let mut provider = ScratchDraws::new(scratch, rng);
         let mut sink = Decisions(out, true);
-        self.inner.feed(state, queries, &mut provider, &mut sink);
+        self.inner
+            .feed(Continuous, state, queries, &mut provider, &mut sink);
     }
 }
 
@@ -201,7 +205,7 @@ impl AlignedMechanism for SparseVectorWithGap {
         output: &SvOutput,
     ) -> NoiseTape {
         let winner = |qi: usize| output.above.get(qi).copied().flatten().map(|_| 0);
-        self.inner.align_winners(input, neighbor, tape, winner)
+        self.inner.align_winners(input, neighbor, tape, 1.0, winner)
     }
 
     fn epsilon(&self) -> f64 {
@@ -209,13 +213,19 @@ impl AlignedMechanism for SparseVectorWithGap {
     }
 
     fn outputs_match(&self, a: &SvOutput, b: &SvOutput) -> bool {
-        a.above.len() == b.above.len()
-            && a.above.iter().zip(&b.above).all(|(x, y)| match (x, y) {
-                (None, None) => true,
-                (Some(gx), Some(gy)) => (gx - gy).abs() <= 1e-9 * gx.abs().max(gy.abs()).max(1.0),
-                _ => false,
-            })
+        decisions_match(a, b)
     }
+}
+
+/// Whether two one-rung outputs make the same decisions with gaps equal to
+/// within rounding.
+pub(super) fn decisions_match(a: &SvOutput, b: &SvOutput) -> bool {
+    a.above.len() == b.above.len()
+        && a.above.iter().zip(&b.above).all(|(x, y)| match (x, y) {
+            (None, None) => true,
+            (Some(gx), Some(gy)) => gaps_match(*gx, *gy),
+            _ => false,
+        })
 }
 
 #[cfg(test)]

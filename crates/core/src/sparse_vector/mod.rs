@@ -1,11 +1,12 @@
 //! The Sparse Vector family (§6): classic SVT baseline, Sparse-Vector-with-
-//! Gap, and the paper's Adaptive-Sparse-Vector-with-Gap (Algorithm 2). The
-//! continuous members run one loop, the multi-branch ladder's: Algorithm 2
-//! is its two-rung case, Sparse-Vector-with-Gap its one-rung case, and
-//! classic SVT the one-rung run with the gaps withheld. The discrete
-//! variant keeps its own loop over the discrete-Laplace draw shapes. Both
-//! loops skip, on a bounded provider, the draws of a query that no draw
-//! could lift over the noisy threshold.
+//! Gap, and the paper's Adaptive-Sparse-Vector-with-Gap (Algorithm 2). Every
+//! member runs one loop, the multi-branch ladder's: Algorithm 2 is its
+//! two-rung case, Sparse-Vector-with-Gap its one-rung case, classic SVT the
+//! one-rung run with the gaps withheld, and the discrete variant the
+//! one-rung run over discrete Laplace draws on `{kγ}`. The loop skips, on a
+//! bounded provider, the draws of a query that no draw could lift over the
+//! noisy threshold. The broken-variant zoo keeps its own loops: each is a
+//! deliberate drift from this one.
 
 mod adaptive;
 pub mod broken;

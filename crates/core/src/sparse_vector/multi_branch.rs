@@ -1,12 +1,14 @@
 //! Multi-branch Adaptive Sparse Vector — the extension §6.1 sketches:
 //! *"Algorithm 2 can be easily extended with multiple additional 'if'
 //! branches. For simplicity we do not include such variations."* We include
-//! it, and its loop is the one loop of the continuous SVT family: Algorithm
+//! it, and its loop is the one loop of the SVT family: Algorithm
 //! 2 ([`AdaptiveSparseVector`](super::AdaptiveSparseVector)) is the ladder
 //! with two rungs, Sparse-Vector-with-Gap
 //! ([`SparseVectorWithGap`](super::SparseVectorWithGap)) the ladder with one
-//! rung, and classic SVT ([`ClassicSparseVector`](super::ClassicSparseVector))
-//! that one-rung run with its gaps withheld.
+//! rung, classic SVT ([`ClassicSparseVector`](super::ClassicSparseVector))
+//! that one-rung run with its gaps withheld, and
+//! [`DiscreteSparseVectorWithGap`](super::DiscreteSparseVectorWithGap) the
+//! one-rung run over discrete Laplace draws on `{kγ}`, at its own rates.
 //!
 //! With `m` branches the per-answer budgets form a geometric ladder
 //! `ε₁/2^{m-1} < … < ε₁/2 < ε₁`: each query is first tested with the
@@ -32,16 +34,17 @@
 //! depends on how many answers lie within reach of the threshold.
 //!
 //! The local alignment generalizes Eq. (3) verbatim: the threshold noise
-//! moves up by one, losing branch noises stay, and the single winning
-//! branch noise of each answer absorbs `1 + qᵢ - q'ᵢ`; the Definition-6
-//! cost telescopes to `ε₀ + Σ (winning branch budgets) ≤ ε`.
+//! moves up by one (one lattice step `γ` in the discrete family), losing
+//! branch noises stay, and the single winning branch noise of each answer
+//! absorbs `1 + qᵢ - q'ᵢ`; the Definition-6 cost telescopes to
+//! `ε₀ + Σ (winning branch budgets) ≤ ε`.
 
 use super::{optimal_threshold_share, AdaptiveOutcome, AdaptiveSvOutput};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws, MAX_TUPLE};
+use crate::draw::{Continuous, DrawProvider, Family, SourceDraws, MAX_TUPLE};
 use crate::error::{require_epsilon, require_fraction, require_scale, MechanismError};
+use crate::noisy_max::gaps_match;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use free_gap_noise::Laplace;
 use rand::rngs::StdRng;
 
 /// Where the feed step writes the outcome of each query it observes.
@@ -81,8 +84,9 @@ impl Sink for Decisions<'_> {
 }
 
 /// Resumable state of one run of the branch ladder: the noisy threshold,
-/// the baseline rung's budget and noise scale, the stop rule's parameters,
-/// the answer count, the budget units used and the `f64` budget spent.
+/// the baseline rung's budget and noise (a scale, or a discrete rate), the
+/// stop rule's parameters, the answer count, the budget units used and the
+/// `f64` budget spent.
 ///
 /// [`SparseVectorWithGap::stream_open`](super::SparseVectorWithGap::stream_open)
 /// opens one, and each
@@ -95,7 +99,7 @@ impl Sink for Decisions<'_> {
 pub struct SvtStreamState {
     noisy_threshold: f64,
     baseline_budget: f64,
-    baseline_scale: f64,
+    baseline_noise: f64,
     m: usize,
     k: usize,
     answer_limit: usize,
@@ -237,20 +241,24 @@ impl MultiBranchAdaptiveSparseVector {
     }
 
     /// The open step, after `provider.begin()`: draws the noisy threshold
-    /// and returns the state with no query observed. `one_rung_scale`
-    /// replaces a one-rung ladder's noise scale with Sparse-Vector-with-Gap's
-    /// own `c·k/ε₂`.
-    pub(super) fn open<P: DrawProvider>(
+    /// in `family` and returns the state with no query observed.
+    /// `one_rung_noise` replaces a one-rung ladder's noise with the
+    /// wrapper's own: Sparse-Vector-with-Gap's scale `c·k/ε₂`, or the
+    /// discrete SVT's rate `ε₂/(ck)`. Rungs below the baseline exist in the
+    /// continuous family only ([`Family::MULTI_RUNG`]).
+    pub(super) fn open<F: Family, P: DrawProvider>(
         &self,
+        family: F,
         provider: &mut P,
-        one_rung_scale: Option<f64>,
+        one_rung_noise: Option<f64>,
     ) -> SvtStreamState {
-        debug_assert!(one_rung_scale.is_none() || self.branches == 1);
+        debug_assert!(one_rung_noise.is_none() || self.branches == 1);
         let (baseline_budget, scale) = self.rung(self.epsilon1(), self.branches - 1);
+        let threshold_noise = family.at_budget(self.epsilon0());
         SvtStreamState {
-            noisy_threshold: self.threshold + provider.next(1.0 / self.epsilon0()),
+            noisy_threshold: self.threshold + family.next(provider, threshold_noise),
             baseline_budget,
-            baseline_scale: one_rung_scale.unwrap_or(scale),
+            baseline_noise: one_rung_noise.unwrap_or(scale),
             m: self.branches,
             k: self.k,
             answer_limit: self.answer_limit.unwrap_or(usize::MAX),
@@ -274,28 +282,33 @@ impl MultiBranchAdaptiveSparseVector {
     ///
     /// With a [bounded](DrawProvider::bounded) provider, a block's first
     /// query that no rung could accept even at that rung's largest draw
-    /// ([`Laplace::UNIT_MAX`] times its scale) is answered `⊥` without a
-    /// peek, and its `m` draws are [skipped](DrawProvider::skip) before the
-    /// next peek or at the end of the feed. Each rung is tested with its
-    /// own expression, the bound in place of the draw; rounding is
-    /// monotone, so no decision changes. Queries inside a peeked slab are
-    /// tested on their draws.
-    pub(super) fn feed<P: DrawProvider, I: IntoIterator<Item = f64>, S: Sink>(
+    /// ([`Laplace::UNIT_MAX`](free_gap_noise::Laplace::UNIT_MAX) times its
+    /// scale, or the discrete sampler's
+    /// [`max_value`](free_gap_noise::DiscreteLaplace::max_value)) is
+    /// answered `⊥` without a peek, and its `m` draws are
+    /// [skipped](DrawProvider::skip) before the next peek or at the end of
+    /// the feed. Each rung is tested with its own expression, the bound in
+    /// place of the draw; rounding is monotone, so no decision changes.
+    /// Queries inside a peeked slab are tested on their draws.
+    pub(super) fn feed<F: Family, P: DrawProvider, I: IntoIterator<Item = f64>, S: Sink>(
         &self,
+        family: F,
         state: &mut SvtStreamState,
         queries: I,
         provider: &mut P,
         sink: &mut S,
     ) {
         debug_assert!((state.k, state.m) == (self.k, self.branches));
+        debug_assert!(F::MULTI_RUNG || state.m == 1);
         if state.is_halted() {
             return;
         }
-        let (m, last, eps1) = (state.m, state.m - 1, state.baseline_budget);
+        let m = if F::MULTI_RUNG { state.m } else { 1 };
+        let (last, eps1) = (m - 1, state.baseline_budget);
         // Only the noise scales are tabled (a wider table is a measurable
         // share of a short feed): a margin is one product away, and a
         // rung's budget is looked up on an answer only.
-        let mut scales = [state.baseline_scale; MAX_TUPLE];
+        let mut scales = [state.baseline_noise; MAX_TUPLE];
         for (b, scale) in scales[..last].iter_mut().enumerate() {
             *scale = self.rung(eps1, b).1;
         }
@@ -304,11 +317,11 @@ impl MultiBranchAdaptiveSparseVector {
         let (top, units) = (1u128 << last, state.k as u128 * (1u128 << last));
         let (mut answered, mut used, mut spent) = (state.answered, state.used, state.spent);
         let bounded = provider.bounded();
-        let baseline_cap = Laplace::UNIT_MAX * scales[last];
+        let baseline_cap = family.max_draw(scales[last]);
         let could_win = |q: f64| {
-            (0..last).any(|b| {
-                q + Laplace::UNIT_MAX * scales[b] - noisy_threshold >= self.margin(scales[b])
-            }) || q + baseline_cap >= noisy_threshold
+            (0..last)
+                .any(|b| q + family.max_draw(scales[b]) - noisy_threshold >= self.margin(scales[b]))
+                || q + baseline_cap >= noisy_threshold
         };
         let mut owed = 0;
         let mut done = false;
@@ -324,7 +337,7 @@ impl MultiBranchAdaptiveSparseVector {
                 provider.skip(owed);
                 owed = 0;
             }
-            let tuples = provider.peek_tuples(&scales[..m]);
+            let tuples = family.peek_tuples(provider, &scales[..m]);
             let mut taken = 0;
             loop {
                 let tuple = &tuples[taken..taken + m];
@@ -366,7 +379,7 @@ impl MultiBranchAdaptiveSparseVector {
                 };
                 q = next;
             }
-            provider.consume(taken);
+            family.consume(provider, taken);
         }
         if owed > 0 {
             provider.skip(owed);
@@ -378,22 +391,23 @@ impl MultiBranchAdaptiveSparseVector {
     /// step over `queries`, with room for one outcome per predicted
     /// `m`-tuple of draws made first (capped by the stream's upper bound).
     /// Returns the budget spent.
-    pub(super) fn run_sink<P: DrawProvider, I: IntoIterator<Item = f64>, S: Sink>(
+    pub(super) fn run_sink<F: Family, P: DrawProvider, I: IntoIterator<Item = f64>, S: Sink>(
         &self,
-        one_rung_scale: Option<f64>,
+        family: F,
+        one_rung_noise: Option<f64>,
         queries: I,
         provider: &mut P,
         sink: &mut S,
     ) -> f64 {
         provider.begin();
-        let mut state = self.open(provider, one_rung_scale);
+        let mut state = self.open(family, provider, one_rung_noise);
         let queries = queries.into_iter();
         let predicted = provider.predicted_draws();
         sink.reserve(
             (predicted / self.branches + usize::from(predicted > 0))
                 .min(queries.size_hint().1.unwrap_or(usize::MAX)),
         );
-        self.feed(&mut state, queries, provider, sink);
+        self.feed(family, &mut state, queries, provider, sink);
         state.spent
     }
 
@@ -422,7 +436,7 @@ impl MultiBranchAdaptiveSparseVector {
         out: &mut AdaptiveSvOutput,
     ) {
         out.outcomes.clear();
-        out.spent = self.run_sink(None, queries, provider, &mut out.outcomes);
+        out.spent = self.run_sink(Continuous, None, queries, provider, &mut out.outcomes);
         out.epsilon = self.epsilon;
     }
 
@@ -432,13 +446,15 @@ impl MultiBranchAdaptiveSparseVector {
     }
 
     /// The Eq. (3) alignment of [`align`](AlignedMechanism::align), given
-    /// each processed query's winning rung (`None` for `⊥`); the one-rung
-    /// types read theirs off an [`SvOutput`](super::SvOutput).
+    /// the threshold's shift (1, or one lattice step `γ` in the discrete
+    /// family) and each processed query's winning rung (`None` for `⊥`);
+    /// the one-rung types read theirs off an [`SvOutput`](super::SvOutput).
     pub(super) fn align_winners(
         &self,
         input: &QueryAnswers,
         neighbor: &QueryAnswers,
         tape: &NoiseTape,
+        shift: f64,
         winner: impl Fn(usize) -> Option<u8>,
     ) -> NoiseTape {
         let q = input.values();
@@ -446,7 +462,7 @@ impl MultiBranchAdaptiveSparseVector {
         // Footnote 6: when all queries shrink (qᵢ >= q'ᵢ) on a monotone
         // workload, the threshold can stay put and winners shift by qᵢ - q'ᵢ.
         let favorable = self.monotonic && q.iter().zip(qp).all(|(a, b)| a >= b);
-        let threshold_shift = if favorable { 0.0 } else { 1.0 };
+        let threshold_shift = if favorable { 0.0 } else { shift };
         let m = self.branches;
         tape.aligned_by(|draw_idx, _| {
             if draw_idx == 0 {
@@ -486,9 +502,11 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
         tape: &NoiseTape,
         output: &AdaptiveSvOutput,
     ) -> NoiseTape {
-        self.align_winners(input, neighbor, tape, |qi| match output.outcomes.get(qi) {
-            Some(AdaptiveOutcome::Above { branch, .. }) => Some(*branch),
-            _ => None,
+        self.align_winners(input, neighbor, tape, 1.0, |qi| {
+            match output.outcomes.get(qi) {
+                Some(AdaptiveOutcome::Above { branch, .. }) => Some(*branch),
+                _ => None,
+            }
         })
     }
 
@@ -514,11 +532,7 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
                             gap: gy,
                             cost: cy,
                         },
-                    ) => {
-                        bx == by
-                            && cx == cy
-                            && (gx - gy).abs() <= 1e-9 * gx.abs().max(gy.abs()).max(1.0)
-                    }
+                    ) => bx == by && cx == cy && gaps_match(*gx, *gy),
                     _ => false,
                 })
     }
@@ -573,6 +587,15 @@ mod tests {
         // The smallest normal budgets still run.
         assert!(MultiBranchAdaptiveSparseVector::new(3, 1e-300, 0.0, false, 3).is_ok());
         assert!(SparseVectorWithGap::new(3, 1e-300, 0.0, false).is_ok());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn stream_state_stays_ten_words() {
+        // A server moves the state in and out of its session table on
+        // every feed, and a larger state measurably slows session feeds;
+        // the noise family is a parameter of the feed, not a field.
+        assert_eq!(std::mem::size_of::<SvtStreamState>(), 80);
     }
 
     #[test]

@@ -11,9 +11,19 @@
 //! cut is peeked and the one just below it skipped, so the prune tests
 //! exactly the bound: a looser or tighter cap fails here, although almost
 //! no draw could show it in an output.
+//!
+//! The cores are also checked against the paper's pseudocode, written out
+//! here one `NoiseSource` draw at a time in both noise families: the
+//! textbook Sparse-Vector-with-Gap and Algorithm 1. Every other equivalence
+//! suite compares one core with itself through different providers; this
+//! one compares it with an independent statement of the algorithm.
 
+use free_gap_alignment::{NoiseSource, SamplingSource};
 use free_gap_core::api::{AnyMechanism, CallScratch, Mechanism, MechanismOutput, QuerySlice};
 use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws};
+use free_gap_core::noisy_max::{
+    ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap, TopKItem, TopKOutput,
+};
 use free_gap_core::scratch::{SvtScratch, TopKScratch};
 use free_gap_core::sparse_vector::{
     AdaptiveSparseVector, ClassicSparseVector, DiscreteSparseVectorWithGap,
@@ -370,4 +380,198 @@ fn sessions_fed_one_query_at_a_time_equal_one_batch_and_one_run() {
             }
         }
     }
+}
+
+/// A noise family of the textbook algorithms: continuous Laplace at a
+/// scale, or discrete Laplace on the integer lattice at a rate per unit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Noise {
+    Continuous,
+    Discrete,
+}
+
+fn draw(source: &mut dyn NoiseSource, noise: Noise, param: f64) -> f64 {
+    match noise {
+        Noise::Continuous => source.laplace(param),
+        Noise::Discrete => source.discrete_laplace(param, 1.0),
+    }
+}
+
+/// Textbook Sparse-Vector-with-Gap: the noisy threshold, then one draw per
+/// query, `⊤` with its gap when `q + ν ≥ T̃` and `⊥` otherwise, stopping
+/// after the `k`-th `⊤`.
+fn textbook_svt(
+    source: &mut dyn NoiseSource,
+    noise: Noise,
+    (threshold_noise, query_noise): (f64, f64),
+    k: usize,
+    threshold: f64,
+    answers: &[f64],
+) -> Vec<Option<f64>> {
+    let noisy_threshold = threshold + draw(source, noise, threshold_noise);
+    let mut above = Vec::new();
+    for &q in answers {
+        if above.iter().flatten().count() == k {
+            break;
+        }
+        let noisy = q + draw(source, noise, query_noise);
+        above.push((noisy >= noisy_threshold).then_some(noisy - noisy_threshold));
+    }
+    above
+}
+
+/// Textbook Algorithm 1: one draw per query, the noisy answers ranked in
+/// the `f64` total order with ties to the smaller index, and each of the
+/// top `k` with its gap to the next.
+fn textbook_top_k(
+    source: &mut dyn NoiseSource,
+    noise: Noise,
+    param: f64,
+    k: usize,
+    answers: &[f64],
+) -> Vec<TopKItem> {
+    let noisy: Vec<f64> = answers
+        .iter()
+        .map(|&q| q + draw(source, noise, param))
+        .collect();
+    let mut rank: Vec<usize> = (0..noisy.len()).collect();
+    rank.sort_by(|&a, &b| noisy[b].total_cmp(&noisy[a]).then(a.cmp(&b)));
+    (0..k)
+        .map(|i| TopKItem {
+            index: rank[i],
+            gap: noisy[rank[i]] - noisy[rank[i + 1]],
+        })
+        .collect()
+}
+
+/// Asserts that `call_reference` and `call_batched` at `seed` both render
+/// as `want`.
+fn assert_paths_equal(
+    mech: &AnyMechanism,
+    answers: &[f64],
+    seed: u64,
+    want: &MechanismOutput,
+    scratch: &mut CallScratch,
+) {
+    let req = QuerySlice::new(answers);
+    let mut out = MechanismOutput::new_for(mech);
+    mech.call_reference(&req, &mut rng_from_seed(seed), &mut out)
+        .unwrap();
+    let label = format!("{} at seed {seed}", mech.name());
+    assert_eq!(
+        format!("{out:?}"),
+        format!("{want:?}"),
+        "reference, {label}"
+    );
+    mech.call_batched(&req, &mut rng_from_seed(seed), scratch, &mut out)
+        .unwrap();
+    assert_eq!(format!("{out:?}"), format!("{want:?}"), "batched, {label}");
+}
+
+#[test]
+fn svt_paths_equal_the_textbook_loop() {
+    let mut scratch = CallScratch::new();
+    let mut ties = 0;
+    for eps in [0.05, 0.7, 5.0] {
+        for k in [1, 3, 8] {
+            let threshold = 40.0;
+            let svg = SparseVectorWithGap::new(k, eps, threshold, false).unwrap();
+            let classic = ClassicSparseVector::new(k, eps, threshold, true).unwrap();
+            let discrete = DiscreteSparseVectorWithGap::new(k, eps, threshold, true).unwrap();
+            // Sparse-Vector-with-Gap runs at classic SVT's scales.
+            let scales = ClassicSparseVector::new(k, eps, threshold, false).unwrap();
+            let cases = [
+                (
+                    AnyMechanism::from(svg),
+                    Noise::Continuous,
+                    (scales.threshold_scale(), scales.query_scale()),
+                ),
+                (
+                    classic.into(),
+                    Noise::Continuous,
+                    (classic.threshold_scale(), classic.query_scale()),
+                ),
+                (
+                    discrete.into(),
+                    Noise::Discrete,
+                    (discrete.threshold_rate(), discrete.query_rate()),
+                ),
+            ];
+            for (mech, noise, params) in cases {
+                for seed in 0..12 {
+                    let mut rng = rng_from_seed(seed);
+                    let source = &mut SamplingSource::new(&mut rng);
+                    let noisy_threshold = threshold + draw(source, noise, params.0);
+                    // Answers around the noisy threshold, within the query
+                    // noise's reach, and at the prune's cut with its two
+                    // neighbours (one lattice step, or one ULP).
+                    let (step, cuts) = if noise == Noise::Discrete {
+                        let cap = DiscreteLaplace::new(params.1, 1.0).unwrap().max_value();
+                        let cut = noisy_threshold - cap;
+                        (1.0, [cut - 1.0, cut, cut + 1.0])
+                    } else {
+                        let cut = noisy_threshold - Laplace::UNIT_MAX * params.1;
+                        (params.1 / 4.0, [cut.next_down(), cut, cut.next_up()])
+                    };
+                    let near = (-4..=4).map(|d| noisy_threshold + f64::from(d) * step);
+                    let answers: Vec<f64> = cuts.into_iter().chain(near).cycle().take(60).collect();
+                    let mut rng = rng_from_seed(seed);
+                    let source = &mut SamplingSource::new(&mut rng);
+                    let mut above = textbook_svt(source, noise, params, k, threshold, &answers);
+                    ties += answers
+                        .iter()
+                        .zip(&above)
+                        .filter(|(_, d)| **d == Some(0.0))
+                        .count();
+                    if matches!(mech, AnyMechanism::ClassicSparseVector(_)) {
+                        above.iter_mut().flatten().for_each(|gap| *gap = 0.0);
+                    }
+                    let want = MechanismOutput::SparseVector(SvOutput { above });
+                    assert_paths_equal(&mech, &answers, seed, &want, &mut scratch);
+                }
+            }
+        }
+    }
+    // Answers equal to the noisy threshold (a zero gap) occur on the
+    // lattice, so the `≥` of the decision is exercised, not only `>`.
+    assert!(ties > 0, "no answer landed on the noisy threshold");
+}
+
+#[test]
+fn top_k_paths_equal_the_textbook_selection() {
+    let mut scratch = CallScratch::new();
+    let mut ties = 0;
+    // Clustered integer counts: the discrete noisy answers tie often.
+    let answers: Vec<f64> = (0..48u32)
+        .map(|i| f64::from((i * 7919) % 13) + if i % 11 == 0 { 30.0 } else { 0.0 })
+        .collect();
+    for eps in [0.05, 0.7, 5.0] {
+        for k in [1, 3, 8] {
+            let gap = NoisyTopKWithGap::new(k, eps, false).unwrap();
+            let classic = ClassicNoisyTopK::new(k, eps, true).unwrap();
+            let discrete = DiscreteNoisyTopKWithGap::new(k, eps, true).unwrap();
+            let cases = [
+                (AnyMechanism::from(gap), Noise::Continuous, gap.scale()),
+                (classic.into(), Noise::Continuous, classic.scale()),
+                (discrete.into(), Noise::Discrete, discrete.unit_epsilon()),
+            ];
+            for (mech, noise, param) in cases {
+                for seed in 0..12 {
+                    let mut rng = rng_from_seed(seed);
+                    let source = &mut SamplingSource::new(&mut rng);
+                    let items = textbook_top_k(source, noise, param, k, &answers);
+                    ties += items.iter().filter(|item| item.gap == 0.0).count();
+                    let want = if matches!(mech, AnyMechanism::ClassicNoisyTopK(_)) {
+                        MechanismOutput::Indices(items.iter().map(|item| item.index).collect())
+                    } else {
+                        MechanismOutput::TopK(TopKOutput { items })
+                    };
+                    assert_paths_equal(&mech, &answers, seed, &want, &mut scratch);
+                }
+            }
+        }
+    }
+    // Ties among the top k + 1 occur on the lattice, so the tie rule is
+    // exercised.
+    assert!(ties > 0, "no tie among the selected answers");
 }

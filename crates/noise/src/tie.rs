@@ -61,9 +61,12 @@ pub fn pair_tie_bound(epsilon: f64, gamma: f64) -> Result<f64, NoiseError> {
 /// Union bound on the probability of *any* tie among `n` queries:
 /// `n² · γε(1 + e^{-1})` — the `δ` of the finite-precision `(ε, δ)` guarantee.
 ///
-/// The paper conservatively uses `n²` pairs rather than `n(n-1)/2`.
+/// The paper conservatively uses `n²` pairs rather than `n(n-1)/2`. The
+/// square is taken in `f64`, so it neither overflows nor wraps at
+/// `n ≥ 2³²`; below `2^26.5` it is exact, as a `usize` square would be.
 pub fn union_tie_bound(n: usize, epsilon: f64, gamma: f64) -> Result<f64, NoiseError> {
-    Ok((n * n) as f64 * pair_tie_bound(epsilon, gamma)?)
+    let n = n as f64;
+    Ok(n * n * pair_tie_bound(epsilon, gamma)?)
 }
 
 /// Monte-Carlo estimate of the pair tie probability, for validating the
@@ -155,6 +158,18 @@ mod tests {
         let one = union_tie_bound(1, 1.0, 1e-6).unwrap();
         let ten = union_tie_bound(10, 1.0, 1e-6).unwrap();
         assert!((ten / one - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn union_bound_squares_n_without_overflow() {
+        // n² = 2⁶⁴ does not fit a usize: squared there, it panicked in
+        // debug builds and wrapped to δ = 0 in release ones.
+        let n: usize = 1 << 32;
+        let delta = union_tie_bound(n, 0.5, 1.0).unwrap();
+        let pair = pair_tie_bound(0.5, 1.0).unwrap();
+        assert_eq!(delta, 2f64.powi(64) * pair);
+        assert!(delta > 1e18, "delta = {delta}");
     }
 
     #[test]
