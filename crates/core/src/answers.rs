@@ -51,15 +51,27 @@ pub fn require_finite(values: &[f64]) -> Result<(), MechanismError> {
 /// the nearest integer; from it up, every finite `f64` is an integer.
 const TWO_52: f64 = 4_503_599_627_370_496.0;
 
-/// True when `v` lies within 1e-9 of a multiple of `gamma`: the rule
-/// `|v/γ - round(v/γ)| < 1e-9`, so NaN and infinities are off the lattice.
-/// Branch-free: below 2⁵² steps, adding and subtracting 2⁵² rounds to the
-/// nearest integer (ties to even, which moves only exact halves, off the
-/// lattice either way); from 2⁵² up every finite step count is an integer.
+/// The mantissa bits of an `f64`: all zero in a normal power of two.
+const MANTISSA: u64 = (1 << 52) - 1;
+
+/// True when `v` is a multiple of `gamma` up to the rounding of a lattice
+/// point `k·γ` and of the division `v/γ`, each at most half an ulp: the
+/// step count `s = |v/γ|` lies within `4·ε·s` of an integer (`ε` the
+/// machine epsilon). A power-of-two `γ`, the default `γ = 1` among them,
+/// rounds neither, so there the test is exact: any fractional step is
+/// refused. NaN and infinities are off the lattice. Branch-free: below
+/// 2⁵² steps, adding and subtracting 2⁵² rounds to the nearest integer
+/// (ties to even, which moves only exact halves, off the lattice either
+/// way); from 2⁵² up every finite step count is an integer.
 pub(crate) fn on_lattice(v: f64, gamma: f64) -> bool {
+    let tolerance = if gamma.to_bits() & MANTISSA == 0 {
+        0.0
+    } else {
+        4.0 * f64::EPSILON
+    };
     let steps = (v / gamma).abs();
     let rounded = (steps + TWO_52) - TWO_52;
-    ((steps - rounded).abs() < 1e-9) | ((steps >= TWO_52) & steps.is_finite())
+    ((steps - rounded).abs() <= tolerance * steps) | ((steps >= TWO_52) & steps.is_finite())
 }
 
 /// Validates that every answer is a multiple of the lattice step `gamma`
@@ -189,9 +201,16 @@ mod tests {
 
     #[test]
     fn lattice_check_keeps_the_rounding_rule() {
+        // The `round` form of the rule: a power-of-two γ rounds neither
+        // `k·γ` nor `v/γ`, so it gets no tolerance.
         let rule = |v: f64, gamma: f64| {
             let steps = v / gamma;
-            (steps - steps.round()).abs() < 1e-9
+            let tolerance = if gamma.log2().fract() == 0.0 {
+                0.0
+            } else {
+                4.0 * f64::EPSILON * steps.abs()
+            };
+            (steps - steps.round()).abs() <= tolerance
         };
         let two_52 = 4_503_599_627_370_496.0;
         let edges = [
@@ -204,6 +223,8 @@ mod tests {
             3.7,
             3.0 + 1e-10,
             3.0 - 1e-10,
+            3.0 + 4.0 * f64::EPSILON,
+            20.000_000_000_5,
             1e-300,
             two_52 - 0.5,
             two_52 - 1.0,
@@ -216,12 +237,26 @@ mod tests {
             f64::NEG_INFINITY,
             f64::NAN,
         ];
-        for gamma in [1.0, 0.5, 0.1, 3.0] {
+        for gamma in [1.0, 0.5, 0.1, 3.0, 1e-6, 2f64.powi(-52)] {
             for v in edges {
                 assert_eq!(on_lattice(v, gamma), rule(v, gamma), "{v} at γ = {gamma}");
                 let checked = require_lattice(&[4.0 * gamma, v], gamma);
                 assert_eq!(checked.is_ok(), rule(v, gamma), "{v} at γ = {gamma}");
             }
+            // Every lattice point `k·γ` as `f64` arithmetic forms it is on.
+            for k in [1.0, 3.0, 7.0, 10.0, 123_457.0, 1e9, 1e15] {
+                assert!(on_lattice(k * gamma, gamma), "{k}·{gamma}");
+                assert!(on_lattice(-k * gamma, gamma), "-{k}·{gamma}");
+            }
+        }
+        // At γ = 1 the test is exact: a fraction of any size is refused.
+        for v in [
+            3.0 + 4.0 * f64::EPSILON,
+            3.0 + 1e-10,
+            20.000_000_000_5,
+            1e-300,
+        ] {
+            assert!(!on_lattice(v, 1.0), "{v}");
         }
         assert_eq!(
             require_lattice(&[1.0, 2.5, 3.5], 1.0),

@@ -9,8 +9,8 @@
 //!
 //! * [`Mechanism`] — the one-call trait: a query slice in, a
 //!   [`MechanismOutput`] out, noise through any [`DrawProvider`].
-//! * [`AnyMechanism`] — a closed enum over the ten mechanisms, dispatching
-//!   [`Mechanism::call`] plus two conveniences that each fix the
+//! * [`AnyMechanism`] — a closed enum over the ten mechanisms and the
+//!   trait's one implementor, plus two conveniences that each fix the
 //!   provider: [`call_batched`](AnyMechanism::call_batched) (the fast path
 //!   a server worker drives, [`ScratchDraws`] for every mechanism) and
 //!   [`call_reference`](AnyMechanism::call_reference) (the dyn
@@ -22,10 +22,15 @@
 //! packs) cannot own them. Threading one [`TopKScratch`] through the call
 //! keeps the trait allocation-free across requests — the same pattern the
 //! Top-K `run_into` entries use — while the noise tape rides inside the
-//! provider ([`ScratchDraws`]) instead. `call` is a thin
-//! adapter: it coerces the output and forwards to the mechanism's one
-//! provider-taking `run_into` entry (`tests/api_surface.rs` pins this).
+//! provider ([`ScratchDraws`]) instead. `call` is one `match`: each arm
+//! runs its variant's slice check where the core reads a lazy stream
+//! (`require_finite`, `require_lattice`, the race's `k ≤ n`), coerces the
+//! output and calls the core's one provider-taking entry (`run_into`,
+//! `run_top_k_into`, `measure_split_into`), so every arm refuses a
+//! malformed workload before its first draw (`tests/api_surface.rs` pins
+//! both).
 
+use crate::answers::{require_finite, require_lattice};
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::MechanismError;
 use crate::exponential_mech::ExponentialMechanism;
@@ -103,15 +108,15 @@ pub enum MechanismOutput {
     Measurements(Vec<f64>),
 }
 
-/// Coerces `$self` to `$variant` (installing an empty default payload
-/// only on a variant switch) and returns the inner value mutably.
+/// Coerces the output `$out` to `$variant` (installing an empty default
+/// payload only on a variant switch) and returns the inner value mutably.
 macro_rules! coerce_output {
-    ($self:ident, $variant:ident) => {{
-        if !matches!($self, Self::$variant(_)) {
-            *$self = Self::$variant(Default::default());
+    ($out:ident, $variant:ident) => {{
+        if !matches!($out, MechanismOutput::$variant(_)) {
+            *$out = MechanismOutput::$variant(Default::default());
         }
-        match $self {
-            Self::$variant(inner) => inner,
+        match $out {
+            MechanismOutput::$variant(inner) => inner,
             // lint:allow(panic-freedom): the variant was installed two lines above; this arm cannot be reached
             _ => unreachable!(),
         }
@@ -145,37 +150,6 @@ impl MechanismOutput {
             }
             AnyMechanism::Staircase(_) => Self::Measurements(Vec::new()),
         }
-    }
-
-    /// Coerces to the [`TopK`](Self::TopK) variant, reusing buffers when
-    /// the variant already matches.
-    pub fn top_k_mut(&mut self) -> &mut TopKOutput {
-        coerce_output!(self, TopK)
-    }
-
-    /// Coerces to the [`Indices`](Self::Indices) variant.
-    pub fn indices_mut(&mut self) -> &mut Vec<usize> {
-        coerce_output!(self, Indices)
-    }
-
-    /// Coerces to the [`SparseVector`](Self::SparseVector) variant.
-    pub fn sparse_vector_mut(&mut self) -> &mut SvOutput {
-        coerce_output!(self, SparseVector)
-    }
-
-    /// Coerces to the [`Adaptive`](Self::Adaptive) variant.
-    pub fn adaptive_mut(&mut self) -> &mut AdaptiveSvOutput {
-        coerce_output!(self, Adaptive)
-    }
-
-    /// Coerces to the [`MultiBranch`](Self::MultiBranch) variant.
-    pub fn multi_branch_mut(&mut self) -> &mut AdaptiveSvOutput {
-        coerce_output!(self, MultiBranch)
-    }
-
-    /// Coerces to the [`Measurements`](Self::Measurements) variant.
-    pub fn measurements_mut(&mut self) -> &mut Vec<f64> {
-        coerce_output!(self, Measurements)
     }
 
     /// Order-sensitive 64-bit fingerprint of the output, seeded by `seed` —
@@ -248,9 +222,12 @@ impl MechanismOutput {
     }
 }
 
-/// The unified call surface: every mechanism answers a query slice
-/// through an arbitrary [`DrawProvider`] into a coercible
-/// [`MechanismOutput`].
+/// The unified call surface: a mechanism answers a query slice through
+/// an arbitrary [`DrawProvider`] into a coercible [`MechanismOutput`].
+///
+/// [`AnyMechanism`] is its one implementor; the per-mechanism types are
+/// reached through the enum. It stays a trait rather than inherent
+/// methods only because the gated benchmark imports it by name.
 pub trait Mechanism {
     /// Stable mechanism name (the benchmark's per-mechanism rows and the
     /// server's request scripts key on it).
@@ -270,66 +247,6 @@ pub trait Mechanism {
         scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError>;
-}
-
-impl Mechanism for NoisyTopKWithGap {
-    fn name(&self) -> &'static str {
-        "NoisyTopKWithGap"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_into(req.values(), provider, scratch, out.top_k_mut())
-    }
-}
-
-impl Mechanism for ClassicNoisyTopK {
-    fn name(&self) -> &'static str {
-        "ClassicNoisyTopK"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_into(req.values(), provider, scratch, out.indices_mut())
-    }
-}
-
-impl Mechanism for DiscreteNoisyTopKWithGap {
-    fn name(&self) -> &'static str {
-        "DiscreteNoisyTopKWithGap"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_into(req.values(), provider, scratch, out.top_k_mut())
-    }
 }
 
 /// The exponential mechanism lifted to a Top-K selection by peeling
@@ -365,189 +282,6 @@ impl ExponentialTopK {
     }
 }
 
-impl Mechanism for ExponentialTopK {
-    fn name(&self) -> &'static str {
-        "ExponentialMechanism"
-    }
-
-    fn cost(&self) -> f64 {
-        self.k as f64 * self.mech.epsilon()
-    }
-
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        ExponentialMechanism::require_top_k_len(req.len(), self.k)?;
-        self.mech.run_top_k_into(
-            req.values().iter().copied(),
-            self.k,
-            provider,
-            scratch,
-            out.indices_mut(),
-        )
-    }
-}
-
-impl Mechanism for StaircaseMechanism {
-    fn name(&self) -> &'static str {
-        "StaircaseMechanism"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        _scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        self.measure_split_into(req.values(), provider, out.measurements_mut())
-    }
-}
-
-impl Mechanism for SparseVectorWithGap {
-    fn name(&self) -> &'static str {
-        "SparseVectorWithGap"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    /// Checks the lazy entry's finite-answer precondition on the
-    /// materialized slice, before any draw.
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        _scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        crate::answers::require_finite(req.values())?;
-        self.run_into(
-            req.values().iter().copied(),
-            provider,
-            out.sparse_vector_mut(),
-        );
-        Ok(())
-    }
-}
-
-impl Mechanism for ClassicSparseVector {
-    fn name(&self) -> &'static str {
-        "ClassicSparseVector"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    /// Checks the lazy entry's finite-answer precondition on the
-    /// materialized slice, before any draw.
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        _scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        crate::answers::require_finite(req.values())?;
-        self.run_into(
-            req.values().iter().copied(),
-            provider,
-            out.sparse_vector_mut(),
-        );
-        Ok(())
-    }
-}
-
-impl Mechanism for AdaptiveSparseVector {
-    fn name(&self) -> &'static str {
-        "AdaptiveSparseVector"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    /// Checks the lazy entry's finite-answer precondition on the
-    /// materialized slice, before any draw.
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        _scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        crate::answers::require_finite(req.values())?;
-        self.run_into(req.values().iter().copied(), provider, out.adaptive_mut());
-        Ok(())
-    }
-}
-
-impl Mechanism for MultiBranchAdaptiveSparseVector {
-    fn name(&self) -> &'static str {
-        "MultiBranchAdaptiveSparseVector"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    /// Checks the lazy entry's finite-answer precondition on the
-    /// materialized slice, before any draw.
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        _scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        crate::answers::require_finite(req.values())?;
-        self.run_into(
-            req.values().iter().copied(),
-            provider,
-            out.multi_branch_mut(),
-        );
-        Ok(())
-    }
-}
-
-impl Mechanism for DiscreteSparseVectorWithGap {
-    fn name(&self) -> &'static str {
-        "DiscreteSparseVectorWithGap"
-    }
-
-    fn cost(&self) -> f64 {
-        self.epsilon()
-    }
-
-    /// Checks the lazy entry's lattice precondition on the materialized
-    /// slice, before any draw.
-    fn call<P: DrawProvider>(
-        &self,
-        req: &QuerySlice<'_>,
-        provider: &mut P,
-        _scratch: &mut TopKScratch,
-        out: &mut MechanismOutput,
-    ) -> Result<(), MechanismError> {
-        crate::answers::require_lattice(req.values(), self.gamma())?;
-        self.run_into(
-            req.values().iter().copied(),
-            provider,
-            out.sparse_vector_mut(),
-        );
-        Ok(())
-    }
-}
-
 /// Reusable per-worker buffers for [`AnyMechanism::call_batched`]: the
 /// selection scratch plus the noise tape, so one worker serves all ten
 /// mechanisms without per-request allocation.
@@ -567,8 +301,8 @@ impl CallScratch {
     }
 }
 
-/// Closed union of the ten mechanisms — the dispatch type behind the
-/// unified call surface (one variant per mechanism type).
+/// Closed union of the ten mechanisms — the one implementor of
+/// [`Mechanism`], one variant per mechanism type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnyMechanism {
     /// Algorithm 1: Noisy-Top-K-with-Gap.
@@ -596,34 +330,40 @@ pub enum AnyMechanism {
 impl Mechanism for AnyMechanism {
     fn name(&self) -> &'static str {
         match self {
-            Self::NoisyTopKWithGap(m) => m.name(),
-            Self::ClassicNoisyTopK(m) => m.name(),
-            Self::DiscreteNoisyTopKWithGap(m) => m.name(),
-            Self::Exponential(m) => m.name(),
-            Self::Staircase(m) => m.name(),
-            Self::SparseVectorWithGap(m) => m.name(),
-            Self::ClassicSparseVector(m) => m.name(),
-            Self::AdaptiveSparseVector(m) => m.name(),
-            Self::MultiBranchAdaptiveSparseVector(m) => m.name(),
-            Self::DiscreteSparseVectorWithGap(m) => m.name(),
+            Self::NoisyTopKWithGap(_) => "NoisyTopKWithGap",
+            Self::ClassicNoisyTopK(_) => "ClassicNoisyTopK",
+            Self::DiscreteNoisyTopKWithGap(_) => "DiscreteNoisyTopKWithGap",
+            Self::Exponential(_) => "ExponentialMechanism",
+            Self::Staircase(_) => "StaircaseMechanism",
+            Self::SparseVectorWithGap(_) => "SparseVectorWithGap",
+            Self::ClassicSparseVector(_) => "ClassicSparseVector",
+            Self::AdaptiveSparseVector(_) => "AdaptiveSparseVector",
+            Self::MultiBranchAdaptiveSparseVector(_) => "MultiBranchAdaptiveSparseVector",
+            Self::DiscreteSparseVectorWithGap(_) => "DiscreteSparseVectorWithGap",
         }
     }
 
     fn cost(&self) -> f64 {
         match self {
-            Self::NoisyTopKWithGap(m) => m.cost(),
-            Self::ClassicNoisyTopK(m) => m.cost(),
-            Self::DiscreteNoisyTopKWithGap(m) => m.cost(),
-            Self::Exponential(m) => m.cost(),
-            Self::Staircase(m) => m.cost(),
-            Self::SparseVectorWithGap(m) => m.cost(),
-            Self::ClassicSparseVector(m) => m.cost(),
-            Self::AdaptiveSparseVector(m) => m.cost(),
-            Self::MultiBranchAdaptiveSparseVector(m) => m.cost(),
-            Self::DiscreteSparseVectorWithGap(m) => m.cost(),
+            Self::NoisyTopKWithGap(m) => m.epsilon(),
+            Self::ClassicNoisyTopK(m) => m.epsilon(),
+            Self::DiscreteNoisyTopKWithGap(m) => m.epsilon(),
+            // `k` peels, each at the base mechanism's ε.
+            Self::Exponential(m) => m.k as f64 * m.mech.epsilon(),
+            Self::Staircase(m) => m.epsilon(),
+            Self::SparseVectorWithGap(m) => m.epsilon(),
+            Self::ClassicSparseVector(m) => m.epsilon(),
+            Self::AdaptiveSparseVector(m) => m.epsilon(),
+            Self::MultiBranchAdaptiveSparseVector(m) => m.epsilon(),
+            Self::DiscreteSparseVectorWithGap(m) => m.epsilon(),
         }
     }
 
+    /// Each arm checks the whole slice before its core's first draw: the
+    /// Top-K cores and the staircase check their own slices, while the
+    /// race and the SVT cores read a lazy stream, so their arms check the
+    /// materialized slice (finite answers; for the discrete SVT, lattice
+    /// answers) here.
     fn call<P: DrawProvider>(
         &self,
         req: &QuerySlice<'_>,
@@ -631,17 +371,52 @@ impl Mechanism for AnyMechanism {
         scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
+        let values = req.values();
+        let queries = values.iter().copied();
         match self {
-            Self::NoisyTopKWithGap(m) => m.call(req, provider, scratch, out),
-            Self::ClassicNoisyTopK(m) => m.call(req, provider, scratch, out),
-            Self::DiscreteNoisyTopKWithGap(m) => m.call(req, provider, scratch, out),
-            Self::Exponential(m) => m.call(req, provider, scratch, out),
-            Self::Staircase(m) => m.call(req, provider, scratch, out),
-            Self::SparseVectorWithGap(m) => m.call(req, provider, scratch, out),
-            Self::ClassicSparseVector(m) => m.call(req, provider, scratch, out),
-            Self::AdaptiveSparseVector(m) => m.call(req, provider, scratch, out),
-            Self::MultiBranchAdaptiveSparseVector(m) => m.call(req, provider, scratch, out),
-            Self::DiscreteSparseVectorWithGap(m) => m.call(req, provider, scratch, out),
+            Self::NoisyTopKWithGap(m) => {
+                m.run_into(values, provider, scratch, coerce_output!(out, TopK))
+            }
+            Self::ClassicNoisyTopK(m) => {
+                m.run_into(values, provider, scratch, coerce_output!(out, Indices))
+            }
+            Self::DiscreteNoisyTopKWithGap(m) => {
+                m.run_into(values, provider, scratch, coerce_output!(out, TopK))
+            }
+            Self::Exponential(m) => {
+                ExponentialMechanism::require_top_k_len(values.len(), m.k)?;
+                require_finite(values)?;
+                let out = coerce_output!(out, Indices);
+                m.mech.run_top_k_into(queries, m.k, provider, scratch, out)
+            }
+            Self::Staircase(m) => {
+                m.measure_split_into(values, provider, coerce_output!(out, Measurements))
+            }
+            Self::SparseVectorWithGap(m) => {
+                require_finite(values)?;
+                m.run_into(queries, provider, coerce_output!(out, SparseVector));
+                Ok(())
+            }
+            Self::ClassicSparseVector(m) => {
+                require_finite(values)?;
+                m.run_into(queries, provider, coerce_output!(out, SparseVector));
+                Ok(())
+            }
+            Self::AdaptiveSparseVector(m) => {
+                require_finite(values)?;
+                m.run_into(queries, provider, coerce_output!(out, Adaptive));
+                Ok(())
+            }
+            Self::MultiBranchAdaptiveSparseVector(m) => {
+                require_finite(values)?;
+                m.run_into(queries, provider, coerce_output!(out, MultiBranch));
+                Ok(())
+            }
+            Self::DiscreteSparseVectorWithGap(m) => {
+                require_lattice(values, m.gamma())?;
+                m.run_into(queries, provider, coerce_output!(out, SparseVector));
+                Ok(())
+            }
         }
     }
 }
@@ -743,15 +518,41 @@ impl From<DiscreteSparseVectorWithGap> for AnyMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use free_gap_noise::rng::derive_fast_stream;
 
     #[test]
     fn output_coercion_reuses_matching_variant() {
-        let mut out = MechanismOutput::Indices(vec![1, 2, 3]);
-        out.indices_mut().push(4);
-        assert_eq!(out, MechanismOutput::Indices(vec![1, 2, 3, 4]));
-        // Variant switch replaces the payload.
-        assert!(out.top_k_mut().items.is_empty());
-        assert!(matches!(out, MechanismOutput::TopK(_)));
+        let values = [5.0, 1.0, 9.0, 3.0];
+        let req = QuerySlice::new(&values);
+        let (mut topk, mut svt) = (TopKScratch::new(), SvtScratch::new());
+        let mut rng = derive_fast_stream(1, 1);
+        let mut call = |mech: AnyMechanism, out: &mut MechanismOutput| {
+            let mut provider = ScratchDraws::new(&mut svt, &mut rng);
+            mech.call(&req, &mut provider, &mut topk, out).unwrap();
+        };
+        // A matching variant keeps its buffer: the call refills it in place.
+        let mut out = MechanismOutput::Indices(Vec::with_capacity(64));
+        let before = match &out {
+            MechanismOutput::Indices(indices) => indices.as_ptr(),
+            other => panic!("{other:?}"),
+        };
+        call(
+            ClassicNoisyTopK::new(2, 1.0, true).unwrap().into(),
+            &mut out,
+        );
+        match &out {
+            MechanismOutput::Indices(indices) => {
+                assert_eq!(indices.len(), 2);
+                assert_eq!(indices.as_ptr(), before);
+            }
+            other => panic!("{other:?}"),
+        }
+        // A variant switch replaces the payload.
+        call(
+            NoisyTopKWithGap::new(2, 1.0, true).unwrap().into(),
+            &mut out,
+        );
+        assert!(matches!(&out, MechanismOutput::TopK(o) if o.items.len() == 2));
     }
 
     #[test]
@@ -777,6 +578,6 @@ mod tests {
         assert!(ExponentialTopK::new(m, 0).is_err());
         let wrapped = ExponentialTopK::new(m, 3).unwrap();
         assert_eq!(wrapped.k(), 3);
-        assert!((wrapped.cost() - 3.0).abs() < 1e-12);
+        assert!((AnyMechanism::from(wrapped).cost() - 3.0).abs() < 1e-12);
     }
 }

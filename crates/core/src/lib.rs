@@ -90,16 +90,18 @@
 //!
 //! [`api`] packages every mechanism behind one request/response
 //! shape: the [`api::Mechanism`] trait (`QuerySlice` in,
-//! [`api::MechanismOutput`] out, noise through any provider) and the
-//! [`api::AnyMechanism`] dispatch enum with the conveniences
-//! [`api::AnyMechanism::call_batched`] (fast path) and
+//! [`api::MechanismOutput`] out, noise through any provider), whose one
+//! implementor is the [`api::AnyMechanism`] enum: one `match` per trait
+//! method, each arm calling its mechanism's provider-taking entry, with
+//! the conveniences [`api::AnyMechanism::call_batched`] (fast path) and
 //! [`api::AnyMechanism::call_reference`] (dyn reference path). The
 //! per-mechanism entries above are the typed surface; the unified one is
 //! what uniform callers — the benchmark and the `free-gap-serve`
 //! multi-tenant server — build on. No mechanism behind it answers a
-//! workload holding a NaN or an infinity: each returns
-//! [`MechanismError::NonFiniteUtility`] for the first one (a discrete
-//! mechanism reports an earlier off-lattice answer first).
+//! workload holding a NaN or an infinity, and none draws noise for one:
+//! each arm returns [`MechanismError::NonFiniteUtility`] for the first one
+//! before its first draw (a discrete mechanism reports an earlier
+//! off-lattice answer first).
 //! Sparse-Vector-with-Gap additionally exposes a *resumable* streaming
 //! form: [`sparse_vector::SparseVectorWithGap::stream_open`] runs the
 //! branch ladder's open step, and

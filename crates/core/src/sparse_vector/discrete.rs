@@ -118,8 +118,9 @@ impl DiscreteSparseVectorWithGap {
     /// answer's fractional part would reach the released gap exactly. A
     /// lazy stream cannot be checked before the first draw, and an error
     /// mid-scan would reveal how far the scan got, so this entry does not
-    /// check it; [`Mechanism::call`](crate::api::Mechanism::call) rejects
-    /// an off-lattice workload with a typed error before any draw.
+    /// check it; the [`AnyMechanism`](crate::api::AnyMechanism) arm of
+    /// [`Mechanism::call`](crate::api::Mechanism::call) rejects an
+    /// off-lattice workload with a typed error before any draw.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,

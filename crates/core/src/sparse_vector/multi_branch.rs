@@ -426,7 +426,8 @@ impl MultiBranchAdaptiveSparseVector {
     /// Precondition: every answer is finite — a `+∞` answer clears any
     /// noisy threshold and a NaN never does. A lazy stream cannot be
     /// checked before the first draw, and an error mid-scan would reveal
-    /// how far the scan got, so this entry does not check it;
+    /// how far the scan got, so this entry does not check it; the
+    /// [`AnyMechanism`](crate::api::AnyMechanism) arm of
     /// [`Mechanism::call`](crate::api::Mechanism::call) rejects a
     /// non-finite workload with a typed error before any draw.
     pub fn run_into<P: DrawProvider, I: IntoIterator<Item = f64>>(

@@ -21,10 +21,11 @@
 //! The measurement loop exists once, generic over the [`DrawProvider`]
 //! noise comes through (four uniforms per draw):
 //! [`measure_split_into`](StaircaseMechanism::measure_split_into), the one
-//! provider-taking entry, which [`Mechanism::call`](crate::api::Mechanism::call)
-//! also runs. It takes a slice, because the batch size is the budget
-//! divisor: the entry reads it off the answers it measures, so a caller
-//! can never spend `ε/count` on more than `count` answers. The batch is
+//! provider-taking entry, which the [`AnyMechanism`](crate::api::AnyMechanism)
+//! arm of [`Mechanism::call`](crate::api::Mechanism::call) also runs. It
+//! takes a slice, because the batch size is the budget divisor: the entry
+//! reads it off the answers it measures, so a caller can never spend
+//! `ε/count` on more than `count` answers. The batch is
 //! one [`staircase_fill_offset`](DrawProvider::staircase_fill_offset):
 //! through [`ScratchDraws`](crate::draw::ScratchDraws) the distribution is
 //! constructed once per batch, the tape's buffered uniforms served first

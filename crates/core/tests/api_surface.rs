@@ -17,6 +17,7 @@
 mod common;
 
 use common::{bits, Race, Subject};
+use free_gap_alignment::NoiseSource;
 use free_gap_core::answers::QueryAnswers;
 use free_gap_core::api::{
     AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
@@ -28,7 +29,7 @@ use free_gap_core::sparse_vector::{
     MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
-use free_gap_core::{ScratchDraws, SvtScratch, TopKScratch};
+use free_gap_core::{MechanismError, ScratchDraws, SourceDraws, SvtScratch, TopKScratch};
 use free_gap_noise::rng::{derive_fast_stream, derive_stream, splitmix64};
 
 fn values() -> Vec<f64> {
@@ -345,7 +346,6 @@ fn halted_stream_ignores_further_queries() {
 /// (`NotEnoughQueries`; Sparse Vector has no length floor).
 #[test]
 fn discrete_mechanisms_report_the_first_offender_values_before_length() {
-    use free_gap_core::MechanismError;
     #[derive(Debug)]
     enum Want {
         NonFinite(usize),
@@ -410,4 +410,101 @@ fn discrete_mechanisms_report_the_first_offender_values_before_length() {
             );
         }
     }
+}
+
+/// A noise source that fails the test on any draw.
+struct NoDraws;
+
+impl NoiseSource for NoDraws {
+    fn laplace(&mut self, _scale: f64) -> f64 {
+        panic!("drew Laplace noise")
+    }
+    fn discrete_laplace(&mut self, _unit_epsilon: f64, _gamma: f64) -> f64 {
+        panic!("drew discrete Laplace noise")
+    }
+    fn gumbel(&mut self, _scale: f64) -> f64 {
+        panic!("drew Gumbel noise")
+    }
+    fn exponential(&mut self, _scale: f64) -> f64 {
+        panic!("drew Exponential noise")
+    }
+    fn staircase(&mut self, _epsilon: f64, _sensitivity: f64, _gamma: f64) -> f64 {
+        panic!("drew staircase noise")
+    }
+    fn draws_taken(&self) -> usize {
+        0
+    }
+}
+
+/// Every arm of `Mechanism::call` refuses a malformed workload before its
+/// first draw (a server refunds such a call because it drew no noise): a
+/// NaN past the first query on all ten arms, an answer 5e-10 off the
+/// lattice on both discrete arms, and a `k` above the workload length on
+/// the four selection arms. A near-lattice threshold is refused when the
+/// discrete SVT is built.
+#[test]
+fn every_arm_checks_the_workload_before_its_first_draw() {
+    let call = |mech: &AnyMechanism, answers: &[f64]| {
+        let (mut out, mut source) = (MechanismOutput::new_for(mech), NoDraws);
+        let mut provider = SourceDraws::new(&mut source);
+        let req = QuerySlice::new(answers);
+        mech.call(&req, &mut provider, &mut TopKScratch::new(), &mut out)
+    };
+    let near_lattice = 2.0 + 5e-10;
+    for mech in grid() {
+        let name = mech.name();
+        let got = call(&mech, &[3.0, 2.0, f64::NAN, 1.0]);
+        assert!(
+            matches!(got, Err(MechanismError::NonFiniteUtility { index: 2, .. })),
+            "{name} on a NaN: {got:?}"
+        );
+        // Only the discrete arms refuse a near-lattice answer, and only
+        // the selection arms a `k` above the length: the others would run.
+        let discrete = matches!(
+            mech,
+            AnyMechanism::DiscreteNoisyTopKWithGap(_)
+                | AnyMechanism::DiscreteSparseVectorWithGap(_)
+        );
+        if discrete {
+            let got = call(&mech, &[3.0, near_lattice, 1.0, 0.0]);
+            assert!(
+                matches!(
+                    got,
+                    Err(MechanismError::InvalidParameter { name: "answer", value, .. })
+                        if value == near_lattice
+                ),
+                "{name} off the lattice: {got:?}"
+            );
+        }
+        let short = [3.0, 2.0];
+        match mech {
+            AnyMechanism::Exponential(_) => {
+                let got = call(&mech, &short);
+                assert!(
+                    matches!(got, Err(MechanismError::InvalidK { k: 3, .. })),
+                    "{name} with k > n: {got:?}"
+                );
+            }
+            AnyMechanism::NoisyTopKWithGap(_)
+            | AnyMechanism::ClassicNoisyTopK(_)
+            | AnyMechanism::DiscreteNoisyTopKWithGap(_) => {
+                let got = call(&mech, &short);
+                assert!(
+                    matches!(
+                        got,
+                        Err(MechanismError::NotEnoughQueries { got: 2, need: 4 })
+                    ),
+                    "{name} with k > n: {got:?}"
+                );
+            }
+            _ => {}
+        }
+    }
+    assert!(matches!(
+        DiscreteSparseVectorWithGap::new(1, 1.0, 10.0 + 5e-10, true),
+        Err(MechanismError::InvalidParameter {
+            name: "threshold",
+            ..
+        })
+    ));
 }

@@ -278,7 +278,9 @@ fn staircase_measurement_all_four_paths_are_bit_identical() {
         let expect = m.measure_split(answers.values(), &mut derive_stream(53, run));
         any.call_batched(&req, &mut derive_stream(53, run), &mut scratch, &mut out)
             .unwrap();
-        let got = out.measurements_mut();
+        let MechanismOutput::Measurements(got) = &out else {
+            panic!("run {run}: not a measurement: {out:?}")
+        };
         assert_eq!(
             bits(got),
             bits(&expect.unwrap()),

@@ -345,9 +345,10 @@ impl QueryServer {
                 match mechanism.call_batched(&slice, &mut rng, &mut worker.call, &mut worker.out) {
                     Ok(()) => MechanismResponse::Output(worker.out.clone()),
                     Err(e) => {
-                        // The call drew no noise and released no output:
-                        // refund the debit so a malformed workload does
-                        // not burn budget.
+                        // Every arm of `Mechanism::call` refuses a
+                        // malformed workload before its first draw, so the
+                        // call drew no noise and released no output: refund
+                        // the debit so such a workload does not burn budget.
                         let refunded = tenant.ledger.release(units(cost));
                         debug_assert!(refunded.is_ok());
                         MechanismResponse::Rejected(RejectReason::Invalid(e))
