@@ -62,13 +62,19 @@
 //! noise family (continuous, or discrete on `{kγ}`), which maps each shape
 //! onto the plain method or its `discrete_*` twin: the SVT family's branch
 //! ladder takes `next`, `peek_tuples` and `consume`, and Algorithm 1's core
-//! `fill_offset`, then [`select_top`](DrawProvider::select_top).
+//! `fill_offset`, then, with an unbounded provider,
+//! [`select_top`](DrawProvider::select_top).
 //!
 //! A provider whose every draw is its sampler's own output reports itself
 //! [`bounded`](DrawProvider::bounded): no draw then exceeds the sampler's
-//! largest value, so an SVT core may answer `⊥` a query that no draw could
-//! lift over its threshold and [`skip`](DrawProvider::skip) its draws
-//! (the ladder does, in either family).
+//! largest value, so a core may pass over a query that no draw could lift
+//! far enough to matter and [`skip`](DrawProvider::skip) its draws. Three
+//! cores do: the SVT ladder answers `⊥` a query no draw could lift over
+//! its threshold (in either family); Algorithm 1's core, scanning 64-query
+//! chunks, skips an answer that stays below the running `(k + 1)`-th noisy
+//! value at its largest draw (in either family), and draws the rest with
+//! `fill_offset` chunk by chunk; the exponential race skips a query whose
+//! score stays below the `k`-th at the largest Gumbel draw.
 //! Skipped draws advance the stream exactly as served ones would, so the
 //! served sequence, and every output, is unchanged. [`ScratchDraws`] and
 //! [`RngDraws`] are bounded; [`SourceDraws`] never is, because the
@@ -78,8 +84,9 @@
 //!
 //! The `scratch_equivalence` suite enforces output equality across all
 //! providers, and `tests/prune.rs` does so for the pruned routes at each
-//! rung's cut; `tests/draw_provider.rs` proptests the stream discipline
-//! itself over random interleavings of the draw shapes and skips.
+//! cut, against the paper's algorithms written out draw by draw;
+//! `tests/draw_provider.rs` proptests the stream discipline itself over
+//! random interleavings of the draw shapes and skips.
 
 use crate::scratch::SvtScratch;
 use free_gap_alignment::NoiseSource;
@@ -112,11 +119,16 @@ pub trait DrawProvider {
     /// True when every draw this provider serves is its sampler's own
     /// output, so no draw exceeds the sampler's largest value
     /// ([`Laplace::UNIT_MAX`] times the scale,
-    /// [`DiscreteLaplace::max_value`]). A core may
-    /// then answer a query that no draw could lift over its threshold
-    /// without drawing, and [`skip`](DrawProvider::skip) the draws that
-    /// query owes. Defaults to `false`: a provider whose draws come from
-    /// elsewhere (a replayed or shifted tape) keeps every draw.
+    /// [`DiscreteLaplace::max_value`], [`Gumbel::UNIT_MAX`] times the
+    /// scale). A core may then pass over a query that no draw could make
+    /// matter without drawing, and [`skip`](DrawProvider::skip) the draws
+    /// that query owes: an SVT query no draw could lift over its threshold,
+    /// a Noisy-Top-K answer no draw could lift to the running `(k + 1)`-th
+    /// noisy value, or a race query no draw could lift to the `k`-th
+    /// score. Defaults to `false`: a provider whose draws come from
+    /// elsewhere (a replayed or shifted tape) keeps every draw, and
+    /// Algorithm 1's core then fills all `n` noisy answers and ranks them
+    /// with [`select_top`](DrawProvider::select_top).
     fn bounded(&self) -> bool {
         false
     }
@@ -249,10 +261,13 @@ pub trait DrawProvider {
     }
 
     /// Writes the indices of the `m` largest of `values` into `out`
-    /// (descending, ties to the smaller index) — the selection step the
-    /// Noisy-Max cores run after their noise fill. Selection consumes no
-    /// randomness; it lives on the provider so a tracing provider can time
-    /// it. Every provider in this crate runs this default scan.
+    /// (descending, ties to the smaller index) — the selection step
+    /// Algorithm 1's core runs after its `n`-value noise fill, with an
+    /// unbounded provider only: a [bounded](DrawProvider::bounded) one
+    /// ranks each chunk as it is drawn and never reaches this method.
+    /// Selection consumes no randomness; it lives on the provider so a
+    /// tracing provider can time it. Every provider in this crate runs
+    /// this default scan.
     fn select_top(&mut self, values: &[f64], m: usize, out: &mut Vec<usize>) {
         crate::noisy_max::top_indices_into(values, m, out);
     }
@@ -285,7 +300,7 @@ pub(crate) trait Family: Copy {
     fn fill_offset(self, p: &mut impl DrawProvider, base: &[f64], noise: f64, out: &mut Vec<f64>);
 
     /// The largest draw a [bounded](DrawProvider::bounded) provider serves, for the ladder's
-    /// prune; `+∞`, which never prunes, where the rate admits no sampler.
+    /// and Algorithm 1's prunes; `+∞`, which never prunes, where the rate admits no sampler.
     fn max_draw(self, noise: f64) -> f64;
 }
 

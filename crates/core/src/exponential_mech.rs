@@ -17,7 +17,8 @@
 //! **total order** (ties to the smaller index) — `O(n·k)` with tiny
 //! constants and `O(k)` memory, the query vector never materialized.
 //! (Selection must see every query, so unlike SVT the stream is always
-//! fully consumed.) `run` is its `k = 1` reference through [`SourceDraws`];
+//! fully consumed; a bounded provider skips the draws of queries that can
+//! no longer reach the top.) `run` is its `k = 1` reference through [`SourceDraws`];
 //! `run_top_k` / `run_top_k_with_source` are the one-shot Gumbel race as
 //! usually stated, materializing all `n` scores and sorting them
 //! (`O(n log n)`). The race is **bit-identical** to the reference sort on
@@ -33,6 +34,7 @@ use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{NoiseSource, SamplingSource};
+use free_gap_noise::Gumbel;
 use rand::rngs::StdRng;
 use std::cmp::Ordering;
 
@@ -112,20 +114,22 @@ impl ExponentialMechanism {
         Ok(())
     }
 
+    /// The utility of query `index`, refused when NaN or infinite: every
+    /// path checks a query before its draw.
+    fn finite(index: usize, q: f64) -> Result<f64, MechanismError> {
+        if q.is_finite() {
+            Ok(q)
+        } else {
+            Err(MechanismError::NonFiniteUtility { index, value: q })
+        }
+    }
+
     /// Scores one query: `q·t + standard Gumbel` — the Gumbel-max race
     /// entry, the one place the score arithmetic exists (every path shares
     /// it, so the reference sort and the insertion race are bit-comparable).
     #[inline]
-    fn score<P: DrawProvider>(
-        t: f64,
-        index: usize,
-        q: f64,
-        provider: &mut P,
-    ) -> Result<f64, MechanismError> {
-        if !q.is_finite() {
-            return Err(MechanismError::NonFiniteUtility { index, value: q });
-        }
-        Ok(q * t + provider.gumbel_next(1.0))
+    fn score<P: DrawProvider>(t: f64, q: f64, provider: &mut P) -> f64 {
+        q * t + provider.gumbel_next(1.0)
     }
 
     /// The single copy of the Gumbel-max race and its one provider-taking
@@ -135,6 +139,14 @@ impl ExponentialMechanism {
     /// order, ties to the smaller index — exactly the reference sort's
     /// order). Lazy over `queries`, `O(k)` memory. Through
     /// [`ScratchDraws`](crate::draw::ScratchDraws) it is the fast path.
+    ///
+    /// With a [bounded](DrawProvider::bounded) provider and `k > 0`, once
+    /// `k` scores are kept, a query whose score would stay below the `k`-th
+    /// even at the sampler's largest draw (`q·t + Gumbel::UNIT_MAX` below
+    /// it, strictly) is not drawn: its draw joins one pending
+    /// [`skip`](DrawProvider::skip), flushed before the next draw and at
+    /// the end. Rounding is monotone, so the race would have dropped it,
+    /// and a draw-exact provider ends where the `n`-draw race leaves it.
     ///
     /// # Errors
     /// [`MechanismError::NonFiniteUtility`] at the first NaN or infinite
@@ -160,14 +172,30 @@ impl ExponentialMechanism {
         let reserve = k.saturating_add(1).min(1024);
         scores.reserve(reserve);
         out.reserve(reserve);
-        let mut processed = 0usize;
+        let prune = k > 0 && provider.bounded();
+        // The prune's cut: the k-th score once k are kept, when pruning.
+        let mut cut = f64::NEG_INFINITY;
+        let (mut processed, mut owed, mut refused) = (0usize, 0, None);
         for q in queries {
             let index = processed;
             processed += 1;
-            let s = Self::score(t, index, q, provider)?;
-            // One draw per query even when k = 0 (or the buffer is full and
-            // the score loses): the race consumes the stream exactly like
-            // the materializing reference.
+            // Checked before the prune, which would pass a `−∞` silently.
+            if let Err(err) = Self::finite(index, q) {
+                refused = Some(err);
+                break;
+            }
+            if q * t + Gumbel::UNIT_MAX < cut {
+                owed += 1;
+                continue;
+            }
+            if owed > 0 {
+                provider.skip(owed);
+                owed = 0;
+            }
+            let s = Self::score(t, q, provider);
+            // One draw (or skip) per query even when k = 0 (or the buffer
+            // is full and the score loses): the race consumes the stream
+            // exactly like the materializing reference.
             if k == 0 || (out.len() == k && s.total_cmp(&scores[k - 1]) != Ordering::Greater) {
                 continue;
             }
@@ -178,6 +206,15 @@ impl ExponentialMechanism {
                 scores.pop();
                 out.pop();
             }
+            if prune && out.len() == k {
+                cut = scores[k - 1];
+            }
+        }
+        if owed > 0 {
+            provider.skip(owed);
+        }
+        if let Some(err) = refused {
+            return Err(err);
         }
         if processed < k {
             return Err(MechanismError::NotEnoughQueries {
@@ -245,7 +282,7 @@ impl ExponentialMechanism {
         let t = self.exponent();
         let mut scores: Vec<(f64, usize)> = Vec::with_capacity(answers.len());
         for (i, &q) in answers.values().iter().enumerate() {
-            scores.push((Self::score(t, i, q, &mut provider)?, i));
+            scores.push((Self::score(t, Self::finite(i, q)?, &mut provider), i));
         }
         // Reference selection: total-order sort, descending score, ties to
         // the smaller index — the exact order the race's insertion buffer
@@ -258,8 +295,10 @@ impl ExponentialMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::draw::RngDraws;
+    use crate::draw::{RngDraws, ScratchDraws};
+    use crate::scratch::SvtScratch;
     use free_gap_noise::rng::rng_from_seed;
+    use rand::{Rng, RngCore};
 
     fn workload() -> QueryAnswers {
         QueryAnswers::counting(vec![5.0, 3.0, 1.0])
@@ -419,6 +458,69 @@ mod tests {
             .run_top_k(&QueryAnswers::counting(vec![]), 0, &mut rng_from_seed(3))
             .unwrap()
             .is_empty());
+    }
+
+    /// The race through both bounded providers on fresh outputs: the
+    /// draw-exact [`RngDraws`] and the blocked [`ScratchDraws`].
+    fn bounded_races(
+        m: &ExponentialMechanism,
+        queries: &[f64],
+        k: usize,
+        seed: u64,
+    ) -> [Result<Vec<usize>, MechanismError>; 2] {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let mut topk = TopKScratch::new();
+        let mut rng = rng_from_seed(seed);
+        let queries = queries.iter().copied();
+        let draws = &mut RngDraws::new(&mut rng);
+        let ra = m.run_top_k_into(queries.clone(), k, draws, &mut topk, &mut a);
+        let (mut tape, mut rng) = (SvtScratch::new(), rng_from_seed(seed));
+        let draws = &mut ScratchDraws::new(&mut tape, &mut rng);
+        let rb = m.run_top_k_into(queries, k, draws, &mut topk, &mut b);
+        [ra.map(|()| a), rb.map(|()| b)]
+    }
+
+    #[test]
+    fn pruned_race_refuses_non_finite_utilities_after_the_kth_query() {
+        // Once two scores are kept, every later answer here is far below
+        // them: `−∞` would pass the prune's bound test silently.
+        let m = ExponentialMechanism::new(1.0, true).unwrap();
+        for bad in [f64::NEG_INFINITY, f64::NAN] {
+            let queries = [50.0, 40.0, 1.0, 1.0, bad, 1.0];
+            for result in bounded_races(&m, &queries, 2, 4) {
+                assert!(
+                    matches!(
+                        result,
+                        Err(MechanismError::NonFiniteUtility { index: 4, .. })
+                    ),
+                    "{bad}: {result:?}"
+                );
+            }
+        }
+        // The same answers, finite, select the two far-above ones.
+        for result in bounded_races(&m, &[50.0, 40.0, 1.0, 1.0, -1e300, 1.0], 2, 4) {
+            assert_eq!(result, Ok(vec![0, 1]));
+        }
+    }
+
+    #[test]
+    fn k_zero_race_selects_nothing_and_draws_once_per_query() {
+        let m = ExponentialMechanism::new(1.0, true).unwrap();
+        let queries = [5.0, 3.0, 1.0, -2.0, 8.0];
+        for result in bounded_races(&m, &queries, 0, 6) {
+            assert_eq!(result, Ok(Vec::new()));
+        }
+        let mut rng = rng_from_seed(6);
+        let mut out = vec![7];
+        let draws = &mut RngDraws::new(&mut rng);
+        m.run_top_k_into(queries, 0, draws, &mut TopKScratch::new(), &mut out)
+            .unwrap();
+        assert!(out.is_empty());
+        let mut expect = rng_from_seed(6);
+        for _ in 0..queries.len() {
+            let _: f64 = expect.gen();
+        }
+        assert_eq!(rng.next_u64(), expect.next_u64());
     }
 
     #[test]

@@ -70,7 +70,9 @@
 //!   its draw-exact twin, without a tape. Both are
 //!   [bounded](draw::DrawProvider::bounded): the SVT cores answer `⊥`
 //!   without drawing a query no draw could lift over the threshold, and
-//!   skip its draws, which moves no output bit; `SourceDraws` never does.
+//!   the selections (Algorithm 1's core and the exponential race) pass
+//!   over an answer no draw could lift into the top; each skips those
+//!   draws, which moves no output bit. `SourceDraws` never does.
 //!
 //! The SVT family's and the exponential race's `_into` entries consume
 //! `impl IntoIterator<Item = f64>` *lazily*, answering each query as it is

@@ -12,7 +12,7 @@
 //! `qᵢ - q'ᵢ + max_{l∉I}(q'_l + η_l) - max_{l∉I}(q_l + η_l)`,
 //! which preserves every win margin exactly.
 
-use super::{gaps_match, top_k_scale};
+use super::{gaps_match, insert_top, top_k_scale};
 use crate::answers::QueryAnswers;
 use crate::draw::{Continuous, DrawProvider, Family, SourceDraws};
 use crate::error::{require_epsilon, require_scale, MechanismError};
@@ -124,12 +124,17 @@ impl NoisyTopKWithGap {
     }
 
     /// Algorithm 1's one fill–select–gap body, for every Noisy-Top-K
-    /// mechanism: one draw per query in `family` at `noise` (batched by the
-    /// family's bulk fill, fused with the `+ q` offset so the `n`-sized
-    /// buffer is written exactly once), selection of the top `k + 1` in the
-    /// `f64` order with ties to the smaller index, then each selected
-    /// index with its gap to the next, into `out`. The caller has checked
-    /// the answers and the noise.
+    /// mechanism: one draw per query in `family` at `noise`, selection of
+    /// the top `k + 1` in the `f64` order with ties to the smaller index,
+    /// then each selected index with its gap to the next, into `out`. The
+    /// caller has checked the answers and the noise.
+    ///
+    /// An unbounded provider draws every answer's noise in one bulk fill
+    /// (fused with the `+ q` offset, so the `n`-sized buffer is written
+    /// exactly once), and [`select_top`](DrawProvider::select_top) ranks
+    /// the lot. A [bounded](DrawProvider::bounded) provider runs
+    /// [`select_pruned`] instead, which draws only the answers that can
+    /// still reach the top and selects the same items, bit for bit.
     pub(super) fn select<F: Family, P: DrawProvider, S: Selection>(
         &self,
         family: F,
@@ -140,8 +145,15 @@ impl NoisyTopKWithGap {
         out: &mut S,
     ) {
         provider.begin();
+        let m = self.k + 1;
+        if provider.bounded() {
+            select_pruned(family, noise, answers, m, provider, scratch);
+            let pairs = scratch.ranked.windows(2);
+            out.fill(pairs.map(|pair| (pair[0].1, pair[0].0 - pair[1].0)));
+            return;
+        }
         family.fill_offset(provider, answers, noise, &mut scratch.noisy);
-        provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
+        provider.select_top(&scratch.noisy, m, &mut scratch.top);
         let (noisy, top) = (&scratch.noisy, &scratch.top);
         out.fill((0..self.k).map(|i| (top[i], noisy[top[i]] - noisy[top[i + 1]])));
     }
@@ -249,6 +261,76 @@ impl AlignedMechanism for NoisyTopKWithGap {
                 .iter()
                 .zip(&b.items)
                 .all(|(x, y)| x.index == y.index && gaps_match(x.gap, y.gap))
+    }
+}
+
+/// Answers per chunk of [`select_pruned`]'s scan, and the length of its
+/// fill buffer: the first chunk fills the ranking, and each later one is
+/// tested against the cut the chunks before it set.
+const CHUNK: usize = 64;
+
+/// The bounded route of Algorithm 1's core: the top `m` noisy answers as
+/// `(noisy value, index)` pairs in `scratch.ranked`, in
+/// [`select_top`](DrawProvider::select_top)'s order.
+///
+/// The answers are scanned in [`CHUNK`]-query chunks against the cut, the
+/// `m`-th noisy value so far (`−∞` until `m` are ranked). Inside a chunk, a
+/// run of answers that stay below the cut even at the family's largest
+/// draw (`q + cap < cut`, strictly) owes its draws to one pending
+/// [`skip`](DrawProvider::skip). Every other run is drawn with the
+/// family's bulk fill into a chunk-sized buffer (the pending skip goes
+/// first, so the stream order holds) and offered to the ranking. Rounding
+/// is monotone, so a skipped answer's noisy value would have been below
+/// the cut, and the ranking would have dropped it: the ranking, and every
+/// gap, equals the unbounded route's. Skips and fills pull no lookahead,
+/// so a draw-exact provider ends where the `n`-draw fill leaves it.
+fn select_pruned<F: Family, P: DrawProvider>(
+    family: F,
+    noise: f64,
+    answers: &[f64],
+    m: usize,
+    provider: &mut P,
+    scratch: &mut TopKScratch,
+) {
+    let cap = family.max_draw(noise);
+    let TopKScratch { noisy, ranked, .. } = scratch;
+    ranked.clear();
+    let (mut cut, mut owed) = (f64::NEG_INFINITY, 0);
+    for (c, chunk) in answers.chunks(CHUNK).enumerate() {
+        let mut i = 0;
+        while i < chunk.len() {
+            let below = |q: &f64| *q + cap < cut;
+            let rest = &chunk[i..];
+            // Once the cut is set, most chunks lie wholly below it: one
+            // branch-free pass finds those.
+            let skipped = if rest.iter().fold(true, |all, q| all & below(q)) {
+                rest.len()
+            } else {
+                rest.iter().take_while(|q| below(q)).count()
+            };
+            owed += skipped;
+            i += skipped;
+            if i == chunk.len() {
+                break;
+            }
+            let drawn = chunk[i..].iter().take_while(|q| !below(q)).count();
+            if owed > 0 {
+                provider.skip(owed);
+                owed = 0;
+            }
+            family.fill_offset(provider, &chunk[i..i + drawn], noise, noisy);
+            let first = c * CHUNK + i;
+            for (j, &value) in noisy.iter().enumerate() {
+                insert_top(ranked, m, (value, first + j), |&(value, _)| value);
+            }
+            if ranked.len() == m {
+                cut = ranked[m - 1].0;
+            }
+            i += drawn;
+        }
+    }
+    if owed > 0 {
+        provider.skip(owed);
     }
 }
 

@@ -23,8 +23,9 @@ pub use pairwise::{pairwise_gap, pairwise_gap_variance};
 /// beats a full sort for the paper's `m = k + 1 ≤ 26` against `n` up to
 /// 41,270 (Kosarak).
 ///
-/// Every mechanism path now goes through the allocation-free
-/// [`top_indices_into`]; this allocating wrapper remains for the tests.
+/// The mechanism paths go through the allocation-free
+/// [`top_indices_into`] or, ranking as they draw, [`insert_top`]; this
+/// allocating wrapper remains for the tests.
 #[cfg(test)]
 pub(crate) fn top_indices(values: &[f64], m: usize) -> Vec<usize> {
     let mut buf = Vec::new();
@@ -32,8 +33,11 @@ pub(crate) fn top_indices(values: &[f64], m: usize) -> Vec<usize> {
     buf
 }
 
-/// [`top_indices`] writing into a caller-owned buffer — the allocation-free
-/// form used by the scratch fast paths. `buf` is cleared first.
+/// [`top_indices`] writing into a caller-owned buffer: the selection step
+/// of [`DrawProvider::select_top`](crate::draw::DrawProvider::select_top),
+/// which Algorithm 1's core runs over all `n` noisy answers with an
+/// unbounded provider only (a bounded one ranks as it draws, through
+/// [`insert_top`]). `buf` is cleared first.
 #[inline]
 pub(crate) fn top_indices_into(values: &[f64], m: usize, buf: &mut Vec<usize>) {
     buf.clear();
@@ -42,15 +46,24 @@ pub(crate) fn top_indices_into(values: &[f64], m: usize, buf: &mut Vec<usize>) {
     }
     buf.reserve(m + 1);
     for i in 0..values.len() {
-        if buf.len() == m && values[i] <= values[buf[m - 1]] {
-            continue;
-        }
-        // Equal values sort earlier-index-first because we scan ascending.
-        let pos = buf.partition_point(|&j| values[j] >= values[i]);
-        buf.insert(pos, i);
-        if buf.len() > m {
-            buf.pop();
-        }
+        insert_top(buf, m, i, |&j| values[j]);
+    }
+}
+
+/// Offers `item` to `top`, the best `m ≥ 1` items seen so far, descending
+/// by `value` in the `f64` order: an item no better than the `m`-th is
+/// dropped, and one equal to a kept item goes after it, so items offered
+/// in index order break ties to the smaller index.
+#[inline]
+pub(crate) fn insert_top<T>(top: &mut Vec<T>, m: usize, item: T, value: impl Fn(&T) -> f64) {
+    let v = value(&item);
+    if top.len() == m && v <= value(&top[m - 1]) {
+        return;
+    }
+    let pos = top.partition_point(|x| value(x) >= v);
+    top.insert(pos, item);
+    if top.len() > m {
+        top.pop();
     }
 }
 

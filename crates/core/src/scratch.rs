@@ -43,11 +43,12 @@
 //!    seed one from a `rng.gen::<u64>()` drawn up front) instead of running
 //!    them back-to-back on a shared stream.
 //!
-//! Bulk fills pull no lookahead: they serve the uniforms the tape has
-//! already buffered and draw the rest straight from the stream. A run whose
-//! draws are all bulk fills (the Noisy-Top-K family, the staircase
-//! measurement, the Top-K pipeline) therefore leaves the stream exactly
-//! where a sequential sampling loop would, and is exempt from rule 2.
+//! Bulk fills and skips pull no lookahead: they serve (or pass) the
+//! uniforms the tape has already buffered and draw the rest straight from
+//! the stream. A run whose draws are all bulk fills and skips (the
+//! Noisy-Top-K family, pruned or not, the staircase measurement, the Top-K
+//! pipeline) therefore leaves the stream exactly where a sequential
+//! sampling loop would, and is exempt from rule 2.
 //!
 //! ```
 //! use free_gap_core::draw::ScratchDraws;
@@ -76,13 +77,18 @@ use rand::Rng;
 
 /// Reusable buffers for the Noisy Top-K family's batched fast path.
 ///
-/// Holds the noisy-answer vector (length `n`; the exponential race keeps
-/// its `k` best scores there) and the selection buffer (length `k + 1`);
-/// both are grown on first use and reused afterwards.
+/// Holds the noisy-answer vector, the selection buffer (length `k + 1`)
+/// and the running ranking; each is grown on first use and reused
+/// afterwards. With an unbounded provider, Algorithm 1 fills all `n` noisy
+/// answers and selects their indices. A bounded provider's route keeps no
+/// `n`-sized buffer: it fills one 64-query chunk at a time and ranks the
+/// top `k + 1` as `(noisy value, index)` pairs as it goes. The exponential
+/// race keeps its `k` best scores in the noisy-answer vector.
 #[derive(Debug, Default, Clone)]
 pub struct TopKScratch {
     pub(crate) noisy: Vec<f64>,
     pub(crate) top: Vec<usize>,
+    pub(crate) ranked: Vec<(f64, usize)>,
 }
 
 impl TopKScratch {

@@ -22,14 +22,19 @@
 //! and a discrete draw must come out of the *same* buffered stream in
 //! sequential order.
 //!
-//! Two deterministic cases pin the tape's bulk-fill rule (drain the
+//! Three deterministic cases pin the tape's bulk-fill rule (drain the
 //! buffered uniforms, then run the fused kernel on the RNG), which random
 //! interleavings reach only by chance: a fill right after `begin` pulls
-//! from the RNG exactly what it serves, and a staircase draw may straddle
-//! the end of the buffered uniforms.
+//! from the RNG exactly what it serves, a staircase draw may straddle
+//! the end of the buffered uniforms, and a pruned selection's skips and
+//! fills leave the RNG where the `n`-draw loop does.
 
 use free_gap_alignment::SamplingSource;
+use free_gap_core::api::{AnyMechanism, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice};
 use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
+use free_gap_core::exponential_mech::ExponentialMechanism;
+use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
+use free_gap_core::scratch::TopKScratch;
 use free_gap_core::SvtScratch;
 use free_gap_noise::rng::rng_from_seed;
 use free_gap_noise::{
@@ -482,6 +487,64 @@ fn staircase_draws_straddle_the_buffered_uniforms() {
                 rng.next_u64(),
                 expect.next_u64(),
                 "{ahead} ahead, fill {fill}: RNG position"
+            );
+        }
+    }
+}
+
+/// A pruned selection pulls no lookahead either: its skips and its fills
+/// move the stream exactly as its draws would. On descending counts, where
+/// a bounded provider skips almost every draw, Algorithm 1 in both noise
+/// families through `RngDraws` and through a fresh run of `ScratchDraws`
+/// (on a tape left with stale lookahead), and the race through `RngDraws`,
+/// leave the RNG where the textbook `n`-draw loop does. So the Noisy-Top-K
+/// family keeps the bulk-fill exemption from rule 2 of the stream
+/// discipline (`crate::scratch`).
+#[test]
+fn pruned_selections_leave_the_stream_where_the_n_draw_loop_does() {
+    let counts: Vec<f64> = (1..=1000u32)
+        .map(|i| (50_000.0 / f64::from(i)).floor())
+        .collect();
+    let req = QuerySlice::new(&counts);
+    let race = ExponentialMechanism::new(0.7, true).unwrap();
+    let top_k: [AnyMechanism; 3] = [
+        NoisyTopKWithGap::new(5, 0.7, false).unwrap().into(),
+        ClassicNoisyTopK::new(5, 0.7, true).unwrap().into(),
+        DiscreteNoisyTopKWithGap::new(5, 0.7, true).unwrap().into(),
+    ];
+    let (mut topk, mut scratch) = (TopKScratch::new(), SvtScratch::new());
+    for seed in 0..4 {
+        let mut expect = rng_from_seed(seed);
+        for _ in 0..counts.len() {
+            let _: f64 = expect.gen();
+        }
+        let after = expect.next_u64();
+        let race = AnyMechanism::from(ExponentialTopK::new(race, 5).unwrap());
+        for mech in top_k.iter().chain([&race]) {
+            let mut out = MechanismOutput::new_for(mech);
+            let mut rng = rng_from_seed(seed);
+            mech.call(&req, &mut RngDraws::new(&mut rng), &mut topk, &mut out)
+                .unwrap();
+            assert_eq!(rng.next_u64(), after, "{} through RngDraws", mech.name());
+        }
+        for mech in &top_k {
+            {
+                let mut warm = rng_from_seed(99);
+                let mut p = ScratchDraws::new(&mut scratch, &mut warm);
+                p.begin();
+                for _ in 0..37 {
+                    p.next(1.0);
+                }
+            }
+            let mut out = MechanismOutput::new_for(mech);
+            let mut rng = rng_from_seed(seed);
+            let mut p = ScratchDraws::new(&mut scratch, &mut rng);
+            mech.call(&req, &mut p, &mut topk, &mut out).unwrap();
+            assert_eq!(
+                rng.next_u64(),
+                after,
+                "{} through ScratchDraws",
+                mech.name()
             );
         }
     }

@@ -12,15 +12,30 @@
 //! exactly the bound: a looser or tighter cap fails here, although almost
 //! no draw could show it in an output.
 //!
+//! The selections prune too: Algorithm 1 in both noise families skips an
+//! answer that stays below the running `(k + 1)`-th noisy value at its
+//! sampler's largest draw, and the exponential race one whose score stays
+//! below the `k`-th at the largest Gumbel draw. They run on descending
+//! counts (the cut is final early), the same counts with a rising spike
+//! inside every few chunks (a skipped run, then a drawn answer that
+//! enters the top), ascending counts (the cut rises at every query) and
+//! an answer placed at the cut the run's own draws set, with its two
+//! neighbours: the answer at the cut is drawn and the one just below it
+//! skipped.
+//!
 //! The cores are also checked against the paper's pseudocode, written out
 //! here one `NoiseSource` draw at a time in both noise families: the
-//! textbook Sparse-Vector-with-Gap and Algorithm 1. Every other equivalence
-//! suite compares one core with itself through different providers; this
-//! one compares it with an independent statement of the algorithm.
+//! textbook Sparse-Vector-with-Gap, Algorithm 1 and the Gumbel-max race.
+//! Every other equivalence suite compares one core with itself through
+//! different providers; this one compares it with an independent statement
+//! of the algorithm.
 
 use free_gap_alignment::{NoiseSource, SamplingSource};
-use free_gap_core::api::{AnyMechanism, CallScratch, Mechanism, MechanismOutput, QuerySlice};
+use free_gap_core::api::{
+    AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
+};
 use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws};
+use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{
     ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap, TopKItem, TopKOutput,
 };
@@ -32,8 +47,9 @@ use free_gap_core::sparse_vector::{
 use free_gap_core::MechanismError;
 use free_gap_noise::rng::rng_from_seed;
 use free_gap_noise::{
-    ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Laplace, Staircase,
+    ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Gumbel, Laplace, Staircase,
 };
+use std::collections::BTreeMap;
 use std::f64::consts::SQRT_2;
 
 const EPSILONS: [f64; 4] = [1e-300, 0.01, 0.7, 50.0];
@@ -187,7 +203,7 @@ fn assert_paths_agree(
     scratch: &mut CallScratch,
 ) -> (usize, usize) {
     let req = QuerySlice::new(answers);
-    let label = format!("{} at ε = {:e}, seed {seed}", mech.name(), epsilon(mech));
+    let label = format!("{} at cost {:e}, seed {seed}", mech.name(), mech.cost());
     let mut reference = MechanismOutput::new_for(mech);
     mech.call_reference(&req, &mut rng_from_seed(seed), &mut reference)
         .unwrap();
@@ -232,23 +248,15 @@ fn unkey(k: i128) -> f64 {
     })
 }
 
-/// The prune's cut: the smallest answer some rung could accept at its
-/// largest draw, each rung tested with its own expression, the bound in
-/// place of the draw. Found by bisection over the `f64` order between
-/// `noisy_threshold ∓ far`.
-fn prune_cut(noisy_threshold: f64, rungs: &[(f64, f64)], far: f64) -> f64 {
-    let (&(baseline, _), cheaper) = rungs.split_last().unwrap();
-    let could_win = |q: f64| {
-        cheaper
-            .iter()
-            .any(|&(scale, margin)| q + Laplace::UNIT_MAX * scale - noisy_threshold >= margin)
-            || q + Laplace::UNIT_MAX * baseline >= noisy_threshold
-    };
-    let (mut lo, mut hi) = (key(noisy_threshold - far), key(noisy_threshold + far));
-    assert!(!could_win(unkey(lo)) && could_win(unkey(hi)));
+/// The smallest finite answer at which `drawn` holds, for a `drawn` that
+/// turns from false to true once along the `f64` order: a prune's cut.
+/// Found by bisection over the order.
+fn first_drawn(drawn: impl Fn(f64) -> bool) -> f64 {
+    let (mut lo, mut hi) = (key(-f64::MAX), key(f64::MAX));
+    assert!(!drawn(unkey(lo)) && drawn(unkey(hi)));
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if could_win(unkey(mid)) {
+        if drawn(unkey(mid)) {
             hi = mid;
         } else {
             lo = mid;
@@ -257,15 +265,17 @@ fn prune_cut(noisy_threshold: f64, rungs: &[(f64, f64)], far: f64) -> f64 {
     unkey(hi)
 }
 
-fn epsilon(mech: &AnyMechanism) -> f64 {
-    match mech {
-        AnyMechanism::MultiBranchAdaptiveSparseVector(m) => m.epsilon(),
-        AnyMechanism::AdaptiveSparseVector(m) => m.epsilon(),
-        AnyMechanism::SparseVectorWithGap(m) => m.epsilon(),
-        AnyMechanism::ClassicSparseVector(m) => m.epsilon(),
-        AnyMechanism::DiscreteSparseVectorWithGap(m) => m.epsilon(),
-        _ => f64::NAN,
-    }
+/// The prune's cut: the smallest answer some rung could accept at its
+/// largest draw, each rung tested with its own expression, the bound in
+/// place of the draw.
+fn prune_cut(noisy_threshold: f64, rungs: &[(f64, f64)]) -> f64 {
+    let (&(baseline, _), cheaper) = rungs.split_last().unwrap();
+    first_drawn(|q| {
+        cheaper
+            .iter()
+            .any(|&(scale, margin)| q + Laplace::UNIT_MAX * scale - noisy_threshold >= margin)
+            || q + Laplace::UNIT_MAX * baseline >= noisy_threshold
+    })
 }
 
 #[test]
@@ -288,7 +298,7 @@ fn continuous_prunes_keep_every_bit_at_each_rungs_cut() {
                 }
                 // The answer at the prune's cut is peeked, the one below it
                 // skipped: the prune tests exactly the bound.
-                let cut = prune_cut(noisy_threshold, &svt.rungs, far);
+                let cut = prune_cut(noisy_threshold, &svt.rungs);
                 let below = assert_paths_agree(&svt.mech, &[cut.next_down()], seed, &mut scratch);
                 assert_eq!(below, (m, 0), "{name} at ε = {eps:e}, seed {seed}");
                 let at = assert_paths_agree(&svt.mech, &[cut], seed, &mut scratch);
@@ -442,6 +452,206 @@ fn textbook_top_k(
             gap: noisy[rank[i]] - noisy[rank[i + 1]],
         })
         .collect()
+}
+
+/// Textbook Gumbel-max race: one standard-Gumbel draw per query, the
+/// scores `q·t + G` ranked in the `f64` total order with ties to the
+/// smaller index, and the top `k`.
+fn textbook_race(source: &mut dyn NoiseSource, t: f64, k: usize, answers: &[f64]) -> Vec<usize> {
+    let scores: Vec<f64> = answers
+        .iter()
+        .map(|&q| q * t + source.gumbel(1.0))
+        .collect();
+    let mut rank: Vec<usize> = (0..scores.len()).collect();
+    rank.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    rank.truncate(k);
+    rank
+}
+
+/// What the textbook needs of a selection under test: Algorithm 1's noise
+/// family and draw parameter, or the race's exponent `t`.
+#[derive(Debug, Clone, Copy)]
+enum Oracle {
+    TopK(Noise, f64),
+    Race(f64),
+}
+
+/// The selections at budget `eps` choosing `k`: Algorithm 1 with and
+/// without gaps and in the discrete family, and the exponential race.
+fn selections(eps: f64, k: usize) -> Vec<(AnyMechanism, Oracle)> {
+    let gap = NoisyTopKWithGap::new(k, eps, false).unwrap();
+    let classic = ClassicNoisyTopK::new(k, eps, true).unwrap();
+    let discrete = DiscreteNoisyTopKWithGap::new(k, eps, true).unwrap();
+    let race = ExponentialMechanism::new(eps, true).unwrap();
+    let mut all = vec![
+        (
+            AnyMechanism::from(gap),
+            Oracle::TopK(Noise::Continuous, gap.scale()),
+        ),
+        (
+            classic.into(),
+            Oracle::TopK(Noise::Continuous, classic.scale()),
+        ),
+        (
+            ExponentialTopK::new(race, k).unwrap().into(),
+            Oracle::Race(race.exponent()),
+        ),
+    ];
+    // The discrete rate admits no sampler at the smallest budgets.
+    let rate = discrete.unit_epsilon();
+    if DiscreteLaplace::new(rate, 1.0).is_ok() {
+        all.push((discrete.into(), Oracle::TopK(Noise::Discrete, rate)));
+    }
+    all
+}
+
+/// The textbook output of `mech` on `answers` at `seed`.
+fn textbook(
+    mech: &AnyMechanism,
+    oracle: Oracle,
+    k: usize,
+    answers: &[f64],
+    seed: u64,
+) -> MechanismOutput {
+    let mut rng = rng_from_seed(seed);
+    let source = &mut SamplingSource::new(&mut rng);
+    match oracle {
+        Oracle::TopK(noise, param) => {
+            let items = textbook_top_k(source, noise, param, k, answers);
+            if matches!(mech, AnyMechanism::ClassicNoisyTopK(_)) {
+                MechanismOutput::Indices(items.iter().map(|item| item.index).collect())
+            } else {
+                MechanismOutput::TopK(TopKOutput { items })
+            }
+        }
+        Oracle::Race(t) => MechanismOutput::Indices(textbook_race(source, t, k, answers)),
+    }
+}
+
+/// Whether the last released gap of `out` is zero: the `k`-th noisy value
+/// ties with the `(k + 1)`-th, the cut.
+fn ties_at_cut(out: &MechanismOutput) -> bool {
+    let MechanismOutput::TopK(out) = out else {
+        return false;
+    };
+    out.items.last().is_some_and(|item| item.gap == 0.0)
+}
+
+/// Answers Algorithm 1 draws before it can prune: its scan fills its whole
+/// first 64-query chunk.
+const FIRST_CHUNK: usize = 64;
+
+/// The answers before a probe: [`FIRST_CHUNK`] for Algorithm 1, `k` for
+/// the race (its buffer is full after `k`), so the probe is the first
+/// answer tested against a cut the run's own draws set, and nothing before
+/// it is skipped. Clustered integers, so discrete noisy values tie.
+fn probe_base(oracle: Oracle, k: usize) -> Vec<f64> {
+    let len = match oracle {
+        Oracle::TopK(..) => FIRST_CHUNK,
+        Oracle::Race(_) => k,
+    };
+    (0..len as u32)
+        .map(|i| f64::from((i * 7919) % 13) + if i % 11 == 0 { 30.0 } else { 0.0 })
+        .collect()
+}
+
+/// The probe answers after `base` at `seed`: just below the prune's cut,
+/// at it, and just above it (one ULP, or one lattice step). The cut comes
+/// from the run's own draws over `base`: the `(k + 1)`-th noisy value less
+/// the sampler's largest draw, or the `k`-th score less the largest Gumbel
+/// draw, over the exponent.
+fn probes(oracle: Oracle, k: usize, base: &[f64], seed: u64) -> [f64; 3] {
+    let mut rng = rng_from_seed(seed);
+    let source = &mut SamplingSource::new(&mut rng);
+    let descending = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| b.total_cmp(a));
+        v
+    };
+    let cut = match oracle {
+        Oracle::TopK(Noise::Discrete, rate) => {
+            let noisy = base
+                .iter()
+                .map(|&q| q + draw(source, Noise::Discrete, rate));
+            let cap = DiscreteLaplace::new(rate, 1.0).unwrap().max_value();
+            let cut = descending(noisy.collect())[k] - cap;
+            return [cut - 1.0, cut, cut + 1.0];
+        }
+        Oracle::TopK(Noise::Continuous, scale) => {
+            let noisy = base.iter().map(|&q| q + source.laplace(scale));
+            let (cut, cap) = (descending(noisy.collect())[k], Laplace::UNIT_MAX * scale);
+            first_drawn(|q| q + cap >= cut)
+        }
+        Oracle::Race(t) => {
+            let scores = base.iter().map(|&q| q * t + source.gumbel(1.0));
+            let cut = descending(scores.collect())[k - 1];
+            first_drawn(|q| q * t + Gumbel::UNIT_MAX >= cut)
+        }
+    };
+    [cut.next_down(), cut, cut.next_up()]
+}
+
+/// Descending Zipf counts (bulk-select's order: the cut is final after the
+/// first chunk), the same counts with a spike above every earlier answer
+/// at positions 50, 147, 244, … (inside a chunk, after a run the prune
+/// skips, so a drawn answer's index is offset within its chunk), and the
+/// counts ascending (the cut rises at every query).
+fn zipf_workloads() -> [Vec<f64>; 3] {
+    let descending: Vec<f64> = (1..=600u32)
+        .map(|i| (20_000.0 / f64::from(i)).floor())
+        .collect();
+    let spiked = (0..600u32)
+        .zip(&descending)
+        .map(|(i, &q)| {
+            if i % 97 == 50 {
+                f64::from(30_000 + i)
+            } else {
+                q
+            }
+        })
+        .collect();
+    let ascending = descending.iter().rev().copied().collect();
+    [descending, spiked, ascending]
+}
+
+#[test]
+fn selection_prunes_keep_every_bit() {
+    let mut scratch = CallScratch::new();
+    let mut skipped: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut ties = 0;
+    for eps in EPSILONS {
+        for k in [1, K] {
+            for (mech, oracle) in selections(eps, k) {
+                let name = mech.name();
+                for seed in 0..SEEDS {
+                    for answers in zipf_workloads() {
+                        let want = textbook(&mech, oracle, k, &answers, seed);
+                        assert_paths_equal(&mech, &answers, seed, &want, &mut scratch);
+                        let (s, _) = assert_paths_agree(&mech, &answers, seed, &mut scratch);
+                        *skipped.entry(name).or_default() += s;
+                        ties += usize::from(ties_at_cut(&want));
+                    }
+                    // The answer at the cut is drawn and the one just below
+                    // it skipped: the prune tests exactly the bound.
+                    let base = probe_base(oracle, k);
+                    for (probe, owed) in probes(oracle, k, &base, seed).into_iter().zip([1, 0, 0]) {
+                        let mut answers = base.clone();
+                        answers.push(probe);
+                        let want = textbook(&mech, oracle, k, &answers, seed);
+                        assert_paths_equal(&mech, &answers, seed, &want, &mut scratch);
+                        let (s, _) = assert_paths_agree(&mech, &answers, seed, &mut scratch);
+                        let label = format!("{name} at ε = {eps:e}, k = {k}, seed {seed}");
+                        assert_eq!(s, owed, "probe {probe:e}: {label}");
+                        ties += usize::from(ties_at_cut(&want));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(skipped.len(), 4, "{skipped:?}");
+    assert!(skipped.values().all(|&s| s > 0), "{skipped:?}");
+    // Discrete noisy values tie with the cut, so the tie rule at the cut
+    // is exercised.
+    assert!(ties > 0, "no selection tied with its cut");
 }
 
 /// Asserts that `call_reference` and `call_batched` at `seed` both render

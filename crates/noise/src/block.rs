@@ -55,7 +55,8 @@
 //!
 //! [`BlockBuffer::skip`] passes draws without transforming them, for a
 //! caller that knows no value of theirs can matter (an SVT query no draw can
-//! lift over its threshold): the stream moves exactly as serving them would.
+//! lift over its threshold, a Noisy-Top-K answer no draw can lift into the
+//! top): the stream moves exactly as serving them would.
 
 use crate::discrete_laplace::DiscreteLaplace;
 use crate::traits::SingleUniform;
@@ -360,7 +361,10 @@ impl BlockBuffer {
     /// per draw in every single-uniform family): the buffered uniforms are
     /// passed over first, and the rest are pulled straight from the RNG and
     /// dropped. Skipped draws count toward the run's prediction but not
-    /// toward its peek sizing.
+    /// toward its peek sizing. So a pruned selection, which skips most of
+    /// its draws and bulk-fills the rest, sizes the first block of the
+    /// next run on a shared tape by its skips alone: its fills, drawn
+    /// straight from the RNG, never counted.
     #[inline]
     pub fn skip<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) {
         let buffered = n.min(self.raw.len() - self.cursor);

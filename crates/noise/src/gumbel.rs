@@ -19,6 +19,15 @@ pub struct Gumbel {
 }
 
 impl Gumbel {
+    /// The largest draw of the standard sampler over every `f64` uniform
+    /// in `[0, 1)`: the inner `-ln u` is smallest at the top uniform
+    /// `1 - 2⁻⁵³`, where it is `2⁻⁵³`, so the draw `-ln(-ln u)` is at most
+    /// `53·ln 2 ≈ 36.74`. This is `53·ln 2` rounded up to the next `f64`,
+    /// so it bounds the transform under any faithfully rounded `ln`. A draw
+    /// at scale `β` is at most `UNIT_MAX * β`: the sampler is a single
+    /// `β × f(u)` product, and rounding is monotone.
+    pub const UNIT_MAX: f64 = 36.736_800_569_677_11;
+
     /// Creates a Gumbel with the given scale (`β = 1` is the standard form).
     pub fn new(scale: f64) -> Result<Self, NoiseError> {
         Ok(Self {
@@ -153,6 +162,40 @@ mod tests {
             let sigma = (p * (1.0 - p) / n as f64).sqrt();
             assert!((emp - p).abs() < 5.0 * sigma, "i={i}: {emp} vs {p}");
         }
+    }
+
+    /// The largest `f64` below 1: the top uniform.
+    const TOP: f64 = 1.0 - f64::EPSILON / 2.0;
+
+    #[test]
+    fn unit_max_bounds_every_draw() {
+        let unit = Gumbel::standard();
+        let scaled = [Gumbel::new(3.7).unwrap(), Gumbel::new(1e300).unwrap()];
+        let check = |u: f64| {
+            assert!(unit.sample_from_uniform(u) <= Gumbel::UNIT_MAX, "u = {u:e}");
+            for g in &scaled {
+                let bound = Gumbel::UNIT_MAX * g.scale();
+                assert!(g.sample_from_uniform(u) <= bound, "u = {u:e}");
+            }
+        };
+        check(0.0);
+        let mut u = TOP;
+        for _ in 0..1 << 20 {
+            check(u);
+            u = u.next_down();
+        }
+        let mut rng = rng_from_seed(53);
+        for _ in 0..10_000_000 {
+            check(rng.gen());
+        }
+    }
+
+    #[test]
+    fn unit_max_is_tight() {
+        let top = Gumbel::standard().sample_from_uniform(TOP);
+        assert!(top <= Gumbel::UNIT_MAX);
+        assert!((Gumbel::UNIT_MAX - top) / Gumbel::UNIT_MAX < 1e-12, "{top}");
+        assert_eq!(Gumbel::UNIT_MAX, (53.0 * std::f64::consts::LN_2).next_up());
     }
 
     #[test]
